@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from .engine import (
     make_initial,
     project_mode,
 )
+from .information import exact_joint, mixture_ae_conditioned, mutual_information
 
 F_KETS: tuple[BasisKet, ...] = (
     ket(0, "1", "vac", "0"),
@@ -212,10 +214,6 @@ def exact_outcome_table(
 
 # --- accounting-level profiles ---------------------------------------------
 
-_A_BITS = 0.75 * math.log2(4.0 / 3.0)
-_B_BITS = 0.75 * math.log2(3.0) - 1.0
-_E_BITS = 1.0 - 1.5 * math.log2(3.0) + 0.625 * math.log2(5.0)
-
 
 @dataclasses.dataclass(frozen=True)
 class AttackProfile:
@@ -244,12 +242,24 @@ class AttackProfile:
         }
 
 
+def _information_values() -> tuple[float, float, float]:
+    """(i_ae, i_ab, i_be) per attacked message bit at balanced prior, from
+    the information layer's exact joint distributions."""
+    return (
+        mixture_ae_conditioned(0.5),
+        mutual_information(exact_joint("fair-mixture", 0.5), "AB"),
+        mutual_information(exact_joint("plain", 0.5), "BE"),
+    )
+
+
+@lru_cache(maxsize=None)
 def improved_profile() -> AttackProfile:
     """Attack implemented here: quarter loss, same information values as the
     half-loss reference scheme."""
-    return AttackProfile("improved", 0.25, _A_BITS, _B_BITS, _E_BITS)
+    return AttackProfile("improved", 0.25, *_information_values())
 
 
+@lru_cache(maxsize=None)
 def wojcik_profile() -> AttackProfile:
     """Reference scheme modeled by its published summary statistics only."""
-    return AttackProfile("wojcik", 0.5, _A_BITS, _B_BITS, _E_BITS)
+    return AttackProfile("wojcik", 0.5, *_information_values())

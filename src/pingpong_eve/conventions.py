@@ -15,20 +15,27 @@ other"), but the exact permutation pair, optional polarization flips, and
 the CNOT control/activation conventions are underdetermined.  This module
 enumerates a finite family of 576 candidate semantics, composes the circuit
 for each, and reports which candidates reproduce the pinned truth-table
-images.  A candidate whose routing would put two photons into one mode in
-any intermediate basis term is reported invalid rather than modeled, since
-the state space here is strictly single-occupancy.
+images.
+
+The stages are the engine's own gates: the split is its Hadamard, each CNOT
+its index permutation, and each router a basis-index map over its decode
+tables.  Terms that a router sends onto the same ket add their amplitudes,
+which is how some candidates end with images of the wrong norm (mismatch).
+A candidate is invalid when a router would put two photons into one mode
+within a single basis term; the state space here is strictly
+single-occupancy, so its first such collision is reported instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
+from . import engine
 from .attacks import F_KETS, forward_images
 from .engine import DIM, BasisKet, Occupation
 
@@ -94,93 +101,48 @@ class Collision:
     mode: str
 
 
-class _CollisionFound(Exception):
-    def __init__(self, collision: Collision):
-        super().__init__(collision)
-        self.collision = collision
+@lru_cache(maxsize=None)
+def _split_rows() -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """(index, amplitude) terms of each reference input after the split
+    stage, which no candidate changes."""
+    rows = []
+    for ket in F_KETS:
+        state = engine.PureState(np.eye(DIM)[ket.index])
+        split = engine.apply_polarization_gate(state, "y", engine.HADAMARD).amps
+        rows.append(tuple((int(i), complex(split[i])) for i in np.flatnonzero(split)))
+    return tuple(rows)
 
 
-_Terms = dict[tuple[int, Occupation, Occupation, Occupation], complex]
-
-
-def _term_label(term) -> str:
-    h, t, x, y = term
-    return BasisKet(h, t, x, y).label()
-
-
-def _sorted_terms(terms: _Terms) -> _Terms:
-    return dict(
-        sorted(terms.items(), key=lambda item: BasisKet(*item[0]).index)
+@lru_cache(maxsize=None)
+def _router_map(modes: tuple[str, ...], route: tuple) -> tuple[tuple, tuple]:
+    """Basis-index map of one polarizing router, route = (sigma0, sigma1,
+    flip0, flip1): for every index, the index its photons land on and the
+    mode where two of them would meet (None when they land apart).  Photons
+    move slot by slot in router order, so the meeting mode is the first
+    slot that an earlier photon already took.  A flip swaps the occupation
+    codes 1 (pol0) and 2 (pol1)."""
+    sigma0, sigma1, flip0, flip1 = route
+    landed = [np.zeros(DIM, dtype=int) for _ in modes]  # code routed into each slot
+    meet = np.full(DIM, -1)
+    for slot, mode in enumerate(modes):
+        for occ, sigma, flip in ((1, sigma0, flip0), (2, sigma1, flip1)):
+            target = sigma[slot]
+            moving = engine._CODE_OF[mode] == occ
+            meet = np.where(moving & (landed[target] != 0) & (meet < 0), target, meet)
+            landed[target] = np.where(moving, 3 - occ if flip else occ, landed[target])
+    image = engine._INDICES + sum(
+        (landed[slot] - engine._CODE_OF[mode]) * engine._STRIDE[mode]
+        for slot, mode in enumerate(modes)
     )
+    return tuple(image.tolist()), tuple(modes[m] if m >= 0 else None for m in meet.tolist())
 
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-
-def _split_y(terms: _Terms) -> _Terms:
-    """Hadamard on the y polarization, identity on y vacuum."""
-    out: _Terms = {}
-    for (h, t, x, y), amp in terms.items():
-        if y is Occupation.VAC:
-            out[(h, t, x, y)] = out.get((h, t, x, y), 0.0) + amp
-            continue
-        sign = 1.0 if y is Occupation.POL0 else -1.0
-        for new_y, coeff in ((Occupation.POL0, _SQRT_HALF), (Occupation.POL1, sign * _SQRT_HALF)):
-            key = (h, t, x, new_y)
-            out[key] = out.get(key, 0.0) + amp * coeff
-    return _sorted_terms(out)
-
-
-def _route(terms: _Terms, modes: tuple[str, str, str], conv: Convention, stage: str) -> _Terms:
-    """Polarizing router: move each photon to its polarization's slot image,
-    then apply the optional flips; two photons in one slot is a collision."""
-    slots = {mode: i for i, mode in enumerate(modes)}
-    out: _Terms = {}
-    for term, amp in terms.items():
-        occupations = dict(zip(("h", "t", "x", "y"), term))
-        landed: dict[int, Occupation] = {}
-        for mode in modes:
-            occ = occupations[mode]
-            if occ is Occupation.VAC:
-                continue
-            if occ is Occupation.POL0:
-                target = conv.sigma0[slots[mode]]
-                flipped = Occupation.POL1 if conv.flip0 else Occupation.POL0
-            else:
-                target = conv.sigma1[slots[mode]]
-                flipped = Occupation.POL0 if conv.flip1 else Occupation.POL1
-            if target in landed:
-                raise _CollisionFound(
-                    Collision(stage=stage, input_term=_term_label(term), mode=modes[target])
-                )
-            landed[target] = flipped
-        new_occ = dict(occupations)
-        for i, mode in enumerate(modes):
-            new_occ[mode] = landed.get(i, Occupation.VAC)
-        key = (new_occ["h"], new_occ["t"], new_occ["x"], new_occ["y"])
-        out[key] = out.get(key, 0.0) + amp
-    return _sorted_terms(out)
-
-
-def _cnot(terms: _Terms, modes: tuple[str, str], conv: Convention) -> _Terms:
-    """Polarization-controlled flip under the candidate's convention; a
-    vacuum control never fires and a vacuum target is left unchanged."""
-    control, target = (
-        modes if conv.control_position == "first-index" else (modes[1], modes[0])
-    )
-    active = Occupation.POL1 if conv.active_on == "pol1" else Occupation.POL0
-    out: _Terms = {}
-    for term, amp in terms.items():
-        occupations = dict(zip(("h", "t", "x", "y"), term))
-        if occupations[control] is active and occupations[target] is not Occupation.VAC:
-            occupations[target] = (
-                Occupation.POL1
-                if occupations[target] is Occupation.POL0
-                else Occupation.POL0
-            )
-        key = (occupations["h"], occupations["t"], occupations["x"], occupations["y"])
-        out[key] = out.get(key, 0.0) + amp
-    return _sorted_terms(out)
+@lru_cache(maxsize=None)
+def _cnot_map(modes: tuple[str, str], control_position: str, active_on: str) -> tuple:
+    """The engine's CNOT index permutation under one candidate's convention."""
+    control, target = modes if control_position == "first-index" else modes[::-1]
+    active = Occupation.POL1 if active_on == "pol1" else Occupation.POL0
+    return tuple(engine.controlled_flip_permutation(control, target, active).tolist())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,20 +155,32 @@ class CompositionResult:
 
 
 def compose_candidate(conv: Convention) -> CompositionResult:
-    """Apply the five stages to each reference input under one candidate."""
+    """Apply the five stages to each reference input under one candidate.
+
+    Terms routed onto the same ket add their amplitudes.  The first term, in
+    row, stage and index order, that would put two photons in one mode stops
+    the composition with a collision.
+    """
+    route = (conv.sigma0, conv.sigma1, conv.flip0, conv.flip1)
+    cnot = (conv.control_position, conv.active_on)
+    stages = (
+        ("route_txy", *_router_map(ROUTE_TXY_MODES, route)),
+        ("cnot_ty", _cnot_map(CNOT_TY_MODES, *cnot), None),
+        ("route_ytx", *_router_map(ROUTE_YTX_MODES, route)),
+        ("cnot_xy", _cnot_map(CNOT_XY_MODES, *cnot), None),
+    )
     images = np.zeros((len(F_KETS), DIM), dtype=complex)
-    try:
-        for row, ket in enumerate(F_KETS):
-            terms: _Terms = {(ket.h, ket.t, ket.x, ket.y): 1.0}
-            terms = _split_y(terms)
-            terms = _route(terms, ROUTE_TXY_MODES, conv, "route_txy")
-            terms = _cnot(terms, CNOT_TY_MODES, conv)
-            terms = _route(terms, ROUTE_YTX_MODES, conv, "route_ytx")
-            terms = _cnot(terms, CNOT_XY_MODES, conv)
-            for (h, t, x, y), amp in terms.items():
-                images[row, BasisKet(h, t, x, y).index] = amp
-    except _CollisionFound as found:
-        return CompositionResult(images=None, collision=found.collision)
+    for row, terms in enumerate(_split_rows()):
+        for stage, image_of, meet_at in stages:
+            routed: dict[int, complex] = {}
+            for index, amp in terms:
+                if meet_at and meet_at[index]:
+                    label = BasisKet.from_index(index).label()
+                    return CompositionResult(None, Collision(stage, label, meet_at[index]))
+                routed[image_of[index]] = routed.get(image_of[index], 0.0) + amp
+            terms = sorted(routed.items())
+        for index, amp in terms:
+            images[row, index] = amp
     images.setflags(write=False)
     return CompositionResult(images=images, collision=None)
 

@@ -144,14 +144,13 @@ def _mode_axis(mode: str) -> int:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}") from None
 
 
-# Precomputed decode tables: occupation code of each mode for every index.
+# Index stride of each mode in the row-major encoding, and the precomputed
+# decode tables: occupation code of each mode for every index.
+_STRIDE = {"h": 27, "t": 9, "x": 3, "y": 1}
 _INDICES = np.arange(DIM)
-_Y_CODE = _INDICES % 3
-_X_CODE = (_INDICES // 3) % 3
-_T_CODE = (_INDICES // 9) % 3
-_H_CODE = _INDICES // 27
-_CODE_OF = {"h": _H_CODE, "t": _T_CODE, "x": _X_CODE, "y": _Y_CODE}
-_PHOTON_NUMBER = (_T_CODE != 0).astype(int) + (_X_CODE != 0) + (_Y_CODE != 0)
+_CODE_OF = {mode: _INDICES // stride % 3 for mode, stride in _STRIDE.items()}
+_H_CODE = _CODE_OF["h"]
+_PHOTON_NUMBER = sum((_CODE_OF[mode] != 0).astype(int) for mode in PHOTON_MODES)
 
 
 class PureState:
@@ -279,9 +278,7 @@ def controlled_flip_permutation(control: str, target: str, active: Occupation) -
     target_code = _CODE_OF[target]
     flipped = np.where(target_code == 1, 2, np.where(target_code == 2, 1, 0))
     new_target = np.where(control_code == int(active), flipped, target_code)
-    axis = _mode_axis(target)
-    stride = {1: 9, 2: 3, 3: 1}[axis]
-    perm = _INDICES + (new_target - target_code) * stride
+    perm = _INDICES + (new_target - target_code) * _STRIDE[target]
     perm.setflags(write=False)
     return perm
 

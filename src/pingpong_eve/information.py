@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .attacks import AttackProfile
-from .protocol import max_attack_fraction
+if TYPE_CHECKING:
+    from .attacks import AttackProfile
 
 VARIANTS = ("plain", "symmetrized", "fair-mixture")
 PAIRS = ("AE", "AB", "BE")
 FORMULAS = ("plain_ae_ab", "plain_be", "sym_ae_ab", "sym_be")
 
 # Conditional tables P(k, m | j), indexed [j, k, m].
+# Typed in: exact_outcome_table is off by ulps, and QBER == 1/4 is checked exactly.
 _PLAIN_COND = np.array(
     [
         [[1.0, 0.0], [0.0, 0.0]],
@@ -175,6 +176,16 @@ def closed_form(formula: str, c0: float) -> tuple[float, bool]:
 
 
 # --- security curves over the transmission efficiency -------------------------
+
+
+def max_attack_fraction(eta: float, loss: float) -> float:
+    """Largest fraction of rounds attackable without raising the observed
+    loss rate above the channel's own 1 - eta: min(1, (1 - eta)/loss)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmission efficiency must be in [0, 1], got {eta!r}")
+    if loss <= 0.0:
+        raise ValueError(f"attack loss must be positive, got {loss!r}")
+    return min(1.0, (1.0 - eta) / loss)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,12 +28,19 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attacks import attack_ba, exact_outcome_table, message_state
+from .attacks import (
+    attack_ba,
+    exact_outcome_table,
+    improved_profile,
+    message_state,
+    wojcik_profile,
+)
 from .engine import (
     BellOutcome,
     Occupation,
@@ -45,24 +52,15 @@ from .engine import (
     project_mode,
     sample_from,
 )
+from .information import max_attack_fraction
 
 SCHEMES = ("none", "improved", "improved-symmetrized", "wojcik-reference")
 
-_ATTACK_LOSS = {
-    "improved": 0.25,
-    "improved-symmetrized": 0.25,
-    "wojcik-reference": 0.5,
+_SCHEME_PROFILE = {
+    "improved": improved_profile,
+    "improved-symmetrized": improved_profile,
+    "wojcik-reference": wojcik_profile,
 }
-
-
-def max_attack_fraction(eta: float, loss: float) -> float:
-    """Largest fraction of rounds attackable without raising the observed
-    loss rate above the channel's own 1 - eta: min(1, (1 - eta)/loss)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmission efficiency must be in [0, 1], got {eta!r}")
-    if loss <= 0.0:
-        raise ValueError(f"attack loss must be positive, got {loss!r}")
-    return min(1.0, (1.0 - eta) / loss)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,8 +80,14 @@ class ProtocolConfig:
     attack_fraction: float | str = "auto"
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         for name in ("c0", "control_prob", "eta"):
@@ -103,13 +107,14 @@ class ProtocolConfig:
     @property
     def attack_loss(self) -> float | None:
         """Control-mode loss induced per attacked round, None without attack."""
-        return _ATTACK_LOSS.get(self.scheme)
+        profile = _SCHEME_PROFILE.get(self.scheme)
+        return None if profile is None else profile().loss
 
     def resolved_attack_fraction(self) -> float:
         if self.scheme == "none":
             return 0.0
         if self.attack_fraction == "auto":
-            return max_attack_fraction(self.eta, _ATTACK_LOSS[self.scheme])
+            return max_attack_fraction(self.eta, self.attack_loss)
         return float(self.attack_fraction)
 
 

@@ -43,11 +43,11 @@ from .information import (
     exact_joint,
     info_vs_eta,
     insecurity_bound,
+    max_attack_fraction,
     mixture_ae_conditioned,
     mutual_information,
     qber,
 )
-from .protocol import max_attack_fraction
 
 C0_GRID = [i / 10 for i in range(1, 10)]
 

@@ -29,6 +29,7 @@ from pingpong_eve.engine import (
     make_initial,
     mode_marginal,
 )
+from pingpong_eve.information import exact_joint, mixture_ae_conditioned, mutual_information
 
 from test_engine import post_attack_state, returned_state, symmetrized_state
 
@@ -187,6 +188,10 @@ def test_profile_information_values():
         assert abs(profile.i_ae - 0.311278) < 1e-6
         assert abs(profile.i_ab - 0.188722) < 1e-6
         assert abs(profile.i_be - 0.073761) < 1e-6
+        # one source of truth: exactly the information layer's values
+        assert profile.i_ae == mixture_ae_conditioned(0.5)
+        assert profile.i_ab == mutual_information(exact_joint("fair-mixture", 0.5), "AB")
+        assert profile.i_be == mutual_information(exact_joint("plain", 0.5), "BE")
 
 
 def test_profile_json_shape():

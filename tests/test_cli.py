@@ -102,6 +102,20 @@ def test_seed_env_override(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PINGPONG_EVE_SEED", "-5")
+    for argv in (
+        ["simulate", "--rounds", "10", "--seed", "-1"],
+        ["simulate", "--rounds", "10"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: pingpong-eve" in err
+        assert "error: seed must be non-negative" in err
+
+
 def test_default_seed_without_env(monkeypatch, capsys):
     monkeypatch.delenv("PINGPONG_EVE_SEED", raising=False)
     assert run_main(["simulate", "--rounds", "50"]) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -89,6 +90,19 @@ def test_identity_candidate_keeps_travel_mode_occupied():
     assert deviation_from_reference(images, forward_images()) > 0.5
 
 
+def test_terms_routed_onto_one_ket_add():
+    # with flip1 the router turns every pol1 photon into pol0 in place, so
+    # the two split terms of each input land on the same ket: for f1 and f2
+    # their amplitudes add to sqrt(2), for f3 and f4 they cancel
+    conv = default_convention(flip1=True)
+    assert enumerate_conventions()[4] == conv
+    result = compose_candidate(conv)
+    assert result.collision is None
+    norms = np.sum(np.abs(result.images) ** 2, axis=1)
+    assert np.allclose(norms, [2.0, 2.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+    assert solve()[4].status == "mismatch"
+
+
 def test_declared_double_occupancy_example():
     conv = default_convention(sigma1=(2, 1, 0))
     result = compose_candidate(conv)
@@ -162,6 +176,15 @@ def test_invalid_reports_replay_to_collisions():
         replay = compose_candidate(report.convention)
         assert replay.images is None
         assert replay.collision == report.collision
+    tally = collections.Counter((r.collision.stage, r.collision.mode) for r in invalid)
+    assert tally == {
+        ("route_txy", "x"): 88,
+        ("route_txy", "t"): 85,
+        ("route_txy", "y"): 85,
+        ("route_ytx", "y"): 38,
+        ("route_ytx", "x"): 33,
+        ("route_ytx", "t"): 31,
+    }
 
 
 def test_matches_reproduce_pinned_attack():

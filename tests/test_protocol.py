@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from pingpong_eve.attacks import improved_profile, wojcik_profile
 from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
     ProtocolConfig,
@@ -95,6 +96,17 @@ def test_config_validation():
         ProtocolConfig(rounds=10, seed=0, attack_fraction="most")
     with pytest.raises(ValueError):
         ProtocolConfig(rounds=10, seed=0, attack_fraction=-0.5)
+    for fields in (
+        dict(rounds=True, seed=0),
+        dict(rounds=2.5, seed=0),
+        dict(rounds="10", seed=0),
+        dict(rounds=10, seed=True),
+        dict(rounds=10, seed=1.0),
+        dict(rounds=10, seed=-1),
+    ):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**fields)
+    ProtocolConfig(rounds=np.int64(3), seed=np.int64(0))
 
 
 def test_attack_loss_per_scheme():
@@ -107,6 +119,12 @@ def test_attack_loss_per_scheme():
     assert (
         ProtocolConfig(rounds=1, seed=0, scheme="wojcik-reference").attack_loss == 0.5
     )
+    for scheme, profile in (
+        ("improved", improved_profile()),
+        ("improved-symmetrized", improved_profile()),
+        ("wojcik-reference", wojcik_profile()),
+    ):
+        assert ProtocolConfig(rounds=1, seed=0, scheme=scheme).attack_loss == profile.loss
 
 
 def test_resolved_attack_fraction():
