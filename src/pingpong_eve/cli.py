@@ -20,11 +20,12 @@ from .attacks import improved_profile, wojcik_profile
 from .conventions import CSV_HEADER, report_rows, solve, summarize
 from .information import SecurityReport, security_report
 from .protocol import (
+    RNG_STREAM,
     SCHEMES,
     ProtocolConfig,
-    aggregate,
+    iter_records,
     metadata_lines,
-    run_rounds,
+    run_simulation,
     write_records_csv,
 )
 
@@ -133,6 +134,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "scheme": config.scheme,
         "rounds": config.rounds,
         "seed": config.seed,
+        "rng_stream": RNG_STREAM,
         "eta": config.eta,
         "c0": config.c0,
         "control_prob": config.control_prob,
@@ -141,10 +143,9 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "resolved_attack_fraction": round(config.resolved_attack_fraction(), 12),
         "attack_loss": config.attack_loss,
     }
-    records = run_rounds(config)
-    stats = aggregate(records)
+    stats = run_simulation(config)
     if args.out:
-        write_records_csv(records, args.out, metadata)
+        write_records_csv(iter_records(config), args.out, metadata)
     if args.stats:
         with open(args.stats, "w") as handle:
             json.dump(

@@ -10,27 +10,38 @@ the lossy channel by a lossless one, so unattacked rounds arrive intact and
 all observed loss is induced by the attack itself (that is what makes the
 attack loss masquerade as channel loss, and it is why the attack fraction
 is capped at (1 - eta)/loss).  With ``scheme="none"`` the photon traverses
-the real channel and survives with probability ``eta``, drawn once per
-round.
+the real channel and survives with probability ``eta``.
 
-Attacked rounds evolve the exact 54-dimensional states; the pure
-pre-measurement states per (message bit, symmetrization) branch are
-memoized, and every measurement is sampled per round from an explicit
-per-round random substream derived from (seed, round_index).  The
-``wojcik-reference`` scheme has no gate-level model here and is simulated
-from its summary statistics: half the attacked control photons are lost,
-surviving control outcomes stay anticorrelated, and message outcomes follow
-the same conditional table as the plain attack.
+Sampling is table driven.  Once per run, each (mode, attacked) branch gets
+one categorical table whose cells are complete round records (every field
+but the round index), weighted by ``c0``, ``eta`` and the symmetrization
+coin; the probabilities come from the exact 54-dimensional branch states,
+and cells of probability zero are dropped.  Every round draws three
+uniforms: one picks the mode, one decides whether the round is attacked,
+one is an inverse-CDF draw on that branch's table.  Rounds are drawn in
+blocks of ``BLOCK_ROUNDS``; block b reads ``round_rng(seed, b)``, so round
+i's draws depend only on (seed, i), a shorter run is a prefix of a longer
+one, and ``replay_round`` regenerates a single block.  ``run_simulation``
+tallies cell counts per block without building records; ``iter_records``
+builds them one block at a time.  The stream scheme is named by
+``RNG_STREAM``.
+
+The ``wojcik-reference`` scheme has no gate-level model here and is
+simulated from its summary statistics: attacked control rounds lose the
+photon with its profile's loss, surviving control outcomes stay
+anticorrelated, and message outcomes follow the plain attack's exact
+conditional table.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import math
 import numbers
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,12 +56,10 @@ from .engine import (
     BellOutcome,
     Occupation,
     PAULI_Z,
-    PureState,
     apply_polarization_gate,
     bell_probabilities,
     make_initial,
     project_mode,
-    sample_from,
 )
 from .information import max_attack_fraction
 
@@ -140,230 +149,183 @@ class RoundRecord:
     detection_event: bool
 
 
-# Pure branch states; memoized because they are immutable and reused by
-# every attacked round.
-@lru_cache(maxsize=None)
-def _attacked_control_state() -> PureState:
-    return attack_ba(make_initial())
+_M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
+
+BLOCK_ROUNDS = 1 << 14
+RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v1"
+# Uniforms per round: mode, attacked, cell within the branch table.
+_DRAWS_PER_ROUND = 3
+
+# A round record without its index: the cell of an outcome table.
+_Cell = collections.namedtuple(
+    "_Cell", [field.name for field in dataclasses.fields(RoundRecord)][1:]
+)
+
+
+def _control_cell(attacked: bool, t_out: Occupation, h_bit: int) -> _Cell:
+    lost = t_out is Occupation.VAC
+    return _Cell("control", attacked, None, None, None, t_out, h_bit, None, lost,
+                 not lost and h_bit == (0 if t_out is Occupation.POL0 else 1))
+
+
+def _message_cell(
+    attacked: bool, j: int | None, k: int | None, m: BellOutcome, s_applied: bool | None,
+    lost: bool = False,
+) -> _Cell:
+    return _Cell("message", attacked, j, k, m, None, None, s_applied, lost, False)
+
+
+# Exact outcome distributions of the branch states, memoized because they do
+# not depend on the run's weights.
 
 
 @lru_cache(maxsize=None)
-def _attacked_message_state(j: int, apply_s: bool) -> PureState:
-    return message_state(j, apply_s=apply_s)
-
-
-@lru_cache(maxsize=None)
-def _plain_message_state(j: int) -> PureState:
-    state = make_initial()
-    if j:
-        state = apply_polarization_gate(state, "t", PAULI_Z)
-    return state
-
-
-# Measurement menus: each branch state's outcome probabilities and collapsed
-# follow-ups are computed once by the exact engine; the per-round work is then
-# a plain categorical draw per measurement (one rng draw each, like sampling
-# on the state itself, but without rebuilding 54-dim arrays every round).
-
-
-def _control_menu_for(state: PureState):
-    t_outcomes = []
-    t_probs = []
-    h_menus = []
-    for occ in (Occupation.VAC, Occupation.POL0, Occupation.POL1):
-        prob, collapsed = project_mode(state, "t", occ)
-        if prob <= 0.0:
-            continue
-        h_bits = []
-        h_probs = []
-        for h_occ, bit in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
-            h_prob, _ = project_mode(collapsed, "h", h_occ)
-            if h_prob > 0.0:
-                h_bits.append(bit)
-                h_probs.append(h_prob)
-        t_outcomes.append(occ)
-        t_probs.append(prob)
-        h_menus.append((tuple(h_bits), tuple(h_probs)))
-    return tuple(t_outcomes), tuple(t_probs), tuple(h_menus)
-
-
-@lru_cache(maxsize=None)
-def _attacked_control_menu():
-    return _control_menu_for(_attacked_control_state())
-
-
-@lru_cache(maxsize=None)
-def _plain_control_menu():
-    return _control_menu_for(make_initial())
-
-
-def _bell_menu_for(state: PureState):
+def _control_outcomes(attacked: bool) -> tuple[tuple[Occupation, int, float], ...]:
+    """(t outcome, h bit, probability) of a control round's measurements."""
+    state = attack_ba(make_initial()) if attacked else make_initial()
     outcomes = []
-    probs = []
-    for outcome, prob in bell_probabilities(state).items():
-        if prob > 0.0:
-            outcomes.append(outcome)
-            probs.append(prob)
-    return tuple(outcomes), tuple(probs)
+    for t_out in (Occupation.VAC, Occupation.POL0, Occupation.POL1):
+        p_t, collapsed = project_mode(state, "t", t_out)
+        if collapsed is not None:
+            for h_out, h_bit in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
+                outcomes.append((t_out, h_bit, p_t * project_mode(collapsed, "h", h_out)[0]))
+    return tuple(outcomes)
 
 
 @lru_cache(maxsize=None)
-def _attacked_message_menu(j: int, apply_s: bool):
-    state = _attacked_message_state(j, apply_s)
-    ks = []
-    k_probs = []
-    bell_menus = []
-    for occ, k in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
-        prob, collapsed = project_mode(state, "y", occ)
-        if prob <= 0.0:
-            continue
-        ks.append(k)
-        k_probs.append(prob)
-        bell_menus.append(_bell_menu_for(collapsed))
-    return tuple(ks), tuple(k_probs), tuple(bell_menus)
+def _message_outcomes(
+    scheme: str, j: int, apply_s: bool
+) -> tuple[tuple[int | None, BellOutcome, float], ...]:
+    """(register bit k, receiver outcome, probability) of a message round
+    with bit j; k is None on the plain channel (``scheme="none"``)."""
+    if scheme == "none":
+        state = make_initial()
+        if j:
+            state = apply_polarization_gate(state, "t", PAULI_Z)
+        return tuple((None, m, p) for m, p in bell_probabilities(state).items())
+    if scheme == "wojcik-reference":
+        table = exact_outcome_table(apply_s=False)
+        return tuple(
+            (k, m, float(table[j, k, m_bit]))
+            for k in (0, 1)
+            for m, m_bit in _M_BIT.items()
+        )
+    outcomes = []
+    state = message_state(j, apply_s=apply_s)
+    for y_out, k in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
+        p_k, collapsed = project_mode(state, "y", y_out)
+        if collapsed is not None:
+            outcomes += [(k, m, p_k * p) for m, p in bell_probabilities(collapsed).items()]
+    return tuple(outcomes)
 
 
-@lru_cache(maxsize=None)
-def _plain_bell_menu(j: int):
-    return _bell_menu_for(_plain_message_state(j))
+_COINS = {
+    "improved": ((False, 1.0),),
+    "improved-symmetrized": ((False, 0.5), (True, 0.5)),
+    "wojcik-reference": ((None, 1.0),),
+}
 
 
-def _measure_control(menu, rng) -> tuple[Occupation, int]:
-    t_outcomes, t_probs, h_menus = menu
-    t_out = sample_from(rng, t_outcomes, t_probs)
-    h_bits, h_probs = h_menus[t_outcomes.index(t_out)]
-    h_bit = sample_from(rng, h_bits, h_probs)
-    return t_out, h_bit
+def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ...]:
+    """Weighted cells of the four branches, in sampling order: control
+    unattacked, control attacked, message unattacked, message attacked."""
+    # Only the plain channel loses photons; the attacker's channel is lossless.
+    eta = config.eta if config.scheme == "none" else 1.0
+    priors = ((0, config.c0), (1, 1.0 - config.c0))
+
+    def lost_control(attacked: bool, p_lost: float):
+        return [(_control_cell(attacked, Occupation.VAC, h), p_lost / 2) for h in (0, 1)]
+
+    control = lost_control(False, 1.0 - eta) + [
+        (_control_cell(False, t, h), eta * p) for t, h, p in _control_outcomes(False)
+    ]
+    message = [(_message_cell(False, None, None, BellOutcome.NO_PHOTON, None, True), 1.0 - eta)]
+    message += [
+        (_message_cell(False, j, None, m, None), eta * p_j * p)
+        for j, p_j in priors
+        for _, m, p in _message_outcomes("none", j, False)
+    ]
+    if config.scheme == "none":
+        return control, [], message, []
+    if config.scheme == "wojcik-reference":
+        loss = config.attack_loss
+        control_attacked = lost_control(True, loss) + [
+            (_control_cell(True, t, h), (1.0 - loss) / 2)
+            for t, h in ((Occupation.POL1, 0), (Occupation.POL0, 1))
+        ]
+    else:
+        control_attacked = [
+            (_control_cell(True, t, h), p) for t, h, p in _control_outcomes(True)
+        ]
+    message_attacked = [
+        (_message_cell(True, j, k, m, s), p_j * p_s * p)
+        for j, p_j in priors
+        for s, p_s in _COINS[config.scheme]
+        for k, m, p in _message_outcomes(config.scheme, j, bool(s))
+    ]
+    return control, control_attacked, message, message_attacked
 
 
-@lru_cache(maxsize=None)
-def _reference_message_cells(j: int) -> tuple[tuple[tuple[int, BellOutcome], float], ...]:
-    """Sampling cells for the reference scheme's message rounds: the plain
-    attack's conditional table, per its published equivalence."""
-    table = exact_outcome_table(apply_s=False)
-    cells = []
-    for k in (0, 1):
-        for m_bit, outcome in ((0, BellOutcome.PSI_PLUS), (1, BellOutcome.PSI_MINUS)):
-            cells.append(((k, outcome), float(table[j, k, m_bit])))
-    return tuple(cells)
+class _RoundTable:
+    """The flat outcome table of one run and its block sampler."""
+
+    def __init__(self, config: ProtocolConfig) -> None:
+        self.seed = config.seed
+        self.control_prob = config.control_prob
+        self.attack_fraction = config.resolved_attack_fraction()
+        self.cells: list[_Cell] = []
+        # Per branch: the index of its first cell and the inner bounds of its
+        # normalized CDF; a draw u picks the cell searchsorted(bounds, u, "right").
+        self.branches: list[tuple[int, np.ndarray]] = []
+        for weighted in _branch_cells(config):
+            kept = [(cell, p) for cell, p in weighted if p > 0.0]
+            cdf = np.cumsum([p for _, p in kept])
+            self.branches.append((len(self.cells), cdf[:-1] / cdf[-1] if kept else cdf))
+            self.cells += [cell for cell, _ in kept]
+
+    def sample(self, block: int, n: int) -> np.ndarray:
+        """Cell indices of the first n rounds of a block."""
+        # PCG64 fills the array in order, so n rows are a prefix of the block.
+        u = round_rng(self.seed, block).random((n, _DRAWS_PER_ROUND))
+        branch = np.where(u[:, 0] < self.control_prob, 0, 2) + (u[:, 1] < self.attack_fraction)
+        cells = np.empty(n, dtype=np.intp)
+        for b, (first, bounds) in enumerate(self.branches):
+            rows = branch == b
+            cells[rows] = first + np.searchsorted(bounds, u[rows, 2], side="right")
+        return cells
+
+    def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(first round index, cell indices) of each block of the run."""
+        for start in range(0, rounds, BLOCK_ROUNDS):
+            yield start, self.sample(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
 
 
 def round_rng(seed: int, round_index: int) -> np.random.Generator:
-    """Deterministic per-round random substream."""
+    """Deterministic random substream of one block of rounds; the block
+    sampler passes the block number as ``round_index``."""
     return np.random.default_rng((seed, round_index))
 
 
-def _t_bit(occ: Occupation) -> int:
-    return 0 if occ is Occupation.POL0 else 1
-
-
-def run_round(
-    config: ProtocolConfig, rng: np.random.Generator, round_index: int = 0
-) -> RoundRecord:
-    """Execute one protocol round, drawing all randomness from rng."""
-    is_control = rng.random() < config.control_prob
-    attacked = config.scheme != "none" and rng.random() < config.resolved_attack_fraction()
-
-    if is_control:
-        if attacked and config.scheme == "wojcik-reference":
-            lost = rng.random() < 0.5
-            h_bit = int(rng.random() < 0.5)
-            t_out = Occupation.VAC if lost else (
-                Occupation.POL0 if h_bit == 1 else Occupation.POL1
-            )
-        elif attacked:
-            t_out, h_bit = _measure_control(_attacked_control_menu(), rng)
-            lost = t_out is Occupation.VAC
-        else:
-            lost = config.scheme == "none" and not rng.random() < config.eta
-            if lost:
-                t_out = Occupation.VAC
-                h_bit = int(rng.random() < 0.5)
-            else:
-                t_out, h_bit = _measure_control(_plain_control_menu(), rng)
-        detection = (not lost) and h_bit == _t_bit(t_out)
-        return RoundRecord(
-            round_index=round_index,
-            mode="control",
-            attacked=attacked,
-            j=None,
-            k=None,
-            m=None,
-            alice_t_outcome=t_out,
-            bob_h_outcome=h_bit,
-            s_applied=None,
-            photon_lost=lost,
-            detection_event=detection,
-        )
-
-    # message round
-    if attacked:
-        j = 0 if rng.random() < config.c0 else 1
-        if config.scheme == "improved-symmetrized":
-            s_applied: bool | None = rng.random() < 0.5
-        elif config.scheme == "improved":
-            s_applied = False
-        else:
-            s_applied = None
-        if config.scheme == "wojcik-reference":
-            (k, m), _prob = _draw_cell(rng, _reference_message_cells(j))
-        else:
-            ks, k_probs, bell_menus = _attacked_message_menu(j, bool(s_applied))
-            k = sample_from(rng, ks, k_probs)
-            m_outcomes, m_probs = bell_menus[ks.index(k)]
-            m = sample_from(rng, m_outcomes, m_probs)
-        return RoundRecord(
-            round_index=round_index,
-            mode="message",
-            attacked=True,
-            j=j,
-            k=k,
-            m=m,
-            alice_t_outcome=None,
-            bob_h_outcome=None,
-            s_applied=s_applied,
-            photon_lost=False,
-            detection_event=False,
-        )
-
-    lost = config.scheme == "none" and not rng.random() < config.eta
-    if lost:
-        j = None
-        m: BellOutcome | None = BellOutcome.NO_PHOTON
-    else:
-        j = 0 if rng.random() < config.c0 else 1
-        m_outcomes, m_probs = _plain_bell_menu(j)
-        m = sample_from(rng, m_outcomes, m_probs)
-    return RoundRecord(
-        round_index=round_index,
-        mode="message",
-        attacked=False,
-        j=j,
-        k=None,
-        m=m,
-        alice_t_outcome=None,
-        bob_h_outcome=None,
-        s_applied=None,
-        photon_lost=lost,
-        detection_event=False,
-    )
-
-
-def _draw_cell(rng, cells):
-    outcomes = [cell for cell, _ in cells]
-    probs = [p for _, p in cells]
-    choice = sample_from(rng, outcomes, probs)
-    return choice, dict(cells)[choice]
+def iter_records(config: ProtocolConfig) -> Iterator[RoundRecord]:
+    """Every round of one run in order, built one block at a time."""
+    table = _RoundTable(config)
+    for start, cells in table.blocks(config.rounds):
+        for offset, cell in enumerate(cells.tolist()):
+            yield RoundRecord(start + offset, *table.cells[cell])
 
 
 def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
-    """All rounds of one run, each on its own (seed, round_index) substream."""
-    return [
-        run_round(config, round_rng(config.seed, i), i) for i in range(config.rounds)
-    ]
+    """All rounds of one run; round i depends only on (seed, i)."""
+    return list(iter_records(config))
 
 
-_M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
+def replay_round(config: ProtocolConfig, round_index: int) -> RoundRecord:
+    """Round ``round_index`` of the run, regenerated from its block alone."""
+    if not 0 <= round_index < config.rounds:
+        raise IndexError(f"round {round_index!r} is outside a run of {config.rounds} rounds")
+    table = _RoundTable(config)
+    block, row = divmod(round_index, BLOCK_ROUNDS)
+    return RoundRecord(round_index, *table.cells[table.sample(block, row + 1)[row]])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -481,34 +443,39 @@ def _json_table(table: np.ndarray):
 
 def aggregate(records: Iterable[RoundRecord]) -> RunStats:
     """Tally a record stream into RunStats."""
+    return _tally((record, 1) for record in records)
+
+
+def _tally(weighted: Iterable[tuple[RoundRecord | _Cell, int]]) -> RunStats:
+    """Tally (record, number of rounds like it) pairs into RunStats."""
     n_rounds = n_control = n_message = 0
     n_control_attacked = n_control_lost = n_detection = 0
     n_message_attacked = n_message_unattacked_lost = 0
     n_qber_errors = n_stray = 0
     counts_s_off = np.zeros((2, 2, 2), dtype=np.int64)
     counts_s_on = np.zeros((2, 2, 2), dtype=np.int64)
-    for record in records:
-        n_rounds += 1
+    for record, n in weighted:
+        n_rounds += n
         if record.mode == "control":
-            n_control += 1
-            n_control_attacked += record.attacked
-            n_control_lost += record.photon_lost
-            n_detection += record.detection_event
+            n_control += n
+            n_control_attacked += n * record.attacked
+            n_control_lost += n * record.photon_lost
+            n_detection += n * record.detection_event
             continue
-        n_message += 1
+        n_message += n
         if not record.attacked:
-            n_message_unattacked_lost += record.photon_lost
+            n_message_unattacked_lost += n * record.photon_lost
             continue
-        n_message_attacked += 1
+        n_message_attacked += n
         correct = (record.j == 0 and record.m is BellOutcome.PSI_PLUS) or (
             record.j == 1 and record.m is BellOutcome.PSI_MINUS
         )
-        n_qber_errors += not correct
+        n_qber_errors += n * (not correct)
         if record.m in _M_BIT and record.k is not None:
             target = counts_s_on if record.s_applied else counts_s_off
-            target[record.j, record.k, _M_BIT[record.m]] += 1
+            target[record.j, record.k, _M_BIT[record.m]] += n
         else:
-            n_stray += 1
+            n_stray += n
     return RunStats(
         n_rounds=n_rounds,
         n_control=n_control,
@@ -526,8 +493,13 @@ def aggregate(records: Iterable[RoundRecord]) -> RunStats:
 
 
 def run_simulation(config: ProtocolConfig) -> RunStats:
-    """Run all rounds and aggregate; deterministic in (config, seed)."""
-    return aggregate(run_rounds(config))
+    """Sample and tally every round, block by block, without building
+    records; equal to ``aggregate(run_rounds(config))``."""
+    table = _RoundTable(config)
+    counts = np.zeros(len(table.cells), dtype=np.int64)
+    for _, cells in table.blocks(config.rounds):
+        counts += np.bincount(cells, minlength=counts.size)
+    return _tally(zip(table.cells, counts.tolist()))
 
 
 def chi_squared(counts: np.ndarray, expected_conditional: np.ndarray) -> tuple[float, int]:
@@ -590,7 +562,7 @@ def metadata_lines(metadata: dict) -> list[str]:
     return [f"# {key}={_cell(value)}" for key, value in metadata.items()]
 
 
-def write_records_csv(records: Sequence[RoundRecord], path: str, metadata: dict) -> None:
+def write_records_csv(records: Iterable[RoundRecord], path: str, metadata: dict) -> None:
     with open(path, "w", newline="") as handle:
         for line in metadata_lines(metadata):
             handle.write(line + "\n")

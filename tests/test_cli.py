@@ -58,9 +58,11 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     assert run_main(SIM_ARGS + ["--out", str(out), "--stats", str(stats)]) == 0
     console = capsys.readouterr().out
     assert "# resolved_attack_fraction=0.4" in console
+    assert "# rng_stream=pcg64-block16384-v1" in console.splitlines()
     lines = out.read_text().splitlines()
     assert "# resolved_attack_fraction=0.4" in lines
     assert "# seed=7" in lines
+    assert "# rng_stream=pcg64-block16384-v1" in lines
     header_at = lines.index(
         "round_index,mode,attacked,j,k,m,alice_t_outcome,bob_h_outcome,"
         "s_applied,photon_lost,detection_event"
@@ -69,6 +71,7 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     payload = json.loads(stats.read_text())
     assert payload["metadata"]["resolved_attack_fraction"] == 0.4
     assert payload["metadata"]["seed"] == 7
+    assert payload["metadata"]["rng_stream"] == "pcg64-block16384-v1"
     assert payload["stats"]["n_rounds"] == 2000
     assert "timestamp" not in json.dumps(payload)
 

@@ -7,6 +7,7 @@ test at the 99.9% quantile, per the stated validation contract.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 
@@ -17,14 +18,16 @@ from scipy.stats import chi2
 from pingpong_eve.attacks import improved_profile, wojcik_profile
 from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
+    BLOCK_ROUNDS,
     ProtocolConfig,
     RoundRecord,
+    RunStats,
     aggregate,
     chi_squared,
     max_attack_fraction,
     metadata_lines,
+    replay_round,
     round_rng,
-    run_round,
     run_rounds,
     run_simulation,
     write_records_csv,
@@ -333,8 +336,60 @@ def test_records_csv_round_trip(tmp_path):
     assert metadata_lines({"a": True, "b": None}) == ["# a=true", "# b="]
 
 
-def test_run_round_rejects_nothing_but_is_deterministic():
+def test_wojcik_replay_is_deterministic():
     config = ProtocolConfig(rounds=1, seed=9, scheme="wojcik-reference", eta=0.4)
-    record_a = run_round(config, round_rng(9, 0), 0)
-    record_b = run_round(config, round_rng(9, 0), 0)
-    assert record_a == record_b
+    record = replay_round(config, 0)
+    assert record == replay_round(config, 0)
+    assert record == run_rounds(config)[0]
+    assert record.round_index == 0
+    for outside in (-1, 1):
+        with pytest.raises(IndexError):
+            replay_round(config, outside)
+
+
+# --- block stream ----------------------------------------------------------------
+
+
+def test_replay_round_matches_the_run():
+    config = ProtocolConfig(
+        rounds=2 * BLOCK_ROUNDS + 37, seed=12, scheme="improved-symmetrized", eta=0.8, c0=0.3
+    )
+    records = run_rounds(config)
+    for i in (0, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, config.rounds - 1):
+        assert replay_round(config, i) == records[i]
+
+
+def test_shorter_run_is_a_prefix():
+    def config(rounds):
+        return ProtocolConfig(rounds=rounds, seed=8, scheme="wojcik-reference", eta=0.7)
+
+    short, long = BLOCK_ROUNDS + 999, 2 * BLOCK_ROUNDS + 5
+    assert short % BLOCK_ROUNDS
+    records = run_rounds(config(short))
+    assert records == run_rounds(config(long))[:short]
+    assert run_simulation(config(short)).to_json_dict() == aggregate(records).to_json_dict()
+
+
+def test_outputs_are_plain_python_types():
+    config = ProtocolConfig(rounds=3000, seed=4, scheme="improved-symmetrized", eta=0.8, c0=0.3)
+    allowed = {
+        "round_index": (int,),
+        "mode": (str,),
+        "attacked": (bool,),
+        "j": (int, type(None)),
+        "k": (int, type(None)),
+        "m": (BellOutcome, type(None)),
+        "alice_t_outcome": (Occupation, type(None)),
+        "bob_h_outcome": (int, type(None)),
+        "s_applied": (bool, type(None)),
+        "photon_lost": (bool,),
+        "detection_event": (bool,),
+    }
+    for record in run_rounds(config):
+        for field, types in allowed.items():
+            assert type(getattr(record, field)) in types, (field, record)
+    stats = run_simulation(config)
+    for field in RunStats.__dataclass_fields__:
+        if field.startswith("n_"):
+            assert type(getattr(stats, field)) is int, field
+    json.dumps(stats.to_json_dict())

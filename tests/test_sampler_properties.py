@@ -1,0 +1,109 @@
+"""Property-based tests of the block sampler, with a fixed derandomized
+profile so that every run of the suite tries the same examples.
+
+The oracle for "zero-probability cell" is built here from the exact layers
+(engine projections, ``attacks.exact_outcome_table`` and the profiles), not
+from the sampler's own tables.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from pingpong_eve.attacks import attack_ba, exact_outcome_table, wojcik_profile  # noqa: E402
+from pingpong_eve.engine import BellOutcome, Occupation, make_initial, project_mode  # noqa: E402
+from pingpong_eve.protocol import (  # noqa: E402
+    BLOCK_ROUNDS,
+    SCHEMES,
+    ProtocolConfig,
+    aggregate,
+    run_rounds,
+    run_simulation,
+)
+
+DETERMINISTIC = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
+
+probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def configs(draw):
+    return ProtocolConfig(
+        rounds=draw(st.integers(1, BLOCK_ROUNDS + 2000)),
+        seed=draw(st.integers(0, 2**63)),
+        c0=draw(probability),
+        control_prob=draw(probability),
+        eta=draw(probability),
+        scheme=draw(st.sampled_from(SCHEMES)),
+        attack_fraction=draw(st.just("auto") | probability),
+    )
+
+
+def control_probability(attacked: bool, scheme: str, t_out: Occupation, h_bit: int) -> float:
+    """Exact P(t outcome, h bit) of a control round that reached Alice."""
+    if attacked and scheme == "wojcik-reference":
+        loss = wojcik_profile().loss
+        if t_out is Occupation.VAC:
+            return loss / 2
+        return (1.0 - loss) / 2 * ((t_out, h_bit) in ((Occupation.POL1, 0), (Occupation.POL0, 1)))
+    state = attack_ba(make_initial()) if attacked else make_initial()
+    p_t, collapsed = project_mode(state, "t", t_out)
+    if collapsed is None:
+        return 0.0
+    h_out = Occupation.POL0 if h_bit == 0 else Occupation.POL1
+    return p_t * project_mode(collapsed, "h", h_out)[0]
+
+
+def record_probability(config: ProtocolConfig, record) -> float:
+    """Exact probability of a record's outcome under ``config``."""
+    fraction = config.resolved_attack_fraction()
+    eta = config.eta if config.scheme == "none" else 1.0
+    if record.mode == "control":
+        p = config.control_prob
+        p *= fraction if record.attacked else 1.0 - fraction
+        if record.photon_lost and not record.attacked:
+            return p * (1.0 - eta) / 2
+        return p * (1.0 if record.attacked else eta) * control_probability(
+            record.attacked, config.scheme, record.alice_t_outcome, record.bob_h_outcome
+        )
+    p = 1.0 - config.control_prob
+    p *= fraction if record.attacked else 1.0 - fraction
+    if record.photon_lost:
+        return p * (1.0 - eta)
+    p *= config.c0 if record.j == 0 else 1.0 - config.c0
+    if not record.attacked:
+        decoded = BellOutcome.PSI_PLUS if record.j == 0 else BellOutcome.PSI_MINUS
+        return p * eta * (record.m is decoded)
+    if record.m not in M_BIT:
+        return 0.0
+    if config.scheme == "improved-symmetrized":
+        p *= 0.5
+    table = exact_outcome_table(apply_s=bool(record.s_applied))
+    return p * table[record.j, record.k, M_BIT[record.m]]
+
+
+@DETERMINISTIC
+@given(configs())
+def test_sampler_never_returns_a_zero_probability_cell(config):
+    outcomes = {dataclasses.replace(record, round_index=0) for record in run_rounds(config)}
+    for record in outcomes:
+        assert record_probability(config, record) > 0.0, record
+
+
+@DETERMINISTIC
+@given(configs())
+def test_aggregate_invariants(config):
+    stats = aggregate(run_rounds(config))
+    assert stats.n_rounds == config.rounds
+    assert stats.n_control + stats.n_message == stats.n_rounds
+    assert stats.n_detection == 0
+    assert stats.n_stray_outcomes == 0
+    assert stats.to_json_dict() == run_simulation(config).to_json_dict()
