@@ -23,7 +23,6 @@ from .protocol import (
     RNG_STREAM,
     SCHEMES,
     ProtocolConfig,
-    iter_records,
     metadata_lines,
     run_simulation,
     write_records_csv,
@@ -102,6 +101,16 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
         parser.error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
+def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> None:
+    """Create or truncate each output file before any work is done, so that
+    an unwritable path is a usage error rather than a late traceback."""
+    for path in filter(None, paths):
+        try:
+            open(path, "w").close()
+        except OSError as error:
+            parser.error(f"cannot write {path}: {error.strerror}")
+
+
 def _fmt_rate(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.9f}"
 
@@ -128,6 +137,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         )
     except ValueError as error:
         parser.error(str(error))
+    _check_outputs(parser, args.out, args.stats)
     metadata = {
         "version": __version__,
         "command": "simulate",
@@ -145,7 +155,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     }
     stats = run_simulation(config)
     if args.out:
-        write_records_csv(iter_records(config), args.out, metadata)
+        write_records_csv(config, args.out, metadata)
     if args.stats:
         with open(args.stats, "w") as handle:
             json.dump(
@@ -184,7 +194,8 @@ def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
     return lines
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_outputs(parser, args.curve, args.report)
     report = security_report(ANALYZE_PROFILES[args.scheme]())
     metadata = {
         "version": __version__,
@@ -213,7 +224,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve_conventions(args: argparse.Namespace) -> int:
+def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    _check_outputs(parser, args.out)
     reports = solve()
     rows = [CSV_HEADER] + report_rows(reports)
     counts = summarize(reports)
@@ -241,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate":
         return cmd_simulate(parser, args)
     if args.command == "analyze":
-        return cmd_analyze(args)
-    return cmd_solve_conventions(args)
+        return cmd_analyze(parser, args)
+    return cmd_solve_conventions(parser, args)
 
 
 if __name__ == "__main__":

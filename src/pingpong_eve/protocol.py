@@ -23,8 +23,10 @@ blocks of ``BLOCK_ROUNDS``; block b reads ``round_rng(seed, b)``, so round
 i's draws depend only on (seed, i), a shorter run is a prefix of a longer
 one, and ``replay_round`` regenerates a single block.  ``run_simulation``
 tallies cell counts per block without building records; ``iter_records``
-builds them one block at a time.  The stream scheme is named by
-``RNG_STREAM``.
+builds them one block at a time.  ``write_records_csv`` builds no records
+either: it formats each table cell's CSV row once, and writes every block
+as the round index followed by its cell's row text.  The stream
+scheme is named by ``RNG_STREAM``.
 
 The ``wojcik-reference`` scheme has no gate-level model here and is
 simulated from its summary statistics: attacked control rounds lose the
@@ -38,6 +40,7 @@ from __future__ import annotations
 import collections
 import csv
 import dataclasses
+import io
 import math
 import numbers
 from functools import lru_cache
@@ -562,11 +565,23 @@ def metadata_lines(metadata: dict) -> list[str]:
     return [f"# {key}={_cell(value)}" for key, value in metadata.items()]
 
 
-def write_records_csv(records: Iterable[RoundRecord], path: str, metadata: dict) -> None:
+def _row_text(cell: _Cell) -> str:
+    """A cell's CSV row after the round index, line terminator included."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", *(_cell(getattr(cell, c)) for c in _CSV_COLUMNS[1:])])
+    return buffer.getvalue()
+
+
+def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> None:
+    """Write every round of the run as one CSV row, block by block, without
+    building records: each cell's row text is formatted once per run."""
+    table = _RoundTable(config)
     with open(path, "w", newline="") as handle:
         for line in metadata_lines(metadata):
             handle.write(line + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        for record in records:
-            writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
+        csv.writer(handle).writerow(_CSV_COLUMNS)
+        rows = [_row_text(cell) for cell in table.cells]
+        for start, cells in table.blocks(config.rounds):
+            handle.writelines(
+                str(i) + rows[cell] for i, cell in enumerate(cells.tolist(), start)
+            )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from pingpong_eve import cli
 from pingpong_eve.cli import main
 
 ETA_STAR_IMPROVED = 0.777294010664580
@@ -19,6 +20,19 @@ ETA_STAR_WOJCIK = 0.554588021329161
 
 def run_main(argv) -> int:
     return main(argv)
+
+
+def assert_unwritable_is_usage_error(argv, capsys, path):
+    with pytest.raises(SystemExit) as excinfo:
+        run_main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: pingpong-eve" in err
+    assert f"error: cannot write {path}" in err
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("output paths must be checked before any work is done")
 
 
 # --- verify ----------------------------------------------------------------------
@@ -125,6 +139,16 @@ def test_default_seed_without_env(monkeypatch, capsys):
     assert "# seed=2026" in capsys.readouterr().out
 
 
+def test_simulate_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_simulation", refuse_work)
+    monkeypatch.setattr(cli, "write_records_csv", refuse_work)
+    missing = tmp_path / "no-such-dir" / "x"
+    for flag in ("--out", "--stats"):
+        argv = ["simulate", "--rounds", "10", flag, str(missing)]
+        assert_unwritable_is_usage_error(argv, capsys, missing)
+    assert_unwritable_is_usage_error(["simulate", "--out", str(tmp_path)], capsys, tmp_path)
+
+
 # --- analyze ---------------------------------------------------------------------
 
 
@@ -194,6 +218,13 @@ def test_analyze_curve_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def test_analyze_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "security_report", refuse_work)
+    missing = tmp_path / "no-such-dir" / "c.csv"
+    for flag in ("--curve", "--report"):
+        assert_unwritable_is_usage_error(["analyze", flag, str(missing)], capsys, missing)
+
+
 # --- solve-conventions -----------------------------------------------------------
 
 
@@ -222,6 +253,12 @@ def test_solver_stdout_rows(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("candidate_id,")
     assert len(lines) == 1 + 576
+
+
+def test_solver_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve", refuse_work)
+    missing = tmp_path / "no-such-dir" / "census.csv"
+    assert_unwritable_is_usage_error(["solve-conventions", "--out", str(missing)], capsys, missing)
 
 
 # --- packaging -------------------------------------------------------------------

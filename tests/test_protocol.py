@@ -7,6 +7,8 @@ test at the 99.9% quantile, per the stated validation contract.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from functools import lru_cache
@@ -18,10 +20,13 @@ from scipy.stats import chi2
 from pingpong_eve.attacks import improved_profile, wojcik_profile
 from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
+    _CSV_COLUMNS,
     BLOCK_ROUNDS,
+    SCHEMES,
     ProtocolConfig,
     RoundRecord,
     RunStats,
+    _cell,
     aggregate,
     chi_squared,
     max_attack_fraction,
@@ -325,15 +330,49 @@ def test_chi_squared_helper():
 
 
 def test_records_csv_round_trip(tmp_path):
-    records = cached_records(rounds=50, seed=2, scheme="improved-symmetrized", eta=0.8)
+    config = ProtocolConfig(rounds=50, seed=2, scheme="improved-symmetrized", eta=0.8)
     path = tmp_path / "rounds.csv"
-    write_records_csv(records, str(path), {"seed": 2, "scheme": "improved-symmetrized"})
+    write_records_csv(config, str(path), {"seed": 2, "scheme": "improved-symmetrized"})
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=2"
     assert lines[1] == "# scheme=improved-symmetrized"
     assert lines[2].startswith("round_index,mode,attacked,j,k,m,")
     assert len(lines) == 3 + 50
     assert metadata_lines({"a": True, "b": None}) == ["# a=true", "# b="]
+
+    def text(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return str(value).lower()
+        return value.value if isinstance(value, BellOutcome) else str(value)
+
+    rows = list(csv.DictReader(lines[2:]))
+    records = run_rounds(config)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert row["round_index"] == str(record.round_index)
+        for field in ("mode", "attacked", "j", "k", "m", "bob_h_outcome", "s_applied",
+                      "photon_lost", "detection_event"):
+            assert row[field] == text(getattr(record, field)), (field, record)
+        t_out = record.alice_t_outcome
+        assert row["alice_t_outcome"] == ("" if t_out is None else t_out.label())
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_records_csv_matches_per_record_formatting(tmp_path, scheme):
+    config = ProtocolConfig(rounds=BLOCK_ROUNDS + 1234, seed=6, scheme=scheme, eta=0.75, c0=0.3)
+    assert config.rounds % BLOCK_ROUNDS
+    metadata = {"scheme": scheme, "attack_loss": None, "flag": True, "eta": 0.75}
+    reference = io.StringIO(newline="")
+    reference.writelines(line + "\n" for line in metadata_lines(metadata))
+    writer = csv.writer(reference)
+    writer.writerow(_CSV_COLUMNS)
+    for record in run_rounds(config):
+        writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
+    path = tmp_path / "rounds.csv"
+    write_records_csv(config, str(path), metadata)
+    assert path.read_bytes() == reference.getvalue().encode()
 
 
 def test_wojcik_replay_is_deterministic():

@@ -8,7 +8,14 @@ from the sampler's own tables.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import math
+import operator
+import os
+import tempfile
+from functools import lru_cache
 
 import pytest
 
@@ -19,12 +26,16 @@ from hypothesis import strategies as st  # noqa: E402
 from pingpong_eve.attacks import attack_ba, exact_outcome_table, wojcik_profile  # noqa: E402
 from pingpong_eve.engine import BellOutcome, Occupation, make_initial, project_mode  # noqa: E402
 from pingpong_eve.protocol import (  # noqa: E402
+    _CSV_COLUMNS,
     BLOCK_ROUNDS,
     SCHEMES,
     ProtocolConfig,
+    RoundRecord,
+    _cell,
     aggregate,
     run_rounds,
     run_simulation,
+    write_records_csv,
 )
 
 DETERMINISTIC = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -37,7 +48,11 @@ probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 @st.composite
 def configs(draw):
     return ProtocolConfig(
-        rounds=draw(st.integers(1, BLOCK_ROUNDS + 2000)),
+        # Without the explicit block edges no example would reach a second block.
+        rounds=draw(
+            st.integers(1, BLOCK_ROUNDS + 2000)
+            | st.sampled_from([BLOCK_ROUNDS + d for d in (-1, 0, 1, 2000)])
+        ),
         seed=draw(st.integers(0, 2**63)),
         c0=draw(probability),
         control_prob=draw(probability),
@@ -93,8 +108,10 @@ def record_probability(config: ProtocolConfig, record) -> float:
 @DETERMINISTIC
 @given(configs())
 def test_sampler_never_returns_a_zero_probability_cell(config):
-    outcomes = {dataclasses.replace(record, round_index=0) for record in run_rounds(config)}
-    for record in outcomes:
+    fields = [field.name for field in dataclasses.fields(RoundRecord)][1:]
+    outcomes = set(map(operator.attrgetter(*fields), run_rounds(config)))
+    for outcome in outcomes:
+        record = RoundRecord(0, *outcome)
         assert record_probability(config, record) > 0.0, record
 
 
@@ -107,3 +124,69 @@ def test_aggregate_invariants(config):
     assert stats.n_detection == 0
     assert stats.n_stray_outcomes == 0
     assert stats.to_json_dict() == run_simulation(config).to_json_dict()
+
+
+@lru_cache(maxsize=None)
+def parse_row(row: tuple[str, ...]) -> RoundRecord:
+    """A CSV row read back into the record it was written from."""
+    fields = dict(zip(_CSV_COLUMNS, row))
+
+    def flag(name):
+        return {"": None, "true": True, "false": False}[fields[name]]
+
+    def number(name):
+        return int(fields[name]) if fields[name] else None
+
+    return RoundRecord(
+        round_index=int(fields["round_index"]),
+        mode=fields["mode"],
+        attacked=flag("attacked"),
+        j=number("j"),
+        k=number("k"),
+        m=BellOutcome(fields["m"]) if fields["m"] else None,
+        alice_t_outcome=(
+            Occupation.from_label(fields["alice_t_outcome"]) if fields["alice_t_outcome"] else None
+        ),
+        bob_h_outcome=number("bob_h_outcome"),
+        s_applied=flag("s_applied"),
+        photon_lost=flag("photon_lost"),
+        detection_event=flag("detection_event"),
+    )
+
+
+@DETERMINISTIC
+@given(configs())
+def test_csv_body_matches_the_records(config):
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(_CSV_COLUMNS)
+    for record in run_rounds(config):
+        writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "rounds.csv")
+        write_records_csv(config, path, {})
+        with open(path, newline="") as handle:
+            body = handle.read()
+    assert body == reference.getvalue()
+    rows = list(csv.reader(io.StringIO(body)))
+    assert rows[0] == list(_CSV_COLUMNS)
+    # The body equals the reference, so round indices are checked; tally
+    # each distinct row without its index once.
+    tallied = aggregate(parse_row(("0", *row[1:])) for row in rows[1:])
+    assert tallied.to_json_dict() == run_simulation(config).to_json_dict()
+
+
+non_finite_or_outside = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
+    allow_nan=False, allow_infinity=False
+).filter(lambda x: not 0.0 <= x <= 1.0)
+
+
+@DETERMINISTIC
+@given(
+    configs(),
+    st.sampled_from(["eta", "c0", "control_prob", "attack_fraction"]),
+    non_finite_or_outside,
+)
+def test_config_rejects_non_finite_and_outside_probabilities(config, field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(config, **{field: value})
