@@ -24,6 +24,12 @@ which is how some candidates end with images of the wrong norm (mismatch).
 A candidate is invalid when a router would put two photons into one mode
 within a single basis term; the state space here is strictly
 single-occupancy, so its first such collision is reported instead.
+
+solve() composes the whole census in one batched pass: every candidate's
+split terms are gathered through integer tables of all 144 router and 4
+CNOT conventions, and only the candidates that complete get images, a few
+at a time.  compose_candidate is the single-candidate replay of the same
+circuit, and the tests hold solve() equal to it on every candidate.
 """
 
 from __future__ import annotations
@@ -79,17 +85,17 @@ class Convention:
     active_on: str
 
 
+# Router conventions (sigma0, sigma1, flip0, flip1) and CNOT conventions
+# (control_position, active_on), each in enumeration order.
+_ROUTES = tuple(itertools.product(PERMUTATIONS, PERMUTATIONS, (False, True), (False, True)))
+_CNOTS = tuple(itertools.product(CONTROL_POSITIONS, ACTIVATIONS))
+
+
+@lru_cache(maxsize=None)
 def enumerate_conventions() -> tuple[Convention, ...]:
-    """All 576 candidates, defaults first, in a fixed documented order."""
-    return tuple(
-        Convention(sigma0, sigma1, flip0, flip1, control, active)
-        for sigma0 in PERMUTATIONS
-        for sigma1 in PERMUTATIONS
-        for flip0 in (False, True)
-        for flip1 in (False, True)
-        for control in CONTROL_POSITIONS
-        for active in ACTIVATIONS
-    )
+    """All 576 candidates, defaults first, in a fixed documented order:
+    candidate ``route * 4 + cnot`` pairs _ROUTES[route] with _CNOTS[cnot]."""
+    return tuple(Convention(*route, *cnot) for route in _ROUTES for cnot in _CNOTS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,18 +214,117 @@ class CandidateReport:
     collision: Collision | None
 
 
+# The candidate-dependent stages in circuit order; the routers are those
+# with a meeting-mode table.
+_STAGES = (
+    ("route_txy", ROUTE_TXY_MODES),
+    ("cnot_ty", CNOT_TY_MODES),
+    ("route_ytx", ROUTE_YTX_MODES),
+    ("cnot_xy", CNOT_XY_MODES),
+)
+_CHUNK = 24  # candidates whose images are built at once
+
+
+@lru_cache(maxsize=None)
+def _batch_tables() -> tuple:
+    """Every candidate's stages as integer arrays, built on first use.
+
+    Per stage an (image, meet) pair: for a router, the basis-index map and
+    meeting mode (engine.MODES index, -1 for none) of each route, shape
+    (144, DIM); for a CNOT, the index permutation of each CNOT convention,
+    shape (4, DIM), and None.  Then the split rows' term indices and
+    amplitudes, shape (4, 2)."""
+    stages = []
+    for name, modes in _STAGES:
+        if name.startswith("route"):
+            maps = [_router_map(modes, route) for route in _ROUTES]
+            meet = [[-1 if m is None else engine.MODES.index(m) for m in at] for _, at in maps]
+            stages.append((np.array([image for image, _ in maps]), np.array(meet)))
+        else:
+            stages.append((np.array([_cnot_map(modes, *cnot) for cnot in _CNOTS]), None))
+    rows = _split_rows()
+    # The solver leaves routed terms unmerged and adds each row's two terms
+    # only at the end; a sum of two is the same in either order, so the
+    # images equal compose_candidate's bit for bit.
+    if any(len(terms) != 2 for terms in rows):
+        raise AssertionError("the batched solver expects two terms per split row")
+    index = np.array([[i for i, _ in terms] for terms in rows])
+    amps = np.array([[a for _, a in terms] for terms in rows])
+    return tuple(stages), index, amps
+
+
+@lru_cache(maxsize=None)
+def _ket_labels() -> tuple[str, ...]:
+    return tuple(BasisKet.from_index(i).label() for i in range(DIM))
+
+
+@lru_cache(maxsize=None)
+def _collision(key: int) -> Collision:
+    """Decode a packed (row, stage, index, mode) collision key."""
+    key, mode = divmod(key, len(engine.MODES))
+    key, index = divmod(key, DIM)
+    stage = key % len(_STAGES)
+    return Collision(_STAGES[stage][0], _ket_labels()[index], engine.MODES[mode])
+
+
+def _deviations(images: np.ndarray, references: np.ndarray) -> list[float]:
+    """deviation_from_reference of each of a stack of image arrays."""
+    overlap = (references.conj() * images).sum(axis=(1, 2))
+    norm = np.abs(overlap)
+    phase = np.ones_like(overlap)
+    # part by part, as Python divides a complex by a float
+    np.divide(overlap.real, norm, out=phase.real, where=norm > 0.0)
+    np.divide(overlap.imag, norm, out=phase.imag, where=norm > 0.0)
+    return np.max(np.abs(images - phase[:, None, None] * references), axis=(1, 2)).tolist()
+
+
 def solve() -> list[CandidateReport]:
-    """Classify every candidate against the truth-table images."""
+    """Classify every candidate against the truth-table images.
+
+    All 576 candidates are composed at once by gathering their split terms
+    through each stage's table; compose_candidate replays one of them.
+    """
+    stages, index, amps = _batch_tables()
+    conventions = enumerate_conventions()
+    candidate = np.arange(len(conventions))[:, None, None]
+    route, cnot = divmod(candidate, len(_CNOTS))
+    rows = np.arange(index.shape[0])[None, :, None]
+    terms = np.broadcast_to(index, (len(conventions), *index.shape))
+
+    # The first collision in row, stage, term-index order is the least
+    # packed (row, stage, index, mode) key over the terms that meet.  Terms
+    # that compose_candidate would have merged share their index, and so
+    # their key.
+    no_collision = index.shape[0] * len(_STAGES) * DIM * len(engine.MODES)
+    first = np.full(len(conventions), no_collision)
+    for stage, (image, meet) in enumerate(stages):
+        if meet is None:  # a CNOT
+            terms = image[cnot, terms]
+            continue
+        mode = meet[route, terms]
+        key = ((rows * len(_STAGES) + stage) * DIM + terms) * len(engine.MODES) + mode
+        first = np.minimum(first, np.where(mode >= 0, key, no_collision).min(axis=(1, 2)))
+        terms = image[route, terms]
+
     references = forward_images()
+    deviation: dict[int, float] = {}
+    complete = np.flatnonzero(first == no_collision)
+    buffer = np.zeros((_CHUNK, *references.shape), dtype=complex)
+    for start in range(0, len(complete), _CHUNK):
+        ids = complete[start : start + _CHUNK]
+        images = buffer[: len(ids)]
+        images[...] = 0.0
+        np.add.at(images, (np.arange(len(ids))[:, None, None], rows, terms[ids]), amps)
+        deviation.update(zip(ids.tolist(), _deviations(images, references)))
+
     reports = []
-    for candidate_id, conv in enumerate(enumerate_conventions()):
-        result = compose_candidate(conv)
-        if result.images is None:
+    for candidate_id, (conv, key) in enumerate(zip(conventions, first.tolist())):
+        if key != no_collision:
             reports.append(
-                CandidateReport(candidate_id, conv, STATUS_INVALID, None, result.collision)
+                CandidateReport(candidate_id, conv, STATUS_INVALID, None, _collision(key))
             )
             continue
-        dev = deviation_from_reference(result.images, references)
+        dev = deviation[candidate_id]
         status = STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
         reports.append(CandidateReport(candidate_id, conv, status, dev, None))
     return reports
@@ -237,25 +342,18 @@ CSV_HEADER = (
 )
 
 
+@lru_cache(maxsize=None)
+def _row_prefix(conv: Convention) -> str:
+    """The six convention fields of a CSV row, comma-terminated."""
+    flips = ("true" if flip else "false" for flip in (conv.flip0, conv.flip1))
+    fields = (perm_label(conv.sigma0), perm_label(conv.sigma1), *flips)
+    return ",".join((*fields, conv.control_position, conv.active_on, ""))
+
+
 def report_rows(reports: Iterable[CandidateReport]) -> list[str]:
     """CSV rows (without header) in enumeration order, deterministic."""
-    rows = []
-    for report in reports:
-        conv = report.convention
-        deviation = "" if report.deviation is None else f"{report.deviation:.12e}"
-        rows.append(
-            ",".join(
-                (
-                    str(report.candidate_id),
-                    perm_label(conv.sigma0),
-                    perm_label(conv.sigma1),
-                    "true" if conv.flip0 else "false",
-                    "true" if conv.flip1 else "false",
-                    conv.control_position,
-                    conv.active_on,
-                    report.status,
-                    deviation,
-                )
-            )
-        )
-    return rows
+    return [
+        f"{report.candidate_id},{_row_prefix(report.convention)}{report.status},"
+        + ("" if report.deviation is None else f"{report.deviation:.12e}")
+        for report in reports
+    ]

@@ -102,19 +102,18 @@ class ProtocolConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        for name in ("c0", "control_prob", "eta"):
+        if isinstance(self.attack_fraction, str) and self.attack_fraction != "auto":
+            raise ValueError(
+                f'attack_fraction must be a probability or "auto", got {self.attack_fraction!r}'
+            )
+        for name in ("c0", "control_prob", "eta", "attack_fraction"):
             value = getattr(self, name)
+            if name == "attack_fraction" and isinstance(value, str):  # "auto"
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if isinstance(self.attack_fraction, str):
-            if self.attack_fraction != "auto":
-                raise ValueError(
-                    f'attack_fraction must be a probability or "auto", got {self.attack_fraction!r}'
-                )
-        elif not 0.0 <= self.attack_fraction <= 1.0:
-            raise ValueError(
-                f"attack_fraction must be in [0, 1], got {self.attack_fraction!r}"
-            )
 
     @property
     def attack_loss(self) -> float | None:

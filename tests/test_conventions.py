@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -13,9 +14,13 @@ from pingpong_eve.conventions import (
     ACTIVATIONS,
     CONTROL_POSITIONS,
     CSV_HEADER,
-    Convention,
     MATCH_TOL,
     PERMUTATIONS,
+    STATUS_INVALID,
+    STATUS_MATCH,
+    STATUS_MISMATCH,
+    CandidateReport,
+    Convention,
     compose_candidate,
     deviation_from_reference,
     enumerate_conventions,
@@ -152,6 +157,64 @@ def test_solve_covers_every_candidate():
             assert report.deviation >= 0.0
     counts = summarize(reports)
     assert sum(counts.values()) == 576
+
+
+def oracle_report(candidate_id: int, conv: Convention) -> CandidateReport:
+    """The report of one candidate, composed on its own by compose_candidate."""
+    result = compose_candidate(conv)
+    if result.images is None:
+        return CandidateReport(candidate_id, conv, STATUS_INVALID, None, result.collision)
+    dev = deviation_from_reference(result.images, forward_images())
+    status = STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
+    return CandidateReport(candidate_id, conv, status, dev, None)
+
+
+def test_solve_equals_the_single_candidate_oracle():
+    # status, collision and the exact float deviation, for every candidate
+    reports = solve()
+    assert len(reports) == 576
+    for candidate_id, conv in enumerate(enumerate_conventions()):
+        assert reports[candidate_id] == oracle_report(candidate_id, conv)
+
+
+_INVALID_IDS = [
+    i
+    for i, conv in enumerate(enumerate_conventions())
+    if compose_candidate(conv).images is None
+]
+
+
+@pytest.mark.parametrize(
+    "candidate_id", [0, 4, _INVALID_IDS[0], _INVALID_IDS[-1], 575]
+)
+def test_solve_and_oracle_agree_on_completion(candidate_id):
+    report = solve()[candidate_id]
+    result = compose_candidate(enumerate_conventions()[candidate_id])
+    assert (report.status != STATUS_INVALID) == (result.images is not None)
+    assert (report.deviation is None) == (result.images is None)
+    assert report.collision == result.collision
+
+
+def test_census_rows_are_pinned():
+    # SHA-256 of the census rows as the solver that composed each candidate
+    # on its own wrote them; the rows, not the CSV file, so the metadata
+    # lines may change without touching the pin
+    rows = "\n".join(report_rows(solve()))
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "6fd1250b0ad77e6d5b97bd174383ca067bc3e1338c5d553ff89a2c45b90dbf6c"
+    )
+    assert summarize(solve()) == {
+        STATUS_MATCH: 0,
+        STATUS_MISMATCH: 216,
+        STATUS_INVALID: 360,
+    }
+
+
+def test_solve_returns_fresh_reports():
+    first, second = solve(), solve()
+    assert first == second
+    assert first is not second
+    assert all(a is not b for a, b in zip(first, second))
 
 
 def test_solve_is_deterministic():

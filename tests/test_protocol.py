@@ -115,6 +115,23 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ProtocolConfig(**fields)
     ProtocolConfig(rounds=np.int64(3), seed=np.int64(0))
+    # non-numbers are bad values too, not a TypeError from the range check
+    for fields in (
+        dict(eta="0.5"),
+        dict(c0=None),
+        dict(attack_fraction=[0.1]),
+        dict(eta=True),
+    ):
+        with pytest.raises(ValueError):
+            ProtocolConfig(rounds=10, seed=0, **fields)
+    ProtocolConfig(
+        rounds=10,
+        seed=0,
+        c0=np.float64(0.3),
+        control_prob=np.float32(0.5),
+        eta=np.float64(0.9),
+        attack_fraction=np.float64(0.2),
+    )
 
 
 def test_attack_loss_per_scheme():

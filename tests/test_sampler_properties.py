@@ -20,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import Phase, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pingpong_eve.attacks import attack_ba, exact_outcome_table, wojcik_profile  # noqa: E402
@@ -38,7 +38,16 @@ from pingpong_eve.protocol import (  # noqa: E402
     write_records_csv,
 )
 
-DETERMINISTIC = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+# No shrink phase: each shrink step replays a run of up to BLOCK_ROUNDS + 2000
+# rounds, so shrinking a failure took minutes; the unshrunk example is
+# reported at once.
+DETERMINISTIC = settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    database=None,
+    phases=[Phase.explicit, Phase.generate],
+)
 
 M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
 
