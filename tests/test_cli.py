@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import shutil
@@ -88,6 +89,58 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     assert payload["metadata"]["rng_stream"] == "pcg64-block16384-v1"
     assert payload["stats"]["n_rounds"] == 2000
     assert "timestamp" not in json.dumps(payload)
+
+
+# SHA-256 of (stdout, --out CSV, --stats JSON) of `simulate --seed 7 --eta 0.85
+# --rounds 2*16384+5` plus the extra flags: the fixed-seed bytes of the
+# pcg64-block16384-v1 stream, across two block edges.  The metadata they
+# contain includes the package version.
+GOLDEN_SIMULATE = [
+    (
+        ["--scheme", "none"],
+        "a0d7636b27c45dba5dbf7bb3a1d1607859679f6ff2e10a199ca7c77d942bc289",
+        "425dd3e99acbf19f8a3fa001f5273a8fe2d427f91fd8ac9a0938f87e5b227ea5",
+        "11fa4cc0ac6a8a6a3588d2f6ffbb52cf947df39c15f1bb7a5a5dd1dcc90d3caf",
+    ),
+    (
+        ["--scheme", "improved"],
+        "9be209d40cde04c6bf5f45759d413ffa0bad89225eec3c47210075c20735ef42",
+        "bd0cbc8eb2030452443bff49b43e19be704cb7d7e6234505ea0a9ce873cd020c",
+        "89d87dbac788da6ba8f8f2ceb04ab2bf10f2d9e81eecfe0cd13d4fd7e191c127",
+    ),
+    (
+        ["--scheme", "improved-symmetrized"],
+        "a2e41158879bbdb33bf168d3346586f3954707fa9919ae69c33cf6b845840352",
+        "6c9339fbc0ec90aa81e1b02400a6b565601e90e377aaefe5c51bedad8835cdaa",
+        "7603626e0b49c3a73855cabe1991d5596cc0e53925325b558bddb5d81fcff3ab",
+    ),
+    (
+        ["--scheme", "wojcik-reference"],
+        "03c63cea150e6c288a23edb78fb389cee9f1224bd8a25ee8a0c08f07ae9b2d9c",
+        "fd16fac9e86f0b3f3b1e01ea46786d56d715776f4a2c5088dbdb24f81605a843",
+        "680a931f6f41bf73c6dce72156c76cba068923014acdce6cce525445fb6ef4c7",
+    ),
+    (
+        ["--scheme", "improved", "--c0", "0.3", "--attack-fraction", "0.4",
+         "--control-prob", "0.3"],
+        "ef9f051a4ecf4b118e20b5f0459e97732ffcbd5030d2431a64e3723ba9f1e7f9",
+        "cc099ea1a87cf77214aa85d274902639671278695689563bd24aef6c2f265b4c",
+        "70aae06a0b00adee8688b2016732e96630c531ca8676c6d994170309bb9e88fd",
+    ),
+]
+
+
+@pytest.mark.parametrize("extra, stdout_sha, csv_sha, stats_sha", GOLDEN_SIMULATE)
+def test_simulate_golden_bytes(tmp_path, capsys, extra, stdout_sha, csv_sha, stats_sha):
+    out = tmp_path / "records.csv"
+    stats = tmp_path / "stats.json"
+    argv = ["simulate", "--seed", "7", "--eta", "0.85", "--rounds", str(2 * 16384 + 5)]
+    assert run_main(argv + extra + ["--out", str(out), "--stats", str(stats)]) == 0
+    digests = [
+        hashlib.sha256(data).hexdigest()
+        for data in (capsys.readouterr().out.encode(), out.read_bytes(), stats.read_bytes())
+    ]
+    assert digests == [stdout_sha, csv_sha, stats_sha]
 
 
 def test_simulate_usage_errors_exit_2(capsys):
