@@ -120,27 +120,39 @@ def _split_rows() -> tuple[tuple[tuple[int, complex], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _router_map(modes: tuple[str, ...], route: tuple) -> tuple[tuple, tuple]:
-    """Basis-index map of one polarizing router, route = (sigma0, sigma1,
-    flip0, flip1): for every index, the index its photons land on and the
-    mode where two of them would meet (None when they land apart).  Photons
-    move slot by slot in router order, so the meeting mode is the first
-    slot that an earlier photon already took.  A flip swaps the occupation
-    codes 1 (pol0) and 2 (pol1)."""
-    sigma0, sigma1, flip0, flip1 = route
-    landed = [np.zeros(DIM, dtype=int) for _ in modes]  # code routed into each slot
-    meet = np.full(DIM, -1)
+def _router_tables(modes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-index maps of one router stage under every route in _ROUTES,
+    each of shape (144, DIM): the index an index's photons land on, and the
+    engine.MODES index of the mode where two of them would meet (-1 when
+    they land apart).  Photons move slot by slot in router order, so the
+    meeting mode is the first slot that an earlier photon already took.  A
+    flip swaps the occupation codes 1 (pol0) and 2 (pol1)."""
+    sigma0, sigma1, flip0, flip1 = (np.array(column) for column in zip(*_ROUTES))
+    routes = np.arange(len(_ROUTES))
+    landed = np.zeros((len(_ROUTES), len(modes), DIM), dtype=int)  # code routed into each slot
+    meet = np.full((len(_ROUTES), DIM), -1)
     for slot, mode in enumerate(modes):
         for occ, sigma, flip in ((1, sigma0, flip0), (2, sigma1, flip1)):
-            target = sigma[slot]
+            target = sigma[:, slot]
             moving = engine._CODE_OF[mode] == occ
-            meet = np.where(moving & (landed[target] != 0) & (meet < 0), target, meet)
-            landed[target] = np.where(moving, 3 - occ if flip else occ, landed[target])
+            here = landed[routes, target]
+            meet = np.where(moving & (here != 0) & (meet < 0), target[:, None], meet)
+            landed[routes, target] = np.where(moving, np.where(flip, 3 - occ, occ)[:, None], here)
     image = engine._INDICES + sum(
-        (landed[slot] - engine._CODE_OF[mode]) * engine._STRIDE[mode]
+        (landed[:, slot] - engine._CODE_OF[mode]) * engine._STRIDE[mode]
         for slot, mode in enumerate(modes)
     )
-    return tuple(image.tolist()), tuple(modes[m] if m >= 0 else None for m in meet.tolist())
+    mode_index = np.array([engine.MODES.index(mode) for mode in modes])
+    return image, np.where(meet >= 0, mode_index[meet], -1)
+
+
+@lru_cache(maxsize=None)
+def _router_map(modes: tuple[str, ...], route: tuple) -> tuple[tuple, tuple]:
+    """One route's row of _router_tables, route = (sigma0, sigma1, flip0,
+    flip1): the landing index and meeting mode name (None when the photons
+    land apart) of every index."""
+    image, meet = (table[_ROUTES.index(route)].tolist() for table in _router_tables(modes))
+    return tuple(image), tuple(engine.MODES[m] if m >= 0 else None for m in meet)
 
 
 @lru_cache(maxsize=None)
@@ -237,9 +249,7 @@ def _batch_tables() -> tuple:
     stages = []
     for name, modes in _STAGES:
         if name.startswith("route"):
-            maps = [_router_map(modes, route) for route in _ROUTES]
-            meet = [[-1 if m is None else engine.MODES.index(m) for m in at] for _, at in maps]
-            stages.append((np.array([image for image, _ in maps]), np.array(meet)))
+            stages.append(_router_tables(modes))
         else:
             stages.append((np.array([_cnot_map(modes, *cnot) for cnot in _CNOTS]), None))
     rows = _split_rows()

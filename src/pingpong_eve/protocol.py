@@ -18,7 +18,11 @@ but the round index), weighted by ``c0``, ``eta`` and the symmetrization
 coin; the probabilities come from the exact 54-dimensional branch states,
 and cells of probability zero are dropped.  Every round draws three
 uniforms: one picks the mode, one decides whether the round is attacked,
-one is an inverse-CDF draw on that branch's table.  Rounds are drawn in
+one is an inverse-CDF draw on that branch's table.  The draws are the
+generator's 53-bit integers k (its uniform is k * 2**-53), compared with
+integer thresholds ceil(p * 2**53), so every test on them is exact: a round
+packs its branch and third draw into one integer key, and its cell is the
+number of table keys at or below it, less one.  Rounds are drawn in
 blocks of ``BLOCK_ROUNDS``; block b reads ``round_rng(seed, b)``, so round
 i's draws depend only on (seed, i), a shorter run is a prefix of a longer
 one, and ``replay_round`` regenerates a single block.  ``run_simulation``
@@ -157,6 +161,15 @@ BLOCK_ROUNDS = 1 << 14
 RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v1"
 # Uniforms per round: mode, attacked, cell within the branch table.
 _DRAWS_PER_ROUND = 3
+# Bits of a uniform draw: PCG64's random() is (next_uint64 >> 11) * 2**-53.
+_UNIT_BITS = 53
+
+
+def _threshold(p: float) -> int:
+    """The least 53-bit draw k with k * 2**-53 >= p, so that a uniform
+    k * 2**-53 is below p exactly when k < _threshold(p)."""
+    return math.ceil(float(p) * (1 << _UNIT_BITS))
+
 
 # A round record without its index: the cell of an outcome table.
 _Cell = collections.namedtuple(
@@ -273,27 +286,43 @@ class _RoundTable:
 
     def __init__(self, config: ProtocolConfig) -> None:
         self.seed = config.seed
-        self.control_prob = config.control_prob
-        self.attack_fraction = config.resolved_attack_fraction()
+        self.mode_threshold = _threshold(config.control_prob)
+        self.attack_threshold = _threshold(config.resolved_attack_fraction())
         self.cells: list[_Cell] = []
-        # Per branch: the index of its first cell and the inner bounds of its
-        # normalized CDF; a draw u picks the cell searchsorted(bounds, u, "right").
-        self.branches: list[tuple[int, np.ndarray]] = []
-        for weighted in _branch_cells(config):
+        # Sorted cell keys: each non-empty branch b adds its start b << 53 and
+        # (b << 53) + threshold(bound) for each inner bound of its normalized
+        # CDF.  A round keyed b << 53 | k picks cell (number of keys <= key)
+        # - 1, which is searchsorted(bounds, k * 2**-53, "right") in branch b.
+        keys: list[int] = []
+        for branch, weighted in enumerate(_branch_cells(config)):
             kept = [(cell, p) for cell, p in weighted if p > 0.0]
-            cdf = np.cumsum([p for _, p in kept])
-            self.branches.append((len(self.cells), cdf[:-1] / cdf[-1] if kept else cdf))
-            self.cells += [cell for cell, _ in kept]
+            if kept:
+                cdf = np.cumsum([p for _, p in kept])
+                start = branch << _UNIT_BITS
+                bounds = (cdf[:-1] / cdf[-1]).tolist()
+                keys += [start] + [start + _threshold(bound) for bound in bounds]
+                self.cells += [cell for cell, _ in kept]
+        self.keys = np.array(keys, dtype=np.int64)
+        # Cell indices are counted in uint8.
+        assert len(self.cells) < 256
 
     def sample(self, block: int, n: int) -> np.ndarray:
         """Cell indices of the first n rounds of a block."""
-        # PCG64 fills the array in order, so n rows are a prefix of the block.
-        u = round_rng(self.seed, block).random((n, _DRAWS_PER_ROUND))
-        branch = np.where(u[:, 0] < self.control_prob, 0, 2) + (u[:, 1] < self.attack_fraction)
-        cells = np.empty(n, dtype=np.intp)
-        for b, (first, bounds) in enumerate(self.branches):
-            rows = branch == b
-            cells[rows] = first + np.searchsorted(bounds, u[rows, 2], side="right")
+        # PCG64 emits in order, so 3n outputs are a prefix of the block, and
+        # shifting each right by 11 gives the 53-bit integer of random().
+        draws = round_rng(self.seed, block).bit_generator.random_raw(_DRAWS_PER_ROUND * n)
+        draws >>= 64 - _UNIT_BITS
+        draws = draws.view(np.int64).reshape(n, _DRAWS_PER_ROUND)
+        # branch = 2 * (message round) + (attacked), key = branch << 53 | k
+        key = (draws[:, 0] >= self.mode_threshold).astype(np.int64)
+        key <<= 1
+        key += draws[:, 1] < self.attack_threshold
+        key <<= _UNIT_BITS
+        key |= draws[:, 2]
+        # Every key is at least the first table key, which is left uncounted.
+        cells = np.zeros(n, dtype=np.uint8)
+        for bound in self.keys[1:]:
+            cells += key >= bound
         return cells
 
     def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from pingpong_eve import protocol
 from pingpong_eve.attacks import improved_profile, wojcik_profile
 from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
@@ -26,7 +28,10 @@ from pingpong_eve.protocol import (
     ProtocolConfig,
     RoundRecord,
     RunStats,
+    _branch_cells,
     _cell,
+    _RoundTable,
+    _threshold,
     aggregate,
     chi_squared,
     max_attack_fraction,
@@ -169,6 +174,102 @@ def test_round_rng_substreams():
     assert round_rng(5, 7).random() == round_rng(5, 7).random()
     assert round_rng(5, 7).random() != round_rng(5, 8).random()
     assert round_rng(6, 7).random() != round_rng(5, 7).random()
+    # The sampler reads the 53-bit integers behind random() directly.
+    floats, raw = round_rng(5, 7), round_rng(5, 7).bit_generator
+    for _ in range(3):
+        assert floats.random() == (raw.random_raw() >> 11) * 2.0**-53
+    assert np.array_equal(floats.random(1000), (raw.random_raw(1000) >> 11) * 2.0**-53)
+
+
+def float_sample(config: ProtocolConfig, rng, n: int) -> np.ndarray:
+    """Reference block sampler on floats: three uniforms per round, then a
+    searchsorted on the normalized CDF of the round's branch."""
+    u = rng.random((n, 3))
+    branch = np.where(u[:, 0] < config.control_prob, 0, 2)
+    branch += u[:, 1] < config.resolved_attack_fraction()
+    cells = np.empty(n, dtype=np.intp)
+    first = 0
+    for b, weighted in enumerate(_branch_cells(config)):
+        probs = [p for _, p in weighted if p > 0.0]
+        rows = branch == b
+        if probs:
+            cdf = np.cumsum(probs)
+            cells[rows] = first + np.searchsorted(cdf[:-1] / cdf[-1], u[rows, 2], side="right")
+        else:
+            assert not rows.any()
+        first += len(probs)
+    return cells
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sampler_equals_the_float_reference(scheme):
+    configs = [
+        ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=c0, eta=eta,
+                       control_prob=control_prob, attack_fraction=fraction)
+        for c0, eta, control_prob, fraction in itertools.product(
+            (0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0, "auto")
+        )
+    ]
+    configs.append(ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=0.3, eta=0.85,
+                                  control_prob=0.3))
+    for config in configs:
+        table = _RoundTable(config)
+        for block, n in ((0, 1), (1, BLOCK_ROUNDS - 1), (2, BLOCK_ROUNDS)):
+            expected = float_sample(config, round_rng(config.seed, block), n)
+            assert np.array_equal(table.sample(block, n), expected), (config, block, n)
+
+
+class ReplayedDraws:
+    """A stand-in generator that emits fixed 64-bit outputs, both raw and as
+    PCG64's random() makes floats of them."""
+
+    def __init__(self, raw: np.ndarray) -> None:
+        self.raw = raw
+        self.bit_generator = self
+
+    def random_raw(self, size: int) -> np.ndarray:
+        return self.raw[:size].copy()
+
+    def random(self, shape) -> np.ndarray:
+        return ((self.raw >> 11) * 2.0**-53).reshape(shape)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sampler_at_the_draw_boundaries(scheme, monkeypatch):
+    """Draws one unit either side of every probability the sampler compares
+    with: the mode and attack probabilities and each inner CDF bound."""
+    config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3, eta=0.85,
+                            control_prob=0.3, attack_fraction=0.4)
+
+    def straddle(probabilities):
+        near = {math.ceil(p * 2**53) + d for p in probabilities for d in (-1, 0, 1)}
+        return sorted(k for k in near if 0 <= k < 2**53)
+
+    bounds = []
+    for weighted in _branch_cells(config):
+        cdf = np.cumsum([p for _, p in weighted if p > 0.0])
+        bounds += (cdf[:-1] / cdf[-1]).tolist() if cdf.size else []
+    ks = np.array(
+        list(itertools.product(
+            straddle([config.control_prob]),
+            straddle([config.resolved_attack_fraction()]),
+            straddle(bounds),
+        )),
+        dtype=np.uint64,
+    ).ravel()
+    # The low 11 bits of each output are not part of the draw.
+    raw = (ks << np.uint64(11)) | np.uint64(0x5A5)
+    n = raw.size // 3
+    monkeypatch.setattr(protocol, "round_rng", lambda seed, block: ReplayedDraws(raw))
+    expected = float_sample(config, ReplayedDraws(raw), n)
+    assert np.array_equal(_RoundTable(config).sample(0, n), expected)
+
+
+def test_threshold_is_exact_on_53_bit_draws():
+    for p in (0.0, 2.0**-53, 0.3, 0.5, 1.0 - 2.0**-53, 1.0):
+        near = math.floor(p * 2**53)
+        for k in range(max(near - 3, 0), min(near + 4, 2**53)):
+            assert (k * 2.0**-53 < p) == (k < _threshold(p)), (p, k)
 
 
 def test_run_rounds_deterministic():
