@@ -271,6 +271,37 @@ def test_analyze_curve_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+# SHA-256 of (stdout, --curve CSV, --report JSON) of `analyze --scheme S`.  The
+# metadata they contain includes the package version.
+GOLDEN_ANALYZE = [
+    (
+        "improved",
+        "c653d20dae681efc04671cf95ac4f0d78c40d64c3752d6672f33bfaedb57ce1e",
+        "0bedcb8d9648eb04b77c74d6aef3c8accdbecf4c376d86f38318308a41e19ecb",
+        "82a133d396cf3af3a0f6357139097ca81719c896b0d739672fa7db5655538d97",
+    ),
+    (
+        "wojcik",
+        "92e8905de3676ef38fa22fd04a0f5b20707fc8e0367ee5eb2df051f3e2f0e5ae",
+        "d56ea35e4226bfc5c3cdf036db429659228962361341750f90bc97e8e793ab54",
+        "3d4e1b427c99ac72311d7f824d3654a3f90b41bf7729b83c0c549a6e626d998b",
+    ),
+]
+
+
+@pytest.mark.parametrize("scheme, stdout_sha, curve_sha, report_sha", GOLDEN_ANALYZE)
+def test_analyze_golden_bytes(tmp_path, capsys, scheme, stdout_sha, curve_sha, report_sha):
+    curve = tmp_path / "curve.csv"
+    report = tmp_path / "report.json"
+    argv = ["analyze", "--scheme", scheme, "--curve", str(curve), "--report", str(report)]
+    assert run_main(argv) == 0
+    digests = [
+        hashlib.sha256(data).hexdigest()
+        for data in (capsys.readouterr().out.encode(), curve.read_bytes(), report.read_bytes())
+    ]
+    assert digests == [stdout_sha, curve_sha, report_sha]
+
+
 def test_analyze_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "security_report", refuse_work)
     missing = tmp_path / "no-such-dir" / "c.csv"
