@@ -108,39 +108,33 @@ class SubspaceLeakageError(ValueError):
         )
 
 
-def _leakage_kets(residual: np.ndarray, tol: float = 1e-12) -> list[BasisKet]:
-    return [BasisKet.from_index(int(i)) for i in np.nonzero(np.abs(residual) > tol)[0]]
+def _leakage_kets(residual: np.ndarray) -> list[BasisKet]:
+    return [BasisKet.from_index(int(i)) for i in np.nonzero(np.abs(residual) > 1e-12)[0]]
 
 
-def attack_ba(state: PureState, images: np.ndarray | None = None) -> PureState:
+def attack_ba(state: PureState) -> PureState:
     """Outbound leg: apply the attack unitary on the receiver->sender trip.
 
     Defined only for states supported on span{f1..f4}; anything else raises
     SubspaceLeakageError naming the offending kets.
     """
-    if images is None:
-        images = _IMAGES
     coeffs = state.amps[_F_INDICES]
     residual = state.amps.copy()
     residual[_F_INDICES] = 0.0
     leaked = _leakage_kets(residual)
     if leaked:
         raise SubspaceLeakageError("outbound", leaked)
-    return PureState(coeffs @ images)
+    return PureState(coeffs @ _IMAGES)
 
 
-def attack_ab(
-    state: PureState, apply_s: bool = False, images: np.ndarray | None = None
-) -> PureState:
+def attack_ab(state: PureState, apply_s: bool = False) -> PureState:
     """Inbound leg: undo the outbound unitary (adjoint on the image span),
     then optionally apply the symmetrization S.
 
     Defined only for states supported on span of the outbound images.
     """
-    if images is None:
-        images = _IMAGES
-    coeffs = images.conj() @ state.amps
-    residual = state.amps - coeffs @ images
+    coeffs = _IMAGES.conj() @ state.amps
+    residual = state.amps - coeffs @ _IMAGES
     leaked = _leakage_kets(residual)
     if leaked:
         raise SubspaceLeakageError("inbound", leaked)
@@ -161,9 +155,7 @@ def apply_symmetrization(state: PureState) -> PureState:
     return state
 
 
-def message_state(
-    j: int, apply_s: bool = False, images: np.ndarray | None = None
-) -> PureState:
+def message_state(j: int, apply_s: bool = False) -> PureState:
     """State reaching Eve's register and the receiver for message bit j.
 
     Runs the full message-mode round on the attacked channel: outbound
@@ -172,15 +164,13 @@ def message_state(
     """
     if j not in (0, 1):
         raise ValueError(f"message bit must be 0 or 1, got {j!r}")
-    state = attack_ba(make_initial(), images=images)
+    state = attack_ba(make_initial())
     if j == 1:
         state = apply_polarization_gate(state, "t", PAULI_Z)
-    return attack_ab(state, apply_s=apply_s, images=images)
+    return attack_ab(state, apply_s=apply_s)
 
 
-def exact_outcome_table(
-    apply_s: bool, images: np.ndarray | None = None
-) -> np.ndarray:
+def exact_outcome_table(apply_s: bool) -> np.ndarray:
     """Exact conditional table P(k, m | j) from the attack states.
 
     Returned array has shape (2, 2, 2) indexed by (j, k, m) where k is
@@ -191,7 +181,7 @@ def exact_outcome_table(
     """
     table = np.zeros((2, 2, 2))
     for j in (0, 1):
-        state = message_state(j, apply_s=apply_s, images=images)
+        state = message_state(j, apply_s=apply_s)
         p_vac, _ = project_mode(state, "y", Occupation.VAC)
         if p_vac > 1e-12:
             raise ValueError(f"unexpected empty register probability {p_vac!r}")

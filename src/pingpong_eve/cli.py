@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .attacks import improved_profile, wojcik_profile
@@ -43,7 +44,9 @@ def _attack_fraction_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pingpong-eve",
         description=(

@@ -23,13 +23,11 @@ Conventions baked into the gates:
   empty or ``pol0`` control makes the gate the identity.
 
 States are immutable.  Every operation is a pure function returning a new
-``PureState``; measurement functions take an explicit random generator and
-return the sampled outcome together with the collapsed state.
+``PureState``.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -342,17 +340,6 @@ def project_mode(
     return prob, PureState(projected / np.sqrt(prob))
 
 
-def measure_mode_polarization(
-    state: PureState, mode: str, rng: np.random.Generator
-) -> tuple[Occupation, PureState]:
-    """Sample an occupation outcome for one mode and collapse the state."""
-    probs = mode_marginal(state, mode)
-    outcome = sample_from(rng, (Occupation.VAC, Occupation.POL0, Occupation.POL1), probs)
-    _, collapsed = project_mode(state, mode, outcome)
-    assert collapsed is not None
-    return outcome, collapsed
-
-
 def _bell_blocks(state: PureState) -> dict[BellOutcome, np.ndarray]:
     """Projection amplitudes c(x, y) of the four (h, t) two-particle states."""
     arr = state.amps.reshape(2, 3, 3, 3)
@@ -404,16 +391,6 @@ def project_bell(
     return prob, PureState(new.reshape(DIM) / np.sqrt(prob))
 
 
-def bell_measure(state: PureState, rng: np.random.Generator) -> tuple[BellOutcome, PureState]:
-    """Sample the two-particle measurement on (h, t) and collapse."""
-    probs = bell_probabilities(state)
-    outcomes = tuple(probs)
-    outcome = sample_from(rng, outcomes, [probs[o] for o in outcomes])
-    _, collapsed = project_bell(state, outcome)
-    assert collapsed is not None
-    return outcome, collapsed
-
-
 def sample_from(rng: np.random.Generator, outcomes: Sequence, probs: Iterable[float]):
     """Draw one outcome from an exact finite distribution.
 
@@ -438,21 +415,3 @@ def sample_from(rng: np.random.Generator, outcomes: Sequence, probs: Iterable[fl
             return outcome
     raise ValueError("no outcome has positive probability")
 
-
-# --- state dump -----------------------------------------------------------
-
-
-def state_csv_rows(state: PureState, tol: float = 1e-12) -> list[tuple[str, float, float]]:
-    """Rows (basis-ket label, real, imag); amplitudes below tol are omitted."""
-    return [
-        (basis_ket.label(), float(amp.real), float(amp.imag))
-        for basis_ket, amp in state.nonzero_terms(tol=tol)
-    ]
-
-
-def write_state_csv(state: PureState, path: str, tol: float = 1e-12) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ket", "real", "imag"])
-        for label, real, imag in state_csv_rows(state, tol=tol):
-            writer.writerow([label, f"{real:.17g}", f"{imag:.17g}"])

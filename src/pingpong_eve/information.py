@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -223,7 +223,7 @@ def _info_gap(profile: AttackProfile, eta: float) -> float:
     return mu * profile.i_ae - ((1.0 - mu) + mu * profile.i_ab)
 
 
-def insecurity_bound(profile: AttackProfile, tol: float = 1e-9) -> float:
+def insecurity_bound(profile: AttackProfile) -> float:
     """Largest transmission efficiency at which the eavesdropper still
     matches the receiver's information, found by bisection.
 
@@ -238,7 +238,7 @@ def insecurity_bound(profile: AttackProfile, tol: float = 1e-9) -> float:
     hi = 1.0
     if _info_gap(profile, lo) <= 0.0:
         raise ValueError("no crossing inside the partial-attack domain")
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if _info_gap(profile, mid) > 0.0:
             lo = mid
@@ -285,11 +285,8 @@ def default_eta_grid() -> list[float]:
     return [i / 100 for i in range(101)]
 
 
-def security_report(
-    profile: AttackProfile, etas: Sequence[float] | None = None
-) -> SecurityReport:
-    if etas is None:
-        etas = default_eta_grid()
+def security_report(profile: AttackProfile) -> SecurityReport:
+    """Security summary of one scheme on the default transmission-efficiency grid."""
     eta_star = insecurity_bound(profile)
     mu_star, eta_star_closed = crossing_closed_form(profile)
     if abs(eta_star - eta_star_closed) > 1e-8:
@@ -301,5 +298,5 @@ def security_report(
         full_attack_edge=1.0 - profile.loss,
         eta_star=eta_star,
         mu_star=mu_star,
-        curve=tuple(info_vs_eta(profile, etas)),
+        curve=tuple(info_vs_eta(profile, default_eta_grid())),
     )

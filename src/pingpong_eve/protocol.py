@@ -15,8 +15,9 @@ the real channel and survives with probability ``eta``.
 Sampling is table driven.  Once per run, each (mode, attacked) branch gets
 one categorical table whose cells are complete round records (every field
 but the round index), weighted by ``c0``, ``eta`` and the symmetrization
-coin; the probabilities come from the exact 54-dimensional branch states,
-and cells of probability zero are dropped.  Every round draws three
+coin; the probabilities come from the exact 54-dimensional branch states
+(attacked message rounds from ``attacks.exact_outcome_table``), and cells
+of probability zero are dropped.  Every round draws three
 uniforms: one picks the mode, one decides whether the round is attacked,
 one is an inverse-CDF draw on that branch's table.  The draws are the
 generator's 53-bit integers k (its uniform is k * 2**-53), compared with
@@ -26,8 +27,8 @@ number of table keys at or below it, less one.  Rounds are drawn in
 blocks of ``BLOCK_ROUNDS``; block b reads ``round_rng(seed, b)``, so round
 i's draws depend only on (seed, i), a shorter run is a prefix of a longer
 one, and ``replay_round`` regenerates a single block.  ``run_simulation``
-tallies cell counts per block without building records; ``iter_records``
-builds them one block at a time.  ``write_records_csv`` builds no records
+tallies cell counts per block without building records; ``run_rounds``
+builds one per round.  ``write_records_csv`` builds no records
 either: it formats each table cell's CSV row once, and writes every block
 as the round index followed by its cell's row text.  The stream
 scheme is named by ``RNG_STREAM``.
@@ -52,13 +53,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .attacks import (
-    attack_ba,
-    exact_outcome_table,
-    improved_profile,
-    message_state,
-    wojcik_profile,
-)
+from .attacks import attack_ba, exact_outcome_table, improved_profile, wojcik_profile
 from .engine import (
     BellOutcome,
     Occupation,
@@ -209,29 +204,22 @@ def _control_outcomes(attacked: bool) -> tuple[tuple[Occupation, int, float], ..
 
 @lru_cache(maxsize=None)
 def _message_outcomes(
-    scheme: str, j: int, apply_s: bool
-) -> tuple[tuple[int | None, BellOutcome, float], ...]:
-    """(register bit k, receiver outcome, probability) of a message round
-    with bit j; k is None on the plain channel (``scheme="none"``)."""
-    if scheme == "none":
-        state = make_initial()
-        if j:
-            state = apply_polarization_gate(state, "t", PAULI_Z)
-        return tuple((None, m, p) for m, p in bell_probabilities(state).items())
-    if scheme == "wojcik-reference":
-        table = exact_outcome_table(apply_s=False)
+    attacked: bool, apply_s: bool
+) -> tuple[tuple[tuple[int | None, BellOutcome, float], ...], ...]:
+    """For each message bit j, the (register bit k, receiver outcome,
+    probability) of a message round; k is None on the plain channel, and an
+    attacked round reads the attack's exact outcome table."""
+    if not attacked:
+        states = (make_initial(), apply_polarization_gate(make_initial(), "t", PAULI_Z))
         return tuple(
-            (k, m, float(table[j, k, m_bit]))
-            for k in (0, 1)
-            for m, m_bit in _M_BIT.items()
+            tuple((None, m, p) for m, p in bell_probabilities(state).items())
+            for state in states
         )
-    outcomes = []
-    state = message_state(j, apply_s=apply_s)
-    for y_out, k in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
-        p_k, collapsed = project_mode(state, "y", y_out)
-        if collapsed is not None:
-            outcomes += [(k, m, p_k * p) for m, p in bell_probabilities(collapsed).items()]
-    return tuple(outcomes)
+    table = exact_outcome_table(apply_s)
+    return tuple(
+        tuple((k, m, float(table[j, k, m_bit])) for k in (0, 1) for m, m_bit in _M_BIT.items())
+        for j in (0, 1)
+    )
 
 
 _COINS = {
@@ -258,7 +246,7 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
     message += [
         (_message_cell(False, j, None, m, None), eta * p_j * p)
         for j, p_j in priors
-        for _, m, p in _message_outcomes("none", j, False)
+        for _, m, p in _message_outcomes(False, False)[j]
     ]
     if config.scheme == "none":
         return control, [], message, []
@@ -276,7 +264,7 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         (_message_cell(True, j, k, m, s), p_j * p_s * p)
         for j, p_j in priors
         for s, p_s in _COINS[config.scheme]
-        for k, m, p in _message_outcomes(config.scheme, j, bool(s))
+        for k, m, p in _message_outcomes(True, bool(s))[j]
     ]
     return control, control_attacked, message, message_attacked
 
@@ -331,23 +319,19 @@ class _RoundTable:
             yield start, self.sample(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
 
 
-def round_rng(seed: int, round_index: int) -> np.random.Generator:
-    """Deterministic random substream of one block of rounds; the block
-    sampler passes the block number as ``round_index``."""
-    return np.random.default_rng((seed, round_index))
-
-
-def iter_records(config: ProtocolConfig) -> Iterator[RoundRecord]:
-    """Every round of one run in order, built one block at a time."""
-    table = _RoundTable(config)
-    for start, cells in table.blocks(config.rounds):
-        for offset, cell in enumerate(cells.tolist()):
-            yield RoundRecord(start + offset, *table.cells[cell])
+def round_rng(seed: int, block: int) -> np.random.Generator:
+    """Deterministic random substream of one block of rounds."""
+    return np.random.default_rng((seed, block))
 
 
 def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
     """All rounds of one run; round i depends only on (seed, i)."""
-    return list(iter_records(config))
+    table = _RoundTable(config)
+    return [
+        RoundRecord(i, *table.cells[cell])
+        for start, cells in table.blocks(config.rounds)
+        for i, cell in enumerate(cells.tolist(), start)
+    ]
 
 
 def replay_round(config: ProtocolConfig, round_index: int) -> RoundRecord:
@@ -405,10 +389,9 @@ class RunStats:
     def qber_se(self) -> float:
         return _rate_se(self.n_qber_errors, self.n_message_attacked)
 
-    def conditional_table(self, counts: np.ndarray | None = None) -> np.ndarray:
+    def conditional_table(self) -> np.ndarray:
         """Empirical P(k, m | j); rows with no samples are NaN."""
-        if counts is None:
-            counts = self.joint_counts
+        counts = self.joint_counts
         table = np.full((2, 2, 2), math.nan)
         for j in (0, 1):
             n_j = counts[j].sum()
@@ -416,11 +399,10 @@ class RunStats:
                 table[j] = counts[j] / n_j
         return table
 
-    def conditional_se(self, counts: np.ndarray | None = None) -> np.ndarray:
+    def conditional_se(self) -> np.ndarray:
         """Per-cell standard error sqrt(p(1-p)/n_j) of the empirical table."""
-        if counts is None:
-            counts = self.joint_counts
-        table = self.conditional_table(counts)
+        counts = self.joint_counts
+        table = self.conditional_table()
         out = np.full((2, 2, 2), math.nan)
         for j in (0, 1):
             n_j = counts[j].sum()

@@ -23,14 +23,13 @@ from .attacks import (
     exact_outcome_table,
     forward_images,
     improved_profile,
+    message_state,
     wojcik_profile,
 )
 from .conventions import report_rows, solve, summarize
 from .engine import (
     Occupation,
-    PAULI_Z,
     PureState,
-    apply_polarization_gate,
     ket,
     make_initial,
     mode_marginal,
@@ -94,13 +93,6 @@ def _pinned_symmetrized(j: int) -> PureState:
     )
 
 
-def _encoded_outbound(j: int) -> PureState:
-    state = attack_ba(make_initial())
-    if j:
-        state = apply_polarization_gate(state, "t", PAULI_Z)
-    return state
-
-
 def run_all_checks() -> list[CheckResult]:
     checks: list[CheckResult] = []
 
@@ -124,10 +116,10 @@ def run_all_checks() -> list[CheckResult]:
     )
 
     for j in (0, 1):
-        returned = attack_ab(_encoded_outbound(j))
+        returned = message_state(j)
         diff = returned.max_amplitude_diff(_pinned_returned(j))
         add(f"returned-state-bit{j}", diff <= 1e-12, f"max amplitude diff {diff:.3e}")
-        symmetrized = attack_ab(_encoded_outbound(j), apply_s=True)
+        symmetrized = message_state(j, apply_s=True)
         diff = symmetrized.max_amplitude_diff(_pinned_symmetrized(j))
         add(
             f"symmetrized-returned-bit{j}",

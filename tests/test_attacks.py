@@ -22,7 +22,9 @@ from pingpong_eve.attacks import (
     wojcik_profile,
 )
 from pingpong_eve.engine import (
+    DIM,
     PAULI_Z,
+    BasisKet,
     PureState,
     apply_polarization_gate,
     ket,
@@ -121,6 +123,22 @@ def test_inbound_rejects_support_outside_image_span():
     with pytest.raises(SubspaceLeakageError) as err:
         attack_ab(state)
     assert ket(1, "1", "vac", "0") in err.value.offending
+
+
+@pytest.mark.parametrize("index", range(DIM))
+def test_every_basis_ket_outside_the_domain_leaks(index):
+    # Each leg is defined exactly on its own span: the outbound leg on
+    # span{f1..f4}, the inbound leg on span{B1..B4}, which the outbound
+    # images span.  A lone basis ket outside it is all residual.
+    basis_ket = BasisKet.from_index(index)
+    state = PureState.from_terms({basis_ket: 1.0})
+    for leg, domain in ((attack_ba, F_KETS), (attack_ab, B_KETS)):
+        if basis_ket in domain:
+            leg(state)
+        else:
+            with pytest.raises(SubspaceLeakageError) as err:
+                leg(state)
+            assert err.value.offending == [basis_ket]
 
 
 def test_round_trip_is_identity_on_subspace():

@@ -18,17 +18,13 @@ from pingpong_eve.engine import (
     PureState,
     apply_cnot,
     apply_polarization_gate,
-    bell_measure,
     bell_probabilities,
     ket,
     make_initial,
-    measure_mode_polarization,
     mode_marginal,
     project_bell,
     project_mode,
     sample_from,
-    state_csv_rows,
-    write_state_csv,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -281,29 +277,6 @@ def test_project_mode_zero_probability():
     assert collapsed is None
 
 
-def test_measurement_collapse_is_normalized():
-    rng = np.random.default_rng(11)
-    outcome, collapsed = measure_mode_polarization(post_attack_state(), "t", rng)
-    assert abs(collapsed.norm_sq - 1.0) < 1e-12
-    assert outcome in (Occupation.VAC, Occupation.POL0, Occupation.POL1)
-
-
-def test_measurement_is_seed_deterministic():
-    outcomes_a = [
-        measure_mode_polarization(
-            post_attack_state(), "t", np.random.default_rng((5, i))
-        )[0]
-        for i in range(50)
-    ]
-    outcomes_b = [
-        measure_mode_polarization(
-            post_attack_state(), "t", np.random.default_rng((5, i))
-        )[0]
-        for i in range(50)
-    ]
-    assert outcomes_a == outcomes_b
-
-
 # --- two-particle measurement ------------------------------------------------
 
 
@@ -356,16 +329,6 @@ def test_bell_no_photon_branch():
     assert abs(prob - 0.5) < 1e-12
     assert collapsed is not None
     assert collapsed.allclose(PureState.from_terms({ket(0, "vac", "1", "0"): 1.0}))
-
-
-def test_bell_measure_collapses_and_normalizes():
-    rng = np.random.default_rng(3)
-    outcome, collapsed = bell_measure(returned_state(1), rng)
-    assert outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
-    assert abs(collapsed.norm_sq - 1.0) < 1e-12
-    # Measuring again must reproduce the same outcome with certainty.
-    probs = bell_probabilities(collapsed)
-    assert abs(probs[outcome] - 1.0) < 1e-12
 
 
 # --- sampling ----------------------------------------------------------------
@@ -454,22 +417,3 @@ def test_projection_branches_resolve_the_state():
         )
         assert abs(total - 1.0) < 1e-12
 
-
-# --- state dump ---------------------------------------------------------------
-
-
-def test_state_csv_rows_for_initial_state():
-    rows = state_csv_rows(make_initial())
-    assert rows == [
-        ("h=0 t=1 x=vac y=0", pytest.approx(INV_SQRT2), 0.0),
-        ("h=1 t=0 x=vac y=0", pytest.approx(INV_SQRT2), 0.0),
-    ]
-
-
-def test_state_csv_omits_tiny_amplitudes(tmp_path):
-    state = make_initial()
-    path = tmp_path / "state.csv"
-    write_state_csv(state, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "ket,real,imag"
-    assert len(lines) == 3
