@@ -10,6 +10,7 @@ default simulation seed when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -106,12 +107,17 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
 
 def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> None:
     """Create or truncate each output file before any work is done, so that
-    an unwritable path is a usage error rather than a late traceback."""
-    for path in filter(None, paths):
+    an unwritable path, or two outputs naming one regular file, is a usage
+    error rather than a late traceback or one output overwriting another."""
+    paths = [path for path in paths if path]
+    for path in paths:
         try:
             open(path, "w").close()
         except OSError as error:
             parser.error(f"cannot write {path}: {error.strerror}")
+    for path, other in itertools.combinations(paths, 2):
+        if os.path.isfile(path) and os.path.samefile(path, other):
+            parser.error(f"{path} and {other} are the same file")
 
 
 def _fmt_rate(value: float) -> str:
@@ -156,9 +162,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         "resolved_attack_fraction": round(config.resolved_attack_fraction(), 12),
         "attack_loss": config.attack_loss,
     }
-    stats = run_simulation(config)
-    if args.out:
-        write_records_csv(config, args.out, metadata)
+    stats = write_records_csv(config, args.out, metadata) if args.out else run_simulation(config)
     if args.stats:
         with open(args.stats, "w") as handle:
             json.dump(

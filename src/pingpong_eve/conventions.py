@@ -264,17 +264,12 @@ def _batch_tables() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _ket_labels() -> tuple[str, ...]:
-    return tuple(BasisKet.from_index(i).label() for i in range(DIM))
-
-
-@lru_cache(maxsize=None)
 def _collision(key: int) -> Collision:
     """Decode a packed (row, stage, index, mode) collision key."""
     key, mode = divmod(key, len(engine.MODES))
     key, index = divmod(key, DIM)
     stage = key % len(_STAGES)
-    return Collision(_STAGES[stage][0], _ket_labels()[index], engine.MODES[mode])
+    return Collision(_STAGES[stage][0], BasisKet.from_index(index).label(), engine.MODES[mode])
 
 
 def _deviations(images: np.ndarray, references: np.ndarray) -> list[float]:

@@ -65,7 +65,7 @@ class Occupation(IntEnum):
 
 
 _OCC_LABELS = {Occupation.VAC: "vac", Occupation.POL0: "0", Occupation.POL1: "1"}
-_OCC_FROM_LABEL = {"vac": Occupation.VAC, "0": Occupation.POL0, "1": Occupation.POL1}
+_OCC_FROM_LABEL = {label: occ for occ, label in _OCC_LABELS.items()}
 
 
 class BellOutcome(Enum):
@@ -109,11 +109,6 @@ class BasisKet:
         """Number of photons in the travel modes t, x, y."""
         return sum(occ.occupied for occ in (self.t, self.x, self.y))
 
-    def occupation(self, mode: str) -> Occupation:
-        if mode == "h":
-            raise ValueError("mode h is a qubit, not a photon mode")
-        return getattr(self, mode)
-
     def label(self) -> str:
         return (
             f"h={self.h} t={self.t.label()} x={self.x.label()} y={self.y.label()}"
@@ -147,7 +142,8 @@ def _mode_axis(mode: str) -> int:
 _STRIDE = {"h": 27, "t": 9, "x": 3, "y": 1}
 _INDICES = np.arange(DIM)
 _CODE_OF = {mode: _INDICES // stride % 3 for mode, stride in _STRIDE.items()}
-_H_CODE = _CODE_OF["h"]
+# Measurement codes: h=0/h=1 read as pol0/pol1, so no index reads as vac.
+_OUTCOME_CODE = {**_CODE_OF, "h": _CODE_OF["h"] + 1}
 _PHOTON_NUMBER = sum((_CODE_OF[mode] != 0).astype(int) for mode in PHOTON_MODES)
 
 
@@ -310,16 +306,9 @@ def mode_marginal(state: PureState, mode: str) -> np.ndarray:
     Entries are indexed by occupation code.  For mode ``h`` the outcome
     ``vac`` has probability 0 and ``pol0``/``pol1`` stand for h=0/h=1.
     """
-    probs = np.zeros(3)
+    code = _OUTCOME_CODE[MODES[_mode_axis(mode)]]
     weights = np.abs(state.amps) ** 2
-    if mode == "h":
-        probs[1] = float(weights[_H_CODE == 0].sum())
-        probs[2] = float(weights[_H_CODE == 1].sum())
-    else:
-        code = _CODE_OF[mode]
-        for occ in range(3):
-            probs[occ] = float(weights[code == occ].sum())
-    return probs
+    return np.array([float(weights[code == occ].sum()) for occ in range(3)])
 
 
 def project_mode(
@@ -327,17 +316,11 @@ def project_mode(
 ) -> tuple[float, PureState | None]:
     """Probability of ``outcome`` when measuring ``mode`` and the collapsed
     state (None when the probability is zero)."""
-    if mode == "h":
-        if outcome is Occupation.VAC:
-            return 0.0, None
-        mask = _H_CODE == (0 if outcome is Occupation.POL0 else 1)
-    else:
-        mask = _CODE_OF[mode] == int(outcome)
-    projected = np.where(mask, state.amps, 0.0)
-    prob = float(np.sum(np.abs(projected) ** 2))
+    mask = _OUTCOME_CODE[MODES[_mode_axis(mode)]] == int(outcome)
+    prob = float((np.abs(state.amps[mask]) ** 2).sum())
     if prob <= 0.0:
         return prob, None
-    return prob, PureState(projected / np.sqrt(prob))
+    return prob, PureState(np.where(mask, state.amps, 0.0) / np.sqrt(prob))
 
 
 def _bell_blocks(state: PureState) -> dict[BellOutcome, np.ndarray]:

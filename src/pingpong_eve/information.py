@@ -55,11 +55,9 @@ for _table in _CONDITIONALS.values():
 
 @dataclasses.dataclass(frozen=True)
 class JointDistribution:
-    """Joint probabilities p(j, k, m) with prior P(j=0) = c0."""
+    """Joint probabilities p(j, k, m)."""
 
     probs: np.ndarray
-    c0: float
-    variant: str
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -92,7 +90,7 @@ def exact_joint(variant: str, c0: float) -> JointDistribution:
         raise ValueError(f"prior c0 must lie strictly between 0 and 1, got {c0!r}")
     prior = np.array([c0, 1.0 - c0])
     probs = prior[:, None, None] * _CONDITIONALS[variant]
-    return JointDistribution(probs, c0, variant)
+    return JointDistribution(probs)
 
 
 def mutual_information(dist: JointDistribution, pair: str) -> float:

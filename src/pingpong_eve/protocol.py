@@ -29,8 +29,9 @@ i's draws depend only on (seed, i), a shorter run is a prefix of a longer
 one, and ``replay_round`` regenerates a single block.  ``run_simulation``
 tallies cell counts per block without building records; ``run_rounds``
 builds one per round.  ``write_records_csv`` builds no records
-either: it formats each table cell's CSV row once, and writes every block
-as the round index followed by its cell's row text.  The stream
+either: it formats each table cell's CSV row once, writes every block
+as the round index followed by its cell's row text, and tallies the same
+blocks into the run's stats, so each block is drawn once.  The stream
 scheme is named by ``RNG_STREAM``.
 
 The ``wojcik-reference`` scheme has no gate-level model here and is
@@ -166,10 +167,10 @@ def _threshold(p: float) -> int:
     return math.ceil(float(p) * (1 << _UNIT_BITS))
 
 
+# The record schema, which is also the CSV header.
+_CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(RoundRecord))
 # A round record without its index: the cell of an outcome table.
-_Cell = collections.namedtuple(
-    "_Cell", [field.name for field in dataclasses.fields(RoundRecord)][1:]
-)
+_Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:])
 
 
 def _control_cell(attacked: bool, t_out: Occupation, h_bit: int) -> _Cell:
@@ -336,6 +337,9 @@ def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
 
 def replay_round(config: ProtocolConfig, round_index: int) -> RoundRecord:
     """Round ``round_index`` of the run, regenerated from its block alone."""
+    if isinstance(round_index, bool) or not isinstance(round_index, numbers.Integral):
+        raise ValueError(f"round_index must be an integer, got {round_index!r}")
+    round_index = int(round_index)
     if not 0 <= round_index < config.rounds:
         raise IndexError(f"round {round_index!r} is outside a run of {config.rounds} rounds")
     table = _RoundTable(config)
@@ -400,15 +404,10 @@ class RunStats:
         return table
 
     def conditional_se(self) -> np.ndarray:
-        """Per-cell standard error sqrt(p(1-p)/n_j) of the empirical table."""
-        counts = self.joint_counts
+        """Per-cell standard error sqrt(p(1-p)/n_j); rows with no samples are NaN."""
         table = self.conditional_table()
-        out = np.full((2, 2, 2), math.nan)
-        for j in (0, 1):
-            n_j = counts[j].sum()
-            if n_j > 0:
-                out[j] = np.sqrt(table[j] * (1.0 - table[j]) / n_j)
-        return out
+        n_j = self.joint_counts.sum(axis=(1, 2))[:, None, None]
+        return np.sqrt(table * (1.0 - table) / n_j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -544,21 +543,6 @@ def chi_squared(counts: np.ndarray, expected_conditional: np.ndarray) -> tuple[f
 # --- writers -------------------------------------------------------------------
 
 
-_CSV_COLUMNS = (
-    "round_index",
-    "mode",
-    "attacked",
-    "j",
-    "k",
-    "m",
-    "alice_t_outcome",
-    "bob_h_outcome",
-    "s_applied",
-    "photon_lost",
-    "detection_event",
-)
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -578,20 +562,25 @@ def metadata_lines(metadata: dict) -> list[str]:
 def _row_text(cell: _Cell) -> str:
     """A cell's CSV row after the round index, line terminator included."""
     buffer = io.StringIO()
-    csv.writer(buffer).writerow(["", *(_cell(getattr(cell, c)) for c in _CSV_COLUMNS[1:])])
+    csv.writer(buffer).writerow(["", *map(_cell, cell)])
     return buffer.getvalue()
 
 
-def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> None:
+def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> RunStats:
     """Write every round of the run as one CSV row, block by block, without
-    building records: each cell's row text is formatted once per run."""
+    building records: each cell's row text is formatted once per run.
+    Returns the run's stats, tallied from the same blocks, which equal
+    ``run_simulation(config)``."""
     table = _RoundTable(config)
+    counts = np.zeros(len(table.cells), dtype=np.int64)
     with open(path, "w", newline="") as handle:
         for line in metadata_lines(metadata):
             handle.write(line + "\n")
         csv.writer(handle).writerow(_CSV_COLUMNS)
         rows = [_row_text(cell) for cell in table.cells]
         for start, cells in table.blocks(config.rounds):
+            counts += np.bincount(cells, minlength=counts.size)
             handle.writelines(
                 str(i) + rows[cell] for i, cell in enumerate(cells.tolist(), start)
             )
+    return _tally(zip(table.cells, counts.tolist()))

@@ -144,18 +144,11 @@ def run_all_checks() -> list[CheckResult]:
             p_equal += prob * float(mode_marginal(collapsed, "h")[1 + bit])
     add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
 
-    # outcome tables
-    plain_expected = np.zeros((2, 2, 2))
-    plain_expected[0, 0, 0] = 1.0
-    plain_expected[1] = 0.25
-    diff = float(np.max(np.abs(exact_outcome_table(apply_s=False) - plain_expected)))
-    add("plain-outcome-table", diff <= 1e-12, f"max cell diff {diff:.3e}")
-    diff = float(
-        np.max(
-            np.abs(exact_outcome_table(apply_s=True) - plain_expected[::-1, ::-1, ::-1])
-        )
-    )
-    add("symmetrized-outcome-table", diff <= 1e-12, f"max cell diff {diff:.3e}")
+    # outcome tables: the engine's against the information layer's
+    for variant, apply_s in (("plain", False), ("symmetrized", True)):
+        expected = exact_joint(variant, 0.5).conditional()
+        diff = float(np.max(np.abs(exact_outcome_table(apply_s) - expected)))
+        add(f"{variant}-outcome-table", diff <= 1e-12, f"max cell diff {diff:.3e}")
 
     # information anchors at the balanced prior
     plain = exact_joint("plain", 0.5)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pingpong_eve import cli
+from pingpong_eve import cli, protocol
 from pingpong_eve.cli import main
 
 ETA_STAR_IMPROVED = 0.777294010664580
@@ -200,6 +201,39 @@ def test_simulate_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys
         argv = ["simulate", "--rounds", "10", flag, str(missing)]
         assert_unwritable_is_usage_error(argv, capsys, missing)
     assert_unwritable_is_usage_error(["simulate", "--out", str(tmp_path)], capsys, tmp_path)
+
+
+def test_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys):
+    for name in ("run_simulation", "write_records_csv", "security_report"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["simulate", "--rounds", "10", "--out", "x", "--stats", "./x"],
+        ["analyze", "--curve", "x", "--report", "./x"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_main(argv)
+        assert excinfo.value.code == 2
+        assert "error: x and ./x are the same file" in capsys.readouterr().err
+    # Only a regular file is refused: both outputs may go to the null device.
+    monkeypatch.undo()
+    assert run_main(["simulate", "--rounds", "10", "--out", os.devnull, "--stats", os.devnull]) == 0
+    capsys.readouterr()
+
+
+def test_simulate_out_draws_each_block_once(tmp_path, monkeypatch, capsys):
+    blocks = []
+    draw = protocol.round_rng
+
+    def counted(seed, block):
+        blocks.append(block)
+        return draw(seed, block)
+
+    monkeypatch.setattr(protocol, "round_rng", counted)
+    out, stats = tmp_path / "rounds.csv", tmp_path / "stats.json"
+    assert run_main(["simulate", "--rounds", "20000", "--out", str(out), "--stats", str(stats)]) == 0
+    capsys.readouterr()
+    assert blocks == [0, 1]
 
 
 # --- analyze ---------------------------------------------------------------------

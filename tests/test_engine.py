@@ -9,6 +9,7 @@ import pytest
 
 from pingpong_eve.engine import (
     DIM,
+    MODES,
     BasisKet,
     BellOutcome,
     HADAMARD,
@@ -186,8 +187,12 @@ def test_non_unitary_gate_rejected():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode"):
         apply_polarization_gate(make_initial(), "z", PAULI_X)
+    with pytest.raises(ValueError, match="unknown mode"):
+        mode_marginal(make_initial(), "q")
+    with pytest.raises(ValueError, match="unknown mode"):
+        project_mode(make_initial(), "q", Occupation.POL0)
 
 
 # --- photonic CNOT ----------------------------------------------------------
@@ -406,14 +411,19 @@ def test_measurement_completeness_on_random_states():
 
 
 def test_projection_branches_resolve_the_state():
-    # Summing outcome probability times collapsed state reassembles the
-    # projector decomposition: probabilities sum to 1 per mode.
+    # Each branch's probability is the mode's marginal entry, and summing
+    # sqrt(probability) times collapsed state reassembles the state.
     rng = np.random.default_rng(7)
     state = random_state(rng)
-    for mode in ("t", "x", "y"):
-        total = sum(
-            project_mode(state, mode, occ)[0]
-            for occ in (Occupation.VAC, Occupation.POL0, Occupation.POL1)
-        )
-        assert abs(total - 1.0) < 1e-12
+    for mode in MODES:
+        marginal = mode_marginal(state, mode)
+        resolved = np.zeros(DIM, dtype=complex)
+        for occ in Occupation:
+            prob, collapsed = project_mode(state, mode, occ)
+            assert prob == marginal[occ]
+            if collapsed is not None:
+                resolved += np.sqrt(prob) * collapsed.amps
+        assert abs(marginal.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(resolved - state.amps)) < 1e-12
+    assert project_mode(state, "h", Occupation.VAC) == (0.0, None)
 

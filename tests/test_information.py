@@ -144,16 +144,16 @@ def test_exact_joint_rejects_degenerate_prior():
 
 def test_joint_distribution_validation():
     good = np.full((2, 2, 2), 0.125)
-    JointDistribution(good, 0.5, "plain")
+    JointDistribution(good)
     with pytest.raises(ValueError):
-        JointDistribution(np.full((2, 2), 0.25), 0.5, "plain")
+        JointDistribution(np.full((2, 2), 0.25))
     bad = good.copy()
     bad[0, 0, 0] = -0.125
     bad[1, 1, 1] = 0.375
     with pytest.raises(ValueError):
-        JointDistribution(bad, 0.5, "plain")
+        JointDistribution(bad)
     with pytest.raises(ValueError):
-        JointDistribution(good * 0.9, 0.5, "plain")
+        JointDistribution(good * 0.9)
 
 
 def test_joint_probs_read_only():

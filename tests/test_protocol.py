@@ -499,9 +499,14 @@ def test_wojcik_replay_is_deterministic():
     assert record == replay_round(config, 0)
     assert record == run_rounds(config)[0]
     assert record.round_index == 0
+    numpy_index = replay_round(config, np.int64(0))
+    assert numpy_index == record and type(numpy_index.round_index) is int
     for outside in (-1, 1):
         with pytest.raises(IndexError):
             replay_round(config, outside)
+    for not_an_index in (True, False, 0.0, "0", None):
+        with pytest.raises(ValueError, match="round_index"):
+            replay_round(config, not_an_index)
 
 
 # --- block stream ----------------------------------------------------------------

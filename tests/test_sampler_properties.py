@@ -173,7 +173,7 @@ def test_csv_body_matches_the_records(config):
         writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "rounds.csv")
-        write_records_csv(config, path, {})
+        written = write_records_csv(config, path, {})
         with open(path, newline="") as handle:
             body = handle.read()
     assert body == reference.getvalue()
@@ -182,7 +182,9 @@ def test_csv_body_matches_the_records(config):
     # The body equals the reference, so round indices are checked; tally
     # each distinct row without its index once.
     tallied = aggregate(parse_row(("0", *row[1:])) for row in rows[1:])
-    assert tallied.to_json_dict() == run_simulation(config).to_json_dict()
+    expected = run_simulation(config).to_json_dict()
+    assert tallied.to_json_dict() == expected
+    assert written.to_json_dict() == expected
 
 
 non_finite_or_outside = st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(
