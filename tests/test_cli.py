@@ -51,6 +51,17 @@ def test_verify_passes_and_reports_discrepancy(capsys):
     assert "31/31 checks passed" in out
 
 
+# SHA-256 of `verify` stdout: every check's detail line, including the printed
+# worst-case differences, so a change in the exact engine's rounding shows here.
+# The report's header includes the package version.
+GOLDEN_VERIFY = "fead2daf0f22fafec797d7538bc3e469592390cc83b3bc2a09b9585089af7cfd"
+
+
+def test_verify_golden_bytes(capsys):
+    assert run_main(["verify"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_VERIFY
+
+
 # --- simulate --------------------------------------------------------------------
 
 
@@ -371,6 +382,16 @@ def test_solver_stdout_rows(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("candidate_id,")
     assert len(lines) == 1 + 576
+
+
+# SHA-256 of `solve-conventions` stdout: the full census CSV, every deviation
+# printed to 12 significant digits.
+GOLDEN_SOLVER = "67c8c378a216a01301f9b1d0d9fcfd1160a7fe1c7ff2cf939256f79ae74df97d"
+
+
+def test_solver_golden_bytes(capsys):
+    assert run_main(["solve-conventions"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SOLVER
 
 
 def test_solver_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
