@@ -95,6 +95,8 @@ def forward_images() -> np.ndarray:
 
 
 _IMAGES = forward_images()
+_IMAGES_CONJ = _IMAGES.conj()
+_OUTSIDE_F = ~np.isin(np.arange(DIM), _F_INDICES)
 
 
 class SubspaceLeakageError(ValueError):
@@ -108,8 +110,12 @@ class SubspaceLeakageError(ValueError):
         )
 
 
-def _leakage_kets(residual: np.ndarray) -> list[BasisKet]:
-    return [BasisKet.from_index(int(i)) for i in np.nonzero(np.abs(residual) > 1e-12)[0]]
+def _check_leakage(direction: str, residual: np.ndarray) -> None:
+    """Raise SubspaceLeakageError naming each ket of residual above 1e-12."""
+    magnitude = np.abs(residual)
+    if magnitude.max() > 1e-12:
+        offending = [BasisKet.from_index(int(i)) for i in np.flatnonzero(magnitude > 1e-12)]
+        raise SubspaceLeakageError(direction, offending)
 
 
 def attack_ba(state: PureState) -> PureState:
@@ -118,13 +124,8 @@ def attack_ba(state: PureState) -> PureState:
     Defined only for states supported on span{f1..f4}; anything else raises
     SubspaceLeakageError naming the offending kets.
     """
-    coeffs = state.amps[_F_INDICES]
-    residual = state.amps.copy()
-    residual[_F_INDICES] = 0.0
-    leaked = _leakage_kets(residual)
-    if leaked:
-        raise SubspaceLeakageError("outbound", leaked)
-    return PureState(coeffs @ _IMAGES)
+    _check_leakage("outbound", np.where(_OUTSIDE_F, state.amps, 0.0))
+    return PureState(state.amps[_F_INDICES] @ _IMAGES)
 
 
 def attack_ab(state: PureState, apply_s: bool = False) -> PureState:
@@ -133,11 +134,8 @@ def attack_ab(state: PureState, apply_s: bool = False) -> PureState:
 
     Defined only for states supported on span of the outbound images.
     """
-    coeffs = _IMAGES.conj() @ state.amps
-    residual = state.amps - coeffs @ _IMAGES
-    leaked = _leakage_kets(residual)
-    if leaked:
-        raise SubspaceLeakageError("inbound", leaked)
+    coeffs = _IMAGES_CONJ @ state.amps
+    _check_leakage("inbound", state.amps - coeffs @ _IMAGES)
     amps = np.zeros(DIM, dtype=complex)
     amps[_F_INDICES] = coeffs
     restored = PureState(amps)

@@ -106,13 +106,15 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
 
 
 def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> None:
-    """Create or truncate each output file before any work is done, so that
-    an unwritable path, or two outputs naming one regular file, is a usage
-    error rather than a late traceback or one output overwriting another."""
+    """Create each output file before any work is done, so that an
+    unwritable path, or two outputs naming one regular file, is a usage
+    error rather than a late traceback or one output overwriting another.
+    An existing file is opened for appending, so a refused command leaves
+    its bytes as they were."""
     paths = [path for path in paths if path]
     for path in paths:
         try:
-            open(path, "w").close()
+            open(path, "a").close()
         except OSError as error:
             parser.error(f"cannot write {path}: {error.strerror}")
     for path, other in itertools.combinations(paths, 2):

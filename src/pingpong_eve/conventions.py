@@ -37,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -217,8 +217,7 @@ def deviation_from_reference(images: np.ndarray, references: np.ndarray) -> floa
 MATCH_TOL = 1e-10
 
 
-@dataclasses.dataclass(frozen=True)
-class CandidateReport:
+class CandidateReport(NamedTuple):
     candidate_id: int
     convention: Convention
     status: str
@@ -348,17 +347,23 @@ CSV_HEADER = (
 
 
 @lru_cache(maxsize=None)
-def _row_prefix(conv: Convention) -> str:
-    """The six convention fields of a CSV row, comma-terminated."""
-    flips = ("true" if flip else "false" for flip in (conv.flip0, conv.flip1))
-    fields = (perm_label(conv.sigma0), perm_label(conv.sigma1), *flips)
-    return ",".join((*fields, conv.control_position, conv.active_on, ""))
+def _row_prefixes() -> tuple[str, ...]:
+    """The id and six convention fields of each candidate's CSV row,
+    comma-terminated, indexed by candidate id."""
+    return tuple(
+        ",".join((str(candidate_id), perm_label(conv.sigma0), perm_label(conv.sigma1),
+                  str(conv.flip0).lower(), str(conv.flip1).lower(),
+                  conv.control_position, conv.active_on, ""))
+        for candidate_id, conv in enumerate(enumerate_conventions())
+    )
 
 
 def report_rows(reports: Iterable[CandidateReport]) -> list[str]:
-    """CSV rows (without header) in enumeration order, deterministic."""
+    """CSV rows (without header) in enumeration order, deterministic; each
+    row's convention fields are those of its candidate_id, as in solve()."""
+    prefixes = _row_prefixes()
     return [
-        f"{report.candidate_id},{_row_prefix(report.convention)}{report.status},"
+        f"{prefixes[report.candidate_id]}{report.status},"
         + ("" if report.deviation is None else f"{report.deviation:.12e}")
         for report in reports
     ]

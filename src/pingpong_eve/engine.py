@@ -17,7 +17,9 @@ Conventions baked into the gates:
 
 * Polarization gates act on the one-photon subspace of a mode and leave the
   vacuum level untouched (phase +1).  On ``h`` they act as ordinary qubit
-  gates.
+  gates.  A gate is applied as a 2x2 butterfly over the mode's index pairs
+  whose measurement codes are 1 and 2: pol0/pol1 on a photon mode, h=0/h=1
+  on ``h``, so no mode needs a branch of its own.
 * The photonic CNOT flips the target mode's polarization when the control
   mode holds a ``pol1`` photon; an empty target is left unchanged, and an
   empty or ``pol0`` control makes the gate the identity.
@@ -153,13 +155,13 @@ class PureState:
     __slots__ = ("_amps",)
 
     def __init__(self, amplitudes: Sequence[complex] | np.ndarray):
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = np.array(amplitudes, dtype=complex)
         if amps.shape != (DIM,):
             raise ValueError(f"amplitudes must have shape ({DIM},), got {amps.shape}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        norm_sq = float(np.vdot(amps, amps).real)
+        # A nan or inf amplitude makes norm_sq nan or inf, and fails here.
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "_amps", amps)
 
@@ -232,9 +234,18 @@ def _require_unitary(gate: np.ndarray) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise ValueError(f"polarization gate must be 2x2, got shape {gate.shape}")
-    if not np.allclose(gate @ gate.conj().T, _ID2, rtol=0.0, atol=1e-12):
+    # Written as "not <=" so that a nan entry fails too.
+    if not np.abs(gate @ gate.conj().T - _ID2).max() <= 1e-12:
         raise ValueError("polarization gate is not unitary within 1e-12")
     return gate
+
+
+# (pol0, pol1) index pairs of each mode, shape (2, 18) for a photon mode and
+# (2, 27) for h: a polarization gate mixes the two rows and nothing else.
+_GATE_PAIRS = {
+    mode: np.stack([np.flatnonzero(code == 1), np.flatnonzero(code == 2)])
+    for mode, code in _OUTCOME_CODE.items()
+}
 
 
 def apply_polarization_gate(state: PureState, mode: str, gate: np.ndarray) -> PureState:
@@ -243,15 +254,10 @@ def apply_polarization_gate(state: PureState, mode: str, gate: np.ndarray) -> Pu
     On mode ``h`` the gate acts on the qubit itself.
     """
     gate = _require_unitary(gate)
-    axis = _mode_axis(mode)
-    arr = state.amps.reshape(2, 3, 3, 3)
-    if mode == "h":
-        new = np.tensordot(gate, arr, axes=(1, 0))
-    else:
-        moved = np.moveaxis(arr, axis, 0).copy()
-        moved[1:3] = np.tensordot(gate, moved[1:3], axes=(1, 0))
-        new = np.moveaxis(moved, 0, axis)
-    return PureState(np.ascontiguousarray(new).reshape(DIM))
+    pairs = _GATE_PAIRS[MODES[_mode_axis(mode)]]
+    new = state.amps.copy()
+    new[pairs] = gate @ state.amps[pairs]
+    return PureState(new)
 
 
 @lru_cache(maxsize=None)

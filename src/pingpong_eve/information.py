@@ -60,14 +60,14 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if probs.shape != (2, 2, 2):
             raise ValueError(f"joint table must have shape (2,2,2), got {probs.shape}")
-        if np.any(probs < 0.0):
+        if probs.min() < 0.0:
             raise ValueError("joint table has negative entries")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
+        # Written as "not <=" so that a nan entry fails too.
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
             raise ValueError("joint table does not sum to 1")
-        probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -93,29 +93,30 @@ def exact_joint(variant: str, c0: float) -> JointDistribution:
     return JointDistribution(probs)
 
 
+# Axes of p(j, k, m) that put each pair's two variables first and the
+# variable it leaves out last.
+_PAIR_AXES = {"AE": (0, 1, 2), "AB": (0, 2, 1), "BE": (1, 2, 0)}
+
+
 def mutual_information(dist: JointDistribution, pair: str) -> float:
     """Mutual information in bits between two of the three round variables.
 
     pair is "AE" (sender bit; eavesdropper bit), "AB" (sender bit; receiver
     bit) or "BE" (receiver bit; eavesdropper bit).
     """
-    if pair == "AE":
-        joint = dist.probs.sum(axis=2)
-    elif pair == "AB":
-        joint = dist.probs.sum(axis=1)
-    elif pair == "BE":
-        joint = dist.probs.sum(axis=0)
-    else:
+    if pair not in _PAIR_AXES:
         raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
-    left = joint.sum(axis=1)
-    right = joint.sum(axis=0)
-    terms = []
-    for a in (0, 1):
-        for b in (0, 1):
-            p = joint[a, b]
-            if p > 0.0:
-                terms.append(p * math.log2(p / (left[a] * right[b])))
-    return math.fsum(terms)
+    # Every marginal is a sum of two floats, which Python adds as numpy does.
+    cells = dist.probs.transpose(_PAIR_AXES[pair]).tolist()
+    joint = [[p0 + p1 for p0, p1 in row] for row in cells]
+    left = [row[0] + row[1] for row in joint]
+    right = [joint[0][b] + joint[1][b] for b in (0, 1)]
+    return math.fsum(
+        p * math.log2(p / (left[a] * right[b]))
+        for a, row in enumerate(joint)
+        for b, p in enumerate(row)
+        if p > 0.0
+    )
 
 
 def qber(dist: JointDistribution) -> float:

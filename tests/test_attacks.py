@@ -141,6 +141,25 @@ def test_every_basis_ket_outside_the_domain_leaks(index):
             assert err.value.offending == [basis_ket]
 
 
+@pytest.mark.parametrize("leg, domain", [(attack_ba, F_KETS), (attack_ab, B_KETS)])
+def test_leak_threshold(leg, domain):
+    # A domain superposition plus one stray ket: each leg tolerates stray
+    # amplitude up to 1e-12 and names exactly the stray ket above it.
+    stray = ket(0, "0", "vac", "0")
+    assert stray not in F_KETS + B_KETS
+    weights = np.array([0.5, 0.5j, -0.5, 0.5])
+    for amplitude, leaks in ((2e-12, True), (5e-13, False)):
+        terms = dict(zip(domain, weights * np.sqrt(1.0 - amplitude**2)))
+        state = PureState.from_terms({**terms, stray: amplitude})
+        if leaks:
+            with pytest.raises(SubspaceLeakageError) as err:
+                leg(state)
+            assert err.value.offending == [stray]
+            assert str(err.value).endswith("[h=0 t=0 x=vac y=0]")
+        else:
+            assert abs(leg(state).norm_sq - 1.0) < 1e-12
+
+
 def test_round_trip_is_identity_on_subspace():
     rng = np.random.default_rng(41)
     for _ in range(100):

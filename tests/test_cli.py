@@ -232,6 +232,31 @@ def test_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_refused_command_keeps_existing_files(tmp_path, monkeypatch, capsys):
+    for name in ("run_simulation", "write_records_csv", "security_report"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    monkeypatch.chdir(tmp_path)
+    data = b"round_index,mode\n0,control\n"
+    Path("results.csv").write_bytes(data)
+    missing = tmp_path / "missing" / "x.json"
+    # an unwritable second output, then two outputs naming one file
+    assert_unwritable_is_usage_error(
+        ["simulate", "--rounds", "10", "--out", "results.csv", "--stats", str(missing)],
+        capsys,
+        missing,
+    )
+    assert Path("results.csv").read_bytes() == data
+    for argv in (
+        ["simulate", "--rounds", "10", "--out", "results.csv", "--stats", "./results.csv"],
+        ["analyze", "--curve", "results.csv", "--report", "./results.csv"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_main(argv)
+        assert excinfo.value.code == 2
+        assert "are the same file" in capsys.readouterr().err
+        assert Path("results.csv").read_bytes() == data
+
+
 def test_simulate_out_draws_each_block_once(tmp_path, monkeypatch, capsys):
     blocks = []
     draw = protocol.round_rng

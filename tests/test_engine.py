@@ -126,6 +126,19 @@ def test_unnormalized_state_rejected():
         PureState(amps)
 
 
+def test_non_finite_amplitudes_rejected():
+    # nan slips past a "> tolerance" test, since every comparison with nan
+    # is False; both must read as unnormalized.
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState(np.full(DIM, np.nan))
+    for bad in (np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)):
+        amps = np.zeros(DIM, dtype=complex)
+        amps[0] = 1.0
+        amps[5] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(amps)
+
+
 def test_states_are_immutable():
     state = make_initial()
     with pytest.raises(ValueError):

@@ -156,6 +156,15 @@ def test_joint_distribution_validation():
         JointDistribution(good * 0.9)
 
 
+def test_joint_distribution_rejects_non_finite_entries():
+    # nan passes both "< 0" and "> tolerance" tests; it must still fail.
+    for value in (np.nan, np.inf):
+        bad = np.full((2, 2, 2), 0.125)
+        bad[1, 0, 1] = value
+        with pytest.raises(ValueError, match="does not sum to 1"):
+            JointDistribution(bad)
+
+
 def test_joint_probs_read_only():
     dist = exact_joint("plain", 0.5)
     with pytest.raises(ValueError):
