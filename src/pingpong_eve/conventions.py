@@ -351,9 +351,9 @@ def _row_prefixes() -> tuple[str, ...]:
     """The id and six convention fields of each candidate's CSV row,
     comma-terminated, indexed by candidate id."""
     return tuple(
-        ",".join((str(candidate_id), perm_label(conv.sigma0), perm_label(conv.sigma1),
-                  str(conv.flip0).lower(), str(conv.flip1).lower(),
-                  conv.control_position, conv.active_on, ""))
+        f"{candidate_id},{perm_label(conv.sigma0)},{perm_label(conv.sigma1)},"
+        f"{str(conv.flip0).lower()},{str(conv.flip1).lower()},"
+        f"{conv.control_position},{conv.active_on},"
         for candidate_id, conv in enumerate(enumerate_conventions())
     )
 

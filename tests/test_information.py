@@ -209,6 +209,26 @@ def test_mutual_information_matches_oracle_everywhere():
                 ) < 1e-12
 
 
+def test_mutual_information_equals_numpy_marginal_reference():
+    # The marginals are summed in Python; each is a sum of two floats, so the
+    # value must equal, bit for bit, the fsum over numpy's axis sums.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        probs = rng.random((2, 2, 2)) * (rng.random((2, 2, 2)) > 0.25)
+        if not probs.any():
+            continue
+        dist = JointDistribution(probs / probs.sum())
+        for pair, axis in (("AE", 2), ("AB", 1), ("BE", 0)):
+            joint = dist.probs.sum(axis=axis)
+            left, right = joint.sum(axis=1), joint.sum(axis=0)
+            expected = math.fsum(
+                p * math.log2(p / (left[a] * right[b]))
+                for (a, b), p in np.ndenumerate(joint)
+                if p > 0.0
+            )
+            assert mutual_information(dist, pair) == expected
+
+
 def test_mutual_information_rejects_unknown_pair():
     with pytest.raises(ValueError):
         mutual_information(exact_joint("plain", 0.5), "XY")
