@@ -8,6 +8,8 @@ beside an untouched vacuum level.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,7 @@ def dense_operator(mode: str, gate: np.ndarray) -> np.ndarray:
             if name == mode:
                 local[1:, 1:] = gate
             factors.append(local)
-    operator = factors[0]
-    for factor in factors[1:]:
-        operator = np.kron(operator, factor)
-    return operator
+    return functools.reduce(np.kron, factors)
 
 
 def sector_weights(state: PureState) -> np.ndarray:
