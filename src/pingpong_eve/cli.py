@@ -10,6 +10,7 @@ default simulation seed when --seed is not given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -109,21 +110,32 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> None:
     """Create each output file before any work is done, so that an
     unwritable path, or two outputs naming one regular file, is a usage
     error rather than a late traceback or one output overwriting another.
-    The outputs are emptied only once every check has passed, so a refused
-    command leaves existing files as they were."""
+    The outputs are emptied only once every check has passed, and a refused
+    command removes the files it created, so it leaves the directory as it
+    was."""
     paths = [path for path in paths if path]
+    created = []
+
+    def refuse(message: str) -> None:
+        for path in created:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        parser.error(message)
 
     def open_each(mode: str) -> None:
         for path in paths:
+            new = not os.path.lexists(path)
             try:
                 open(path, mode).close()
             except OSError as error:
-                parser.error(f"cannot write {path}: {error.strerror}")
+                refuse(f"cannot write {path}: {error.strerror}")
+            if new:
+                created.append(path)
 
     open_each("a")
     for path, other in itertools.combinations(paths, 2):
         if os.path.isfile(path) and os.path.samefile(path, other):
-            parser.error(f"{path} and {other} are the same file")
+            refuse(f"{path} and {other} are the same file")
     # Empty the outputs here, not at the final write: ext4 flushes a file
     # that one open both truncated and rewrote when it is closed, which
     # slowed a 20000-round `simulate --out` by about 4%.

@@ -234,8 +234,8 @@ def _require_unitary(gate: np.ndarray) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise ValueError(f"polarization gate must be 2x2, got shape {gate.shape}")
-    # Written as "not <=" so that a nan entry fails too.
-    if not np.abs(gate @ gate.conj().T - _ID2).max() <= 1e-12:
+    # A non-finite entry is refused before the product, which would warn.
+    if not (np.isfinite(gate).all() and np.abs(gate @ gate.conj().T - _ID2).max() <= 1e-12):
         raise ValueError("polarization gate is not unitary within 1e-12")
     return gate
 

@@ -23,16 +23,19 @@ one is an inverse-CDF draw on that branch's table.  The draws are the
 generator's 53-bit integers k (its uniform is k * 2**-53), compared with
 integer thresholds ceil(p * 2**53), so every test on them is exact: a round
 packs its branch and third draw into one integer key, and its cell is the
-number of table keys at or below it, less one.  Rounds are drawn in
+number of table keys at or below it, less one.  That count is read from a
+bucket (guide) table of 4096 entries indexed by the key's top 12 bits, the
+cell at each bucket's start; only the few buckets with a table key inside
+them are searched.  Rounds are drawn in
 blocks of ``BLOCK_ROUNDS``; block b reads ``round_rng(seed, b)``, so round
 i's draws depend only on (seed, i), a shorter run is a prefix of a longer
 one, and ``replay_round`` regenerates a single block.  ``run_simulation``
 tallies cell counts per block without building records; ``run_rounds``
 builds one per round.  ``write_records_csv`` builds no records
-either: it formats each table cell's CSV row once, writes every block
-as the round index followed by its cell's row text, and tallies the same
-blocks into the run's stats, so each block is drawn once.  The stream
-scheme is named by ``RNG_STREAM``.
+either: it formats each table cell's CSV row once, writes every block in
+chunks of up to 4096 rounds, each one string of round indices and their
+cells' row texts, and tallies the same blocks into the run's stats, so
+each block is drawn once.  The stream scheme is named by ``RNG_STREAM``.
 
 The ``wojcik-reference`` scheme has no gate-level model here and is
 simulated from its summary statistics: attacked control rounds lose the
@@ -159,6 +162,14 @@ RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v1"
 _DRAWS_PER_ROUND = 3
 # Bits of a uniform draw: PCG64's random() is (next_uint64 >> 11) * 2**-53.
 _UNIT_BITS = 53
+# A round's key is 2 branch bits above its 53-bit draw; its top _BUCKET_BITS
+# bits index the bucket table.
+_BUCKET_BITS = 12
+_BUCKET_SHIFT = 2 + _UNIT_BITS - _BUCKET_BITS
+# Rounds per string join of the CSV body.  Against writing round by round,
+# one join per block raised the peak RSS of a 20000-round `simulate --out`
+# by about 2.4 MB, one per 4096 rounds by about 0.3 MB.
+_CSV_CHUNK_ROUNDS = 1 << 12
 
 
 def _threshold(p: float) -> int:
@@ -292,8 +303,19 @@ class _RoundTable:
                 keys += [start] + [start + _threshold(bound) for bound in bounds]
                 self.cells += [cell for cell, _ in kept]
         self.keys = np.array(keys, dtype=np.int64)
-        # Cell indices are counted in uint8.
+        # Cell indices are stored in uint8.
         assert len(self.cells) < 256
+        # Bucket (guide) table: bucket b holds the keys with key >> 43 == b,
+        # the branch bits and the top 10 bits of k.  Every key of a bucket
+        # picks the cell of its start unless a table key lies inside it; only
+        # rounds in such straddling buckets (a handful of 4096) are searched.
+        # Branches 0 and 2 are never empty, so the first table key is 0 and
+        # no bucket's cell is negative.
+        starts = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
+        first = np.searchsorted(self.keys, starts, "right") - 1
+        last = np.searchsorted(self.keys, starts + ((1 << _BUCKET_SHIFT) - 1), "right") - 1
+        self.bucket_cell = first.astype(np.uint8)
+        self.straddles = first != last
 
     def sample(self, block: int, n: int) -> np.ndarray:
         """Cell indices of the first n rounds of a block."""
@@ -308,10 +330,10 @@ class _RoundTable:
         key += draws[:, 1] < self.attack_threshold
         key <<= _UNIT_BITS
         key |= draws[:, 2]
-        # Every key is at least the first table key, which is left uncounted.
-        cells = np.zeros(n, dtype=np.uint8)
-        for bound in self.keys[1:]:
-            cells += key >= bound
+        bucket = key >> _BUCKET_SHIFT
+        cells = self.bucket_cell[bucket]
+        fix = np.flatnonzero(self.straddles[bucket])
+        cells[fix] = np.searchsorted(self.keys, key[fix], "right") - 1
         return cells
 
     def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -580,7 +602,11 @@ def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> RunS
         rows = [_row_text(cell) for cell in table.cells]
         for start, cells in table.blocks(config.rounds):
             counts += np.bincount(cells, minlength=counts.size)
-            handle.writelines(
-                str(i) + rows[cell] for i, cell in enumerate(cells.tolist(), start)
-            )
+            for offset in range(0, cells.size, _CSV_CHUNK_ROUNDS):
+                part = cells[offset:offset + _CSV_CHUNK_ROUNDS]
+                # index, row, index, row, ...: one join and one write per chunk
+                text = [""] * (2 * part.size)
+                text[0::2] = map(str, range(start + offset, start + offset + part.size))
+                text[1::2] = map(rows.__getitem__, part.tolist())
+                handle.write("".join(text))
     return _tally(zip(table.cells, counts.tolist()))

@@ -257,6 +257,24 @@ def test_refused_command_keeps_existing_files(tmp_path, monkeypatch, capsys):
         assert Path("results.csv").read_bytes() == data
 
 
+def test_refused_command_removes_only_the_files_it_created(tmp_path, monkeypatch, capsys):
+    for name in ("run_simulation", "write_records_csv"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    monkeypatch.chdir(tmp_path)
+    missing = Path("missing") / "x.json"
+    assert_unwritable_is_usage_error(
+        ["simulate", "--rounds", "10", "--out", "new.csv", "--stats", str(missing)],
+        capsys,
+        missing,
+    )
+    assert not Path("new.csv").exists()
+    with pytest.raises(SystemExit) as excinfo:
+        run_main(["simulate", "--rounds", "10", "--out", "x", "--stats", "./x"])
+    assert excinfo.value.code == 2
+    assert "are the same file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_out_draws_each_block_once(tmp_path, monkeypatch, capsys):
     blocks = []
     draw = protocol.round_rng

@@ -94,6 +94,7 @@ def test_scaled_gates_rejected(mode, gate, scale):
         apply_polarization_gate(make_initial(), mode, scale * gate)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @DETERMINISTIC
 @given(
     st.sampled_from(MODES),
@@ -103,7 +104,7 @@ def test_scaled_gates_rejected(mode, gate, scale):
 )
 def test_non_finite_gates_rejected(mode, gate, entry, bad):
     gate.flat[entry] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="not unitary"):
         apply_polarization_gate(make_initial(), mode, gate)
 
 

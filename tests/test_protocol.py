@@ -22,6 +22,7 @@ from pingpong_eve import protocol
 from pingpong_eve.attacks import improved_profile, wojcik_profile
 from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
+    _CSV_CHUNK_ROUNDS,
     _CSV_COLUMNS,
     BLOCK_ROUNDS,
     SCHEMES,
@@ -201,8 +202,9 @@ def float_sample(config: ProtocolConfig, rng, n: int) -> np.ndarray:
     return cells
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_sampler_equals_the_float_reference(scheme):
+def reference_configs(scheme: str) -> list[ProtocolConfig]:
+    """Every corner of (c0, eta, control_prob, attack_fraction), and one
+    inner point."""
     configs = [
         ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=c0, eta=eta,
                        control_prob=control_prob, attack_fraction=fraction)
@@ -212,7 +214,12 @@ def test_sampler_equals_the_float_reference(scheme):
     ]
     configs.append(ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=0.3, eta=0.85,
                                   control_prob=0.3))
-    for config in configs:
+    return configs
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sampler_equals_the_float_reference(scheme):
+    for config in reference_configs(scheme):
         table = _RoundTable(config)
         for block, n in ((0, 1), (1, BLOCK_ROUNDS - 1), (2, BLOCK_ROUNDS)):
             expected = float_sample(config, round_rng(config.seed, block), n)
@@ -260,6 +267,73 @@ def test_sampler_at_the_draw_boundaries(scheme, monkeypatch):
     # The low 11 bits of each output are not part of the draw.
     raw = (ks << np.uint64(11)) | np.uint64(0x5A5)
     n = raw.size // 3
+    monkeypatch.setattr(protocol, "round_rng", lambda seed, block: ReplayedDraws(raw))
+    expected = float_sample(config, ReplayedDraws(raw), n)
+    assert np.array_equal(_RoundTable(config).sample(0, n), expected)
+
+
+BUCKET_WIDTH = 1 << protocol._BUCKET_SHIFT
+BUCKETS = 1 << protocol._BUCKET_BITS
+# A prior whose message-table bound is the last key of a bucket.
+LAST_KEY_C0 = (5 * BUCKET_WIDTH - 1) / 2**53
+
+
+def brute_force_cells(keys: np.ndarray, table: _RoundTable) -> np.ndarray:
+    """The number of table keys at or below each key, less one."""
+    return (table.keys[None, :] <= keys[:, None]).sum(axis=1) - 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bucket_table_invariants(scheme):
+    """A bucket is marked straddling exactly when its first and last keys
+    pick different cells, and its entry is the cell of its first key."""
+    first = np.arange(BUCKETS, dtype=np.int64) * BUCKET_WIDTH
+    last_key = ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=LAST_KEY_C0)
+    assert ((_RoundTable(last_key).keys + 1) % BUCKET_WIDTH == 0).any()
+    for config in reference_configs(scheme) + [last_key]:
+        table = _RoundTable(config)
+        at_first = brute_force_cells(first, table)
+        at_last = brute_force_cells(first + BUCKET_WIDTH - 1, table)
+        assert at_first.min() == 0
+        assert np.array_equal(table.bucket_cell, at_first), config
+        assert np.array_equal(table.straddles, at_first != at_last), config
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"c0": 0.3, "eta": 0.85, "control_prob": 0.3, "attack_fraction": 0.4},
+        # thresholds and inner CDF bounds land exactly on bucket edges
+        {"c0": 0.5, "eta": 1.0, "control_prob": 0.5, "attack_fraction": 0.25},
+        {"c0": 0.5, "eta": 0.75, "control_prob": 0.5, "attack_fraction": 0.25},
+        {"c0": LAST_KEY_C0, "eta": 1.0, "control_prob": 0.5, "attack_fraction": 0.25},
+    ],
+)
+def test_sampler_at_the_bucket_edges(scheme, kwargs, monkeypatch):
+    """Keys one unit either side of the start and the end of every bucket
+    that holds a table key and of a spread of other buckets, in every
+    branch a round can reach."""
+    config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, **kwargs)
+    table = _RoundTable(config)
+    if kwargs["c0"] == 0.5:
+        inner = table.keys[table.keys % (1 << 53) != 0]
+        assert (inner % BUCKET_WIDTH == 0).any()
+    holding = (table.keys // BUCKET_WIDTH).tolist()
+    buckets = {*holding, *(m + 1 for m in holding), *range(0, BUCKETS, 61), BUCKETS - 1}
+    # Mode and attack draws on either side of their thresholds pick each branch.
+    mode = (table.mode_threshold - 1, table.mode_threshold)
+    attack = (table.attack_threshold, table.attack_threshold - 1)
+    draws = []
+    for m in sorted(buckets):
+        for key in (m * BUCKET_WIDTH - 1, m * BUCKET_WIDTH, m * BUCKET_WIDTH + 1):
+            branch, k = divmod(key, 1 << 53)
+            round_draws = (mode[branch >> 1], attack[branch & 1], k)
+            if 0 <= key and all(0 <= d < 1 << 53 for d in round_draws):
+                draws += round_draws
+    raw = (np.array(draws, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+    n = raw.size // 3
+    assert n > len(buckets)
     monkeypatch.setattr(protocol, "round_rng", lambda seed, block: ReplayedDraws(raw))
     expected = float_sample(config, ReplayedDraws(raw), n)
     assert np.array_equal(_RoundTable(config).sample(0, n), expected)
@@ -490,6 +564,23 @@ def test_records_csv_matches_per_record_formatting(tmp_path, scheme):
         writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
     path = tmp_path / "rounds.csv"
     write_records_csv(config, str(path), metadata)
+    assert path.read_bytes() == reference.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "rounds",
+    [_CSV_CHUNK_ROUNDS - 1, _CSV_CHUNK_ROUNDS, _CSV_CHUNK_ROUNDS + 1,
+     BLOCK_ROUNDS + _CSV_CHUNK_ROUNDS + 1],
+)
+def test_records_csv_at_the_chunk_edges(tmp_path, rounds):
+    config = ProtocolConfig(rounds=rounds, seed=8, scheme="improved-symmetrized", eta=0.8, c0=0.3)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(_CSV_COLUMNS)
+    for record in run_rounds(config):
+        writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
+    path = tmp_path / "rounds.csv"
+    write_records_csv(config, str(path), {})
     assert path.read_bytes() == reference.getvalue().encode()
 
 
