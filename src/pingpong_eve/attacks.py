@@ -27,6 +27,12 @@ to the four-component attack state, and the phase-encoded pair state maps to
 its travel-phase-flipped counterpart.  Each image ket keeps two travel
 photons, so photon number is conserved.
 
+Both legs are array kernels on amplitude rows of shape (..., 54),
+``outbound_amps`` and ``inbound_amps``, so a stack of states takes one
+pass; ``attack_ba`` and ``attack_ab`` wrap them for one ``PureState``.  A
+row with support outside the leg's span raises SubspaceLeakageError, which
+names every leaking ket of the stack.
+
 The symmetrization S = X_t Z_t N_ty X_t (rightmost first) is built from the
 state-engine gates and makes the attack's outcome statistics symmetric
 under swapping the message-bit value.
@@ -95,7 +101,6 @@ def forward_images() -> np.ndarray:
 
 
 _IMAGES = forward_images()
-_IMAGES_CONJ = _IMAGES.conj()
 _OUTSIDE_F = ~np.isin(np.arange(DIM), _F_INDICES)
 
 
@@ -111,11 +116,42 @@ class SubspaceLeakageError(ValueError):
 
 
 def _check_leakage(direction: str, residual: np.ndarray) -> None:
-    """Raise SubspaceLeakageError naming each ket of residual above 1e-12."""
+    """Raise SubspaceLeakageError naming, in index order, each ket on which
+    any row of the (..., 54) residual exceeds 1e-12 or is nan."""
     magnitude = np.abs(residual)
-    if magnitude.max() > 1e-12:
-        offending = [BasisKet.from_index(int(i)) for i in np.flatnonzero(magnitude > 1e-12)]
+    # "not <=", so that a nan amplitude leaks too.
+    if not magnitude.max() <= 1e-12:
+        leaking = ~(magnitude <= 1e-12).reshape(-1, DIM).all(axis=0)
+        offending = [BasisKet.from_index(int(i)) for i in np.flatnonzero(leaking)]
         raise SubspaceLeakageError(direction, offending)
+
+
+# Both legs give each row of a stack a product of its own, the one a single
+# state gets, so a row of a stack and a lone state come out bit for bit
+# equal; one (n, 4) @ (4, 54) product over the stack differs in the sign of
+# some zeros.  Both legs read _IMAGES when called, so it can be replaced.
+
+
+def _rows_times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows (..., n) times matrix (n, m), one vector-matrix product per row."""
+    return (rows[..., None, :] @ matrix)[..., 0, :]
+
+
+def outbound_amps(amps: np.ndarray) -> np.ndarray:
+    """Outbound leg on amplitude rows of shape (..., 54); the rows must lie
+    in span{f1..f4}, or SubspaceLeakageError names the offending kets."""
+    _check_leakage("outbound", np.where(_OUTSIDE_F, amps, 0.0))
+    return _rows_times(amps[..., _F_INDICES], _IMAGES)
+
+
+def inbound_amps(amps: np.ndarray) -> np.ndarray:
+    """Inbound leg on amplitude rows of shape (..., 54): the adjoint of the
+    outbound leg, defined on the span of the outbound images."""
+    coeffs = (_IMAGES.conj() @ amps[..., None])[..., 0]
+    _check_leakage("inbound", amps - _rows_times(coeffs, _IMAGES))
+    restored = np.zeros(amps.shape, dtype=complex)
+    restored[..., _F_INDICES] = coeffs
+    return restored
 
 
 def attack_ba(state: PureState) -> PureState:
@@ -124,8 +160,7 @@ def attack_ba(state: PureState) -> PureState:
     Defined only for states supported on span{f1..f4}; anything else raises
     SubspaceLeakageError naming the offending kets.
     """
-    _check_leakage("outbound", np.where(_OUTSIDE_F, state.amps, 0.0))
-    return PureState(state.amps[_F_INDICES] @ _IMAGES)
+    return PureState(outbound_amps(state.amps))
 
 
 def attack_ab(state: PureState, apply_s: bool = False) -> PureState:
@@ -134,11 +169,7 @@ def attack_ab(state: PureState, apply_s: bool = False) -> PureState:
 
     Defined only for states supported on span of the outbound images.
     """
-    coeffs = _IMAGES_CONJ @ state.amps
-    _check_leakage("inbound", state.amps - coeffs @ _IMAGES)
-    amps = np.zeros(DIM, dtype=complex)
-    amps[_F_INDICES] = coeffs
-    restored = PureState(amps)
+    restored = PureState(inbound_amps(state.amps))
     if apply_s:
         restored = apply_symmetrization(restored)
     return restored

@@ -221,6 +221,18 @@ class PureState:
         return f"PureState({parts})"
 
 
+def require_normalized(amps: np.ndarray) -> None:
+    """The PureState norm check on every row of a (..., 54) amplitude stack.
+
+    PureState keeps its own single-vector check, which costs a fifth of this
+    one per state.
+    """
+    norm_sq = np.einsum("...d,...d->...", amps.conj(), amps).real
+    bad = ~(np.abs(norm_sq - 1.0) <= _NORM_TOL)
+    if bad.any():
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq[bad].flat[0]!r}")
+
+
 # --- gates ---------------------------------------------------------------
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -309,13 +309,17 @@ class _RoundTable:
         # the branch bits and the top 10 bits of k.  Every key of a bucket
         # picks the cell of its start unless a table key lies inside it; only
         # rounds in such straddling buckets (a handful of 4096) are searched.
-        # Branches 0 and 2 are never empty, so the first table key is 0 and
-        # no bucket's cell is negative.
-        starts = np.arange(1 << _BUCKET_BITS, dtype=np.int64) << _BUCKET_SHIFT
-        first = np.searchsorted(self.keys, starts, "right") - 1
-        last = np.searchsorted(self.keys, starts + ((1 << _BUCKET_SHIFT) - 1), "right") - 1
-        self.bucket_cell = first.astype(np.uint8)
-        self.straddles = first != last
+        # A key is <= the start of bucket b exactly when its rounded-up
+        # bucket index is <= b, so a running count of those indices gives
+        # each start's cell.  Branches 0 and 2 are never empty, so the first
+        # table key is 0 and no bucket's cell is negative.
+        low = (1 << _BUCKET_SHIFT) - 1
+        rounded_up = (self.keys + low) >> _BUCKET_SHIFT
+        counts = np.bincount(rounded_up, minlength=(1 << _BUCKET_BITS) + 1)
+        self.bucket_cell = (np.cumsum(counts[:-1]) - 1).astype(np.uint8)
+        # A bucket straddles cells exactly when one of its keys lies past its start.
+        self.straddles = np.zeros(1 << _BUCKET_BITS, dtype=bool)
+        self.straddles[self.keys[(self.keys & low) != 0] >> _BUCKET_SHIFT] = True
 
     def sample(self, block: int, n: int) -> np.ndarray:
         """Cell indices of the first n rounds of a block."""

@@ -18,22 +18,25 @@ from . import __version__
 from .attacks import (
     B_KETS,
     F_KETS,
-    attack_ab,
     attack_ba,
     exact_outcome_table,
     forward_images,
     improved_profile,
+    inbound_amps,
     message_state,
+    outbound_amps,
     wojcik_profile,
 )
 from .conventions import report_rows, solve, summarize
 from .engine import (
+    DIM,
     Occupation,
     PureState,
     ket,
     make_initial,
     mode_marginal,
     project_mode,
+    require_normalized,
 )
 from .information import (
     closed_form,
@@ -213,13 +216,12 @@ def run_all_checks() -> list[CheckResult]:
     # symmetry properties
     worst = 0.0
     for c0 in C0_GRID:
+        plain_c0 = exact_joint("plain", c0)
+        mirrored = exact_joint("symmetrized", 1.0 - c0)
         for pair in ("AE", "AB", "BE"):
             worst = max(
                 worst,
-                abs(
-                    mutual_information(exact_joint("plain", c0), pair)
-                    - mutual_information(exact_joint("symmetrized", 1.0 - c0), pair)
-                ),
+                abs(mutual_information(plain_c0, pair) - mutual_information(mirrored, pair)),
             )
     add("mirror-symmetry", worst <= 1e-12, f"worst pairwise diff {worst:.3e}")
     gap = abs(
@@ -310,15 +312,23 @@ def run_all_checks() -> list[CheckResult]:
         "all-identity semantics do not reproduce the pinned images",
     )
 
-    # random-state round trips (seeded, deterministic)
+    # random-state round trips (seeded, deterministic), as one stack of rows
     rng = np.random.default_rng(20260817)
-    worst = 0.0
-    for _ in range(100):
-        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-        coeffs /= np.linalg.norm(coeffs)
-        state = PureState.from_terms(dict(zip(F_KETS, coeffs)))
-        round_trip = attack_ab(attack_ba(state))
-        worst = max(worst, round_trip.max_amplitude_diff(state))
+    draws = rng.normal(size=(100, 2, 4))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    # Each row is divided by its np.linalg.norm: the square root of a dot
+    # product over the real parts plus one over the imaginary parts, which a
+    # stacked (1, 4) @ (4, 1) matmul computes row by row.  A norm along
+    # axis 1 sums in another order and rounds some rows differently.
+    re, im = coeffs.real[:, None, :], coeffs.imag[:, None, :]
+    coeffs /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    states = np.zeros((100, DIM), dtype=complex)
+    states[:, [k.index for k in F_KETS]] = coeffs
+    outbound = outbound_amps(states)
+    round_trip = inbound_amps(outbound)
+    for stack in (states, outbound, round_trip):
+        require_normalized(stack)
+    worst = float(np.abs(round_trip - states).max())
     add(
         "attack-round-trip",
         worst <= 1e-12,

@@ -18,7 +18,9 @@ from pingpong_eve.attacks import (
     exact_outcome_table,
     forward_images,
     improved_profile,
+    inbound_amps,
     message_state,
+    outbound_amps,
     wojcik_profile,
 )
 from pingpong_eve.engine import (
@@ -158,6 +160,29 @@ def test_leak_threshold(leg, domain):
             assert str(err.value).endswith("[h=0 t=0 x=vac y=0]")
         else:
             assert abs(leg(state).norm_sq - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kernel, domain", [(outbound_amps, F_KETS), (inbound_amps, B_KETS)])
+def test_stacked_leak_names_the_stray_kets(kernel, domain):
+    # Three rows in the leg's span.  A stray ket at 2e-12 in one row is named
+    # alone; strays in two rows are all named, in index order.
+    weights = np.array([0.5, 0.5j, -0.5, 0.5])
+    high, low = ket(1, "1", "1", "1"), ket(0, "0", "vac", "0")
+    assert low.index < high.index and not {low, high} & set(F_KETS + B_KETS)
+    for strays, named in (({1: low}, [low]), ({0: high, 2: low}, [low, high])):
+        stack = np.zeros((3, DIM), dtype=complex)
+        stack[:, [k.index for k in domain]] = weights
+        for row, stray in strays.items():
+            stack[row] *= np.sqrt(1.0 - 2e-12**2)
+            stack[row, stray.index] = 2e-12
+        with pytest.raises(SubspaceLeakageError) as err:
+            kernel(stack)
+        assert err.value.offending == named
+    # A nan off the span leaks too, rather than being dropped unseen.
+    stack[1, low.index] = np.nan
+    with pytest.raises(SubspaceLeakageError) as err:
+        kernel(stack)
+    assert low in err.value.offending
 
 
 def test_round_trip_is_identity_on_subspace():

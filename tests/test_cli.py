@@ -6,14 +6,18 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pingpong_eve import cli, protocol
+from pingpong_eve import cli, protocol, verify
+from pingpong_eve.attacks import F_KETS, attack_ab, attack_ba
+from pingpong_eve.engine import PureState
 from pingpong_eve.cli import main
 
 ETA_STAR_IMPROVED = 0.777294010664580
@@ -60,6 +64,61 @@ GOLDEN_VERIFY = "fead2daf0f22fafec797d7538bc3e469592390cc83b3bc2a09b9585089af7cf
 def test_verify_golden_bytes(capsys):
     assert run_main(["verify"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_VERIFY
+
+
+def test_round_trip_stack_equals_the_per_state_loop(monkeypatch):
+    # The reference is the loop over single states that the check replaces:
+    # the same draws, norms and legs, so every row must match bit for bit.
+    calls = {}
+    for name in ("outbound_amps", "inbound_amps"):
+        def record(amps, kernel=getattr(verify, name), name=name):
+            calls[name] = (amps, kernel(amps))
+            return calls[name][1]
+
+        monkeypatch.setattr(verify, name, record)
+    verify.run_all_checks()
+    states, outbound = calls["outbound_amps"]
+    assert calls["inbound_amps"][0] is outbound
+    returned = calls["inbound_amps"][1]
+    rng = np.random.default_rng(20260817)
+    for row in range(100):
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        coeffs /= np.linalg.norm(coeffs)
+        state = PureState.from_terms(dict(zip(F_KETS, coeffs)))
+        assert states[row].tobytes() == state.amps.tobytes()
+        assert outbound[row].tobytes() == attack_ba(state).amps.tobytes()
+        assert returned[row].tobytes() == attack_ab(attack_ba(state)).amps.tobytes()
+
+
+def test_verify_fails_a_perturbed_round_trip(monkeypatch, capsys):
+    # One returned row off by 1e-9, far inside the norm tolerance of 1e-8.
+    inbound_amps = verify.inbound_amps
+
+    def perturbed(amps):
+        returned = inbound_amps(amps)
+        returned[37, F_KETS[2].index] += 1e-9
+        return returned
+
+    monkeypatch.setattr(verify, "inbound_amps", perturbed)
+    assert run_main(["verify"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(failed) == 2
+    assert failed[0].startswith("FAIL attack-round-trip: 100 random in-domain states")
+    assert failed[1] == "30/31 checks passed, 1 FAILED"
+
+
+def test_verify_refuses_an_unnormalized_round_trip_row(monkeypatch):
+    # As a single PureState would: |psi|^2 = 1 + 2e-6 is outside 1e-8.
+    inbound_amps = verify.inbound_amps
+
+    def scaled(amps):
+        returned = inbound_amps(amps)
+        returned[37] *= 1.0 + 1e-6
+        return returned
+
+    monkeypatch.setattr(verify, "inbound_amps", scaled)
+    with pytest.raises(ValueError, match="not normalized"):
+        verify.run_all_checks()
 
 
 # --- simulate --------------------------------------------------------------------
@@ -441,6 +500,40 @@ def test_solver_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve", refuse_work)
     missing = tmp_path / "no-such-dir" / "census.csv"
     assert_unwritable_is_usage_error(["solve-conventions", "--out", str(missing)], capsys, missing)
+
+
+# --- README ----------------------------------------------------------------------
+
+
+def test_readme_numbers_match_the_cli(capsys):
+    # Every physics figure of README's "Numbers worth knowing", in the order
+    # the text gives them, against the verify and analyze stdout rounded to
+    # the digits README prints.  Timings there are not checked.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Numbers worth knowing\n")[1].split("\n## ")[0]
+    figures = re.findall(r"-?\d+\.\d{6}|1/4", section)
+    stdout = {}
+    for command in (["verify"], *(["analyze", "--scheme", s] for s in ("improved", "wojcik"))):
+        assert run_main(command) == 0
+        stdout[command[-1]] = capsys.readouterr().out
+    sources = [
+        ("verify", r"I_AE = I_AB = (\S+) "),
+        ("verify", r"I_BE = (\S+) "),
+        ("verify", r"mixture I_AB = (\S+) "),
+        ("verify", r"QBER = (\S+),"),
+        ("verify", r"P\(no photon\) = (\S+),"),
+        ("improved", r"insecure below eta\*=(\S+) "),
+        ("wojcik", r"insecure below eta\*=(\S+) "),
+        ("verify", r"printed form gives (\S+),"),
+        ("verify", r"brute force gives (\S+),"),
+    ]
+    assert len(figures) == len(sources)
+    for figure, (command, pattern) in zip(figures, sources):
+        value = float(re.search(pattern, stdout[command])[1])
+        if figure == "1/4":
+            assert value == 0.25, pattern
+        else:
+            assert f"{value:.{len(figure.split('.')[1])}f}" == figure, pattern
 
 
 # --- packaging -------------------------------------------------------------------

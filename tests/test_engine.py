@@ -25,6 +25,7 @@ from pingpong_eve.engine import (
     mode_marginal,
     project_bell,
     project_mode,
+    require_normalized,
     sample_from,
 )
 
@@ -137,6 +138,19 @@ def test_non_finite_amplitudes_rejected():
         amps[5] = bad
         with pytest.raises(ValueError, match="not normalized"):
             PureState(amps)
+
+
+def test_stack_norm_check_refuses_what_pure_state_refuses():
+    rows = np.zeros((3, DIM), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[:, 7] = 1e-5  # |psi|^2 = 1 + 1e-10, inside the tolerance
+    require_normalized(rows)
+    for bad in (1.0 + 1e-8, 0.9, np.nan, np.inf):
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(rows[1])
+        with pytest.raises(ValueError, match="not normalized"):
+            require_normalized(rows)
 
 
 def test_states_are_immutable():

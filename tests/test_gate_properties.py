@@ -1,9 +1,11 @@
 """Property tests of the polarization gates against dense reference
-operators, with the suite's fixed derandomized Hypothesis profile.
+operators, and of the attack legs on stacks of states, with the suite's
+fixed derandomized Hypothesis profile.
 
 The reference acts on the full 54-dimensional space as a Kronecker product
 over (h, t, x, y): the gate itself on h, and on a photon mode the gate
-beside an untouched vacuum level.
+beside an untouched vacuum level.  The stacked attack legs are held to the
+single-state legs, row by row and bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from pingpong_eve.attacks import (  # noqa: E402
+    F_KETS,
+    attack_ab,
+    attack_ba,
+    inbound_amps,
+    outbound_amps,
+)
 from pingpong_eve.engine import (  # noqa: E402
     DIM,
     MODES,
@@ -112,3 +121,19 @@ def test_non_finite_gates_rejected(mode, gate, entry, bad):
 def test_wrong_shape_gates_rejected(shape):
     with pytest.raises(ValueError, match="must be 2x2"):
         apply_polarization_gate(make_initial(), "t", np.ones(shape))
+
+
+@DETERMINISTIC
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_stacked_round_trip_is_the_identity(rows, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    states = np.zeros((rows, DIM), dtype=complex)
+    states[:, [k.index for k in F_KETS]] = coeffs
+    outbound = outbound_amps(states)
+    returned = inbound_amps(outbound)
+    assert np.max(np.abs(returned - states)) <= 1e-12
+    for state, out_row, back_row in zip(states, outbound, returned):
+        assert out_row.tobytes() == attack_ba(PureState(state)).amps.tobytes()
+        assert back_row.tobytes() == attack_ab(PureState(out_row)).amps.tobytes()
