@@ -214,6 +214,23 @@ def test_simulate_golden_bytes(tmp_path, capsys, extra, stdout_sha, csv_sha, sta
     assert digests == [stdout_sha, csv_sha, stats_sha]
 
 
+# SHA-256 of the --out CSV of `simulate --seed 7 --rounds 100001 --scheme
+# improved-symmetrized --eta 0.8 --c0 0.3`: round indices of one to six
+# digits, the last one 100000, across seven block edges.
+GOLDEN_SIMULATE_CSV_100001 = "19322f56a042feb4535a70b4a410a9fc8c52e26270215c0443e49a1446cdce98"
+
+
+def test_simulate_six_digit_csv_golden_bytes(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    argv = ["simulate", "--seed", "7", "--rounds", "100001", "--scheme", "improved-symmetrized",
+            "--eta", "0.8", "--c0", "0.3", "--out", str(out)]
+    assert run_main(argv) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert data.endswith(b"\n100000,control,true,,,,1,0,,false,false\r\n")
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SIMULATE_CSV_100001
+
+
 def test_simulate_usage_errors_exit_2(capsys):
     for argv in (
         ["simulate", "--eta", "1.5", "--rounds", "10"],
