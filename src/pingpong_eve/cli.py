@@ -46,6 +46,13 @@ def _attack_fraction_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}")
 
 
+def _output_path(text: str) -> str:
+    # An empty path would be skipped as an absent output, not refused.
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
@@ -74,21 +81,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"RNG seed (default {DEFAULT_SEED}, or ${SEED_ENV_VAR})")
     simulate.add_argument("--attack-fraction", type=_attack_fraction_arg,
                           default="auto", metavar="FRACTION|auto")
-    simulate.add_argument("--out", metavar="PATH",
+    simulate.add_argument("--out", metavar="PATH", type=_output_path,
                           help="write per-round records CSV here")
-    simulate.add_argument("--stats", metavar="PATH",
+    simulate.add_argument("--stats", metavar="PATH", type=_output_path,
                           help="write aggregate statistics JSON here")
 
     analyze = sub.add_parser("analyze", help="information curves and bounds")
     analyze.add_argument("--scheme", choices=sorted(ANALYZE_PROFILES), default="improved")
-    analyze.add_argument("--curve", metavar="PATH",
+    analyze.add_argument("--curve", metavar="PATH", type=_output_path,
                          help="write the eta curve CSV here")
-    analyze.add_argument("--report", metavar="PATH",
+    analyze.add_argument("--report", metavar="PATH", type=_output_path,
                          help="write the security report JSON here")
 
     solver = sub.add_parser("solve-conventions",
                             help="enumerate gate-semantics candidates")
-    solver.add_argument("--out", metavar="PATH",
+    solver.add_argument("--out", metavar="PATH", type=_output_path,
                         help="write the candidate report CSV here (default stdout)")
 
     return parser

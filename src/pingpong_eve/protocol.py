@@ -32,10 +32,13 @@ i's draws depend only on (seed, i), a shorter run is a prefix of a longer
 one, and ``replay_round`` regenerates a single block.  ``run_simulation``
 tallies cell counts per block without building records; ``run_rounds``
 builds one per round.  ``write_records_csv`` builds no records
-either: it formats each table cell's CSV row once, writes every block in
-chunks of up to 4096 rounds, each one string of round indices and their
-cells' row texts, and tallies the same blocks into the run's stats, so
-each block is drawn once.  The stream scheme is named by ``RNG_STREAM``.
+either: it formats each table cell's CSV row once, as a row of a NUL-padded
+byte table, and writes every block in windows of up to 2048 rounds that
+share i // 10**4.  A window is one byte grid: the index prefix i // 10**4,
+the index's last four digits sliced from a digit table, and the cells' row
+texts, with the NUL padding dropped.  The same blocks are tallied into the
+run's stats, so each block is drawn once.  The stream scheme is named by
+``RNG_STREAM``.
 
 The ``wojcik-reference`` scheme has no gate-level model here and is
 simulated from its summary statistics: attacked control rounds lose the
@@ -166,10 +169,30 @@ _UNIT_BITS = 53
 # bits index the bucket table.
 _BUCKET_BITS = 12
 _BUCKET_SHIFT = 2 + _UNIT_BITS - _BUCKET_BITS
-# Rounds per string join of the CSV body.  Against writing round by round,
-# one join per block raised the peak RSS of a 20000-round `simulate --out`
-# by about 2.4 MB, one per 4096 rounds by about 0.3 MB.
-_CSV_CHUNK_ROUNDS = 1 << 12
+# Rounds per byte grid of the CSV body.  A window holds its grid, NUL mask
+# and compacted bytes at once, about 0.3 MB at 2048 rounds; windows of 4096
+# rounds wrote no faster and hold twice that.
+_CSV_WINDOW_ROUNDS = 1 << 11
+# The last four digits of a round index i are those of i % 10**4, read from
+# a table: zero-padded below a printed prefix i // 10**4, NUL-padded where
+# i < 10**4 prints no prefix and no leading zero.
+_INDEX_DIGITS = 4
+_INDEX_LOW = 10**_INDEX_DIGITS
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(zero-padded, NUL-padded) uint8 texts of 0 .. 10**4 - 1, 4 bytes each."""
+    codes = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    zero_padded = np.stack(np.meshgrid(*[codes] * _INDEX_DIGITS, indexing="ij"), axis=-1)
+    zero_padded = zero_padded.reshape(_INDEX_LOW, _INDEX_DIGITS)
+    nul_padded = zero_padded.copy()
+    for k in range(1, _INDEX_DIGITS):
+        # below 10**k a number prints only its last k digits
+        nul_padded[:10**k, :_INDEX_DIGITS - k] = 0
+    return zero_padded, nul_padded
+
+
+_ZERO_PADDED, _NUL_PADDED = _digit_tables()
 
 
 def _threshold(p: float) -> int:
@@ -585,32 +608,71 @@ def metadata_lines(metadata: dict) -> list[str]:
     return [f"# {key}={_cell(value)}" for key, value in metadata.items()]
 
 
+def _csv_line(values) -> str:
+    """One CSV row, line terminator included."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(values)
+    return buffer.getvalue()
+
+
 def _row_text(cell: _Cell) -> str:
     """A cell's CSV row after the round index, line terminator included."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow(["", *map(_cell, cell)])
-    return buffer.getvalue()
+    return _csv_line(["", *map(_cell, cell)])
+
+
+def _row_table(cells: list[_Cell], lead: int) -> np.ndarray:
+    """The cells' row texts as the rows of a NUL-padded uint8 table, each
+    after ``lead`` NUL bytes that leave room for a round index."""
+    # One byte per character, and no NUL: the body drops every NUL byte of
+    # its grid, padding and nothing else.  encode raises on a non-ASCII text.
+    rows = [_row_text(cell).encode("ascii") for cell in cells]
+    if any(b"\0" in row for row in rows):
+        raise ValueError(f"a CSV row text holds a NUL byte: {rows!r}")
+    padded = np.array([b"\0" * lead + row for row in rows], dtype=bytes)
+    return padded.view(np.uint8).reshape(len(rows), -1)
+
+
+def _window_body(
+    high: int, low: int, cells: np.ndarray, rows: np.ndarray, lead: int
+) -> np.ndarray:
+    """CSV bytes of the rounds high * 10**4 + low + r, for r < cells.size,
+    where low + cells.size <= 10**4: a prefix str(high), printed unless
+    high is 0, then each round's four low digits and its cell's row text."""
+    grid = rows.take(cells, axis=0)
+    at = lead - _INDEX_DIGITS
+    if high:
+        prefix = str(high).encode()
+        grid[:, at - len(prefix):at] = np.frombuffer(prefix, dtype=np.uint8)
+        grid[:, at:lead] = _ZERO_PADDED[low:low + cells.size]
+    else:
+        grid[:, at:lead] = _NUL_PADDED[low:low + cells.size]
+    grid = grid.ravel()
+    return grid[grid != 0]
 
 
 def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> RunStats:
     """Write every round of the run as one CSV row, block by block, without
-    building records: each cell's row text is formatted once per run.
+    building records: each cell's row text is formatted once per run, and
+    each window of rounds is one byte grid with its NUL padding dropped.
     Returns the run's stats, tallied from the same blocks, which equal
     ``run_simulation(config)``."""
     table = _RoundTable(config)
     counts = np.zeros(len(table.cells), dtype=np.int64)
-    with open(path, "w", newline="") as handle:
-        for line in metadata_lines(metadata):
-            handle.write(line + "\n")
-        csv.writer(handle).writerow(_CSV_COLUMNS)
-        rows = [_row_text(cell) for cell in table.cells]
+    # Room for the longest round index of the run, and at least the four
+    # low digits.
+    lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
+    rows = _row_table(table.cells, lead)
+    with open(path, "wb") as handle:
+        head = "".join(line + "\n" for line in metadata_lines(metadata))
+        handle.write((head + _csv_line(_CSV_COLUMNS)).encode())
         for start, cells in table.blocks(config.rounds):
             counts += np.bincount(cells, minlength=counts.size)
-            for offset in range(0, cells.size, _CSV_CHUNK_ROUNDS):
-                part = cells[offset:offset + _CSV_CHUNK_ROUNDS]
-                # index, row, index, row, ...: one join and one write per chunk
-                text = [""] * (2 * part.size)
-                text[0::2] = map(str, range(start + offset, start + offset + part.size))
-                text[1::2] = map(rows.__getitem__, part.tolist())
-                handle.write("".join(text))
+            # Windows of at most _CSV_WINDOW_ROUNDS rounds that share
+            # i // 10**4, so that their low digits are one slice of a table.
+            offset = 0
+            while offset < cells.size:
+                high, low = divmod(start + offset, _INDEX_LOW)
+                n = min(cells.size - offset, _INDEX_LOW - low, _CSV_WINDOW_ROUNDS)
+                handle.write(_window_body(high, low, cells[offset:offset + n], rows, lead))
+                offset += n
     return _tally(zip(table.cells, counts.tolist()))

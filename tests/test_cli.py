@@ -216,7 +216,7 @@ def test_simulate_golden_bytes(tmp_path, capsys, extra, stdout_sha, csv_sha, sta
 
 # SHA-256 of the --out CSV of `simulate --seed 7 --rounds 100001 --scheme
 # improved-symmetrized --eta 0.8 --c0 0.3`: round indices of one to six
-# digits, the last one 100000, across seven block edges.
+# digits, the last one 100000, across six block edges.
 GOLDEN_SIMULATE_CSV_100001 = "19322f56a042feb4535a70b4a410a9fc8c52e26270215c0443e49a1446cdce98"
 
 
@@ -288,6 +288,29 @@ def test_simulate_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys
         argv = ["simulate", "--rounds", "10", flag, str(missing)]
         assert_unwritable_is_usage_error(argv, capsys, missing)
     assert_unwritable_is_usage_error(["simulate", "--out", str(tmp_path)], capsys, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rounds", "10", "--out", ""],
+        ["simulate", "--rounds", "10", "--stats", ""],
+        ["analyze", "--curve", ""],
+        ["analyze", "--report", ""],
+        ["solve-conventions", "--out", ""],
+    ],
+)
+def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    for name in ("run_simulation", "write_records_csv", "security_report", "solve"):
+        monkeypatch.setattr(cli, name, refuse_work)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        run_main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argv[-2]}: expected a file path, got ''" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys):

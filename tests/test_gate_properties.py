@@ -1,6 +1,7 @@
 """Property tests of the polarization gates against dense reference
-operators, and of the attack legs on stacks of states, with the suite's
-fixed derandomized Hypothesis profile.
+operators, of the CNOT and the mode and Bell measurements, and of the
+attack legs on stacks of states, with the suite's fixed derandomized
+Hypothesis profile.
 
 The reference acts on the full 54-dimensional space as a Kronecker product
 over (h, t, x, y): the gate itself on h, and on a photon mode the gate
@@ -29,10 +30,15 @@ from pingpong_eve.attacks import (  # noqa: E402
 from pingpong_eve.engine import (  # noqa: E402
     DIM,
     MODES,
+    PHOTON_MODES,
     BasisKet,
+    Occupation,
     PureState,
+    apply_cnot,
     apply_polarization_gate,
+    bell_probabilities,
     make_initial,
+    project_mode,
 )
 from test_sampler_properties import DETERMINISTIC  # noqa: E402
 
@@ -71,6 +77,15 @@ def dense_operator(mode: str, gate: np.ndarray) -> np.ndarray:
 
 def sector_weights(state: PureState) -> np.ndarray:
     return np.bincount(PHOTON_NUMBER, weights=np.abs(state.amps) ** 2, minlength=4)
+
+
+def random_sector_state(seed: int, sectors: frozenset[int]) -> PureState:
+    """A random state whose support is the given photon-number sectors."""
+    amps = random_state(seed).amps * np.isin(PHOTON_NUMBER, list(sectors))
+    return PureState(amps / np.linalg.norm(amps))
+
+
+photon_sectors = st.frozensets(st.integers(0, 3), min_size=1)
 
 
 @DETERMINISTIC
@@ -137,3 +152,46 @@ def test_stacked_round_trip_is_the_identity(rows, seed):
     for state, out_row, back_row in zip(states, outbound, returned):
         assert out_row.tobytes() == attack_ba(PureState(state)).amps.tobytes()
         assert back_row.tobytes() == attack_ab(PureState(out_row)).amps.tobytes()
+
+
+@DETERMINISTIC
+@given(st.permutations(PHOTON_MODES), st.integers(0, 2**32 - 1))
+def test_cnot_preserves_norm_and_photon_number(modes, seed):
+    control, target = modes[:2]
+    state = random_state(seed)
+    out = apply_cnot(state, control, target)
+    assert abs(out.norm_sq - 1.0) < 1e-12
+    assert np.max(np.abs(sector_weights(out) - sector_weights(state))) < 1e-12
+    ket_state = PureState(np.eye(DIM)[seed % DIM])
+    assert apply_cnot(ket_state, control, target).photon_sectors(tol=0.0) == (
+        ket_state.photon_sectors(tol=0.0)
+    )
+
+
+@DETERMINISTIC
+@given(st.sampled_from(MODES), photon_sectors, st.integers(0, 2**32 - 1))
+def test_mode_projections_split_the_state(mode, sectors, seed):
+    state = random_sector_state(seed, sectors)
+    total = 0.0
+    mixed = np.zeros(4)
+    for outcome in Occupation:
+        p, collapsed = project_mode(state, mode, outcome)
+        assert p >= 0.0
+        total += p
+        if collapsed is None:
+            continue
+        # normalized, inside the parent's photon sectors, and the outcomes
+        # together hold each sector's weight
+        assert abs(collapsed.norm_sq - 1.0) < 1e-12
+        assert collapsed.photon_sectors(tol=0.0) <= state.photon_sectors(tol=0.0)
+        mixed += p * sector_weights(collapsed)
+    assert abs(total - 1.0) < 1e-12
+    assert np.max(np.abs(mixed - sector_weights(state))) < 1e-12
+
+
+@DETERMINISTIC
+@given(photon_sectors, st.integers(0, 2**32 - 1))
+def test_bell_probabilities_sum_to_one(sectors, seed):
+    probs = bell_probabilities(random_sector_state(seed, sectors))
+    assert min(probs.values()) >= 0.0
+    assert abs(sum(probs.values()) - 1.0) < 1e-12

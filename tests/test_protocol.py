@@ -22,8 +22,9 @@ from pingpong_eve import protocol
 from pingpong_eve.attacks import improved_profile, wojcik_profile
 from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
-    _CSV_CHUNK_ROUNDS,
     _CSV_COLUMNS,
+    _CSV_WINDOW_ROUNDS,
+    _INDEX_LOW,
     BLOCK_ROUNDS,
     SCHEMES,
     ProtocolConfig,
@@ -567,21 +568,85 @@ def test_records_csv_matches_per_record_formatting(tmp_path, scheme):
     assert path.read_bytes() == reference.getvalue().encode()
 
 
-@pytest.mark.parametrize(
-    "rounds",
-    [_CSV_CHUNK_ROUNDS - 1, _CSV_CHUNK_ROUNDS, _CSV_CHUNK_ROUNDS + 1,
-     BLOCK_ROUNDS + _CSV_CHUNK_ROUNDS + 1],
-)
-def test_records_csv_at_the_chunk_edges(tmp_path, rounds):
-    config = ProtocolConfig(rounds=rounds, seed=8, scheme="improved-symmetrized", eta=0.8, c0=0.3)
+def reference_csv(config: ProtocolConfig) -> io.StringIO:
+    """Header and rows of a run, each row written by csv.writer from its record."""
     reference = io.StringIO(newline="")
     writer = csv.writer(reference)
     writer.writerow(_CSV_COLUMNS)
     for record in run_rounds(config):
         writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
+    return reference
+
+
+# Rounds next to one and two window bounds from the start of block 0, and
+# one round past them from the start of block 1.
+@pytest.mark.parametrize(
+    "rounds",
+    [k * _CSV_WINDOW_ROUNDS + d for k in (1, 2) for d in (-1, 0, 1)]
+    + [BLOCK_ROUNDS + k * _CSV_WINDOW_ROUNDS + 1 for k in (1, 2)],
+)
+def test_records_csv_at_the_chunk_edges(tmp_path, rounds):
+    config = ProtocolConfig(rounds=rounds, seed=8, scheme="improved-symmetrized", eta=0.8, c0=0.3)
     path = tmp_path / "rounds.csv"
     write_records_csv(config, str(path), {})
-    assert path.read_bytes() == reference.getvalue().encode()
+    assert path.read_bytes() == reference_csv(config).getvalue().encode()
+
+
+@lru_cache(maxsize=None)
+def reference_lines(scheme: str, rounds: int) -> tuple[bytes, ...]:
+    config = ProtocolConfig(rounds=rounds, seed=8, scheme=scheme, eta=0.8, c0=0.3)
+    return tuple(reference_csv(config).getvalue().encode().splitlines(keepends=True))
+
+
+def assert_csv_is_a_reference_prefix(tmp_path, scheme: str, rounds: int, longest: int) -> None:
+    """The CSV of a run of ``rounds`` against the header and first rows of
+    the per-record reference of a run of ``longest`` rounds, which holds it
+    as a prefix (test_shorter_run_is_a_prefix)."""
+    config = ProtocolConfig(rounds=rounds, seed=8, scheme=scheme, eta=0.8, c0=0.3)
+    path = tmp_path / "rounds.csv"
+    write_records_csv(config, str(path), {})
+    assert path.read_bytes() == b"".join(reference_lines(scheme, longest)[:1 + rounds])
+
+
+# Round indices of one digit, and of four and five digits around the first
+# index that prints a prefix i // 10**4 above its zero-padded low digits.
+@pytest.mark.parametrize("rounds", [1, _INDEX_LOW - 1, _INDEX_LOW, _INDEX_LOW + 1])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_records_csv_at_the_index_digit_edges(tmp_path, scheme, rounds):
+    assert_csv_is_a_reference_prefix(tmp_path, scheme, rounds, _INDEX_LOW + 1)
+
+
+# A window of the CSV body ends at a block edge, at a multiple of 10**4, or
+# _CSV_WINDOW_ROUNDS rounds after either.  The edges: the first two block
+# edges, the 10**4 edge inside block 1 and the window after it, the block
+# edge before 10**5, and 10**5 itself, the first six-digit index.
+WINDOW_EDGES = [
+    BLOCK_ROUNDS,
+    2 * _INDEX_LOW,
+    2 * _INDEX_LOW + _CSV_WINDOW_ROUNDS,
+    2 * BLOCK_ROUNDS,
+    6 * BLOCK_ROUNDS,
+    10 * _INDEX_LOW,
+]
+
+
+@pytest.mark.parametrize("rounds", sorted(edge + d for edge in WINDOW_EDGES for d in (-1, 0, 1)))
+def test_records_csv_at_the_window_edges(tmp_path, rounds):
+    assert_csv_is_a_reference_prefix(
+        tmp_path, "improved-symmetrized", rounds, 10 * _INDEX_LOW + 1
+    )
+
+
+@pytest.mark.parametrize("text", [",control,\0\r\n", ",contr\u00f4le\r\n"])
+def test_records_csv_refuses_a_row_text_it_cannot_compact(tmp_path, monkeypatch, text):
+    # The body drops every NUL byte of its byte grid, so a row text must be
+    # ASCII without NUL; the check runs before the file is opened.
+    monkeypatch.setattr(protocol, "_row_text", lambda cell: text)
+    config = ProtocolConfig(rounds=10, seed=8)
+    path = tmp_path / "rounds.csv"
+    with pytest.raises(ValueError):
+        write_records_csv(config, str(path), {})
+    assert not path.exists()
 
 
 def test_wojcik_replay_is_deterministic():
