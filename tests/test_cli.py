@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -325,9 +326,15 @@ def test_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys):
             run_main(argv)
         assert excinfo.value.code == 2
         assert "error: x and ./x are the same file" in capsys.readouterr().err
-    # Only a regular file is refused: both outputs may go to the null device.
+    # Only a regular file is refused: both outputs may go to the null device,
+    # which is written but never cut to length.
     monkeypatch.undo()
-    assert run_main(["simulate", "--rounds", "10", "--out", os.devnull, "--stats", os.devnull]) == 0
+    for argv in (
+        ["simulate", "--rounds", "10", "--out", os.devnull, "--stats", os.devnull],
+        ["analyze", "--curve", os.devnull, "--report", os.devnull],
+        ["solve-conventions", "--out", os.devnull],
+    ):
+        assert run_main(argv) == 0
     capsys.readouterr()
 
 
@@ -540,6 +547,148 @@ def test_solver_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve", refuse_work)
     missing = tmp_path / "no-such-dir" / "census.csv"
     assert_unwritable_is_usage_error(["solve-conventions", "--out", str(missing)], capsys, missing)
+
+
+# --- rewriting existing outputs --------------------------------------------------
+
+# An output is rewritten in place and cut to length, so a stale file at its
+# path, longer or shorter than the output, leaves no byte behind.
+LONGER, SHORTER = 2_000_000, 100
+STALE_SIZES = pytest.mark.parametrize("size", [LONGER, SHORTER], ids=["longer", "shorter"])
+
+
+def write_stale(size, *paths):
+    for path in paths:
+        Path(path).write_bytes((b"stale,row\n" * (size // 10 + 1))[:size])
+
+
+def sha256_of(*blobs):
+    return [hashlib.sha256(blob).hexdigest() for blob in blobs]
+
+
+@STALE_SIZES
+def test_simulate_rewrites_stale_outputs(tmp_path, capsys, size):
+    extra, stdout_sha, csv_sha, stats_sha = GOLDEN_SIMULATE[1]
+    out, stats = tmp_path / "records.csv", tmp_path / "stats.json"
+    write_stale(size, out, stats)
+    argv = ["simulate", "--seed", "7", "--eta", "0.85", "--rounds", str(2 * 16384 + 5)]
+    assert run_main(argv + extra + ["--out", str(out), "--stats", str(stats)]) == 0
+    blobs = capsys.readouterr().out.encode(), out.read_bytes(), stats.read_bytes()
+    assert sha256_of(*blobs) == [stdout_sha, csv_sha, stats_sha]
+    assert all(SHORTER < len(blob) < LONGER for blob in blobs[1:])
+
+
+def test_simulate_out_rewrites_a_longer_run(tmp_path, capsys):
+    argv = ["simulate", "--seed", "7", "--scheme", "improved-symmetrized",
+            "--eta", "0.8", "--c0", "0.3", "--out"]
+    records, fresh = tmp_path / "records.csv", tmp_path / "fresh.csv"
+    assert run_main(argv + [str(records), "--rounds", "100001"]) == 0
+    assert run_main(argv + [str(records), "--rounds", "7"]) == 0
+    assert run_main(argv + [str(fresh), "--rounds", "7"]) == 0
+    capsys.readouterr()
+    assert records.read_bytes() == fresh.read_bytes()
+
+
+@STALE_SIZES
+def test_analyze_rewrites_stale_outputs(tmp_path, capsys, size):
+    scheme, stdout_sha, curve_sha, report_sha = GOLDEN_ANALYZE[0]
+    curve, report = tmp_path / "curve.csv", tmp_path / "report.json"
+    write_stale(size, curve, report)
+    argv = ["analyze", "--scheme", scheme, "--curve", str(curve), "--report", str(report)]
+    assert run_main(argv) == 0
+    blobs = capsys.readouterr().out.encode(), curve.read_bytes(), report.read_bytes()
+    assert sha256_of(*blobs) == [stdout_sha, curve_sha, report_sha]
+    assert all(SHORTER < len(blob) < LONGER for blob in blobs[1:])
+
+
+@STALE_SIZES
+def test_solver_rewrites_a_stale_census(tmp_path, capsys, size):
+    census, fresh = tmp_path / "census.csv", tmp_path / "fresh.csv"
+    write_stale(size, census)
+    assert run_main(["solve-conventions", "--out", str(census)]) == 0
+    stdout = capsys.readouterr().out
+    assert run_main(["solve-conventions", "--out", str(fresh)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert census.read_bytes() == fresh.read_bytes()
+    assert SHORTER < len(fresh.read_bytes()) < LONGER
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_solver_writes_its_census_to_a_pipe(tmp_path, capsys):
+    # A pipe is written as it is: it cannot be cut, nor its position read.
+    fresh = tmp_path / "census.csv"
+    assert run_main(["solve-conventions", "--out", str(fresh)]) == 0
+    read_end, write_end = os.pipe()
+    received = []
+    with os.fdopen(read_end, "rb") as pipe:
+        reader = threading.Thread(target=lambda: received.append(pipe.read()))
+        reader.start()
+        try:
+            assert run_main(["solve-conventions", "--out", f"/dev/fd/{write_end}"]) == 0
+        finally:
+            os.close(write_end)
+            reader.join(timeout=60)
+    assert not reader.is_alive()
+    capsys.readouterr()
+    assert received == [fresh.read_bytes()]
+
+
+# A command that raises once its checks have passed, even by Ctrl-C, empties
+# every output, so no previous run's bytes are left behind.
+FAILURES = pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+
+
+def failing(error):
+    def fail(*args, **kwargs):
+        raise error("failed after the output checks")
+
+    return fail
+
+
+@FAILURES
+def test_failed_simulate_empties_its_outputs(tmp_path, monkeypatch, capsys, error):
+    out, stats = tmp_path / "records.csv", tmp_path / "stats.json"
+    write_stale(LONGER, out, stats)
+    windows = []
+    body = protocol._window_body
+
+    def fail_after_the_first_window(*args):
+        windows.append(args)
+        if len(windows) > 1:
+            raise error("failed after the first window")
+        return body(*args)
+
+    monkeypatch.setattr(protocol, "_window_body", fail_after_the_first_window)
+    with pytest.raises(error):
+        run_main(["simulate", "--rounds", "5000", "--out", str(out), "--stats", str(stats)])
+    capsys.readouterr()
+    assert len(windows) == 2
+    assert out.read_bytes() == b"" and stats.read_bytes() == b""
+
+
+@FAILURES
+def test_failed_analyze_empties_its_outputs(tmp_path, monkeypatch, capsys, error):
+    monkeypatch.setattr(cli, "security_report", failing(error))
+    curve, report = tmp_path / "curve.csv", tmp_path / "report.json"
+    write_stale(LONGER, curve, report)
+    with pytest.raises(error):
+        run_main(["analyze", "--curve", str(curve), "--report", str(report)])
+    assert capsys.readouterr().out == ""
+    assert curve.read_bytes() == b"" and report.read_bytes() == b""
+
+
+@FAILURES
+def test_failed_solver_empties_its_census(tmp_path, monkeypatch, capsys, error):
+    monkeypatch.setattr(cli, "solve", failing(error))
+    census = tmp_path / "census.csv"
+    write_stale(LONGER, census)
+    with pytest.raises(error):
+        run_main(["solve-conventions", "--out", str(census)])
+    assert census.read_bytes() == b""
+    # The null device cannot be emptied; the command's own error still goes on.
+    with pytest.raises(error):
+        run_main(["solve-conventions", "--out", os.devnull])
+    assert capsys.readouterr().out == ""
 
 
 # --- README ----------------------------------------------------------------------
