@@ -36,6 +36,10 @@ names every leaking ket of the stack.
 The symmetrization S = X_t Z_t N_ty X_t (rightmost first) is built from the
 state-engine gates and makes the attack's outcome statistics symmetric
 under swapping the message-bit value.
+
+The control and message outcome tables are tabulated exactly from the
+branch states (``engine.exact_probabilities``); the improved attack's loss
+is read off its attacked control table.
 """
 
 from __future__ import annotations
@@ -49,19 +53,17 @@ import numpy as np
 from .engine import (
     DIM,
     BasisKet,
-    BellOutcome,
     Occupation,
     PAULI_X,
     PAULI_Z,
     PureState,
     apply_cnot,
     apply_polarization_gate,
-    bell_probabilities,
+    bell_amplitudes,
+    exact_probabilities,
     ket,
     make_initial,
-    project_mode,
 )
-from .information import exact_joint, mixture_ae_conditioned, mutual_information
 
 F_KETS: tuple[BasisKet, ...] = (
     ket(0, "1", "vac", "0"),
@@ -199,6 +201,33 @@ def message_state(j: int, apply_s: bool = False) -> PureState:
     return attack_ab(state, apply_s=apply_s)
 
 
+# Label of each amplitude of a message state's bell_amplitudes, stacked as
+# rows of three (y = vac, pol0, pol1): 5 * (code of y) + (the two-particle
+# outcome, in BellOutcome order, whose no_photon block has six rows).
+_MESSAGE_LABEL = np.repeat(np.arange(5), [3, 3, 3, 3, 6])[:, None] + 5 * np.arange(3)
+# The (t outcome, h bit) of each entry of control_outcomes, and the entry of
+# each basis ket: 2 * (code of t) + (bit of h).
+CONTROL_T_H = tuple((t, h) for t in Occupation for h in (0, 1))
+_CONTROL_LABEL = np.array([2 * k.t + k.h for k in map(BasisKet.from_index, range(DIM))])
+
+
+def message_outcomes(state: PureState) -> np.ndarray:
+    """Exact joint probabilities, shape (3, 5), of the register y's
+    occupation code (rows vac, pol0, pol1) and the receiver's two-particle
+    outcome (columns in BellOutcome order) for a message-round state."""
+    blocks = [block.reshape(-1, 3) for block in bell_amplitudes(state).values()]
+    return exact_probabilities(np.concatenate(blocks), _MESSAGE_LABEL, 15).reshape(3, 5)
+
+
+@lru_cache(maxsize=None)
+def control_outcomes(attacked: bool) -> tuple[float, ...]:
+    """Exact P(t outcome, h bit) of a control round on the prepared pair,
+    after the outbound attack when ``attacked``, in the order of
+    ``CONTROL_T_H``: (vac, 0), (vac, 1), (pol0, 0), ..., (pol1, 1)."""
+    state = attack_ba(make_initial()) if attacked else make_initial()
+    return tuple(exact_probabilities(state.amps, _CONTROL_LABEL, 6).tolist())
+
+
 def exact_outcome_table(apply_s: bool) -> np.ndarray:
     """Exact conditional table P(k, m | j) from the attack states.
 
@@ -208,26 +237,11 @@ def exact_outcome_table(apply_s: bool) -> np.ndarray:
     register, phi-type or no-photon results) carry zero probability for
     these states; this is verified, not assumed.
     """
-    table = np.zeros((2, 2, 2))
-    for j in (0, 1):
-        state = message_state(j, apply_s=apply_s)
-        p_vac, _ = project_mode(state, "y", Occupation.VAC)
-        if p_vac > 1e-12:
-            raise ValueError(f"unexpected empty register probability {p_vac!r}")
-        for k_bit, occ in ((0, Occupation.POL0), (1, Occupation.POL1)):
-            p_k, collapsed = project_mode(state, "y", occ)
-            if collapsed is None:
-                continue
-            bell = bell_probabilities(collapsed)
-            stray = (
-                bell[BellOutcome.PHI_PLUS]
-                + bell[BellOutcome.PHI_MINUS]
-                + bell[BellOutcome.NO_PHOTON]
-            )
-            if stray > 1e-12:
-                raise ValueError(f"unexpected two-particle outcome mass {stray!r}")
-            table[j, k_bit, 0] = p_k * bell[BellOutcome.PSI_PLUS]
-            table[j, k_bit, 1] = p_k * bell[BellOutcome.PSI_MINUS]
+    outcomes = np.array([message_outcomes(message_state(j, apply_s)) for j in (0, 1)])
+    table = outcomes[:, 1:, :2].copy()
+    outcomes[:, 1:, :2] = 0.0
+    if outcomes.any():
+        raise ValueError(f"unexpected outcome mass {outcomes.sum()!r} outside the table")
     return table
 
 
@@ -252,18 +266,16 @@ class AttackProfile:
     i_be: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "loss": self.loss,
-            "i_ae": self.i_ae,
-            "i_ab": self.i_ab,
-            "i_be": self.i_be,
-        }
+        return dataclasses.asdict(self)
 
 
 def _information_values() -> tuple[float, float, float]:
     """(i_ae, i_ab, i_be) per attacked message bit at balanced prior, from
     the information layer's exact joint distributions."""
+    # Imported here: information builds its tables from this module when it
+    # is imported, so a module-level import would be circular.
+    from .information import exact_joint, mixture_ae_conditioned, mutual_information
+
     return (
         mixture_ae_conditioned(0.5),
         mutual_information(exact_joint("fair-mixture", 0.5), "AB"),
@@ -274,8 +286,9 @@ def _information_values() -> tuple[float, float, float]:
 @lru_cache(maxsize=None)
 def improved_profile() -> AttackProfile:
     """Attack implemented here: quarter loss, same information values as the
-    half-loss reference scheme."""
-    return AttackProfile("improved", 0.25, *_information_values())
+    half-loss reference scheme.  The loss is P(t = vac) of the attacked
+    control table."""
+    return AttackProfile("improved", sum(control_outcomes(True)[:2]), *_information_values())
 
 
 @lru_cache(maxsize=None)

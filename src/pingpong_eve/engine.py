@@ -341,8 +341,10 @@ def project_mode(
     return prob, PureState(np.where(mask, state.amps, 0.0) / np.sqrt(prob))
 
 
-def _bell_blocks(state: PureState) -> dict[BellOutcome, np.ndarray]:
-    """Projection amplitudes c(x, y) of the four (h, t) two-particle states."""
+def bell_amplitudes(state: PureState) -> dict[BellOutcome, np.ndarray]:
+    """Amplitudes of each outcome of the two-particle measurement on (h, t):
+    c(x, y) of the four (h, t) two-particle states, and c(h, x, y) of the
+    kets with an empty travel mode for no_photon."""
     arr = state.amps.reshape(2, 3, 3, 3)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     return {
@@ -350,35 +352,50 @@ def _bell_blocks(state: PureState) -> dict[BellOutcome, np.ndarray]:
         BellOutcome.PSI_MINUS: (arr[0, 2] - arr[1, 1]) * inv_sqrt2,
         BellOutcome.PHI_PLUS: (arr[0, 1] + arr[1, 2]) * inv_sqrt2,
         BellOutcome.PHI_MINUS: (arr[0, 1] - arr[1, 2]) * inv_sqrt2,
+        BellOutcome.NO_PHOTON: arr[:, 0],
     }
 
 
 def bell_probabilities(state: PureState) -> dict[BellOutcome, float]:
-    """Exact outcome probabilities of the two-particle measurement on (h, t).
+    """Outcome probabilities of the two-particle measurement on (h, t).
 
     Support with an empty travel mode shows up as the no_photon outcome.
     """
-    probs = {
+    return {
         outcome: float(np.sum(np.abs(block) ** 2))
-        for outcome, block in _bell_blocks(state).items()
+        for outcome, block in bell_amplitudes(state).items()
     }
-    arr = state.amps.reshape(2, 3, 3, 3)
-    probs[BellOutcome.NO_PHOTON] = float(np.sum(np.abs(arr[:, 0]) ** 2))
-    return probs
+
+
+def exact_probabilities(amps: np.ndarray, outcome: np.ndarray, size: int) -> np.ndarray:
+    """Exact probability of each outcome label 0 .. size - 1, where
+    ``outcome`` labels each amplitude: every amplitude is snapped to the
+    lattice n / sqrt(2)**k (integer n, k <= 4), and a label sums the exact
+    dyadic floats n**2 * 2**-k of its amplitudes.  An amplitude more than
+    1e-12 off the lattice (a nan, or off the real axis) is a ValueError."""
+    amps = np.ravel(amps)
+    # n / sqrt(2)**k is n4 / sqrt(2)**4 for even k and n3 / sqrt(2)**3 for
+    # odd k, with integers n4 and n3.
+    root8 = np.sqrt(8)
+    n4 = np.rint(4 * amps.real)
+    n3 = np.rint(root8 * amps.real)
+    on4 = np.abs(amps - n4 / 4) <= 1e-12
+    if not (on4 | (np.abs(amps - n3 / root8) <= 1e-12)).all():
+        raise ValueError("amplitudes are not within 1e-12 of n / sqrt(2)**k, k <= 4")
+    squares = np.where(on4, np.ldexp(n4 * n4, -4), np.ldexp(n3 * n3, -3))
+    return np.bincount(np.ravel(outcome), squares, minlength=size)
 
 
 def project_bell(
     state: PureState, outcome: BellOutcome
 ) -> tuple[float, PureState | None]:
     """Probability of one two-particle outcome and the collapsed state."""
-    arr = state.amps.reshape(2, 3, 3, 3)
-    new = np.zeros_like(arr)
+    new = np.zeros((2, 3, 3, 3), dtype=complex)
+    block = bell_amplitudes(state)[outcome]
+    prob = float(np.sum(np.abs(block) ** 2))
     if outcome is BellOutcome.NO_PHOTON:
-        new[:, 0] = arr[:, 0]
-        prob = float(np.sum(np.abs(new) ** 2))
+        new[:, 0] = block
     else:
-        block = _bell_blocks(state)[outcome]
-        prob = float(np.sum(np.abs(block) ** 2))
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         sign = -1.0 if outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS) else 1.0
         if outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS):

@@ -2,7 +2,9 @@
 
 Message-mode outcomes are described by a joint distribution p(j, k, m) over
 the sender's bit j, the eavesdropper's register bit k, and the receiver's
-decoded bit m (psi_plus -> 0, psi_minus -> 1).  Three variants are exposed:
+decoded bit m (psi_plus -> 0, psi_minus -> 1).  Its conditional tables are
+``attacks.exact_outcome_table``, exact from the attack states.  Three
+variants are exposed:
 
 * ``plain``        -- attack without symmetrization,
 * ``symmetrized``  -- attack with the symmetrization step always applied,
@@ -22,33 +24,19 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .attacks import AttackProfile
+from .attacks import AttackProfile, exact_outcome_table
 
 VARIANTS = ("plain", "symmetrized", "fair-mixture")
 PAIRS = ("AE", "AB", "BE")
 FORMULAS = ("plain_ae_ab", "plain_be", "sym_ae_ab", "sym_be")
 
-# Conditional tables P(k, m | j), indexed [j, k, m].
-# Typed in: exact_outcome_table is off by ulps, and QBER == 1/4 is checked exactly.
-_PLAIN_COND = np.array(
-    [
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[0.25, 0.25], [0.25, 0.25]],
-    ]
-)
-# The symmetrized attack mirrors the plain one under (j, k, m) -> (1-j, 1-k, 1-m).
-_SYM_COND = _PLAIN_COND[::-1, ::-1, ::-1].copy()
-_MIX_COND = 0.5 * (_PLAIN_COND + _SYM_COND)
-_CONDITIONALS = {
-    "plain": _PLAIN_COND,
-    "symmetrized": _SYM_COND,
-    "fair-mixture": _MIX_COND,
-}
+# Conditional tables P(k, m | j), indexed [j, k, m], exact from the attack states.
+_CONDITIONALS = {"plain": exact_outcome_table(False), "symmetrized": exact_outcome_table(True)}
+_CONDITIONALS["fair-mixture"] = 0.5 * (_CONDITIONALS["plain"] + _CONDITIONALS["symmetrized"])
 for _table in _CONDITIONALS.values():
     _table.setflags(write=False)
 
@@ -271,12 +259,9 @@ class SecurityReport:
     curve: tuple[CurvePoint, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "full_attack_edge": self.full_attack_edge,
-            "eta_star": self.eta_star,
-            "mu_star": self.mu_star,
-        }
+        """Every field but the curve."""
+        fields = dataclasses.fields(self)
+        return {f.name: getattr(self, f.name) for f in fields if f.name != "curve"}
 
 
 def default_eta_grid() -> list[float]:

@@ -15,9 +15,10 @@ the real channel and survives with probability ``eta``.
 Sampling is table driven.  Once per run, each (mode, attacked) branch gets
 one categorical table whose cells are complete round records (every field
 but the round index), weighted by ``c0``, ``eta`` and the symmetrization
-coin; the probabilities come from the exact 54-dimensional branch states
-(attacked message rounds from ``attacks.exact_outcome_table``), and cells
-of probability zero are dropped.  Every round draws three
+coin; the probabilities are tabulated exactly from the 54-dimensional
+branch states (``attacks.control_outcomes``, ``attacks.message_outcomes``
+and, for attacked message rounds, ``attacks.exact_outcome_table``), and
+cells of probability zero are dropped.  Every round draws three
 uniforms: one picks the mode, one decides whether the round is attacked,
 one is an inverse-CDF draw on that branch's table.  The draws are the
 generator's 53-bit integers k (its uniform is k * 2**-53), compared with
@@ -59,20 +60,19 @@ import numbers
 import os
 import stat
 from functools import lru_cache
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .attacks import attack_ba, exact_outcome_table, improved_profile, wojcik_profile
-from .engine import (
-    BellOutcome,
-    Occupation,
-    PAULI_Z,
-    apply_polarization_gate,
-    bell_probabilities,
-    make_initial,
-    project_mode,
+from .attacks import (
+    CONTROL_T_H,
+    control_outcomes,
+    exact_outcome_table,
+    improved_profile,
+    message_outcomes,
+    wojcik_profile,
 )
+from .engine import BellOutcome, Occupation, PAULI_Z, apply_polarization_gate, make_initial
 from .information import max_attack_fraction
 
 SCHEMES = ("none", "improved", "improved-symmetrized", "wojcik-reference")
@@ -138,8 +138,7 @@ class ProtocolConfig:
         return float(self.attack_fraction)
 
 
-@dataclasses.dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """Everything observable about one protocol round.
 
     Control rounds carry no (j, k, m); message rounds carry no
@@ -205,7 +204,7 @@ def _threshold(p: float) -> int:
 
 
 # The record schema, which is also the CSV header.
-_CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(RoundRecord))
+_CSV_COLUMNS = RoundRecord._fields
 # A round record without its index: the cell of an outcome table.
 _Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:])
 
@@ -223,23 +222,8 @@ def _message_cell(
     return _Cell("message", attacked, j, k, m, None, None, s_applied, lost, False)
 
 
-# Exact outcome distributions of the branch states, memoized because they do
-# not depend on the run's weights.
-
-
-@lru_cache(maxsize=None)
-def _control_outcomes(attacked: bool) -> tuple[tuple[Occupation, int, float], ...]:
-    """(t outcome, h bit, probability) of a control round's measurements."""
-    state = attack_ba(make_initial()) if attacked else make_initial()
-    outcomes = []
-    for t_out in (Occupation.VAC, Occupation.POL0, Occupation.POL1):
-        p_t, collapsed = project_mode(state, "t", t_out)
-        if collapsed is not None:
-            for h_out, h_bit in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
-                outcomes.append((t_out, h_bit, p_t * project_mode(collapsed, "h", h_out)[0]))
-    return tuple(outcomes)
-
-
+# Exact outcome distributions of the message states, memoized because they
+# do not depend on the run's weights.
 @lru_cache(maxsize=None)
 def _message_outcomes(
     attacked: bool, apply_s: bool
@@ -249,10 +233,8 @@ def _message_outcomes(
     attacked round reads the attack's exact outcome table."""
     if not attacked:
         states = (make_initial(), apply_polarization_gate(make_initial(), "t", PAULI_Z))
-        return tuple(
-            tuple((None, m, p) for m, p in bell_probabilities(state).items())
-            for state in states
-        )
+        rows = [message_outcomes(state).sum(axis=0).tolist() for state in states]
+        return tuple(tuple((None, m, p) for m, p in zip(BellOutcome, row)) for row in rows)
     table = exact_outcome_table(apply_s)
     return tuple(
         tuple((k, m, float(table[j, k, m_bit])) for k in (0, 1) for m, m_bit in _M_BIT.items())
@@ -278,7 +260,8 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         return [(_control_cell(attacked, Occupation.VAC, h), p_lost / 2) for h in (0, 1)]
 
     control = lost_control(False, 1.0 - eta) + [
-        (_control_cell(False, t, h), eta * p) for t, h, p in _control_outcomes(False)
+        (_control_cell(False, t, h), eta * p)
+        for (t, h), p in zip(CONTROL_T_H, control_outcomes(False))
     ]
     message = [(_message_cell(False, None, None, BellOutcome.NO_PHOTON, None, True), 1.0 - eta)]
     message += [
@@ -296,7 +279,8 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         ]
     else:
         control_attacked = [
-            (_control_cell(True, t, h), p) for t, h, p in _control_outcomes(True)
+            (_control_cell(True, t, h), p)
+            for (t, h), p in zip(CONTROL_T_H, control_outcomes(True))
         ]
     message_attacked = [
         (_message_cell(True, j, k, m, s), p_j * p_s * p)
@@ -462,28 +446,24 @@ class RunStats:
         return np.sqrt(table * (1.0 - table) / n_j)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "n_control": self.n_control,
-            "n_message": self.n_message,
-            "n_control_attacked": self.n_control_attacked,
-            "n_control_lost": self.n_control_lost,
-            "n_detection": self.n_detection,
-            "n_message_attacked": self.n_message_attacked,
-            "n_message_unattacked_lost": self.n_message_unattacked_lost,
-            "n_qber_errors": self.n_qber_errors,
-            "n_stray_outcomes": self.n_stray_outcomes,
-            "control_loss_rate": _json_float(self.control_loss_rate),
-            "control_loss_se": _json_float(self.control_loss_se),
-            "detection_rate": _json_float(self.detection_rate),
-            "detection_se": _json_float(self.detection_se),
-            "qber": _json_float(self.qber),
-            "qber_se": _json_float(self.qber_se),
-            "counts_s_off": self.counts_s_off.tolist(),
-            "counts_s_on": self.counts_s_on.tolist(),
-            "conditional_table": _json_table(self.conditional_table()),
-            "conditional_se": _json_table(self.conditional_se()),
+        """Every field, each rate and standard error (None for NaN), and the
+        empirical conditional table and its errors."""
+        payload = {
+            field.name: getattr(self, field.name) for field in dataclasses.fields(self)
         }
+        payload["counts_s_off"] = self.counts_s_off.tolist()
+        payload["counts_s_on"] = self.counts_s_on.tolist()
+        for name in _RATES:
+            payload[name] = _json_float(getattr(self, name))
+        payload["conditional_table"] = _json_table(self.conditional_table())
+        payload["conditional_se"] = _json_table(self.conditional_se())
+        return payload
+
+
+# The rate properties of RunStats, each with its standard error.
+_RATES = (
+    "control_loss_rate", "control_loss_se", "detection_rate", "detection_se", "qber", "qber_se"
+)
 
 
 def _rate(num: int, den: int) -> float:

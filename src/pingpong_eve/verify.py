@@ -23,6 +23,7 @@ from .attacks import (
     forward_images,
     improved_profile,
     inbound_amps,
+    message_outcomes,
     message_state,
     outbound_amps,
     wojcik_profile,
@@ -139,7 +140,9 @@ def run_all_checks() -> list[CheckResult]:
     # are exact binary fractions, so these probabilities admit equality checks)
     pinned = _pinned_outbound()
     p_vac = float(mode_marginal(pinned, "t")[0])
-    add("control-no-photon", p_vac == 0.25, f"P(no photon) = {p_vac!r}, pinned 1/4")
+    # the improved attack's loss, derived from its control table, is the same 1/4
+    exact = p_vac == 0.25 and improved_profile().loss == p_vac
+    add("control-no-photon", exact, f"P(no photon) = {p_vac!r}, pinned 1/4")
     p_equal = 0.0
     for occ, bit in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
         prob, collapsed = project_mode(pinned, "t", occ)
@@ -147,11 +150,12 @@ def run_all_checks() -> list[CheckResult]:
             p_equal += prob * float(mode_marginal(collapsed, "h")[1 + bit])
     add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
 
-    # outcome tables: the engine's against the information layer's
-    for variant, apply_s in (("plain", False), ("symmetrized", True)):
-        expected = exact_joint(variant, 0.5).conditional()
-        diff = float(np.max(np.abs(exact_outcome_table(apply_s) - expected)))
-        add(f"{variant}-outcome-table", diff <= 1e-12, f"max cell diff {diff:.3e}")
+    # outcome tables: the attack states' against the pinned states' tables
+    for variant, returned in (("plain", _pinned_returned), ("symmetrized", _pinned_symmetrized)):
+        table = exact_outcome_table(variant == "symmetrized")
+        expected = np.array([message_outcomes(returned(j))[1:, :2] for j in (0, 1)])
+        diff = float(np.max(np.abs(table - expected)))
+        add(f"{variant}-outcome-table", (table == expected).all(), f"max cell diff {diff:.3e}")
 
     # information anchors at the balanced prior
     plain = exact_joint("plain", 0.5)

@@ -8,6 +8,7 @@ here; the implementation must reproduce them to 1e-12.
 import numpy as np
 import pytest
 
+from pingpong_eve import attacks
 from pingpong_eve.attacks import (
     B_KETS,
     F_KETS,
@@ -15,6 +16,7 @@ from pingpong_eve.attacks import (
     apply_symmetrization,
     attack_ab,
     attack_ba,
+    control_outcomes,
     exact_outcome_table,
     forward_images,
     improved_profile,
@@ -221,20 +223,34 @@ def test_message_state_matches_pinned_states():
         message_state(2)
 
 
+# The plain table P(k, m | j), indexed [j, k, m]; the symmetrized attack
+# mirrors it under (j, k, m) -> (1-j, 1-k, 1-m).  Both are exact.
+PLAIN_COND = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.25, 0.25], [0.25, 0.25]]])
+
+
 def test_exact_outcome_table_plain():
-    table = exact_outcome_table(apply_s=False)
-    expected = np.zeros((2, 2, 2))
-    expected[0, 0, 0] = 1.0
-    expected[1] = 0.25
-    assert np.max(np.abs(table - expected)) < 1e-12
+    assert (exact_outcome_table(apply_s=False) == PLAIN_COND).all()
 
 
 def test_exact_outcome_table_symmetrized():
-    table = exact_outcome_table(apply_s=True)
-    expected = np.zeros((2, 2, 2))
-    expected[1, 1, 1] = 1.0
-    expected[0] = 0.25
-    assert np.max(np.abs(table - expected)) < 1e-12
+    assert (exact_outcome_table(apply_s=True) == PLAIN_COND[::-1, ::-1, ::-1]).all()
+
+
+def test_control_outcomes_are_exact():
+    # (vac, 0), (vac, 1), (pol0, 0), (pol0, 1), (pol1, 0), (pol1, 1)
+    assert control_outcomes(True) == (0.25, 0.0, 0.0, 0.5, 0.25, 0.0)
+    assert control_outcomes(False) == (0.0, 0.0, 0.0, 0.5, 0.5, 0.0)
+
+
+def test_outcome_table_refuses_mass_outside_it(monkeypatch):
+    # A phi_plus pair with a pol0 register: a two-particle outcome the table
+    # has no column for.
+    phi_plus = PureState.from_terms(
+        {ket(0, "0", "vac", "0"): INV_SQRT2, ket(1, "1", "vac", "0"): INV_SQRT2}
+    )
+    monkeypatch.setattr(attacks, "message_state", lambda j, apply_s: phi_plus)
+    with pytest.raises(ValueError, match="outside the table"):
+        exact_outcome_table(apply_s=False)
 
 
 # --- profiles --------------------------------------------------------------------
@@ -242,6 +258,8 @@ def test_exact_outcome_table_symmetrized():
 
 def test_profile_losses():
     assert improved_profile().loss == 0.25
+    # derived: P(t = vac) of the attacked control table
+    assert improved_profile().loss == sum(control_outcomes(True)[:2])
     assert wojcik_profile().loss == 0.5
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -59,7 +60,7 @@ def test_verify_passes_and_reports_discrepancy(capsys):
 # SHA-256 of `verify` stdout: every check's detail line, including the printed
 # worst-case differences, so a change in the exact engine's rounding shows here.
 # The report's header includes the package version.
-GOLDEN_VERIFY = "fead2daf0f22fafec797d7538bc3e469592390cc83b3bc2a09b9585089af7cfd"
+GOLDEN_VERIFY = "19ca716edb3316b5fe37dcd4c7531432196b7be926cdc88f5298691ca98064bd"
 
 
 def test_verify_golden_bytes(capsys):
@@ -106,6 +107,22 @@ def test_verify_fails_a_perturbed_round_trip(monkeypatch, capsys):
     assert len(failed) == 2
     assert failed[0].startswith("FAIL attack-round-trip: 100 random in-domain states")
     assert failed[1] == "30/31 checks passed, 1 FAILED"
+
+
+def test_verify_outcome_tables_and_loss_are_exact(monkeypatch, capsys):
+    # One ulp below the exact values, an error the size of a float
+    # projection's: the checks compare with ==, so each one fails.
+    table, profile = verify.exact_outcome_table, verify.improved_profile()
+    monkeypatch.setattr(verify, "exact_outcome_table", lambda s: np.nextafter(table(s), 0))
+    below = dataclasses.replace(profile, loss=np.nextafter(profile.loss, 0))
+    monkeypatch.setattr(verify, "improved_profile", lambda: below)
+    assert run_main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL control-no-photon",
+        "FAIL plain-outcome-table",
+        "FAIL symmetrized-outcome-table",
+    ]
 
 
 def test_verify_refuses_an_unnormalized_round_trip_row(monkeypatch):

@@ -20,6 +20,7 @@ from pingpong_eve.engine import (
     apply_cnot,
     apply_polarization_gate,
     bell_probabilities,
+    exact_probabilities,
     ket,
     make_initial,
     mode_marginal,
@@ -361,6 +362,42 @@ def test_bell_no_photon_branch():
     assert abs(prob - 0.5) < 1e-12
     assert collapsed is not None
     assert collapsed.allclose(PureState.from_terms({ket(0, "vac", "1", "0"): 1.0}))
+
+
+# --- exact tabulation ---------------------------------------------------------
+
+T_LABEL = np.array([BasisKet.from_index(i).t for i in range(DIM)])
+
+
+def test_exact_probabilities_on_the_lattice():
+    # 1/sqrt(2) and 1/2 amplitudes square to 0.4999999999999999 and 0.25 in
+    # floats; the tabulator snaps them and sums exactly.
+    assert exact_probabilities(make_initial().amps, T_LABEL, 3).tolist() == [0.0, 0.5, 0.5]
+    assert exact_probabilities(post_attack_state().amps, T_LABEL, 3).tolist() == [
+        0.25, 0.5, 0.25
+    ]
+    # 1e-13 off the lattice still snaps; a label with no amplitude reads 0.
+    nudged = make_initial().amps + 1e-13
+    assert exact_probabilities(nudged, T_LABEL, 4).tolist() == [0.0, 0.5, 0.5, 0.0]
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        PureState.from_terms(
+            {ket(0, "1", "vac", "0"): np.cos(0.3), ket(1, "0", "vac", "0"): np.sin(0.3)}
+        ).amps,
+        make_initial().amps * np.exp(0.25j * np.pi),
+        np.where(np.arange(DIM) == 0, np.nan, make_initial().amps),
+        # 2e-12 off the lattice of n / 4, and off that of n / sqrt(8)
+        post_attack_state().amps + 2e-12,
+        make_initial().amps * (1.0 + 3e-12),
+    ],
+    ids=["cos-sin-0.3", "complex-phase", "nan", "2e-12-off-even", "2e-12-off-odd"],
+)
+def test_exact_probabilities_rejects_off_lattice_amplitudes(amps):
+    with pytest.raises(ValueError, match="1e-12"):
+        exact_probabilities(amps, T_LABEL, 3)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -51,6 +51,26 @@ DETERMINISTIC = settings(
     phases=[Phase.explicit, Phase.generate],
 )
 
+# derandomize seeds Hypothesis from a digest of each test's source, so an
+# edit of a test body would draw other examples.  Each property is pinned with
+# @seed to the seed its source gave when it was pinned, and keeps those 40
+# examples, so its coverage and its timings compare across edits.  Hypothesis
+# also draws, now and then, a literal constant of the package's own modules
+# (not of the tests): a new float or large int literal in src/ can move the
+# examples too, and a new string literal would for a string strategy.
+ZERO_CELL_SEED = int(
+    "3858138811034600342592186376635728880871116252132592429003"
+    "3002680595103713088259809573117380056334611128945691480565"
+)
+AGGREGATE_SEED = int(
+    "618119299458652843626391894389193116799332341971049785297"
+    "1916046704321014638415327900649048445459092457129783033822"
+)
+CONFIG_REJECTS_SEED = int(
+    "2150585796343732051377905400484214892594619530463741911715"
+    "8553319475606419269759442703054448213395049128792502779577"
+)
+
 M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
 
 probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -117,16 +137,17 @@ def record_probability(config: ProtocolConfig, record) -> float:
 
 
 @DETERMINISTIC
+@seed(ZERO_CELL_SEED)
 @given(configs())
 def test_sampler_never_returns_a_zero_probability_cell(config):
-    fields = [field.name for field in dataclasses.fields(RoundRecord)][1:]
-    outcomes = set(map(operator.attrgetter(*fields), run_rounds(config)))
+    outcomes = {record[1:] for record in run_rounds(config)}
     for outcome in outcomes:
         record = RoundRecord(0, *outcome)
         assert record_probability(config, record) > 0.0, record
 
 
 @DETERMINISTIC
+@seed(AGGREGATE_SEED)
 @given(configs())
 def test_aggregate_invariants(config):
     stats = aggregate(run_rounds(config))
@@ -227,6 +248,7 @@ non_finite_or_outside = st.sampled_from([math.nan, math.inf, -math.inf]) | st.fl
 
 
 @DETERMINISTIC
+@seed(CONFIG_REJECTS_SEED)
 @given(
     configs(),
     st.sampled_from(["eta", "c0", "control_prob", "attack_fraction"]),
