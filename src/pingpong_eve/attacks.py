@@ -201,10 +201,10 @@ def message_state(j: int, apply_s: bool = False) -> PureState:
     return attack_ab(state, apply_s=apply_s)
 
 
-# Label of each amplitude of a message state's bell_amplitudes, stacked as
-# rows of three (y = vac, pol0, pol1): 5 * (code of y) + (the two-particle
-# outcome, in BellOutcome order, whose no_photon block has six rows).
-_MESSAGE_LABEL = np.repeat(np.arange(5), [3, 3, 3, 3, 6])[:, None] + 5 * np.arange(3)
+# Label of each amplitude of a message state's bell_amplitudes, flattened in
+# BellOutcome order (nine amplitudes each, eighteen for no_photon; y is the
+# last axis of every block): 5 * (code of y) + (the two-particle outcome).
+_MESSAGE_LABEL = np.repeat(np.arange(5), [9, 9, 9, 9, 18]) + 5 * (np.arange(DIM) % 3)
 # The (t outcome, h bit) of each entry of control_outcomes, and the entry of
 # each basis ket: 2 * (code of t) + (bit of h).
 CONTROL_T_H = tuple((t, h) for t in Occupation for h in (0, 1))
@@ -215,8 +215,8 @@ def message_outcomes(state: PureState) -> np.ndarray:
     """Exact joint probabilities, shape (3, 5), of the register y's
     occupation code (rows vac, pol0, pol1) and the receiver's two-particle
     outcome (columns in BellOutcome order) for a message-round state."""
-    blocks = [block.reshape(-1, 3) for block in bell_amplitudes(state).values()]
-    return exact_probabilities(np.concatenate(blocks), _MESSAGE_LABEL, 15).reshape(3, 5)
+    amps = np.concatenate(list(bell_amplitudes(state).values()), axis=None)
+    return exact_probabilities(amps, _MESSAGE_LABEL, 15).reshape(3, 5)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ Hypothesis profile.
 The reference acts on the full 54-dimensional space as a Kronecker product
 over (h, t, x, y): the gate itself on h, and on a photon mode the gate
 beside an untouched vacuum level.  The stacked attack legs are held to the
-single-state legs, row by row and bit for bit.
+single-state legs, row by row and bit for bit.  The exact tabulator is held
+to a ``fractions.Fraction`` sum on random lattice states.
 """
 
 from __future__ import annotations
