@@ -370,8 +370,8 @@ T_LABEL = np.array([BasisKet.from_index(i).t for i in range(DIM)])
 
 
 def test_exact_probabilities_on_the_lattice():
-    # 1/sqrt(2) and 1/2 amplitudes square to 0.4999999999999999 and 0.25 in
-    # floats; the tabulator snaps them and sums exactly.
+    # A 1/sqrt(2) amplitude squares to 0.4999999999999999 in floats; the
+    # tabulator snaps it to the lattice and sums exactly.
     assert exact_probabilities(make_initial().amps, T_LABEL, 3).tolist() == [0.0, 0.5, 0.5]
     assert exact_probabilities(post_attack_state().amps, T_LABEL, 3).tolist() == [
         0.25, 0.5, 0.25
