@@ -72,7 +72,13 @@ from .attacks import (
     message_outcomes,
     wojcik_profile,
 )
-from .engine import BellOutcome, Occupation, PAULI_Z, apply_polarization_gate, make_initial
+from .engine import (
+    BellOutcome,
+    Occupation,
+    PAULI_Z,
+    apply_polarization_gate,
+    make_initial,
+)
 from .information import max_attack_fraction
 
 SCHEMES = ("none", "improved", "improved-symmetrized", "wojcik-reference")

@@ -19,6 +19,7 @@ from .attacks import (
     B_KETS,
     F_KETS,
     attack_ba,
+    control_outcomes,
     exact_outcome_table,
     forward_images,
     improved_profile,
@@ -31,12 +32,9 @@ from .attacks import (
 from .conventions import report_rows, solve, summarize
 from .engine import (
     DIM,
-    Occupation,
     PureState,
     ket,
     make_initial,
-    mode_marginal,
-    project_mode,
     require_normalized,
 )
 from .information import (
@@ -135,19 +133,14 @@ def run_all_checks() -> list[CheckResult]:
     diff = float(np.max(np.abs(gram - np.eye(4))))
     add("attack-images-orthonormal", diff <= 1e-12, f"gram deviation {diff:.3e}")
 
-    # control statistics, evaluated on the pinned outbound state (the computed
-    # state equals it within 1e-12 per the check above; the pinned amplitudes
-    # are exact binary fractions, so these probabilities admit equality checks)
-    pinned = _pinned_outbound()
-    p_vac = float(mode_marginal(pinned, "t")[0])
-    # the improved attack's loss, derived from its control table, is the same 1/4
+    # control statistics of the attacked control table, tabulated exactly from
+    # the outbound state, so they admit equality checks; entries (t, h bit):
+    # (vac, 0), (vac, 1), (pol0, 0), (pol0, 1), (pol1, 0), (pol1, 1)
+    control = control_outcomes(True)
+    p_vac = control[0] + control[1]
     exact = p_vac == 0.25 and improved_profile().loss == p_vac
     add("control-no-photon", exact, f"P(no photon) = {p_vac!r}, pinned 1/4")
-    p_equal = 0.0
-    for occ, bit in ((Occupation.POL0, 0), (Occupation.POL1, 1)):
-        prob, collapsed = project_mode(pinned, "t", occ)
-        if collapsed is not None:
-            p_equal += prob * float(mode_marginal(collapsed, "h")[1 + bit])
+    p_equal = control[2] + control[5]
     add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
 
     # outcome tables: the attack states' against the pinned states' tables

@@ -125,6 +125,18 @@ def test_verify_outcome_tables_and_loss_are_exact(monkeypatch, capsys):
     ]
 
 
+def test_verify_fails_equal_control_bits(monkeypatch, capsys):
+    # A quarter of the attacked control rounds with t = pol0 and h = 0: the
+    # loss stays 1/4, but the control results no longer always differ.
+    table = (0.25, 0.0, 0.25, 0.25, 0.25, 0.0)
+    monkeypatch.setattr(verify, "control_outcomes", lambda attacked: table)
+    assert run_main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL control-anticorrelation: P(equal bits) = 0.25"
+    ]
+
+
 def test_verify_refuses_an_unnormalized_round_trip_row(monkeypatch):
     # As a single PureState would: |psi|^2 = 1 + 2e-6 is outside 1e-8.
     inbound_amps = verify.inbound_amps
