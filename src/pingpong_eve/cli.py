@@ -2,9 +2,9 @@
 
 Outputs are plain CSV/JSON with an embedded metadata block (config echo,
 seed, version) and no timestamps, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 1 check failure, 2 usage
-error.  The only environment hook is PINGPONG_EVE_SEED, which overrides the
-default simulation seed when --seed is not given.
+byte-identical files.  Exit codes: 0 success, 1 check failure or failed
+write, 2 usage error.  The only environment hook is PINGPONG_EVE_SEED,
+which overrides the default simulation seed when --seed is not given.
 """
 
 from __future__ import annotations
@@ -115,6 +115,20 @@ def _resolve_seed(parser: argparse.ArgumentParser, seed: int | None) -> int:
         parser.error(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
+class _WriteError(Exception):
+    """Writing a named output failed; the message names the output."""
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Turn an OSError from writing the output ``path`` into a _WriteError,
+    which _check_outputs reports in one line."""
+    try:
+        yield
+    except OSError as error:
+        raise _WriteError(f"cannot write {path}: {error.strerror}") from error
+
+
 @contextlib.contextmanager
 def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[None]:
     """Check every output path before any work is done, so that an
@@ -125,7 +139,8 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Itera
     body then rewrites each output in place with ``open_output``, cut to
     length once written; if it raises, even by Ctrl-C, every output is
     emptied before the error goes on, so a failed command never leaves a
-    previous run's bytes behind."""
+    previous run's bytes behind.  A failed write (a _WriteError) then ends
+    the command with one line on stderr and exit code 1."""
     paths = [path for path in paths if path]
     created = []
 
@@ -148,11 +163,13 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Itera
             refuse(f"{path} and {other} are the same file")
     try:
         yield
-    except BaseException:
+    except BaseException as error:
         for path in paths:
             # The null device and pipes cannot be cut and keep nothing.
             with contextlib.suppress(OSError):
                 os.truncate(path, 0)
+        if isinstance(error, _WriteError):
+            parser.exit(1, f"{parser.prog}: error: {error}\n")
         raise
 
 
@@ -198,9 +215,13 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             "resolved_attack_fraction": round(config.resolved_attack_fraction(), 12),
             "attack_loss": config.attack_loss,
         }
-        stats = write_records_csv(config, args.out, metadata) if args.out else run_simulation(config)
+        if args.out:
+            with _writing(args.out):
+                stats = write_records_csv(config, args.out, metadata)
+        else:
+            stats = run_simulation(config)
         if args.stats:
-            with open_output(args.stats) as handle:
+            with _writing(args.stats), open_output(args.stats) as handle:
                 json.dump(
                     {"metadata": metadata, "stats": stats.to_json_dict()},
                     handle,
@@ -249,12 +270,12 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "mu_star": f"{report.mu_star:.9f}",
         }
         if args.curve:
-            with open_output(args.curve) as handle:
+            with _writing(args.curve), open_output(args.curve) as handle:
                 handle.write("\n".join(_curve_lines(report, metadata)) + "\n")
         if args.report:
             payload = report.to_json_dict()
             payload["metadata"] = metadata
-            with open_output(args.report) as handle:
+            with _writing(args.report), open_output(args.report) as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
                 handle.write("\n")
         for line in metadata_lines(metadata):
@@ -274,7 +295,7 @@ def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namesp
         counts = summarize(reports)
         metadata = {"version": __version__, "command": "solve-conventions"}
         if args.out:
-            with open_output(args.out) as handle:
+            with _writing(args.out), open_output(args.out) as handle:
                 handle.write("\n".join(metadata_lines(metadata) + rows) + "\n")
             for line in metadata_lines(metadata):
                 print(line)

@@ -26,10 +26,12 @@ within a single basis term; the state space here is strictly
 single-occupancy, so its first such collision is reported instead.
 
 solve() composes the whole census in one batched pass: every candidate's
-split terms are gathered through integer tables of all 144 router and 4
-CNOT conventions, and only the candidates that complete get images, a few
-at a time.  compose_candidate is the single-candidate replay of the same
-circuit, and the tests hold solve() equal to it on every candidate.
+split terms are gathered through flat integer tables of all 144 router and
+4 CNOT conventions.  An image holds at most two terms per row, so a
+candidate that completes is scored on those terms and the references'
+support alone, never as a dense image.  compose_candidate is the
+single-candidate replay of the same circuit, and the tests hold solve()
+equal to it on every candidate.
 """
 
 from __future__ import annotations
@@ -207,7 +209,12 @@ def deviation_from_reference(images: np.ndarray, references: np.ndarray) -> floa
     """Largest amplitude difference after removing the best common phase.
 
     The phase is fit once across all four image vectors (stacked overlap),
-    so four individually-phased lookalikes do not pass as a match.
+    so four individually-phased lookalikes do not pass as a match.  Images
+    orthogonal to the references have no best phase: the phase is then 1
+    and the deviation is max|images - references|, which a global phase on
+    the references moves.  In the census 85 of the 216 complete candidates
+    are orthogonal; under such a phase 37 of them move between 1 and
+    sqrt(2), and none comes near a match.
     """
     overlap = complex(np.vdot(references, images))
     phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
@@ -233,27 +240,27 @@ _STAGES = (
     ("route_ytx", ROUTE_YTX_MODES),
     ("cnot_xy", CNOT_XY_MODES),
 )
-_CHUNK = 24  # candidates whose images are built at once
 
 
 @lru_cache(maxsize=None)
 def _batch_tables() -> tuple:
-    """Every candidate's stages as integer arrays, built on first use.
+    """Every candidate's stages as raveled integer tables, built on first use.
 
-    Per stage an (image, meet) pair: for a router, the basis-index map and
-    meeting mode (engine.MODES index, -1 for none) of each route, shape
-    (144, DIM); for a CNOT, the index permutation of each CNOT convention,
-    shape (4, DIM), and None.  Then the split rows' term indices and
-    amplitudes, shape (4, 2)."""
+    Per stage an (image, meet) pair, flat so that entry c * DIM + index is
+    convention c's value at a basis index: for a router, the landing index
+    and meeting mode (engine.MODES index, -1 for none) under each route in
+    _ROUTES; for a CNOT, the index permutation under each CNOT convention in
+    _CNOTS, and None.  Then the split rows' term indices and amplitudes,
+    shape (4, 2)."""
     stages = []
     for name, modes in _STAGES:
         if name.startswith("route"):
-            stages.append(_router_tables(modes))
+            stages.append(tuple(table.ravel() for table in _router_tables(modes)))
         else:
-            stages.append((np.array([_cnot_map(modes, *cnot) for cnot in _CNOTS]), None))
+            stages.append((np.array([_cnot_map(modes, *cnot) for cnot in _CNOTS]).ravel(), None))
     rows = _split_rows()
-    # The solver leaves routed terms unmerged and adds each row's two terms
-    # only at the end; a sum of two is the same in either order, so the
+    # The solver routes each row's two terms apart and adds them only where
+    # they end on one ket; a sum of two is the same in either order, so the
     # images equal compose_candidate's bit for bit.
     if any(len(terms) != 2 for terms in rows):
         raise AssertionError("the batched solver expects two terms per split row")
@@ -271,15 +278,37 @@ def _collision(key: int) -> Collision:
     return Collision(_STAGES[stage][0], BasisKet.from_index(index).label(), engine.MODES[mode])
 
 
-def _deviations(images: np.ndarray, references: np.ndarray) -> list[float]:
-    """deviation_from_reference of each of a stack of image arrays."""
-    overlap = (references.conj() * images).sum(axis=(1, 2))
+def _deviations(terms: np.ndarray, amps: np.ndarray, references: np.ndarray) -> list[float]:
+    """deviation_from_reference of each image in a stack: image i puts the
+    split amplitudes amps, shape (4, 2), on the basis indices terms[:, i],
+    where terms has shape (8, n), row r's two terms on lines 2r and 2r + 1.
+
+    An image is nonzero only on its terms and the references only on their
+    support, and every other entry is 0 on both sides, so the overlap and
+    the deviation are read off those entries alone."""
+    n = terms.shape[1]
+    support_row, support_col = np.nonzero(references)
+    support = references[support_row, support_col]
+    # The entries read, one per line: each term's, then each support entry's.
+    row = np.concatenate((np.arange(len(terms)) // 2, support_row))
+    col = np.concatenate((terms, np.broadcast_to(support_col[:, None], (len(support), n))))
+    # A row's image on an entry that none, the first, the second or both of
+    # its terms land on; two terms on one ket add as in compose_candidate.
+    table = np.column_stack((np.zeros(len(amps)), amps, (0.0 + amps[:, 0]) + amps[:, 1]))
+    code = (terms[2 * row] == col) + 2 * (terms[2 * row + 1] == col)
+    image = table.take((4 * row)[:, None] + code)
+    reference = references.take((references.shape[1] * row)[:, None] + col)
+    # One contiguous row per candidate, which numpy sums pairwise; summed
+    # down the columns instead, some overlaps at complex phases come out a
+    # bit off deviation_from_reference's.
+    products = np.ascontiguousarray((support.conj()[:, None] * image[len(terms) :]).T)
+    overlap = products.sum(axis=1)
     norm = np.abs(overlap)
     phase = np.ones_like(overlap)
     # part by part, as Python divides a complex by a float
     np.divide(overlap.real, norm, out=phase.real, where=norm > 0.0)
     np.divide(overlap.imag, norm, out=phase.imag, where=norm > 0.0)
-    return np.max(np.abs(images - phase[:, None, None] * references), axis=(1, 2)).tolist()
+    return np.abs(image - phase * reference).max(axis=0).tolist()
 
 
 def solve() -> list[CandidateReport]:
@@ -290,48 +319,45 @@ def solve() -> list[CandidateReport]:
     """
     stages, index, amps = _batch_tables()
     conventions = enumerate_conventions()
-    candidate = np.arange(len(conventions))[:, None, None]
-    route, cnot = divmod(candidate, len(_CNOTS))
-    rows = np.arange(index.shape[0])[None, :, None]
-    terms = np.broadcast_to(index, (len(conventions), *index.shape))
+    # Terms run down the lines, candidates across the columns.  The first
+    # router sees the same split terms under every candidate, so it runs
+    # once per route; candidate route * 4 + cnot then takes its route's
+    # column.
+    route = np.arange(len(_ROUTES)) * DIM
+    cnot = np.tile(np.arange(len(_CNOTS)) * DIM, len(_ROUTES))
+    rows = (np.arange(index.size) // index.shape[1])[:, None]
+    terms = index.reshape(-1, 1)
 
     # The first collision in row, stage, term-index order is the least
     # packed (row, stage, index, mode) key over the terms that meet.  Terms
     # that compose_candidate would have merged share their index, and so
     # their key.
     no_collision = index.shape[0] * len(_STAGES) * DIM * len(engine.MODES)
-    first = np.full(len(conventions), no_collision)
+    first = no_collision
     for stage, (image, meet) in enumerate(stages):
         if meet is None:  # a CNOT
-            terms = image[cnot, terms]
+            terms = image.take(cnot + terms)
             continue
-        mode = meet[route, terms]
+        at = route + terms
+        mode = meet.take(at)
         key = ((rows * len(_STAGES) + stage) * DIM + terms) * len(engine.MODES) + mode
-        first = np.minimum(first, np.where(mode >= 0, key, no_collision).min(axis=(1, 2)))
-        terms = image[route, terms]
+        first = np.minimum(first, np.where(mode >= 0, key, no_collision).min(axis=0))
+        terms = image.take(at)
+        if stage == 0:
+            route, terms, first = (a.repeat(len(_CNOTS), axis=-1) for a in (route, terms, first))
 
-    references = forward_images()
-    deviation: dict[int, float] = {}
-    complete = np.flatnonzero(first == no_collision)
-    buffer = np.zeros((_CHUNK, *references.shape), dtype=complex)
-    for start in range(0, len(complete), _CHUNK):
-        ids = complete[start : start + _CHUNK]
-        images = buffer[: len(ids)]
-        images[...] = 0.0
-        np.add.at(images, (np.arange(len(ids))[:, None, None], rows, terms[ids]), amps)
-        deviation.update(zip(ids.tolist(), _deviations(images, references)))
-
-    reports = []
-    for candidate_id, (conv, key) in enumerate(zip(conventions, first.tolist())):
-        if key != no_collision:
-            reports.append(
-                CandidateReport(candidate_id, conv, STATUS_INVALID, None, _collision(key))
-            )
-            continue
-        dev = deviation[candidate_id]
-        status = STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
-        reports.append(CandidateReport(candidate_id, conv, status, dev, None))
-    return reports
+    found = iter(_deviations(terms[:, first == no_collision], amps, forward_images()))
+    keys = first.tolist()
+    deviations = [next(found) if key == no_collision else None for key in keys]
+    statuses = [
+        STATUS_INVALID if dev is None else STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
+        for dev in deviations
+    ]
+    collisions = [None if key == no_collision else _collision(key) for key in keys]
+    # tuple.__new__ builds each report from its fields as CandidateReport._make
+    # does, without a Python call per report
+    fields = zip(range(len(conventions)), conventions, statuses, deviations, collisions)
+    return list(map(tuple.__new__, itertools.repeat(CandidateReport), fields))
 
 
 def summarize(reports: Iterable[CandidateReport]) -> dict[str, int]:

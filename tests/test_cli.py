@@ -720,6 +720,52 @@ def test_failed_solver_empties_its_census(tmp_path, monkeypatch, capsys, error):
     assert capsys.readouterr().out == ""
 
 
+# A write that fails once the checks have passed, here on the full device,
+# empties every output like any failure, and then ends the command with one
+# line on stderr and exit code 1 instead of a traceback.
+FULL = "/dev/full"
+NEEDS_FULL = pytest.mark.skipif(not os.path.exists(FULL), reason="needs /dev/full")
+WRITE_FAILED = f"pingpong-eve: error: cannot write {FULL}: No space left on device\n"
+
+
+@NEEDS_FULL
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rounds", "5000", "--out", FULL, "--stats", "{other}"],
+        ["simulate", "--rounds", "5000", "--out", "{other}", "--stats", FULL],
+        ["analyze", "--curve", FULL, "--report", "{other}"],
+        ["analyze", "--scheme", "wojcik", "--curve", "{other}", "--report", FULL],
+        ["solve-conventions", "--out", FULL],
+    ],
+    ids=["simulate-out", "simulate-stats", "analyze-curve", "analyze-report", "solver-out"],
+)
+def test_failed_write_is_one_line_and_exit_1(tmp_path, capsys, argv):
+    other = tmp_path / "other.out"
+    write_stale(LONGER, other)
+    with pytest.raises(SystemExit) as excinfo:
+        run_main([arg.format(other=other) for arg in argv])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == WRITE_FAILED
+    if "{other}" in argv:
+        assert other.read_bytes() == b""
+    if argv[0] == "solve-conventions":
+        assert captured.out == ""
+
+
+@NEEDS_FULL
+def test_failed_write_prints_no_traceback():
+    result = subprocess.run(
+        [sys.executable, "-m", "pingpong_eve.cli", "solve-conventions", "--out", FULL],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == WRITE_FAILED
+
+
 # --- README ----------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import collections
 import hashlib
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pingpong_eve import attacks
+from pingpong_eve import attacks, conventions
 from pingpong_eve.attacks import attack_ba, exact_outcome_table, forward_images
 from pingpong_eve.conventions import (
     ACTIVATIONS,
@@ -160,12 +161,15 @@ def test_solve_covers_every_candidate():
     assert sum(counts.values()) == 576
 
 
-def oracle_report(candidate_id: int, conv: Convention) -> CandidateReport:
-    """The report of one candidate, composed on its own by compose_candidate."""
+def oracle_report(candidate_id: int, conv: Convention, references=None) -> CandidateReport:
+    """The report of one candidate, composed on its own by compose_candidate,
+    against the truth-table images or the given references."""
     result = compose_candidate(conv)
     if result.images is None:
         return CandidateReport(candidate_id, conv, STATUS_INVALID, None, result.collision)
-    dev = deviation_from_reference(result.images, forward_images())
+    if references is None:
+        references = forward_images()
+    dev = deviation_from_reference(result.images, references)
     status = STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
     return CandidateReport(candidate_id, conv, status, dev, None)
 
@@ -176,6 +180,61 @@ def test_solve_equals_the_single_candidate_oracle():
     assert len(reports) == 576
     for candidate_id, conv in enumerate(enumerate_conventions()):
         assert reports[candidate_id] == oracle_report(candidate_id, conv)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.5])
+def test_solve_fits_a_complex_phase(monkeypatch, theta):
+    # The truth-table images only ever fit a phase of +-1; under a global
+    # phase on them the fitted phase is complex, and every report, float
+    # for float, must still be the oracle's against the same references.
+    phased = forward_images() * cmath.exp(1j * theta)
+    monkeypatch.setattr(conventions, "forward_images", lambda: phased)
+    reports = solve()
+    fitted = 0
+    for candidate_id, conv in enumerate(enumerate_conventions()):
+        assert reports[candidate_id] == oracle_report(candidate_id, conv, phased)
+        images = compose_candidate(conv).images
+        fitted += images is not None and np.vdot(phased, images).imag != 0.0
+    assert fitted == 216 - 85
+
+
+_COMPLETE_IDS = [
+    i
+    for i, conv in enumerate(enumerate_conventions())
+    if compose_candidate(conv).images is not None
+]
+
+
+@pytest.mark.parametrize("reference_id", [0, 4, _COMPLETE_IDS[-1]])
+def test_solve_matches_a_candidate_against_its_own_images(monkeypatch, reference_id):
+    # With one candidate's images as the references, that candidate is a
+    # match and every report is still the oracle's.  The support is then
+    # the candidate's own: candidate 4 puts two terms on one ket in every
+    # row, and for f3 and f4 they cancel, leaving those rows empty.
+    own = compose_candidate(enumerate_conventions()[reference_id]).images
+    monkeypatch.setattr(conventions, "forward_images", lambda: own)
+    reports = solve()
+    assert reports[reference_id].status == STATUS_MATCH
+    assert reports[reference_id].deviation == 0.0
+    for candidate_id, conv in enumerate(enumerate_conventions()):
+        assert reports[candidate_id] == oracle_report(candidate_id, conv, own)
+
+
+def test_orthogonal_images_fit_no_phase():
+    # 85 of the 216 complete candidates compose images orthogonal to the
+    # truth-table images, so no phase is fitted: the phase is 1 and the
+    # deviation is max|image - reference|.
+    references = forward_images()
+    reports = solve()
+    orthogonal = []
+    for report in reports:
+        images = compose_candidate(report.convention).images
+        if images is not None and np.vdot(references, images) == 0.0:
+            orthogonal.append(report.candidate_id)
+            assert report.deviation == float(np.max(np.abs(images - references)))
+            assert report.status == STATUS_MISMATCH
+    assert len(orthogonal) == 85
+    assert orthogonal[:4] == [0, 2, 3, 4]
 
 
 _INVALID_IDS = [
