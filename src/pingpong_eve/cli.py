@@ -3,7 +3,7 @@
 Outputs are plain CSV/JSON with an embedded metadata block (config echo,
 seed, version) and no timestamps, so identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 check failure or failed
-write, 2 usage error.  The only environment hook is PINGPONG_EVE_SEED,
+write (a closed stdout too), 2 usage error.  The only environment hook is PINGPONG_EVE_SEED,
 which overrides the default simulation seed when --seed is not given.
 """
 
@@ -22,7 +22,7 @@ from typing import Iterator
 from . import __version__
 from .attacks import improved_profile, wojcik_profile
 from .conventions import CSV_HEADER, report_rows, solve, summarize
-from .information import SecurityReport, security_report
+from .information import CurvePoint, SecurityReport, security_report
 from .protocol import (
     RNG_STREAM,
     SCHEMES,
@@ -163,6 +163,9 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Itera
             refuse(f"{path} and {other} are the same file")
     try:
         yield
+        # Whatever stdout still buffers is the command's output too: a
+        # closed stdout fails the command here, whether it is buffered or not.
+        sys.stdout.flush()
     except BaseException as error:
         for path in paths:
             # The null device and pipes cannot be cut and keep nothing.
@@ -250,11 +253,9 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
     lines = metadata_lines(metadata)
-    lines.append("eta,mu,i_ae,i_ab,i_be")
-    for p in report.curve:
-        lines.append(
-            f"{p.eta:.9f},{p.mu:.9f},{p.i_ae:.9f},{p.i_ab:.9f},{p.i_be:.9f}"
-        )
+    lines.append(",".join(CurvePoint._fields))
+    row = ",".join(["%.9f"] * len(CurvePoint._fields))
+    lines += [row % point for point in report.curve]
     return lines
 
 
@@ -309,9 +310,7 @@ def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namesp
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "verify":
         return cmd_verify()
     if args.command == "simulate":
@@ -319,6 +318,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "analyze":
         return cmd_analyze(parser, args)
     return cmd_solve_conventions(parser, args)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        code = _run(parser, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Stdout's reader has gone, as in ``solve-conventions | head -1``.  A
+        # named output's errors never get here: _writing reports them.  The
+        # command has failed, so exit 1, but quietly, and with stdout on the
+        # null device so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -36,8 +36,10 @@ equal to it on every candidate.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -232,6 +234,9 @@ class CandidateReport(NamedTuple):
     collision: Collision | None
 
 
+_status_of = operator.itemgetter(CandidateReport._fields.index("status"))
+
+
 # The candidate-dependent stages in circuit order; the routers are those
 # with a meeting-mode table.
 _STAGES = (
@@ -361,9 +366,8 @@ def solve() -> list[CandidateReport]:
 
 
 def summarize(reports: Iterable[CandidateReport]) -> dict[str, int]:
-    counts = {STATUS_MATCH: 0, STATUS_MISMATCH: 0, STATUS_INVALID: 0}
-    for report in reports:
-        counts[report.status] += 1
+    counts = dict.fromkeys((STATUS_MATCH, STATUS_MISMATCH, STATUS_INVALID), 0)
+    counts.update(collections.Counter(map(_status_of, reports)))
     return counts
 
 
@@ -389,7 +393,8 @@ def report_rows(reports: Iterable[CandidateReport]) -> list[str]:
     row's convention fields are those of its candidate_id, as in solve()."""
     prefixes = _row_prefixes()
     return [
-        f"{prefixes[report.candidate_id]}{report.status},"
-        + ("" if report.deviation is None else f"{report.deviation:.12e}")
-        for report in reports
+        f"{prefixes[candidate_id]}{status},"
+        if deviation is None
+        else f"{prefixes[candidate_id]}{status},{deviation:.12e}"
+        for candidate_id, _, status, deviation, _ in reports
     ]

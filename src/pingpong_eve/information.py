@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -51,10 +51,17 @@ class JointDistribution:
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (2, 2, 2):
             raise ValueError(f"joint table must have shape (2,2,2), got {probs.shape}")
-        if probs.min() < 0.0:
+        # The entries in memory order, which is the order numpy's sum adds
+        # them in: pairwise, as the total below does, so the total is
+        # probs.sum() bit for bit.
+        p0, p1, p2, p3, p4, p5, p6, p7 = cells = probs.ravel("K").tolist()
+        # As probs.min() < 0.0, whose minimum is nan when any entry is: a
+        # table with a nan entry fails the sum check instead.
+        if min(cells) < 0.0 and not any(map(math.isnan, cells)):
             raise ValueError("joint table has negative entries")
+        total = ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
         # Written as "not <=" so that a nan entry fails too.
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError("joint table does not sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -95,16 +102,19 @@ def mutual_information(dist: JointDistribution, pair: str) -> float:
     if pair not in _PAIR_AXES:
         raise ValueError(f"unknown pair {pair!r}, expected one of {PAIRS}")
     # Every marginal is a sum of two floats, which Python adds as numpy does.
-    cells = dist.probs.transpose(_PAIR_AXES[pair]).tolist()
-    joint = [[p0 + p1 for p0, p1 in row] for row in cells]
-    left = [row[0] + row[1] for row in joint]
-    right = [joint[0][b] + joint[1][b] for b in (0, 1)]
-    return math.fsum(
-        p * math.log2(p / (left[a] * right[b]))
-        for a, row in enumerate(joint)
-        for b, p in enumerate(row)
-        if p > 0.0
+    ((p000, p001), (p010, p011)), ((p100, p101), (p110, p111)) = (
+        dist.probs.transpose(_PAIR_AXES[pair]).tolist()
     )
+    j00, j01, j10, j11 = p000 + p001, p010 + p011, p100 + p101, p110 + p111
+    left0, left1 = j00 + j01, j10 + j11
+    right0, right1 = j00 + j10, j01 + j11
+    cells = (
+        (j00, left0 * right0),
+        (j01, left0 * right1),
+        (j10, left1 * right0),
+        (j11, left1 * right1),
+    )
+    return math.fsum([p * math.log2(p / marginals) for p, marginals in cells if p > 0.0])
 
 
 def qber(dist: JointDistribution) -> float:
@@ -175,8 +185,7 @@ def max_attack_fraction(eta: float, loss: float) -> float:
     return min(1.0, (1.0 - eta) / loss)
 
 
-@dataclasses.dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Information gains at one transmission efficiency under the linear
     partial-attack model: the eavesdropper attacks a fraction mu of rounds,
     unattacked rounds carry one full bit to the receiver."""
@@ -190,18 +199,11 @@ class CurvePoint:
 
 def info_vs_eta(profile: AttackProfile, etas: Iterable[float]) -> list[CurvePoint]:
     """Evaluate the information curves on a grid of transmission efficiencies."""
+    loss, i_ae, i_ab, i_be = profile.loss, profile.i_ae, profile.i_ab, profile.i_be
     points = []
     for eta in etas:
-        mu = max_attack_fraction(eta, profile.loss)
-        points.append(
-            CurvePoint(
-                eta=float(eta),
-                mu=mu,
-                i_ae=mu * profile.i_ae,
-                i_ab=(1.0 - mu) + mu * profile.i_ab,
-                i_be=mu * profile.i_be,
-            )
-        )
+        mu = max_attack_fraction(eta, loss)
+        points.append(CurvePoint(float(eta), mu, mu * i_ae, (1.0 - mu) + mu * i_ab, mu * i_be))
     return points
 
 

@@ -29,7 +29,7 @@ from .attacks import (
     outbound_amps,
     wojcik_profile,
 )
-from .conventions import report_rows, solve, summarize
+from .conventions import solve, summarize
 from .engine import (
     DIM,
     PureState,
@@ -295,7 +295,8 @@ def run_all_checks() -> list[CheckResult]:
     # convention solver census
     reports = solve()
     counts = summarize(reports)
-    deterministic = report_rows(reports) == report_rows(solve())
+    # Report for report: every field, each deviation bit for bit.
+    deterministic = reports == solve()
     add(
         "solver-census",
         len(reports) == 576 and deterministic,

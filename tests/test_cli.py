@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import re
 import shutil
@@ -21,6 +22,7 @@ from pingpong_eve import cli, protocol, verify
 from pingpong_eve.attacks import F_KETS, attack_ab, attack_ba
 from pingpong_eve.engine import PureState
 from pingpong_eve.cli import main
+from pingpong_eve.conventions import report_rows, solve
 
 ETA_STAR_IMPROVED = 0.777294010664580
 ETA_STAR_WOJCIK = 0.554588021329161
@@ -134,6 +136,30 @@ def test_verify_fails_equal_control_bits(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL control-anticorrelation: P(equal bits) = 0.25"
+    ]
+
+
+def test_verify_fails_a_census_that_moves_one_deviation(monkeypatch, capsys):
+    # The second solve moves one deviation by one ulp, which its 12-digit CSV
+    # row does not show: the census must still compare unequal.
+    solves = []
+
+    def solve_again():
+        reports = solve()
+        if solves:
+            moved = next(i for i, report in enumerate(reports) if report.deviation)
+            deviation = math.nextafter(reports[moved].deviation, math.inf)
+            reports[moved] = reports[moved]._replace(deviation=deviation)
+            assert report_rows(reports) == report_rows(solves[0])
+        solves.append(reports)
+        return reports
+
+    monkeypatch.setattr(verify, "solve", solve_again)
+    assert run_main(["verify"]) == 1
+    assert len(solves) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL solver-census"
     ]
 
 
@@ -764,6 +790,45 @@ def test_failed_write_prints_no_traceback():
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr == WRITE_FAILED
+
+
+# A closed stdout, as under `| head -1`, fails the command with exit code 1
+# and nothing on stderr; its named outputs are emptied as for any failure.
+# The read end of stdout's pipe is closed before the command starts, so its
+# first write fails whether stdout is buffered or not.
+@pytest.mark.parametrize(
+    "argv, buffered",
+    [
+        (["solve-conventions"], True),
+        (["simulate", "--rounds", "10"], False),
+        (["verify"], True),
+        (["solve-conventions", "--out", "{out}"], True),
+    ],
+    ids=["solver", "simulate-unbuffered", "verify", "solver-out"],
+)
+def test_closed_stdout_exits_1_without_a_word(tmp_path, argv, buffered):
+    out = tmp_path / "out"
+    if "{out}" in argv:
+        write_stale(LONGER, out)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pingpong_eve.cli", *(a.format(out=out) for a in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+    if "{out}" in argv:
+        assert out.read_bytes() == b""
 
 
 # --- README ----------------------------------------------------------------------

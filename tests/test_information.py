@@ -13,6 +13,7 @@ Anchor values are frozen from independent hand evaluation:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -163,6 +164,49 @@ def test_joint_distribution_rejects_non_finite_entries():
         bad[1, 0, 1] = value
         with pytest.raises(ValueError, match="does not sum to 1"):
             JointDistribution(bad)
+
+
+def numpy_refusal(probs) -> str | None:
+    """Why the reference checks, numpy's own min and sum, refuse a joint
+    table, or None when they accept it."""
+    probs = np.array(probs, dtype=float)
+    if probs.min() < 0.0:
+        return "joint table has negative entries"
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+        return "joint table does not sum to 1"
+    return None
+
+
+def test_joint_distribution_refuses_what_numpy_checks_refuse():
+    # Tables around the sum tolerance with entries of every magnitude, so
+    # that the order of the additions decides, and tables holding nan, inf
+    # and negative entries in every position; each also transposed and
+    # reversed, which numpy sums in memory order.
+    rng = np.random.default_rng(17)
+    tables = []
+    for _ in range(1000):
+        table = rng.random((2, 2, 2)) * 10.0 ** rng.integers(-17, 1, (2, 2, 2))
+        table /= table.sum()
+        edge = 1e-12 + rng.integers(-4, 5) * 2.0**-52  # a few ulps off the tolerance
+        table[tuple(rng.integers(0, 2, 3))] += rng.choice([-1, 1]) * edge
+        tables.append(table)
+    for special in (np.nan, np.inf, -np.inf, -0.125, -0.0):
+        for first, second in itertools.product(range(8), repeat=2):
+            table = np.full(8, 0.125)
+            table[first] = special
+            table[second] = rng.choice([np.nan, np.inf, -np.inf, -0.125, 0.125])
+            tables.append(table.reshape(2, 2, 2))
+    refused = 0
+    for table in tables:
+        for view in (table, table.transpose(2, 0, 1), table[::-1, :, ::-1], table.tolist()):
+            expected = numpy_refusal(view)
+            if expected is None:
+                assert JointDistribution(view).probs.tolist() == np.asarray(view).tolist()
+            else:
+                refused += 1
+                with pytest.raises(ValueError, match=f"^{expected}$"):
+                    JointDistribution(view)
+    assert 0 < refused < 4 * len(tables)
 
 
 def test_joint_probs_read_only():

@@ -12,7 +12,9 @@ import io
 import itertools
 import json
 import math
+import re
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -711,3 +713,25 @@ def test_outputs_are_plain_python_types():
         if field.startswith("n_"):
             assert type(getattr(stats, field)) is int, field
     json.dumps(stats.to_json_dict())
+
+
+def test_readme_table_figures():
+    # README's count of straddling buckets for the symmetrized attack, at
+    # each prior it names, and its bound on a run's distinct CSV rows, which
+    # no scheme exceeds and one reaches on the corners of the config space.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split())
+    counts = re.findall(r"(\d+) of 4096 (?:for the symmetrized attack )?at `--c0 (\S+)`", text)
+    assert len(counts) == 2
+    for count, c0 in counts:
+        config = ProtocolConfig(rounds=1, seed=0, c0=float(c0), scheme="improved-symmetrized")
+        assert _RoundTable(config).straddles.sum() == int(count), c0
+    most = int(re.search(r"at most (\d+) distinct rows", text)[1])
+    corners = (0.0, 0.3, 1.0)
+    rows = [
+        len(set(_RoundTable(ProtocolConfig(1, 0, c0, control, eta, scheme, fraction)).cells))
+        for scheme in SCHEMES
+        for c0, control, eta in itertools.product(corners, repeat=3)
+        for fraction in (*corners, "auto")
+    ]
+    assert max(rows) == most
