@@ -34,10 +34,11 @@ VARIANTS = ("plain", "symmetrized", "fair-mixture")
 PAIRS = ("AE", "AB", "BE")
 FORMULAS = ("plain_ae_ab", "plain_be", "sym_ae_ab", "sym_be")
 
-# Conditional tables P(k, m | j), indexed [j, k, m], exact from the attack states.
-_CONDITIONALS = {"plain": exact_outcome_table(False), "symmetrized": exact_outcome_table(True)}
-_CONDITIONALS["fair-mixture"] = 0.5 * (_CONDITIONALS["plain"] + _CONDITIONALS["symmetrized"])
-for _table in _CONDITIONALS.values():
+# Conditional tables P(k, m | j), indexed [j, k, m], exact from the attack
+# states; the Monte Carlo's attacked message cells read them too.
+CONDITIONALS = {"plain": exact_outcome_table(False), "symmetrized": exact_outcome_table(True)}
+CONDITIONALS["fair-mixture"] = 0.5 * (CONDITIONALS["plain"] + CONDITIONALS["symmetrized"])
+for _table in CONDITIONALS.values():
     _table.setflags(write=False)
 
 
@@ -84,7 +85,7 @@ def exact_joint(variant: str, c0: float) -> JointDistribution:
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"prior c0 must lie strictly between 0 and 1, got {c0!r}")
     prior = np.array([c0, 1.0 - c0])
-    probs = prior[:, None, None] * _CONDITIONALS[variant]
+    probs = prior[:, None, None] * CONDITIONALS[variant]
     return JointDistribution(probs)
 
 

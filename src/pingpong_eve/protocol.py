@@ -12,34 +12,42 @@ attack loss masquerade as channel loss, and it is why the attack fraction
 is capped at (1 - eta)/loss).  With ``scheme="none"`` the photon traverses
 the real channel and survives with probability ``eta``.
 
-Sampling is table driven.  Once per run, each (mode, attacked) branch gets
-one categorical table whose cells are complete round records (every field
-but the round index), weighted by ``c0``, ``eta`` and the symmetrization
-coin; the probabilities are tabulated exactly from the 54-dimensional
-branch states (``attacks.control_outcomes``, ``attacks.message_outcomes``
-and, for attacked message rounds, ``attacks.exact_outcome_table``), and
-cells of probability zero are dropped.  Every round draws three
-uniforms: one picks the mode, one decides whether the round is attacked,
-one is an inverse-CDF draw on that branch's table.  The draws are the
-generator's 53-bit integers k (its uniform is k * 2**-53), compared with
-integer thresholds ceil(p * 2**53), so every test on them is exact: a round
-packs its branch and third draw into one integer key, and its cell is the
-number of table keys at or below it, less one.  That count is read from a
-bucket (guide) table of 4096 entries indexed by the key's top 12 bits, the
-cell at each bucket's start; only the few buckets with a table key inside
-them are searched.  Rounds are drawn in
-blocks of ``BLOCK_ROUNDS``; block b reads ``round_rng(seed, b)``, so round
-i's draws depend only on (seed, i), a shorter run is a prefix of a longer
-one, and ``replay_round`` regenerates a single block.  ``run_simulation``
-tallies cell counts per block without building records; ``run_rounds``
-builds one per round.  ``write_records_csv`` builds no records
-either: it formats each table cell's CSV row once, as a row of a NUL-padded
-byte table, and writes every block in windows of up to 2048 rounds that
-share i // 10**4.  A window is one byte grid: the index prefix i // 10**4,
-the index's last four digits sliced from a digit table, and the cells' row
-texts, with the NUL padding dropped.  The same blocks are tallied into the
-run's stats, so each block is drawn once.  The stream scheme is named by
-``RNG_STREAM``.
+Sampling is table driven.  Once per run, ``_branch_cells`` gives each
+(mode, attacked) branch one categorical table whose cells are complete
+round records (every field but the round index), weighted by ``c0``,
+``eta`` and the symmetrization coin.  The probabilities are exact, from the
+54-dimensional branch states: control cells read
+``attacks.control_outcomes``, unattacked message cells the plain channel's
+outcome rows (``attacks.message_outcomes``, tabulated once at import), and
+attacked message cells ``information.CONDITIONALS``, the conditional tables
+built once at import from the same ``attacks.exact_outcome_table`` that
+``verify`` audits.  Cells of probability zero are dropped.  Every round
+draws three uniforms: one picks the mode, one decides whether the round is
+attacked, one is an inverse-CDF draw on that branch's table.  The draws are
+the generator's 53-bit integers k (its uniform is k * 2**-53), compared
+with integer thresholds ceil(p * 2**53), so every test on them is exact: a
+round packs its branch and third draw into one integer key, and its cell is
+the number of table keys at or below it, less one.  That count is read from
+a bucket (guide) table of 4096 entries indexed by the key's top 12 bits,
+the cell at each bucket's start; only the few buckets with a table key
+inside them are searched.  Rounds are drawn in blocks of ``BLOCK_ROUNDS``;
+block b reads ``round_rng(seed, b)``, so round i's draws depend only on
+(seed, i), a shorter run is a prefix of a longer one, and ``replay_round``
+regenerates a single block.  ``run_simulation`` tallies cell counts per
+block without building records; ``run_rounds`` builds one per round.
+``write_records_csv`` builds no records either: it formats each table
+cell's CSV row once, as a row of a NUL-padded byte table, and writes every
+block in windows of up to 2048 rounds that share i // 10**4.  A window is
+one byte grid: the index prefix i // 10**4, the index's last four digits
+sliced from a digit table, and the cells' row texts, with the NUL padding
+dropped.  The same blocks are tallied into the run's stats, so each block
+is drawn once.  The stream scheme is named by ``RNG_STREAM``.
+
+Every count of ``RunStats`` is the cell counts times the cells' counter
+rows: a cell's row holds what one round of it adds to the ten counters,
+then one-hot slots for its (j, k, m) cell in ``counts_s_off`` and
+``counts_s_on``.  ``run_simulation`` and ``write_records_csv`` count the
+table's cells; ``aggregate`` counts a record stream's distinct records.
 
 The ``wojcik-reference`` scheme has no gate-level model here and is
 simulated from its summary statistics: attacked control rounds lose the
@@ -59,15 +67,13 @@ import math
 import numbers
 import os
 import stat
-from functools import lru_cache
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .attacks import (
     CONTROL_T_H,
     control_outcomes,
-    exact_outcome_table,
     improved_profile,
     message_outcomes,
     wojcik_profile,
@@ -79,7 +85,7 @@ from .engine import (
     apply_polarization_gate,
     make_initial,
 )
-from .information import max_attack_fraction
+from .information import CONDITIONALS, max_attack_fraction
 
 SCHEMES = ("none", "improved", "improved-symmetrized", "wojcik-reference")
 
@@ -211,48 +217,17 @@ def _threshold(p: float) -> int:
 
 # The record schema, which is also the CSV header.
 _CSV_COLUMNS = RoundRecord._fields
-# A round record without its index: the cell of an outcome table.
-_Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:])
+# A round record without its index: the cell of an outcome table.  Fields a
+# round does not have default to None, its loss and detection to False.
+_Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:], defaults=(None,) * 6 + (False, False))
 
 
-def _control_cell(attacked: bool, t_out: Occupation, h_bit: int) -> _Cell:
-    lost = t_out is Occupation.VAC
-    return _Cell("control", attacked, None, None, None, t_out, h_bit, None, lost,
-                 not lost and h_bit == (0 if t_out is Occupation.POL0 else 1))
-
-
-def _message_cell(
-    attacked: bool, j: int | None, k: int | None, m: BellOutcome, s_applied: bool | None,
-    lost: bool = False,
-) -> _Cell:
-    return _Cell("message", attacked, j, k, m, None, None, s_applied, lost, False)
-
-
-# Exact outcome distributions of the message states, memoized because they
-# do not depend on the run's weights.
-@lru_cache(maxsize=None)
-def _message_outcomes(
-    attacked: bool, apply_s: bool
-) -> tuple[tuple[tuple[int | None, BellOutcome, float], ...], ...]:
-    """For each message bit j, the (register bit k, receiver outcome,
-    probability) of a message round; k is None on the plain channel, and an
-    attacked round reads the attack's exact outcome table."""
-    if not attacked:
-        states = (make_initial(), apply_polarization_gate(make_initial(), "t", PAULI_Z))
-        rows = [message_outcomes(state).sum(axis=0).tolist() for state in states]
-        return tuple(tuple((None, m, p) for m, p in zip(BellOutcome, row)) for row in rows)
-    table = exact_outcome_table(apply_s)
-    return tuple(
-        tuple((k, m, float(table[j, k, m_bit])) for k in (0, 1) for m, m_bit in _M_BIT.items())
-        for j in (0, 1)
-    )
-
-
-_COINS = {
-    "improved": ((False, 1.0),),
-    "improved-symmetrized": ((False, 0.5), (True, 0.5)),
-    "wojcik-reference": ((None, 1.0),),
-}
+# P(receiver outcome | j) of a message round on the plain channel, for
+# j = 0, 1, in BellOutcome order.
+_PLAIN_ROWS = [
+    message_outcomes(state).sum(axis=0).tolist()
+    for state in (make_initial(), apply_polarization_gate(make_initial(), "t", PAULI_Z))
+]
 
 
 def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ...]:
@@ -260,41 +235,54 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
     unattacked, control attacked, message unattacked, message attacked."""
     # Only the plain channel loses photons; the attacker's channel is lossless.
     eta = config.eta if config.scheme == "none" else 1.0
+    lost = (1.0 - eta) / 2
     priors = ((0, config.c0), (1, 1.0 - config.c0))
+    vac, pol1 = Occupation.VAC, Occupation.POL1
 
-    def lost_control(attacked: bool, p_lost: float):
-        return [(_control_cell(attacked, Occupation.VAC, h), p_lost / 2) for h in (0, 1)]
+    def control(attacked: bool, outcomes, weights) -> list[tuple[_Cell, float]]:
+        """Control cells of (t outcome, h bit) pairs; the receiver detects
+        the eavesdropper when a surviving photon breaks the anticorrelation."""
+        return [
+            (_Cell("control", attacked, None, None, None, t, h, None,
+                   t is vac, t is not vac and h == (t is pol1)), p)
+            for (t, h), p in zip(outcomes, weights)
+        ]
 
-    control = lost_control(False, 1.0 - eta) + [
-        (_control_cell(False, t, h), eta * p)
-        for (t, h), p in zip(CONTROL_T_H, control_outcomes(False))
-    ]
-    message = [(_message_cell(False, None, None, BellOutcome.NO_PHOTON, None, True), 1.0 - eta)]
-    message += [
-        (_message_cell(False, j, None, m, None), eta * p_j * p)
+    control_plain = control(False, CONTROL_T_H, [
+        (lost if t is vac else 0.0) + eta * p
+        for (t, _), p in zip(CONTROL_T_H, control_outcomes(False))
+    ])
+    no_photon = _Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True)
+    message = [(no_photon, 1.0 - eta)] + [
+        (_Cell("message", False, j, None, m), eta * p_j * p)
         for j, p_j in priors
-        for _, m, p in _message_outcomes(False, False)[j]
+        for m, p in zip(BellOutcome, _PLAIN_ROWS[j])
     ]
     if config.scheme == "none":
-        return control, [], message, []
+        return control_plain, [], message, []
     if config.scheme == "wojcik-reference":
         loss = config.attack_loss
-        control_attacked = lost_control(True, loss) + [
-            (_control_cell(True, t, h), (1.0 - loss) / 2)
-            for t, h in ((Occupation.POL1, 0), (Occupation.POL0, 1))
-        ]
+        control_attacked = control(
+            True,
+            ((vac, 0), (vac, 1), (pol1, 0), (Occupation.POL0, 1)),
+            (loss / 2, loss / 2, (1.0 - loss) / 2, (1.0 - loss) / 2),
+        )
     else:
-        control_attacked = [
-            (_control_cell(True, t, h), p)
-            for (t, h), p in zip(CONTROL_T_H, control_outcomes(True))
-        ]
+        control_attacked = control(True, CONTROL_T_H, control_outcomes(True))
+    # The eavesdropper's symmetrization coin: a fair one for the symmetrized
+    # attack, never heads for the plain one, and none for the reference.
+    if config.scheme == "improved-symmetrized":
+        coins = ((False, 0.5), (True, 0.5))
+    else:
+        coins = ((False if config.scheme == "improved" else None, 1.0),)
     message_attacked = [
-        (_message_cell(True, j, k, m, s), p_j * p_s * p)
+        (_Cell("message", True, j, k, m, None, None, s), p_j * p_s * p)
         for j, p_j in priors
-        for s, p_s in _COINS[config.scheme]
-        for k, m, p in _message_outcomes(True, bool(s))[j]
+        for s, p_s in coins
+        for k, row in enumerate(CONDITIONALS["symmetrized" if s else "plain"][j].tolist())
+        for m, p in zip(_M_BIT, row)
     ]
-    return control, control_attacked, message, message_attacked
+    return control_plain, control_attacked, message, message_attacked
 
 
 class _RoundTable:
@@ -493,53 +481,42 @@ def _json_table(table: np.ndarray):
 
 def aggregate(records: Iterable[RoundRecord]) -> RunStats:
     """Tally a record stream into RunStats."""
-    return _tally((record, 1) for record in records)
+    counted = collections.Counter(record[1:] for record in records)
+    return _tally(list(counted), list(counted.values()))
 
 
-def _tally(weighted: Iterable[tuple[RoundRecord | _Cell, int]]) -> RunStats:
-    """Tally (record, number of rounds like it) pairs into RunStats."""
-    n_rounds = n_control = n_message = 0
-    n_control_attacked = n_control_lost = n_detection = 0
-    n_message_attacked = n_message_unattacked_lost = 0
-    n_qber_errors = n_stray = 0
-    counts_s_off = np.zeros((2, 2, 2), dtype=np.int64)
-    counts_s_on = np.zeros((2, 2, 2), dtype=np.int64)
-    for record, n in weighted:
-        n_rounds += n
-        if record.mode == "control":
-            n_control += n
-            n_control_attacked += n * record.attacked
-            n_control_lost += n * record.photon_lost
-            n_detection += n * record.detection_event
-            continue
-        n_message += n
-        if not record.attacked:
-            n_message_unattacked_lost += n * record.photon_lost
-            continue
-        n_message_attacked += n
-        correct = (record.j == 0 and record.m is BellOutcome.PSI_PLUS) or (
-            record.j == 1 and record.m is BellOutcome.PSI_MINUS
-        )
-        n_qber_errors += n * (not correct)
-        if record.m in _M_BIT and record.k is not None:
-            target = counts_s_on if record.s_applied else counts_s_off
-            target[record.j, record.k, _M_BIT[record.m]] += n
-        else:
-            n_stray += n
-    return RunStats(
-        n_rounds=n_rounds,
-        n_control=n_control,
-        n_message=n_message,
-        n_control_attacked=n_control_attacked,
-        n_control_lost=n_control_lost,
-        n_detection=n_detection,
-        n_message_attacked=n_message_attacked,
-        n_message_unattacked_lost=n_message_unattacked_lost,
-        n_qber_errors=n_qber_errors,
-        n_stray_outcomes=n_stray,
-        counts_s_off=counts_s_off,
-        counts_s_on=counts_s_on,
-    )
+# A cell's counter row holds what one round of it adds to each count of
+# RunStats: the ten counters, in field order, then one-hot slots for its
+# (j, k, m) cell in counts_s_off and then in counts_s_on.
+_N_COUNTERS = 10
+_ROW_SIZE = _N_COUNTERS + 2 * 8
+
+
+def _counter_row(cell: tuple) -> bytes:
+    """The counter row of a round record without its index, a byte a count.
+    An attacked message round with no (j, k, m) cell is a stray outcome."""
+    mode, attacked, j, k, m, _, _, s_applied, lost, detection = cell
+    control = mode == "control"
+    message = not control
+    attacked_message = message and bool(attacked)
+    bit = _M_BIT.get(m)  # the receiver's decoded bit, None for any other outcome
+    counted = attacked_message and bit is not None and k is not None
+    row = [
+        1, control, message, control and attacked, control and lost, control and detection,
+        attacked_message, message and not attacked and lost,
+        attacked_message and (bit is None or bit != j), attacked_message and not counted,
+    ] + [0] * (_ROW_SIZE - _N_COUNTERS)
+    if counted:
+        row[_N_COUNTERS + 8 * bool(s_applied) + 4 * j + 2 * k + bit] = 1
+    return bytes(row)
+
+
+def _tally(cells: Sequence[tuple], counts: Sequence[int] | np.ndarray) -> RunStats:
+    """RunStats of counts[i] rounds of each cells[i], a record without its
+    index: every count is the cell counts times the cells' counter rows."""
+    rows = np.frombuffer(b"".join([_counter_row(cell) for cell in cells]), dtype=np.uint8)
+    totals = np.asarray(counts, dtype=np.int64) @ rows.reshape(-1, _ROW_SIZE)
+    return RunStats(*totals[:_N_COUNTERS].tolist(), *totals[_N_COUNTERS:].reshape(2, 2, 2, 2))
 
 
 def run_simulation(config: ProtocolConfig) -> RunStats:
@@ -549,7 +526,7 @@ def run_simulation(config: ProtocolConfig) -> RunStats:
     counts = np.zeros(len(table.cells), dtype=np.int64)
     for _, cells in table.blocks(config.rounds):
         counts += np.bincount(cells, minlength=counts.size)
-    return _tally(zip(table.cells, counts.tolist()))
+    return _tally(table.cells, counts)
 
 
 def chi_squared(counts: np.ndarray, expected_conditional: np.ndarray) -> tuple[float, int]:
@@ -681,4 +658,4 @@ def write_records_csv(config: ProtocolConfig, path: str, metadata: dict) -> RunS
                 n = min(cells.size - offset, _INDEX_LOW - low, _CSV_WINDOW_ROUNDS)
                 handle.write(_window_body(high, low, cells[offset:offset + n], rows, lead))
                 offset += n
-    return _tally(zip(table.cells, counts.tolist()))
+    return _tally(table.cells, counts)

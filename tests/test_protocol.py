@@ -7,6 +7,7 @@ test at the 99.9% quantile, per the stated validation contract.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import itertools
@@ -507,6 +508,107 @@ def test_run_simulation_equals_aggregate_of_rounds():
     config = ProtocolConfig(rounds=500, seed=3, scheme="improved-symmetrized", eta=0.85)
     direct = run_simulation(config)
     assert direct.to_json_dict() == aggregate(run_rounds(config)).to_json_dict()
+
+
+def hand_record(mode, attacked, j=None, k=None, m=None, t=None, h=None, s=None,
+                lost=False, detection=False) -> RoundRecord:
+    return RoundRecord(0, mode, attacked, j, k, m, t, h, s, lost, detection)
+
+
+PSI_PLUS, PSI_MINUS = BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS
+MESSAGE = dict(n_rounds=1, n_message=1)
+ATTACKED_MESSAGE = dict(MESSAGE, n_message_attacked=1)
+STRAY = dict(ATTACKED_MESSAGE, n_stray_outcomes=1)
+# One hand-built record per way a round reaches the counters, with every
+# count it adds; the (j, k, m) keys are the cells of counts_s_off and
+# counts_s_on.
+HAND_RECORDS = {
+    "phi-outcome": (hand_record("message", True, 0, 0, BellOutcome.PHI_PLUS, s=False),
+                    dict(STRAY, n_qber_errors=1)),
+    "no-photon-outcome": (hand_record("message", True, 1, 1, BellOutcome.NO_PHOTON),
+                          dict(STRAY, n_qber_errors=1)),
+    "no-register-bit": (hand_record("message", True, 0, None, PSI_PLUS, s=False), STRAY),
+    "qber-error": (hand_record("message", True, 1, 0, PSI_PLUS, s=True),
+                   dict(ATTACKED_MESSAGE, n_qber_errors=1, on={(1, 0, 0): 1})),
+    "coin-off": (hand_record("message", True, 0, 0, PSI_PLUS, s=False),
+                 dict(ATTACKED_MESSAGE, off={(0, 0, 0): 1})),
+    "no-coin": (hand_record("message", True, 1, 1, PSI_MINUS, s=None),
+                dict(ATTACKED_MESSAGE, off={(1, 1, 1): 1})),
+    "coin-on": (hand_record("message", True, 0, 1, PSI_MINUS, s=True),
+                dict(ATTACKED_MESSAGE, n_qber_errors=1, on={(0, 1, 1): 1})),
+    "unattacked-lost-message": (
+        hand_record("message", False, m=BellOutcome.NO_PHOTON, lost=True),
+        dict(MESSAGE, n_message_unattacked_lost=1),
+    ),
+    "unattacked-message": (hand_record("message", False, 0, None, PSI_PLUS), MESSAGE),
+    "attacked-detection": (
+        hand_record("control", True, t=Occupation.POL0, h=0, detection=True),
+        dict(n_rounds=1, n_control=1, n_control_attacked=1, n_detection=1),
+    ),
+    "attacked-lost-control": (
+        hand_record("control", True, t=Occupation.VAC, h=1, lost=True),
+        dict(n_rounds=1, n_control=1, n_control_attacked=1, n_control_lost=1),
+    ),
+    "unattacked-control": (hand_record("control", False, t=Occupation.POL1, h=0),
+                           dict(n_rounds=1, n_control=1)),
+}
+
+
+def assert_counts(stats: RunStats, off=(), on=(), **counters) -> None:
+    """Every count of ``stats``: the named counters, 0 for the others, and
+    the (j, k, m) cells of its two tables, 0 outside ``off`` and ``on``."""
+    names = [name for name in RunStats.__dataclass_fields__ if name.startswith("n_")]
+    assert len(names) == 10 and set(counters) <= set(names)
+    for name in names:
+        value = getattr(stats, name)
+        assert type(value) is int and value == counters.get(name, 0), name
+    for table, cells in ((stats.counts_s_off, off), (stats.counts_s_on, on)):
+        expected = np.zeros((2, 2, 2), dtype=np.int64)
+        for cell, n in dict(cells).items():
+            expected[cell] = n
+        assert table.dtype == np.int64 and np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("case", HAND_RECORDS)
+def test_aggregate_counts_each_kind_of_round(case):
+    record, counts = HAND_RECORDS[case]
+    assert_counts(aggregate([record]), **counts)
+
+
+def test_aggregate_counts_a_mixed_stream():
+    # Each kind of round 1 + i % 3 times, interleaved.
+    times = {case: 1 + i % 3 for i, case in enumerate(HAND_RECORDS)}
+    stream = [HAND_RECORDS[case][0] for n in range(3) for case in HAND_RECORDS if n < times[case]]
+    expected = collections.Counter()
+    tables = {"off": collections.Counter(), "on": collections.Counter()}
+    for case, (_, counts) in HAND_RECORDS.items():
+        for name, value in counts.items():
+            if name in tables:
+                tables[name].update({cell: n * times[case] for cell, n in value.items()})
+            else:
+                expected[name] += value * times[case]
+    assert expected == dict(
+        n_rounds=24, n_control=6, n_message=18, n_control_attacked=3, n_control_lost=2,
+        n_detection=1, n_message_attacked=13, n_message_unattacked_lost=2, n_qber_errors=5,
+        n_stray_outcomes=6,
+    )
+    stats = aggregate(stream)
+    assert_counts(stats, **tables, **expected)
+    assert stats.control_loss_rate == 2 / 6
+    assert stats.detection_rate == 1 / 6
+    assert stats.qber == 5 / 13
+
+
+def test_aggregate_of_an_empty_stream():
+    stats = aggregate([])
+    assert_counts(stats)
+    for name in ("control_loss_rate", "control_loss_se", "detection_rate", "detection_se",
+                 "qber", "qber_se"):
+        assert math.isnan(getattr(stats, name)), name
+    assert np.isnan(stats.conditional_table()).all()
+    payload = stats.to_json_dict()
+    assert payload["n_rounds"] == 0 and payload["qber"] is None
+    assert payload["counts_s_off"] == payload["counts_s_on"] == np.zeros((2, 2, 2)).tolist()
 
 
 def test_chi_squared_helper():
