@@ -11,21 +11,27 @@ domain kets (h, t, x, y):
     f1 = |0, 1, vac, 0>      f2 = |1, 0, vac, 0>
     f3 = |0, 1, vac, 1>      f4 = |1, 0, vac, 1>
 
-image kets:
+The outbound leg is the circuit, in the order applied,
+
+    H_y -> PBS_xy -> CNOT_tx -> CNOT_ty -> PBS_tx
+
+where H_y, the split, is a Hadamard on y's polarization; a PBS (polarizing
+beam splitter) is the engine's router over (t, x, y) that swaps the pol1
+photons of its two modes and keeps pol0 photons in place; and both CNOTs
+flip their target's polarization when t holds pol0.  After the split every
+gate moves basis kets, so the images are the split terms carried through
+index maps, and no term puts two photons in one mode:
 
     B1 = |0, vac, 1, 0>      B2 = |0, 1, 1, vac>
     B3 = |1, 0, vac, 1>      B4 = |1, 0, 0, vac>
 
-outbound action (inbound is the adjoint on the image span):
-
     f1 -> (B1 + B2)/sqrt(2)      f2 -> (B3 + B4)/sqrt(2)
     f3 -> (B1 - B2)/sqrt(2)      f4 -> (B3 - B4)/sqrt(2)
 
-The table is the unique unitary completion (up to the free phase on f4,
-fixed to +1 here) of two physical constraints: the prepared pair state maps
-to the four-component attack state, and the phase-encoded pair state maps to
-its travel-phase-flipped counterpart.  Each image ket keeps two travel
-photons, so photon number is conserved.
+The inbound leg is the adjoint on their span.  Each image ket keeps two
+travel photons, so photon number is conserved.  The circuit lies outside
+the census template of ``conventions``: its CNOTs act on (t, x) and then
+(t, y), the template's on (t, y) and then (x, y).
 
 Both legs are array kernels on amplitude rows of shape (..., 54),
 ``outbound_amps`` and ``inbound_amps``, so a stack of states takes one
@@ -45,13 +51,14 @@ is read off its attacked control table.
 from __future__ import annotations
 
 import dataclasses
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .engine import (
     DIM,
+    HADAMARD,
+    PHOTON_MODES,
     BasisKet,
     Occupation,
     PAULI_X,
@@ -60,9 +67,11 @@ from .engine import (
     apply_cnot,
     apply_polarization_gate,
     bell_amplitudes,
+    controlled_flip_permutation,
     exact_probabilities,
     ket,
     make_initial,
+    router_maps,
 )
 
 F_KETS: tuple[BasisKet, ...] = (
@@ -72,32 +81,38 @@ F_KETS: tuple[BasisKet, ...] = (
     ket(1, "0", "vac", "1"),
 )
 
-B_KETS: tuple[BasisKet, ...] = (
-    ket(0, "vac", "1", "0"),
-    ket(0, "1", "1", "vac"),
-    ket(1, "0", "vac", "1"),
-    ket(1, "0", "0", "vac"),
-)
-
 _F_INDICES = np.array([k.index for k in F_KETS])
 
-# Outbound images in the B-ket basis, one row per domain ket.
-_IMAGE_COEFFS = np.array(
-    [
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [1.0, -1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, -1.0],
-    ]
-) / math.sqrt(2.0)
+# The circuit's PBS routes over PHOTON_MODES: pol0 photons stay, and pol1
+# photons swap x and y, or t and x.
+_PBS_XY = ((0, 1, 2), (0, 2, 1), False, False)
+_PBS_TX = ((0, 1, 2), (1, 0, 2), False, False)
 
 
+@lru_cache(maxsize=None)
+def split_rows() -> np.ndarray:
+    """(4, 54) read-only rows of f1..f4 after the split H_y, the circuit's
+    only gate that makes more than one term."""
+    basis = np.eye(DIM)[_F_INDICES]
+    rows = np.array([apply_polarization_gate(PureState(row), "y", HADAMARD).amps for row in basis])
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
 def forward_images() -> np.ndarray:
-    """(4, 54) array whose rows are the outbound images of f1..f4."""
-    images = np.zeros((4, DIM), dtype=complex)
-    for row, coeffs in enumerate(_IMAGE_COEFFS):
-        for b_ket, coeff in zip(B_KETS, coeffs):
-            images[row, b_ket.index] = coeff
+    """(4, 54) read-only array whose rows are the outbound images of f1..f4:
+    each split term moved through the circuit's index maps after the split."""
+    pbs, meets = router_maps(PHOTON_MODES, (_PBS_XY, _PBS_TX))
+    cnot_tx, cnot_ty = (controlled_flip_permutation("t", mode, Occupation.POL0) for mode in "xy")
+    rows, at = np.nonzero(split_rows())
+    amps = split_rows()[rows, at]
+    for image, meet in ((pbs[0], meets[0]), (cnot_tx, None), (cnot_ty, None), (pbs[1], meets[1])):
+        if meet is not None and (meet[at] >= 0).any():
+            raise AssertionError("the attack circuit puts two photons in one mode")
+        at = image[at]
+    images = np.zeros((len(F_KETS), DIM), dtype=complex)
+    np.add.at(images, (rows, at), amps)
     images.setflags(write=False)
     return images
 

@@ -1,7 +1,7 @@
 """Exhaustive search over gate-semantics conventions for the outbound unitary.
 
-The outbound attack circuit is described structurally as five stages applied
-to the travel photon and the two ancilla modes, rightmost first:
+The census template is a five-stage circuit on the travel photon and the
+two ancilla modes, in the order applied:
 
     split     -- Hadamard on the y polarization
     route_txy -- polarizing router over modes (t, x, y)
@@ -14,14 +14,15 @@ by the photon's polarization ("transmit one polarization, reflect the
 other"), but the exact permutation pair, optional polarization flips, and
 the CNOT control/activation conventions are underdetermined.  This module
 enumerates a finite family of 576 candidate semantics, composes the circuit
-for each, and reports which candidates reproduce the pinned truth-table
-images.
+for each, and reports which reproduce the attack's images.  None does.
+Under the route "abc"/"acb" without flips the two routers are the attack's
+PBS_xy and PBS_tx, but the attack's CNOTs act on (t, x) and then (t, y).
 
-The stages are the engine's own gates: the split is its Hadamard, each CNOT
-its index permutation, and each router a basis-index map over its decode
-tables.  Terms that a router sends onto the same ket add their amplitudes,
-which is how some candidates end with images of the wrong norm (mismatch).
-A candidate is invalid when a router would put two photons into one mode
+The stages are the engine's own gates on the attack's split rows: each
+CNOT is the engine's index permutation and each router its router_maps.
+Terms that a router sends onto the same ket add their amplitudes, which is
+how some candidates end with images of the wrong norm (mismatch).  A
+candidate is invalid when a router would put two photons into one mode
 within a single basis term; the state space here is strictly
 single-occupancy, so its first such collision is reported instead.
 
@@ -46,17 +47,21 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import engine
-from .attacks import F_KETS, forward_images
+from .attacks import F_KETS, forward_images, split_rows
 from .engine import DIM, BasisKet, Occupation
 
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
 CONTROL_POSITIONS = ("first-index", "second-index")
 ACTIVATIONS = ("pol1", "pol0")
 
-ROUTE_TXY_MODES = ("t", "x", "y")
-ROUTE_YTX_MODES = ("y", "t", "x")
-CNOT_TY_MODES = ("t", "y")
-CNOT_XY_MODES = ("x", "y")
+# The template's candidate-dependent stages in circuit order, after the
+# split, with their modes; the routers are those with a meeting-mode table.
+_STAGES = (
+    ("route_txy", ("t", "x", "y")),
+    ("cnot_ty", ("t", "y")),
+    ("route_ytx", ("y", "t", "x")),
+    ("cnot_xy", ("x", "y")),
+)
 
 STATUS_MATCH = "match"
 STATUS_MISMATCH = "mismatch"
@@ -111,60 +116,11 @@ class Collision:
     mode: str
 
 
-@lru_cache(maxsize=None)
-def _split_rows() -> tuple[tuple[tuple[int, complex], ...], ...]:
-    """(index, amplitude) terms of each reference input after the split
-    stage, which no candidate changes."""
-    rows = []
-    for ket in F_KETS:
-        state = engine.PureState(np.eye(DIM)[ket.index])
-        split = engine.apply_polarization_gate(state, "y", engine.HADAMARD).amps
-        rows.append(tuple((int(i), complex(split[i])) for i in np.flatnonzero(split)))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _router_tables(modes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Basis-index maps of one router stage under every route in _ROUTES,
-    each of shape (144, DIM): the index an index's photons land on, and the
-    engine.MODES index of the mode where two of them would meet (-1 when
-    they land apart).  Photons move slot by slot in router order, so the
-    meeting mode is the first slot that an earlier photon already took.  A
-    flip swaps the occupation codes 1 (pol0) and 2 (pol1)."""
-    sigma0, sigma1, flip0, flip1 = (np.array(column) for column in zip(*_ROUTES))
-    routes = np.arange(len(_ROUTES))
-    landed = np.zeros((len(_ROUTES), len(modes), DIM), dtype=int)  # code routed into each slot
-    meet = np.full((len(_ROUTES), DIM), -1)
-    for slot, mode in enumerate(modes):
-        for occ, sigma, flip in ((1, sigma0, flip0), (2, sigma1, flip1)):
-            target = sigma[:, slot]
-            moving = engine._CODE_OF[mode] == occ
-            here = landed[routes, target]
-            meet = np.where(moving & (here != 0) & (meet < 0), target[:, None], meet)
-            landed[routes, target] = np.where(moving, np.where(flip, 3 - occ, occ)[:, None], here)
-    image = engine._INDICES + sum(
-        (landed[:, slot] - engine._CODE_OF[mode]) * engine._STRIDE[mode]
-        for slot, mode in enumerate(modes)
-    )
-    mode_index = np.array([engine.MODES.index(mode) for mode in modes])
-    return image, np.where(meet >= 0, mode_index[meet], -1)
-
-
-@lru_cache(maxsize=None)
-def _router_map(modes: tuple[str, ...], route: tuple) -> tuple[tuple, tuple]:
-    """One route's row of _router_tables, route = (sigma0, sigma1, flip0,
-    flip1): the landing index and meeting mode name (None when the photons
-    land apart) of every index."""
-    image, meet = (table[_ROUTES.index(route)].tolist() for table in _router_tables(modes))
-    return tuple(image), tuple(engine.MODES[m] if m >= 0 else None for m in meet)
-
-
-@lru_cache(maxsize=None)
-def _cnot_map(modes: tuple[str, str], control_position: str, active_on: str) -> tuple:
+def _cnot_map(modes: tuple[str, str], control_position: str, active_on: str) -> np.ndarray:
     """The engine's CNOT index permutation under one candidate's convention."""
     control, target = modes if control_position == "first-index" else modes[::-1]
     active = Occupation.POL1 if active_on == "pol1" else Occupation.POL0
-    return tuple(engine.controlled_flip_permutation(control, target, active).tolist())
+    return engine.controlled_flip_permutation(control, target, active)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,22 +139,24 @@ def compose_candidate(conv: Convention) -> CompositionResult:
     row, stage and index order, that would put two photons in one mode stops
     the composition with a collision.
     """
-    route = (conv.sigma0, conv.sigma1, conv.flip0, conv.flip1)
+    route = ((conv.sigma0, conv.sigma1, conv.flip0, conv.flip1),)
     cnot = (conv.control_position, conv.active_on)
-    stages = (
-        ("route_txy", *_router_map(ROUTE_TXY_MODES, route)),
-        ("cnot_ty", _cnot_map(CNOT_TY_MODES, *cnot), None),
-        ("route_ytx", *_router_map(ROUTE_YTX_MODES, route)),
-        ("cnot_xy", _cnot_map(CNOT_XY_MODES, *cnot), None),
-    )
+    stages = [
+        (name, *(table[0] for table in engine.router_maps(modes, route)))
+        if name.startswith("route")
+        else (name, _cnot_map(modes, *cnot), None)
+        for name, modes in _STAGES
+    ]
     images = np.zeros((len(F_KETS), DIM), dtype=complex)
-    for row, terms in enumerate(_split_rows()):
+    for row, split in enumerate(split_rows()):
+        terms = [(i, split[i]) for i in np.flatnonzero(split)]
         for stage, image_of, meet_at in stages:
             routed: dict[int, complex] = {}
             for index, amp in terms:
-                if meet_at and meet_at[index]:
+                if meet_at is not None and meet_at[index] >= 0:
                     label = BasisKet.from_index(index).label()
-                    return CompositionResult(None, Collision(stage, label, meet_at[index]))
+                    mode = engine.MODES[meet_at[index]]
+                    return CompositionResult(None, Collision(stage, label, mode))
                 routed[image_of[index]] = routed.get(image_of[index], 0.0) + amp
             terms = sorted(routed.items())
         for index, amp in terms:
@@ -237,16 +195,6 @@ class CandidateReport(NamedTuple):
 _status_of = operator.itemgetter(CandidateReport._fields.index("status"))
 
 
-# The candidate-dependent stages in circuit order; the routers are those
-# with a meeting-mode table.
-_STAGES = (
-    ("route_txy", ROUTE_TXY_MODES),
-    ("cnot_ty", CNOT_TY_MODES),
-    ("route_ytx", ROUTE_YTX_MODES),
-    ("cnot_xy", CNOT_XY_MODES),
-)
-
-
 @lru_cache(maxsize=None)
 def _batch_tables() -> tuple:
     """Every candidate's stages as raveled integer tables, built on first use.
@@ -260,18 +208,17 @@ def _batch_tables() -> tuple:
     stages = []
     for name, modes in _STAGES:
         if name.startswith("route"):
-            stages.append(tuple(table.ravel() for table in _router_tables(modes)))
+            stages.append(tuple(table.ravel() for table in engine.router_maps(modes, _ROUTES)))
         else:
             stages.append((np.array([_cnot_map(modes, *cnot) for cnot in _CNOTS]).ravel(), None))
-    rows = _split_rows()
+    rows = split_rows()
     # The solver routes each row's two terms apart and adds them only where
     # they end on one ket; a sum of two is the same in either order, so the
     # images equal compose_candidate's bit for bit.
-    if any(len(terms) != 2 for terms in rows):
+    if (np.count_nonzero(rows, axis=1) != 2).any():
         raise AssertionError("the batched solver expects two terms per split row")
-    index = np.array([[i for i, _ in terms] for terms in rows])
-    amps = np.array([[a for _, a in terms] for terms in rows])
-    return tuple(stages), index, amps
+    index = np.array([np.flatnonzero(row) for row in rows])
+    return tuple(stages), index, np.take_along_axis(rows, index, axis=1)
 
 
 @lru_cache(maxsize=None)

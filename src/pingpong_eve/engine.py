@@ -23,6 +23,8 @@ Conventions baked into the gates:
 * The photonic CNOT flips the target mode's polarization when the control
   mode holds a ``pol1`` photon; an empty target is left unchanged, and an
   empty or ``pol0`` control makes the gate the identity.
+* A polarizing router moves photons between modes by their polarization
+  (``router_maps``), and marks the kets on which two photons would meet.
 
 States are immutable.  Every operation is a pure function returning a new
 ``PureState``.
@@ -293,6 +295,39 @@ def controlled_flip_permutation(control: str, target: str, active: Occupation) -
     perm = _INDICES + (new_target - target_code) * _STRIDE[target]
     perm.setflags(write=False)
     return perm
+
+
+@lru_cache(maxsize=None)
+def router_maps(modes: tuple[str, ...], routes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Basis-index maps of a polarizing router over the photon ``modes``
+    (its slots, in order) under each route (sigma0, sigma1, flip0, flip1),
+    each of shape (len(routes), DIM): the index an index's photons land on,
+    and the MODES index of the mode where two of them would meet (-1 when
+    they land apart).  A photon of polarization p in slot i moves to slot
+    sigma_p[i], and flip_p swaps its polarization.  Photons move slot by
+    slot in router order, so the meeting mode is the first slot that an
+    earlier photon already took."""
+    if len(set(modes)) != len(modes) or not set(modes) <= set(PHOTON_MODES):
+        raise ValueError(f"a router's modes must be distinct photon modes {PHOTON_MODES}")
+    sigma0, sigma1, flip0, flip1 = (np.array(column) for column in zip(*routes))
+    route = np.arange(len(routes))
+    landed = np.zeros((len(routes), len(modes), DIM), dtype=int)  # code routed into each slot
+    meet = np.full((len(routes), DIM), -1)
+    for slot, mode in enumerate(modes):
+        for occ, sigma, flip in ((1, sigma0, flip0), (2, sigma1, flip1)):
+            target = sigma[:, slot]
+            moving = _CODE_OF[mode] == occ
+            here = landed[route, target]
+            meet = np.where(moving & (here != 0) & (meet < 0), target[:, None], meet)
+            landed[route, target] = np.where(moving, np.where(flip, 3 - occ, occ)[:, None], here)
+    image = _INDICES + sum(
+        (landed[:, slot] - _CODE_OF[mode]) * _STRIDE[mode] for slot, mode in enumerate(modes)
+    )
+    mode_index = np.array([MODES.index(mode) for mode in modes])
+    meet = np.where(meet >= 0, mode_index[meet], -1)
+    image.setflags(write=False)
+    meet.setflags(write=False)
+    return image, meet
 
 
 def apply_cnot(state: PureState, control: str, target: str) -> PureState:

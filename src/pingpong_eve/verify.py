@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
-    B_KETS,
     F_KETS,
     attack_ba,
     control_outcomes,
@@ -71,7 +70,11 @@ class CheckResult:
 
 
 def _pinned_outbound() -> PureState:
-    return PureState.from_terms({b: 0.5 for b in B_KETS})
+    # the four image kets B1..B4 of the attack, at amplitude 1/2 each
+    image_kets = (
+        (0, "vac", "1", "0"), (0, "1", "1", "vac"), (1, "0", "vac", "1"), (1, "0", "0", "vac")
+    )
+    return PureState.from_terms({ket(*b): 0.5 for b in image_kets})
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -1,16 +1,18 @@
 """Attack-unitary tests against hand-expanded pinned states.
 
-The expected amplitudes below were derived by hand from the two defining
-constraints of the attack (see the attacks module docstring) and frozen
-here; the implementation must reproduce them to 1e-12.
+The expected amplitudes below were expanded by hand and frozen here, among
+them the image kets B1..B4 and the outbound coefficient table.  The
+attack's circuit must reproduce the table bit for bit, and every state to
+1e-12.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from pingpong_eve import attacks
 from pingpong_eve.attacks import (
-    B_KETS,
     F_KETS,
     SubspaceLeakageError,
     apply_symmetrization,
@@ -41,6 +43,22 @@ from test_engine import post_attack_state, returned_state, symmetrized_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+B_KETS = (
+    ket(0, "vac", "1", "0"),
+    ket(0, "1", "1", "vac"),
+    ket(1, "0", "vac", "1"),
+    ket(1, "0", "0", "vac"),
+)
+# Outbound images in the B-ket basis, one row per domain ket.
+IMAGE_COEFFS = np.array(
+    [
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [1.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -1.0],
+    ]
+) / math.sqrt(2.0)
+
 
 def subspace_state(coeffs) -> PureState:
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -61,6 +79,15 @@ def test_outbound_images_match_truth_table():
     for f_ket, expected in zip(F_KETS, expected_rows):
         image = attack_ba(PureState.from_terms({f_ket: 1.0}))
         assert image.allclose(PureState.from_terms(expected), atol=1e-12)
+
+
+def test_circuit_images_equal_the_pinned_table():
+    pinned = np.zeros((4, DIM), dtype=complex)
+    pinned[:, [b.index for b in B_KETS]] = IMAGE_COEFFS
+    images = forward_images()
+    assert images.tobytes() == pinned.tobytes()
+    # Built once and shared: read-only, so no caller can change the legs.
+    assert forward_images() is images and not images.flags.writeable
 
 
 def test_outbound_images_are_orthonormal():

@@ -27,6 +27,7 @@ from pingpong_eve.engine import (
     project_bell,
     project_mode,
     require_normalized,
+    router_maps,
     sample_from,
 )
 
@@ -255,6 +256,51 @@ def test_cnot_rejects_bad_modes():
         apply_cnot(state, "h", "y")
     with pytest.raises(ValueError):
         apply_cnot(state, "t", "h")
+
+
+# --- polarizing routers -----------------------------------------------------
+
+PHOTONS = ("t", "x", "y")
+STAY = (0, 1, 2)
+
+
+def test_identity_route_fixes_every_ket():
+    image, meet = router_maps(PHOTONS, ((STAY, STAY, False, False),))
+    assert image.tolist() == [list(range(DIM))]
+    assert meet.tolist() == [[-1] * DIM]
+
+
+@pytest.mark.parametrize("a, b", [("t", "x"), ("x", "y"), ("t", "y")])
+def test_pbs_route_follows_the_hand_rule(a, b):
+    # A PBS on modes a and b: the route whose sigma1 swaps their slots.
+    swap = list(STAY)
+    swap[PHOTONS.index(a)], swap[PHOTONS.index(b)] = PHOTONS.index(b), PHOTONS.index(a)
+    image, meet = router_maps(PHOTONS, ((STAY, tuple(swap), False, False),))
+    pol0, pol1 = Occupation.POL0, Occupation.POL1
+    for index in range(DIM):
+        k = BasisKet.from_index(index)
+        occ = {mode: getattr(k, mode) for mode in PHOTONS}
+        # Two photons meet exactly where a pol1 photon enters a mode that
+        # holds a pol0 photon, which stays.
+        entered = [
+            dst for src, dst in ((a, b), (b, a)) if occ[src] is pol1 and occ[dst] is pol0
+        ]
+        assert meet[0, index] == (MODES.index(entered[0]) if entered else -1), k.label()
+        if entered:
+            continue
+        # Otherwise pol1 photons cross and pol0 photons stay.
+        new = dict(occ)
+        for src, dst in ((a, b), (b, a)):
+            new[dst] = pol1 if occ[src] is pol1 else pol0 if occ[dst] is pol0 else Occupation.VAC
+        assert image[0, index] == BasisKet(k.h, new["t"], new["x"], new["y"]).index, k.label()
+
+
+def test_router_rejects_bad_modes():
+    route = ((STAY, STAY, False, False),)
+    with pytest.raises(ValueError):
+        router_maps(("h", "t", "x"), route)
+    with pytest.raises(ValueError):
+        router_maps(("t", "t", "x"), route)
 
 
 # --- measurements -----------------------------------------------------------

@@ -27,6 +27,7 @@ from pingpong_eve.engine import BellOutcome, Occupation
 from pingpong_eve.protocol import (
     _CSV_COLUMNS,
     _CSV_WINDOW_ROUNDS,
+    _INDEX_DIGITS,
     _INDEX_LOW,
     BLOCK_ROUNDS,
     SCHEMES,
@@ -36,7 +37,9 @@ from pingpong_eve.protocol import (
     _branch_cells,
     _cell,
     _RoundTable,
+    _row_table,
     _threshold,
+    _window_body,
     aggregate,
     chi_squared,
     max_attack_fraction,
@@ -837,3 +840,14 @@ def test_readme_table_figures():
         for fraction in (*corners, "auto")
     ]
     assert max(rows) == most
+    # README's memory of one CSV window, in MB: a full window's byte grid,
+    # its NUL mask and its compacted bytes, at the benchmark's --out config
+    # (the symmetrized attack, eta 0.8, c0 0.3, 2e4 rounds).
+    window_mb = float(re.search(r"take about (\S+) MB at once", text)[1])
+    config = ProtocolConfig(20000, 2026, 0.3, eta=0.8, scheme="improved-symmetrized")
+    table = _RoundTable(config)
+    lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
+    rows, cells = _row_table(table.cells, lead), table.sample(0, _CSV_WINDOW_ROUNDS)
+    body = _window_body(0, 0, cells, rows, lead)
+    grid = rows.take(cells, axis=0)
+    assert round((2 * grid.nbytes + body.nbytes) / 1e6, 1) == window_mb
