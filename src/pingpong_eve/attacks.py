@@ -1,4 +1,4 @@
-"""Travel-photon attack: exact unitary action, symmetrization, and profiles.
+"""Travel-photon attacks: exact unitary action, symmetrization, and profiles.
 
 The eavesdropper intercepts the travel photon on its way to the sender
 (outbound leg), entangles it with her ancilla modes x and y, and undoes the
@@ -11,32 +11,43 @@ domain kets (h, t, x, y):
     f1 = |0, 1, vac, 0>      f2 = |1, 0, vac, 0>
     f3 = |0, 1, vac, 1>      f4 = |1, 0, vac, 1>
 
-The outbound leg is the circuit, in the order applied,
+Two attacks are defined, each by its outbound circuit, in the order
+applied: the paper's improved attack, and Wojcik's reference attack (PRL
+90, 157901 (2003)), whose Q_txy = SWAP_tx CPBS_txy H_y is read here with
+CPBS_txy = CNOT_tx PBS_xy:
 
-    H_y -> PBS_xy -> CNOT_tx -> CNOT_ty -> PBS_tx
+    improved:  H_y -> PBS_xy -> CNOT_tx -> CNOT_ty -> PBS_tx
+    wojcik:    H_y -> PBS_xy -> CNOT_tx -> SWAP_tx
 
-where H_y, the split, is a Hadamard on y's polarization; a PBS (polarizing
-beam splitter) is the engine's router over (t, x, y) that swaps the pol1
-photons of its two modes and keeps pol0 photons in place; and both CNOTs
-flip their target's polarization when t holds pol0.  After the split every
-gate moves basis kets, so the images are the split terms carried through
-index maps, and no term puts two photons in one mode:
+H_y, the split, is a Hadamard on y's polarization; a PBS (polarizing beam
+splitter) is the engine's router over (t, x, y) that swaps the pol1 photons
+of its two modes and keeps pol0 photons in place; SWAP_tx is the router
+that swaps t and x whatever the polarization; and each CNOT flips its
+target's polarization when t holds pol0.  After the split every gate moves
+basis kets, so the images are the split terms carried through index maps,
+and no term puts two photons in one mode.  With
 
     B1 = |0, vac, 1, 0>      B2 = |0, 1, 1, vac>
-    B3 = |1, 0, vac, 1>      B4 = |1, 0, 0, vac>
+    B3 = |1, 0, vac, 1>      B4 = |1, 0, 0, vac>      R3 = |1, vac, 0, 0>
+
+the improved attack maps
 
     f1 -> (B1 + B2)/sqrt(2)      f2 -> (B3 + B4)/sqrt(2)
     f3 -> (B1 - B2)/sqrt(2)      f4 -> (B3 - B4)/sqrt(2)
 
-The inbound leg is the adjoint on their span.  Each image ket keeps two
-travel photons, so photon number is conserved.  The circuit lies outside
-the census template of ``conventions``: its CNOTs act on (t, x) and then
-(t, y), the template's on (t, y) and then (x, y).
+and the reference attack is the same with R3 in place of B3, so half the
+weight of each of its images has t = vac, where the improved attack's
+images of f2 and f4 have none.  The inbound leg is the adjoint on the
+image span.  Each image ket keeps two travel photons, so photon number is
+conserved.  The improved circuit lies outside the census template of
+``conventions``: its CNOTs act on (t, x) and then (t, y), the template's
+on (t, y) and then (x, y).
 
 Both legs are array kernels on amplitude rows of shape (..., 54),
 ``outbound_amps`` and ``inbound_amps``, so a stack of states takes one
-pass; ``attack_ba`` and ``attack_ab`` wrap them for one ``PureState``.  A
-row with support outside the leg's span raises SubspaceLeakageError, which
+pass; ``attack_ba`` and ``attack_ab`` wrap them for one ``PureState``.
+Every leg takes the attack by name, the improved one by default.  A row
+with support outside the leg's span raises SubspaceLeakageError, which
 names every leaking ket of the stack.
 
 The symmetrization S = X_t Z_t N_ty X_t (rightmost first) is built from the
@@ -44,8 +55,8 @@ state-engine gates and makes the attack's outcome statistics symmetric
 under swapping the message-bit value.
 
 The control and message outcome tables are tabulated exactly from the
-branch states (``engine.exact_probabilities``); the improved attack's loss
-is read off its attacked control table.
+branch states (``engine.exact_probabilities``); each attack's loss is read
+off its own attacked control table.
 """
 
 from __future__ import annotations
@@ -83,15 +94,25 @@ F_KETS: tuple[BasisKet, ...] = (
 
 _F_INDICES = np.array([k.index for k in F_KETS])
 
-# The circuit's PBS routes over PHOTON_MODES: pol0 photons stay, and pol1
-# photons swap x and y, or t and x.
-_PBS_XY = ((0, 1, 2), (0, 2, 1), False, False)
-_PBS_TX = ((0, 1, 2), (1, 0, 2), False, False)
+# The circuits' routers, as routes over PHOTON_MODES: a PBS keeps pol0
+# photons in place and swaps the pol1 photons of x and y, or of t and x;
+# SWAP_tx swaps t and x for both polarizations.
+_ROUTES = {
+    "PBS_xy": ((0, 1, 2), (0, 2, 1), False, False),
+    "PBS_tx": ((0, 1, 2), (1, 0, 2), False, False),
+    "SWAP_tx": ((1, 0, 2), (1, 0, 2), False, False),
+}
+# Each attack's gates after the shared split H_y, in the order applied.
+_CIRCUITS = {
+    "improved": ("PBS_xy", "CNOT_tx", "CNOT_ty", "PBS_tx"),
+    "wojcik": ("PBS_xy", "CNOT_tx", "SWAP_tx"),
+}
+ATTACKS = tuple(_CIRCUITS)
 
 
 @lru_cache(maxsize=None)
 def split_rows() -> np.ndarray:
-    """(4, 54) read-only rows of f1..f4 after the split H_y, the circuit's
+    """(4, 54) read-only rows of f1..f4 after the split H_y, the circuits'
     only gate that makes more than one term."""
     basis = np.eye(DIM)[_F_INDICES]
     rows = np.array([apply_polarization_gate(PureState(row), "y", HADAMARD).amps for row in basis])
@@ -100,16 +121,27 @@ def split_rows() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def forward_images() -> np.ndarray:
-    """(4, 54) read-only array whose rows are the outbound images of f1..f4:
-    each split term moved through the circuit's index maps after the split."""
-    pbs, meets = router_maps(PHOTON_MODES, (_PBS_XY, _PBS_TX))
-    cnot_tx, cnot_ty = (controlled_flip_permutation("t", mode, Occupation.POL0) for mode in "xy")
+def _gate_maps() -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
+    """Each gate's basis-index map, with the meeting modes of a router."""
+    images, meets = router_maps(PHOTON_MODES, tuple(_ROUTES.values()))
+    gates = {name: (image, meet) for name, image, meet in zip(_ROUTES, images, meets)}
+    for mode in "xy":
+        gates[f"CNOT_t{mode}"] = (controlled_flip_permutation("t", mode, Occupation.POL0), None)
+    return gates
+
+
+@lru_cache(maxsize=None)
+def forward_images(attack: str = "improved") -> np.ndarray:
+    """(4, 54) read-only array whose rows are the named attack's outbound
+    images of f1..f4: each split term moved through its circuit's index
+    maps after the split."""
     rows, at = np.nonzero(split_rows())
     amps = split_rows()[rows, at]
-    for image, meet in ((pbs[0], meets[0]), (cnot_tx, None), (cnot_ty, None), (pbs[1], meets[1])):
+    gates = _gate_maps()
+    for gate in _CIRCUITS[attack]:
+        image, meet = gates[gate]
         if meet is not None and (meet[at] >= 0).any():
-            raise AssertionError("the attack circuit puts two photons in one mode")
+            raise AssertionError(f"the {attack} circuit puts two photons in one mode")
         at = image[at]
     images = np.zeros((len(F_KETS), DIM), dtype=complex)
     np.add.at(images, (rows, at), amps)
@@ -117,7 +149,8 @@ def forward_images() -> np.ndarray:
     return images
 
 
-_IMAGES = forward_images()
+# The images both legs read, by attack, when called, so they can be replaced.
+_IMAGES = {attack: forward_images(attack) for attack in ATTACKS}
 _OUTSIDE_F = ~np.isin(np.arange(DIM), _F_INDICES)
 
 
@@ -146,7 +179,7 @@ def _check_leakage(direction: str, residual: np.ndarray) -> None:
 # Both legs give each row of a stack a product of its own, the one a single
 # state gets, so a row of a stack and a lone state come out bit for bit
 # equal; one (n, 4) @ (4, 54) product over the stack differs in the sign of
-# some zeros.  Both legs read _IMAGES when called, so it can be replaced.
+# some zeros.
 
 
 def _rows_times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -154,39 +187,42 @@ def _rows_times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (rows[..., None, :] @ matrix)[..., 0, :]
 
 
-def outbound_amps(amps: np.ndarray) -> np.ndarray:
-    """Outbound leg on amplitude rows of shape (..., 54); the rows must lie
-    in span{f1..f4}, or SubspaceLeakageError names the offending kets."""
+def outbound_amps(amps: np.ndarray, attack: str = "improved") -> np.ndarray:
+    """Outbound leg of the named attack on amplitude rows of shape (..., 54);
+    the rows must lie in span{f1..f4}, or SubspaceLeakageError names the
+    offending kets."""
     _check_leakage("outbound", np.where(_OUTSIDE_F, amps, 0.0))
-    return _rows_times(amps[..., _F_INDICES], _IMAGES)
+    return _rows_times(amps[..., _F_INDICES], _IMAGES[attack])
 
 
-def inbound_amps(amps: np.ndarray) -> np.ndarray:
-    """Inbound leg on amplitude rows of shape (..., 54): the adjoint of the
-    outbound leg, defined on the span of the outbound images."""
-    coeffs = (_IMAGES.conj() @ amps[..., None])[..., 0]
-    _check_leakage("inbound", amps - _rows_times(coeffs, _IMAGES))
+def inbound_amps(amps: np.ndarray, attack: str = "improved") -> np.ndarray:
+    """Inbound leg of the named attack on amplitude rows of shape (..., 54):
+    the adjoint of its outbound leg, defined on the span of its images."""
+    images = _IMAGES[attack]
+    coeffs = (images.conj() @ amps[..., None])[..., 0]
+    _check_leakage("inbound", amps - _rows_times(coeffs, images))
     restored = np.zeros(amps.shape, dtype=complex)
     restored[..., _F_INDICES] = coeffs
     return restored
 
 
-def attack_ba(state: PureState) -> PureState:
-    """Outbound leg: apply the attack unitary on the receiver->sender trip.
+def attack_ba(state: PureState, attack: str = "improved") -> PureState:
+    """Outbound leg: apply the named attack's unitary on the receiver->sender
+    trip.
 
     Defined only for states supported on span{f1..f4}; anything else raises
     SubspaceLeakageError naming the offending kets.
     """
-    return PureState(outbound_amps(state.amps))
+    return PureState(outbound_amps(state.amps, attack))
 
 
-def attack_ab(state: PureState, apply_s: bool = False) -> PureState:
-    """Inbound leg: undo the outbound unitary (adjoint on the image span),
-    then optionally apply the symmetrization S.
+def attack_ab(state: PureState, apply_s: bool = False, attack: str = "improved") -> PureState:
+    """Inbound leg: undo the named attack's outbound unitary (adjoint on its
+    image span), then optionally apply the symmetrization S.
 
     Defined only for states supported on span of the outbound images.
     """
-    restored = PureState(inbound_amps(state.amps))
+    restored = PureState(inbound_amps(state.amps, attack))
     if apply_s:
         restored = apply_symmetrization(restored)
     return restored
@@ -201,19 +237,19 @@ def apply_symmetrization(state: PureState) -> PureState:
     return state
 
 
-def message_state(j: int, apply_s: bool = False) -> PureState:
+def message_state(j: int, apply_s: bool = False, attack: str = "improved") -> PureState:
     """State reaching Eve's register and the receiver for message bit j.
 
-    Runs the full message-mode round on the attacked channel: outbound
-    attack on the prepared pair, the sender's phase encoding Z_t^j, then the
-    inbound attack (with optional symmetrization).
+    Runs the full message-mode round on the channel under the named attack:
+    outbound leg on the prepared pair, the sender's phase encoding Z_t^j,
+    then the inbound leg (with optional symmetrization).
     """
     if j not in (0, 1):
         raise ValueError(f"message bit must be 0 or 1, got {j!r}")
-    state = attack_ba(make_initial())
+    state = attack_ba(make_initial(), attack)
     if j == 1:
         state = apply_polarization_gate(state, "t", PAULI_Z)
-    return attack_ab(state, apply_s=apply_s)
+    return attack_ab(state, apply_s, attack)
 
 
 # Label of each amplitude of a message state's bell_amplitudes, flattened in
@@ -235,16 +271,17 @@ def message_outcomes(state: PureState) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def control_outcomes(attacked: bool) -> tuple[float, ...]:
+def control_outcomes(attack: str | None) -> tuple[float, ...]:
     """Exact P(t outcome, h bit) of a control round on the prepared pair,
-    after the outbound attack when ``attacked``, in the order of
-    ``CONTROL_T_H``: (vac, 0), (vac, 1), (pol0, 0), ..., (pol1, 1)."""
-    state = attack_ba(make_initial()) if attacked else make_initial()
+    after the named attack's outbound leg (none when ``attack`` is None), in
+    the order of ``CONTROL_T_H``: (vac, 0), (vac, 1), (pol0, 0), ...,
+    (pol1, 1)."""
+    state = make_initial() if attack is None else attack_ba(make_initial(), attack)
     return tuple(exact_probabilities(state.amps, _CONTROL_LABEL, 6).tolist())
 
 
-def exact_outcome_table(apply_s: bool) -> np.ndarray:
-    """Exact conditional table P(k, m | j) from the attack states.
+def exact_outcome_table(apply_s: bool, attack: str = "improved") -> np.ndarray:
+    """Exact conditional table P(k, m | j) from the named attack's states.
 
     Returned array has shape (2, 2, 2) indexed by (j, k, m) where k is
     Eve's register bit (y polarization) and m the receiver's two-particle
@@ -252,7 +289,7 @@ def exact_outcome_table(apply_s: bool) -> np.ndarray:
     register, phi-type or no-photon results) carry zero probability for
     these states; this is verified, not assumed.
     """
-    outcomes = np.array([message_outcomes(message_state(j, apply_s)) for j in (0, 1)])
+    outcomes = np.array([message_outcomes(message_state(j, apply_s, attack)) for j in (0, 1)])
     table = outcomes[:, 1:, :2].copy()
     outcomes[:, 1:, :2] = 0.0
     if outcomes.any():
@@ -260,7 +297,7 @@ def exact_outcome_table(apply_s: bool) -> np.ndarray:
     return table
 
 
-# --- accounting-level profiles ---------------------------------------------
+# --- profiles ---------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,14 +336,21 @@ def _information_values() -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=None)
+def attack_profile(attack: str) -> AttackProfile:
+    """The named attack's profile.  The loss is P(t = vac) of its attacked
+    control table; the information values are the information layer's,
+    whose tables are the improved attack's (``verify`` checks that the
+    reference attack's tables equal them)."""
+    return AttackProfile(attack, sum(control_outcomes(attack)[:2]), *_information_values())
+
+
 def improved_profile() -> AttackProfile:
     """Attack implemented here: quarter loss, same information values as the
-    half-loss reference scheme.  The loss is P(t = vac) of the attacked
-    control table."""
-    return AttackProfile("improved", sum(control_outcomes(True)[:2]), *_information_values())
+    half-loss reference attack."""
+    return attack_profile("improved")
 
 
-@lru_cache(maxsize=None)
 def wojcik_profile() -> AttackProfile:
-    """Reference scheme modeled by its published summary statistics only."""
-    return AttackProfile("wojcik", 0.5, *_information_values())
+    """Wojcik's reference attack, derived from its own circuit: half loss,
+    and the improved attack's message tables and so its information values."""
+    return attack_profile("wojcik")

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import __version__
-from .attacks import improved_profile, wojcik_profile
+from .attacks import ATTACKS, attack_profile
 from .conventions import CSV_HEADER, report_rows, solve, summarize
 from .information import CurvePoint, SecurityReport, security_report
 from .protocol import (
@@ -35,8 +35,6 @@ from .protocol import (
 
 DEFAULT_SEED = 2026
 SEED_ENV_VAR = "PINGPONG_EVE_SEED"
-
-ANALYZE_PROFILES = {"improved": improved_profile, "wojcik": wojcik_profile}
 
 
 def _attack_fraction_arg(text: str):
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write aggregate statistics JSON here")
 
     analyze = sub.add_parser("analyze", help="information curves and bounds")
-    analyze.add_argument("--scheme", choices=sorted(ANALYZE_PROFILES), default="improved")
+    analyze.add_argument("--scheme", choices=sorted(ATTACKS), default="improved")
     analyze.add_argument("--curve", metavar="PATH", type=_output_path,
                          help="write the eta curve CSV here")
     analyze.add_argument("--report", metavar="PATH", type=_output_path,
@@ -261,7 +259,7 @@ def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
 
 def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _check_outputs(parser, args.curve, args.report):
-        report = security_report(ANALYZE_PROFILES[args.scheme]())
+        report = security_report(attack_profile(args.scheme))
         metadata = {
             "version": __version__,
             "command": "analyze",

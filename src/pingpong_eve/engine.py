@@ -240,11 +240,17 @@ def require_normalized(amps: np.ndarray) -> None:
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+# The engine's own gates are unitary as written and read-only, so a gate call
+# skips the unitarity check for them.
+for _gate in (PAULI_X, PAULI_Z, HADAMARD):
+    _gate.setflags(write=False)
 
 _ID2 = np.eye(2, dtype=complex)
 
 
 def _require_unitary(gate: np.ndarray) -> np.ndarray:
+    if gate is PAULI_X or gate is PAULI_Z or gate is HADAMARD:
+        return gate
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise ValueError(f"polarization gate must be 2x2, got shape {gate.shape}")
@@ -338,9 +344,11 @@ def apply_cnot(state: PureState, control: str, target: str) -> PureState:
     return PureState(new)
 
 
+@lru_cache(maxsize=None)
 def make_initial() -> PureState:
     """Entangled pair shared between h and t, with empty x and a pol0 marker
-    photon in y: (|h=0, t=1> + |h=1, t=0>)/sqrt(2) (x) |vac>_x |0>_y."""
+    photon in y: (|h=0, t=1> + |h=1, t=0>)/sqrt(2) (x) |vac>_x |0>_y.
+    Built once: a state is immutable, so every caller can share it."""
     amp = 1.0 / np.sqrt(2.0)
     return PureState.from_terms(
         {

@@ -49,11 +49,12 @@ then one-hot slots for its (j, k, m) cell in ``counts_s_off`` and
 ``counts_s_on``.  ``run_simulation`` and ``write_records_csv`` count the
 table's cells; ``aggregate`` counts a record stream's distinct records.
 
-The ``wojcik-reference`` scheme has no gate-level model here and is
-simulated from its summary statistics: attacked control rounds lose the
-photon with its profile's loss, surviving control outcomes stay
-anticorrelated, and message outcomes follow the plain attack's exact
-conditional table.
+Every scheme runs through the same cells.  An attacked control branch is
+its attack's control table (``attacks.control_outcomes``), so the
+``wojcik-reference`` scheme's control rounds come from the reference
+attack's own circuit.  Its message rounds read the plain table of
+``information.CONDITIONALS``, which its own tables equal, and carry no
+symmetrization coin.
 """
 
 from __future__ import annotations
@@ -71,13 +72,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import (
-    CONTROL_T_H,
-    control_outcomes,
-    improved_profile,
-    message_outcomes,
-    wojcik_profile,
-)
+from .attacks import CONTROL_T_H, attack_profile, control_outcomes, message_outcomes
 from .engine import (
     BellOutcome,
     Occupation,
@@ -89,10 +84,11 @@ from .information import CONDITIONALS, max_attack_fraction
 
 SCHEMES = ("none", "improved", "improved-symmetrized", "wojcik-reference")
 
-_SCHEME_PROFILE = {
-    "improved": improved_profile,
-    "improved-symmetrized": improved_profile,
-    "wojcik-reference": wojcik_profile,
+# The attack each attacking scheme runs, by its ``attacks`` name.
+_SCHEME_ATTACK = {
+    "improved": "improved",
+    "improved-symmetrized": "improved",
+    "wojcik-reference": "wojcik",
 }
 
 
@@ -139,8 +135,8 @@ class ProtocolConfig:
     @property
     def attack_loss(self) -> float | None:
         """Control-mode loss induced per attacked round, None without attack."""
-        profile = _SCHEME_PROFILE.get(self.scheme)
-        return None if profile is None else profile().loss
+        attack = _SCHEME_ATTACK.get(self.scheme)
+        return None if attack is None else attack_profile(attack).loss
 
     def resolved_attack_fraction(self) -> float:
         if self.scheme == "none":
@@ -174,7 +170,7 @@ class RoundRecord(NamedTuple):
 _M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
 
 BLOCK_ROUNDS = 1 << 14
-RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v1"
+RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v2"
 # Uniforms per round: mode, attacked, cell within the branch table.
 _DRAWS_PER_ROUND = 3
 # Bits of a uniform draw: PCG64's random() is (next_uint64 >> 11) * 2**-53.
@@ -239,18 +235,19 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
     priors = ((0, config.c0), (1, 1.0 - config.c0))
     vac, pol1 = Occupation.VAC, Occupation.POL1
 
-    def control(attacked: bool, outcomes, weights) -> list[tuple[_Cell, float]]:
-        """Control cells of (t outcome, h bit) pairs; the receiver detects
-        the eavesdropper when a surviving photon breaks the anticorrelation."""
+    def control(attacked: bool, weights) -> list[tuple[_Cell, float]]:
+        """Control cells of the (t outcome, h bit) pairs of CONTROL_T_H; the
+        receiver detects the eavesdropper when a surviving photon breaks the
+        anticorrelation."""
         return [
             (_Cell("control", attacked, None, None, None, t, h, None,
                    t is vac, t is not vac and h == (t is pol1)), p)
-            for (t, h), p in zip(outcomes, weights)
+            for (t, h), p in zip(CONTROL_T_H, weights)
         ]
 
-    control_plain = control(False, CONTROL_T_H, [
+    control_plain = control(False, [
         (lost if t is vac else 0.0) + eta * p
-        for (t, _), p in zip(CONTROL_T_H, control_outcomes(False))
+        for (t, _), p in zip(CONTROL_T_H, control_outcomes(None))
     ])
     no_photon = _Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True)
     message = [(no_photon, 1.0 - eta)] + [
@@ -260,15 +257,7 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
     ]
     if config.scheme == "none":
         return control_plain, [], message, []
-    if config.scheme == "wojcik-reference":
-        loss = config.attack_loss
-        control_attacked = control(
-            True,
-            ((vac, 0), (vac, 1), (pol1, 0), (Occupation.POL0, 1)),
-            (loss / 2, loss / 2, (1.0 - loss) / 2, (1.0 - loss) / 2),
-        )
-    else:
-        control_attacked = control(True, CONTROL_T_H, control_outcomes(True))
+    control_attacked = control(True, control_outcomes(_SCHEME_ATTACK[config.scheme]))
     # The eavesdropper's symmetrization coin: a fair one for the symmetrized
     # attack, never heads for the plain one, and none for the reference.
     if config.scheme == "improved-symmetrized":

@@ -139,7 +139,7 @@ def run_all_checks() -> list[CheckResult]:
     # control statistics of the attacked control table, tabulated exactly from
     # the outbound state, so they admit equality checks; entries (t, h bit):
     # (vac, 0), (vac, 1), (pol0, 0), (pol0, 1), (pol1, 0), (pol1, 1)
-    control = control_outcomes(True)
+    control = control_outcomes("improved")
     p_vac = control[0] + control[1]
     exact = p_vac == 0.25 and improved_profile().loss == p_vac
     add("control-no-photon", exact, f"P(no photon) = {p_vac!r}, pinned 1/4")
@@ -147,11 +147,27 @@ def run_all_checks() -> list[CheckResult]:
     add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
 
     # outcome tables: the attack states' against the pinned states' tables
+    tables = []
     for variant, returned in (("plain", _pinned_returned), ("symmetrized", _pinned_symmetrized)):
         table = exact_outcome_table(variant == "symmetrized")
+        tables.append(table)
         expected = np.array([message_outcomes(returned(j))[1:, :2] for j in (0, 1)])
         diff = float(np.max(np.abs(table - expected)))
         add(f"{variant}-outcome-table", (table == expected).all(), f"max cell diff {diff:.3e}")
+
+    # the reference attack, tabulated exactly from its own circuit
+    reference = control_outcomes("wojcik")
+    p_vac, p_equal = reference[0] + reference[1], reference[2] + reference[5]
+    same_tables = all(
+        (exact_outcome_table(apply_s, "wojcik") == table).all()
+        for apply_s, table in zip((False, True), tables)
+    )
+    add(
+        "reference-attack",
+        p_vac == 0.5 and wojcik_profile().loss == p_vac and p_equal == 0.0 and same_tables,
+        f"P(no photon) = {p_vac!r}, pinned 1/2; P(equal bits) = {p_equal!r}; "
+        + f"message tables {'equal' if same_tables else 'differ from'} the improved attack's",
+    )
 
     # information anchors at the balanced prior
     plain = exact_joint("plain", 0.5)

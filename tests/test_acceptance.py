@@ -17,6 +17,7 @@ from pingpong_eve.attacks import (
     attack_ab,
     attack_ba,
     exact_outcome_table,
+    forward_images,
     improved_profile,
     message_state,
     wojcik_profile,
@@ -303,8 +304,10 @@ def test_criterion_9_convention_solver(monkeypatch):
     assert report_rows(reports) == report_rows(solve())
     assert reports[0].status == "mismatch"
     matches = [r for r in reports if r.status == "match"]
-    for report in matches:
-        monkeypatch.setattr(attacks, "_IMAGES", compose_candidate(report.convention).images)
+    # The improved attack's own images run first, as the positive control:
+    # the census finds no match, so without them the body would never run.
+    for images in [forward_images()] + [compose_candidate(r.convention).images for r in matches]:
+        monkeypatch.setitem(attacks._IMAGES, "improved", images)
         outbound = attack_ba(make_initial())
         assert outbound.equal_up_to_global_phase(post_attack_state(), atol=1e-9)
         assert abs(float(mode_marginal(outbound, "t")[0]) - 0.25) <= 1e-9

@@ -1,9 +1,9 @@
 """Attack-unitary tests against hand-expanded pinned states.
 
 The expected amplitudes below were expanded by hand and frozen here, among
-them the image kets B1..B4 and the outbound coefficient table.  The
-attack's circuit must reproduce the table bit for bit, and every state to
-1e-12.
+them the image kets of both attacks and the outbound coefficient table they
+share.  Each attack's circuit must reproduce its table bit for bit, and
+every state to 1e-12.
 """
 
 import math
@@ -37,7 +37,12 @@ from pingpong_eve.engine import (
     make_initial,
     mode_marginal,
 )
-from pingpong_eve.information import exact_joint, mixture_ae_conditioned, mutual_information
+from pingpong_eve.information import (
+    CONDITIONALS,
+    exact_joint,
+    mixture_ae_conditioned,
+    mutual_information,
+)
 
 from test_engine import post_attack_state, returned_state, symmetrized_state
 
@@ -49,7 +54,16 @@ B_KETS = (
     ket(1, "0", "vac", "1"),
     ket(1, "0", "0", "vac"),
 )
-# Outbound images in the B-ket basis, one row per domain ket.
+# The reference attack's image kets: the improved attack's, with
+# |1, vac, 0, 0> in place of B3.
+REFERENCE_KETS = (
+    ket(0, "vac", "1", "0"),
+    ket(0, "1", "1", "vac"),
+    ket(1, "vac", "0", "0"),
+    ket(1, "0", "0", "vac"),
+)
+# Outbound images in the basis of either attack's image kets, one row per
+# domain ket.
 IMAGE_COEFFS = np.array(
     [
         [1.0, 1.0, 0.0, 0.0],
@@ -88,6 +102,16 @@ def test_circuit_images_equal_the_pinned_table():
     assert images.tobytes() == pinned.tobytes()
     # Built once and shared: read-only, so no caller can change the legs.
     assert forward_images() is images and not images.flags.writeable
+
+
+def test_reference_circuit_images_equal_the_pinned_table():
+    # H_y -> PBS_xy -> CNOT_tx -> SWAP_tx: the improved table on the
+    # reference attack's own image kets.
+    pinned = np.zeros((4, DIM), dtype=complex)
+    pinned[:, [r.index for r in REFERENCE_KETS]] = IMAGE_COEFFS
+    images = forward_images("wojcik")
+    assert images.tobytes() == pinned.tobytes()
+    assert forward_images("wojcik") is images and not images.flags.writeable
 
 
 def test_outbound_images_are_orthonormal():
@@ -221,6 +245,32 @@ def test_round_trip_is_identity_on_subspace():
         assert attack_ab(attack_ba(state)).allclose(state, atol=1e-12)
 
 
+def test_reference_round_trip_of_a_stack():
+    # 100 random in-domain states through both legs of the reference attack
+    # as one stack: back to the start within 1e-12, and each row bit for bit
+    # the single-state legs' result.
+    rng = np.random.default_rng(43)
+    coeffs = rng.normal(size=(100, 4)) + 1j * rng.normal(size=(100, 4))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    states = np.zeros((100, DIM), dtype=complex)
+    states[:, [k.index for k in F_KETS]] = coeffs
+    outbound = outbound_amps(states, "wojcik")
+    returned = inbound_amps(outbound, "wojcik")
+    assert np.max(np.abs(returned - states)) <= 1e-12
+    for state, out_row, back_row in zip(states, outbound, returned):
+        assert out_row.tobytes() == attack_ba(PureState(state), "wojcik").amps.tobytes()
+        assert back_row.tobytes() == attack_ab(PureState(out_row), attack="wojcik").amps.tobytes()
+
+
+def test_each_attack_has_its_own_inbound_span():
+    # B3 is an improved image ket, outside the reference attack's span.
+    state = PureState.from_terms({B_KETS[2]: 1.0})
+    attack_ab(state)
+    with pytest.raises(SubspaceLeakageError) as err:
+        attack_ab(state, attack="wojcik")
+    assert err.value.offending == [B_KETS[2]]
+
+
 # --- symmetrization ------------------------------------------------------------
 
 
@@ -263,10 +313,24 @@ def test_exact_outcome_table_symmetrized():
     assert (exact_outcome_table(apply_s=True) == PLAIN_COND[::-1, ::-1, ::-1]).all()
 
 
+def test_reference_message_tables_equal_the_improved_attack():
+    # Both attacks return the same message states, so the information
+    # values of the reference scheme are the improved attack's.
+    for j in (0, 1):
+        assert message_state(j, attack="wojcik").allclose(returned_state(j), atol=1e-12)
+        assert message_state(j, True, "wojcik").allclose(symmetrized_state(j), atol=1e-12)
+    for variant in ("plain", "symmetrized"):
+        table = exact_outcome_table(variant == "symmetrized", "wojcik")
+        assert (table == CONDITIONALS[variant]).all()
+
+
 def test_control_outcomes_are_exact():
     # (vac, 0), (vac, 1), (pol0, 0), (pol0, 1), (pol1, 0), (pol1, 1)
-    assert control_outcomes(True) == (0.25, 0.0, 0.0, 0.5, 0.25, 0.0)
-    assert control_outcomes(False) == (0.0, 0.0, 0.0, 0.5, 0.5, 0.0)
+    assert control_outcomes("improved") == (0.25, 0.0, 0.0, 0.5, 0.25, 0.0)
+    assert control_outcomes(None) == (0.0, 0.0, 0.0, 0.5, 0.5, 0.0)
+    # The reference attack loses the travel photon from both halves of the
+    # pair, and a surviving photon keeps the control bits unequal.
+    assert control_outcomes("wojcik") == (0.25, 0.25, 0.0, 0.25, 0.25, 0.0)
 
 
 def test_outcome_table_refuses_mass_outside_it(monkeypatch):
@@ -275,7 +339,7 @@ def test_outcome_table_refuses_mass_outside_it(monkeypatch):
     phi_plus = PureState.from_terms(
         {ket(0, "0", "vac", "0"): INV_SQRT2, ket(1, "1", "vac", "0"): INV_SQRT2}
     )
-    monkeypatch.setattr(attacks, "message_state", lambda j, apply_s: phi_plus)
+    monkeypatch.setattr(attacks, "message_state", lambda j, apply_s, attack: phi_plus)
     with pytest.raises(ValueError, match="outside the table"):
         exact_outcome_table(apply_s=False)
 
@@ -286,8 +350,9 @@ def test_outcome_table_refuses_mass_outside_it(monkeypatch):
 def test_profile_losses():
     assert improved_profile().loss == 0.25
     # derived: P(t = vac) of the attacked control table
-    assert improved_profile().loss == sum(control_outcomes(True)[:2])
+    assert improved_profile().loss == sum(control_outcomes("improved")[:2])
     assert wojcik_profile().loss == 0.5
+    assert wojcik_profile().loss == sum(control_outcomes("wojcik")[:2])
 
 
 def test_profile_information_values():

@@ -56,13 +56,13 @@ def test_verify_passes_and_reports_discrepancy(capsys):
     # the known printed-formula disagreement is reported with both values
     assert "-0.176239" in out
     assert "0.073761" in out
-    assert "31/31 checks passed" in out
+    assert "32/32 checks passed" in out
 
 
 # SHA-256 of `verify` stdout: every check's detail line, including the printed
 # worst-case differences, so a change in the exact engine's rounding shows here.
 # The report's header includes the package version.
-GOLDEN_VERIFY = "19ca716edb3316b5fe37dcd4c7531432196b7be926cdc88f5298691ca98064bd"
+GOLDEN_VERIFY = "4a3f9ebf8b3337a3c56329ca98db8eb76137b6a6eeecc69940c23a1506aa34fd"
 
 
 def test_verify_golden_bytes(capsys):
@@ -108,14 +108,16 @@ def test_verify_fails_a_perturbed_round_trip(monkeypatch, capsys):
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert len(failed) == 2
     assert failed[0].startswith("FAIL attack-round-trip: 100 random in-domain states")
-    assert failed[1] == "30/31 checks passed, 1 FAILED"
+    assert failed[1] == "31/32 checks passed, 1 FAILED"
 
 
 def test_verify_outcome_tables_and_loss_are_exact(monkeypatch, capsys):
     # One ulp below the exact values, an error the size of a float
     # projection's: the checks compare with ==, so each one fails.
     table, profile = verify.exact_outcome_table, verify.improved_profile()
-    monkeypatch.setattr(verify, "exact_outcome_table", lambda s: np.nextafter(table(s), 0))
+    monkeypatch.setattr(
+        verify, "exact_outcome_table", lambda s, attack="improved": np.nextafter(table(s, attack), 0)
+    )
     below = dataclasses.replace(profile, loss=np.nextafter(profile.loss, 0))
     monkeypatch.setattr(verify, "improved_profile", lambda: below)
     assert run_main(["verify"]) == 1
@@ -130,13 +132,46 @@ def test_verify_outcome_tables_and_loss_are_exact(monkeypatch, capsys):
 def test_verify_fails_equal_control_bits(monkeypatch, capsys):
     # A quarter of the attacked control rounds with t = pol0 and h = 0: the
     # loss stays 1/4, but the control results no longer always differ.
-    table = (0.25, 0.0, 0.25, 0.25, 0.25, 0.0)
-    monkeypatch.setattr(verify, "control_outcomes", lambda attacked: table)
+    table, control_outcomes = (0.25, 0.0, 0.25, 0.25, 0.25, 0.0), verify.control_outcomes
+    monkeypatch.setattr(
+        verify,
+        "control_outcomes",
+        lambda attack: table if attack == "improved" else control_outcomes(attack),
+    )
     assert run_main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL control-anticorrelation: P(equal bits) = 0.25"
     ]
+
+
+def test_verify_fails_a_reference_attack_off_its_pins(monkeypatch, capsys):
+    # One fault at a time in what the reference attack's circuit gives, the
+    # improved attack's left as it is: each fails the reference-attack line
+    # and no other.
+    control_outcomes, table = verify.control_outcomes, verify.exact_outcome_table
+
+    def reference_control(reference):
+        return lambda attack: reference if attack == "wojcik" else control_outcomes(attack)
+
+    faults = [
+        # equal control bits on a quarter of the rounds, the loss still 1/2
+        ("control_outcomes", reference_control((0.25, 0.25, 0.25, 0.0, 0.25, 0.0))),
+        # the improved attack's loss of 1/4 in place of 1/2
+        ("control_outcomes", reference_control((0.25, 0.0, 0.0, 0.5, 0.25, 0.0))),
+        # message tables one ulp below the improved attack's
+        ("exact_outcome_table", lambda s, attack="improved": (
+            np.nextafter(table(s, attack), 0) if attack == "wojcik" else table(s, attack)
+        )),
+    ]
+    for name, fault in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, fault)
+            assert run_main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+            "FAIL reference-attack"
+        ]
 
 
 def test_verify_fails_a_census_that_moves_one_deviation(monkeypatch, capsys):
@@ -200,11 +235,11 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     assert run_main(SIM_ARGS + ["--out", str(out), "--stats", str(stats)]) == 0
     console = capsys.readouterr().out
     assert "# resolved_attack_fraction=0.4" in console
-    assert "# rng_stream=pcg64-block16384-v1" in console.splitlines()
+    assert "# rng_stream=pcg64-block16384-v2" in console.splitlines()
     lines = out.read_text().splitlines()
     assert "# resolved_attack_fraction=0.4" in lines
     assert "# seed=7" in lines
-    assert "# rng_stream=pcg64-block16384-v1" in lines
+    assert "# rng_stream=pcg64-block16384-v2" in lines
     header_at = lines.index(
         "round_index,mode,attacked,j,k,m,alice_t_outcome,bob_h_outcome,"
         "s_applied,photon_lost,detection_event"
@@ -213,51 +248,56 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     payload = json.loads(stats.read_text())
     assert payload["metadata"]["resolved_attack_fraction"] == 0.4
     assert payload["metadata"]["seed"] == 7
-    assert payload["metadata"]["rng_stream"] == "pcg64-block16384-v1"
+    assert payload["metadata"]["rng_stream"] == "pcg64-block16384-v2"
     assert payload["stats"]["n_rounds"] == 2000
     assert "timestamp" not in json.dumps(payload)
 
 
 # SHA-256 of (stdout, --out CSV, --stats JSON) of `simulate --seed 7 --eta 0.85
 # --rounds 2*16384+5` plus the extra flags: the fixed-seed bytes of the
-# pcg64-block16384-v1 stream, across two block edges.  The metadata they
+# pcg64-block16384-v2 stream, across two block edges.  The metadata they
 # contain includes the package version.
 GOLDEN_SIMULATE = [
     (
         ["--scheme", "none"],
-        "a0d7636b27c45dba5dbf7bb3a1d1607859679f6ff2e10a199ca7c77d942bc289",
-        "425dd3e99acbf19f8a3fa001f5273a8fe2d427f91fd8ac9a0938f87e5b227ea5",
-        "11fa4cc0ac6a8a6a3588d2f6ffbb52cf947df39c15f1bb7a5a5dd1dcc90d3caf",
+        "0063e0cdbaff1679989f16a7c75fc513c4bd032bde967aa88e8d9aa50db63b72",
+        "0a716e06c0949d52987ba578cd873b83d9ff38304f060143c79af9f5d15e1dc9",
+        "77478e84bb0f28ebbadaa8bdd720c5024ee974601bd3b37fd0f63a04deaca42f",
     ),
     (
         ["--scheme", "improved"],
-        "9be209d40cde04c6bf5f45759d413ffa0bad89225eec3c47210075c20735ef42",
-        "bd0cbc8eb2030452443bff49b43e19be704cb7d7e6234505ea0a9ce873cd020c",
-        "89d87dbac788da6ba8f8f2ceb04ab2bf10f2d9e81eecfe0cd13d4fd7e191c127",
+        "235c5741552c513bc212c04debe6308cf4ece3bf9445d038d20afe18856c78ed",
+        "9aa2141e493dacd9283cf5a194828c002e278bc6f8c721ee85c4c57026f28732",
+        "145da01cdd30c4a1365fce60637d4ad60fb6cb899417f067b6e493b52f49f9ad",
     ),
     (
         ["--scheme", "improved-symmetrized"],
-        "a2e41158879bbdb33bf168d3346586f3954707fa9919ae69c33cf6b845840352",
-        "6c9339fbc0ec90aa81e1b02400a6b565601e90e377aaefe5c51bedad8835cdaa",
-        "7603626e0b49c3a73855cabe1991d5596cc0e53925325b558bddb5d81fcff3ab",
+        "ac40e2b0708c0b191b934d273708959cb5abfb3c1afd02df0c1af4265bf83760",
+        "55ccba79653a7f9a1f99ee2b5f2d4d5c0a6f68b4359f08d705bb1b4170f0fb5f",
+        "9b94610232d2c7be25d4a17c58687c056ef9dc17a66e7441c377b52efa485f5e",
     ),
     (
         ["--scheme", "wojcik-reference"],
-        "03c63cea150e6c288a23edb78fb389cee9f1224bd8a25ee8a0c08f07ae9b2d9c",
-        "fd16fac9e86f0b3f3b1e01ea46786d56d715776f4a2c5088dbdb24f81605a843",
-        "680a931f6f41bf73c6dce72156c76cba068923014acdce6cce525445fb6ef4c7",
+        "858257d59fd1b5a03fafcb2872e6c826cd76ef13a51c9b2bd2fc21a841f7f133",
+        "4883fa079dadcd5731cf279744aca4367756ad8b1196d16e8675b22484dd692c",
+        "8e9c628a4bebe3433036d8ce5382fd999e8caa38e6c4933d37cf3c96a7db9ccd",
     ),
     (
         ["--scheme", "improved", "--c0", "0.3", "--attack-fraction", "0.4",
          "--control-prob", "0.3"],
-        "ef9f051a4ecf4b118e20b5f0459e97732ffcbd5030d2431a64e3723ba9f1e7f9",
-        "cc099ea1a87cf77214aa85d274902639671278695689563bd24aef6c2f265b4c",
-        "70aae06a0b00adee8688b2016732e96630c531ca8676c6d994170309bb9e88fd",
+        "638e1999644a8d117a21405b86b4eb4262ee2b81f01430839b74d66dad0f0184",
+        "1924169beaacd37735dc8164e3ffba7c7a47c21d73a698209b7c8fff3455c485",
+        "5cca3b2758ae71857862d8201cfba3043d72ce6cdbbb714b1497365563cde12a",
     ),
 ]
 
 
-@pytest.mark.parametrize("extra, stdout_sha, csv_sha, stats_sha", GOLDEN_SIMULATE)
+# Ids that name the settings, not the digests, so that a re-pin keeps them.
+@pytest.mark.parametrize(
+    "extra, stdout_sha, csv_sha, stats_sha",
+    GOLDEN_SIMULATE,
+    ids=["none", "improved", "improved-symmetrized", "wojcik-reference", "improved-c0-0.3"],
+)
 def test_simulate_golden_bytes(tmp_path, capsys, extra, stdout_sha, csv_sha, stats_sha):
     out = tmp_path / "records.csv"
     stats = tmp_path / "stats.json"
@@ -273,7 +313,7 @@ def test_simulate_golden_bytes(tmp_path, capsys, extra, stdout_sha, csv_sha, sta
 # SHA-256 of the --out CSV of `simulate --seed 7 --rounds 100001 --scheme
 # improved-symmetrized --eta 0.8 --c0 0.3`: round indices of one to six
 # digits, the last one 100000, across six block edges.
-GOLDEN_SIMULATE_CSV_100001 = "19322f56a042feb4535a70b4a410a9fc8c52e26270215c0443e49a1446cdce98"
+GOLDEN_SIMULATE_CSV_100001 = "2508b828049fd5fe752b84dfc5d62e45d265c5cc45deca4f2b16d99f5df0a5ef"
 
 
 def test_simulate_six_digit_csv_golden_bytes(tmp_path, capsys):

@@ -313,12 +313,13 @@ def test_invalid_reports_replay_to_collisions():
 def test_matches_reproduce_pinned_attack(monkeypatch):
     # any match must be a drop-in replacement for the truth-table images:
     # same outbound state up to global phase, same loss and anticorrelation,
-    # same exact outcome table (vacuous when the family contains no match,
-    # which is the recorded outcome for this search family)
+    # same exact outcome table.  The family contains no match, which is the
+    # recorded outcome for this search family, so the improved attack's own
+    # images run first as the positive control.
     reports = solve()
     matches = [r for r in reports if r.status == "match"]
-    for report in matches:
-        monkeypatch.setattr(attacks, "_IMAGES", compose_candidate(report.convention).images)
+    for images in [forward_images()] + [compose_candidate(r.convention).images for r in matches]:
+        monkeypatch.setitem(attacks._IMAGES, "improved", images)
         outbound = attack_ba(make_initial())
         assert outbound.equal_up_to_global_phase(post_attack_state(), atol=1e-9)
         marg = mode_marginal(outbound, "t")
@@ -332,6 +333,10 @@ def test_matches_reproduce_pinned_attack(monkeypatch):
         table = exact_outcome_table(apply_s=False)
         expected = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.25, 0.25], [0.25, 0.25]]])
         assert np.max(np.abs(table - expected)) < 1e-9
+    # The legs read the patched images: the reference attack's, put in
+    # their place, lose half the travel photons.
+    monkeypatch.setitem(attacks._IMAGES, "improved", forward_images("wojcik"))
+    assert abs(mode_marginal(attack_ba(make_initial()), "t")[0] - 0.5) < 1e-12
 
 
 def test_report_rows_format():

@@ -215,6 +215,19 @@ def test_non_unitary_gate_rejected():
         apply_polarization_gate(make_initial(), "t", np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
+def test_engine_gates_are_read_only():
+    # A gate call skips the unitarity check for the engine's own gates, which
+    # is sound only while no caller can change them; any other array is
+    # still checked.
+    for gate in (HADAMARD, PAULI_X, PAULI_Z):
+        assert not gate.flags.writeable
+        with pytest.raises(ValueError):
+            gate[0, 0] = 2.0
+        scaled = gate * 2.0
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_polarization_gate(make_initial(), "t", scaled)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         apply_polarization_gate(make_initial(), "z", PAULI_X)

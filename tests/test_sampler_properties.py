@@ -95,6 +95,10 @@ def configs(draw):
 
 def control_probability(attacked: bool, scheme: str, t_out: Occupation, h_bit: int) -> float:
     """Exact P(t outcome, h bit) of a control round that reached Alice."""
+    # The reference attack's published summary, typed here on purpose: the
+    # sampler reads the table derived from the attack's circuit, and this
+    # branch is the oracle that holds it to the published loss split evenly
+    # over the h bits and to anticorrelated surviving outcomes.
     if attacked and scheme == "wojcik-reference":
         loss = wojcik_profile().loss
         if t_out is Occupation.VAC:
