@@ -13,25 +13,25 @@ is capped at (1 - eta)/loss).  With ``scheme="none"`` the photon traverses
 the real channel and survives with probability ``eta``.
 
 Sampling is table driven.  Once per run, ``_branch_cells`` gives each
-(mode, attacked) branch one categorical table whose cells are complete
-round records (every field but the round index), weighted by ``c0``,
-``eta`` and the symmetrization coin.  The probabilities are exact, from the
-54-dimensional branch states: control cells read
-``attacks.control_outcomes``, unattacked message cells the plain channel's
-outcome rows (``attacks.message_outcomes``, tabulated once at import), and
-attacked message cells ``information.CONDITIONALS``, the conditional tables
-built once at import from the same ``attacks.exact_outcome_table`` that
-``verify`` audits.  Cells of probability zero are dropped.  Every round
-draws three uniforms: one picks the mode, one decides whether the round is
-attacked, one is an inverse-CDF draw on that branch's table.  The draws are
-the generator's 53-bit integers k (its uniform is k * 2**-53), compared
-with integer thresholds ceil(p * 2**53), so every test on them is exact: a
-round packs its branch and third draw into one integer key, and its cell is
-the number of table keys at or below it, less one.  That count is read from
-a bucket (guide) table of 4096 entries indexed by the key's top 12 bits,
-the cell at each bucket's start; only the few buckets with a table key
+(mode, attacked) branch its cells, complete round records (every field but
+the round index), weighted by ``c0``, ``eta`` and the symmetrization coin.
+The probabilities are exact, from the 54-dimensional branch states: control
+cells read ``attacks.control_outcomes``, unattacked message cells the plain
+channel's outcome rows (``attacks.message_outcomes``, tabulated once at
+import), and attacked message cells ``information.CONDITIONALS``, the
+conditional tables built once at import from the same
+``attacks.exact_outcome_table`` that ``verify`` audits.  ``_RoundTable``
+joins the four branches into one categorical table: a cell's probability is
+its branch's (from ``control_prob`` and the attack fraction) times its
+normalized weight in the branch, and cells of probability zero are dropped.
+Every round draws one uniform, an inverse-CDF draw on that table.  The draw
+is the generator's 53-bit integer k (its uniform is k * 2**-53), compared
+with integer keys ceil(bound * 2**53), so every test on it is exact: a
+round's cell is the number of table keys at or below k.  That count is read
+from a bucket (guide) table of 4096 entries indexed by the top 12 bits of
+k, the cell at each bucket's start; only the few buckets with a table key
 inside them are searched.  Rounds are drawn in blocks of ``BLOCK_ROUNDS``;
-block b reads ``round_rng(seed, b)``, so round i's draws depend only on
+block b reads ``round_rng(seed, b)``, so round i's draw depends only on
 (seed, i), a shorter run is a prefix of a longer one, and ``replay_round``
 regenerates a single block.  ``run_simulation`` tallies cell counts per
 block without building records; ``run_rounds`` builds one per round.
@@ -53,8 +53,9 @@ Every scheme runs through the same cells.  An attacked control branch is
 its attack's control table (``attacks.control_outcomes``), so the
 ``wojcik-reference`` scheme's control rounds come from the reference
 attack's own circuit.  Its message rounds read the plain table of
-``information.CONDITIONALS``, which its own tables equal, and carry no
-symmetrization coin.
+``information.CONDITIONALS``, which its own tables equal, with a
+symmetrization coin that never comes up heads, as the plain improved
+attack's.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class RoundRecord(NamedTuple):
 
     Control rounds carry no (j, k, m); message rounds carry no
     alice_t_outcome / bob_h_outcome.  s_applied is the eavesdropper's own
-    record of her symmetrization coin (None when she made no choice).
+    record of her symmetrization coin (None outside attacked message rounds).
     """
 
     round_index: int
@@ -170,15 +171,12 @@ class RoundRecord(NamedTuple):
 _M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
 
 BLOCK_ROUNDS = 1 << 14
-RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v2"
-# Uniforms per round: mode, attacked, cell within the branch table.
-_DRAWS_PER_ROUND = 3
-# Bits of a uniform draw: PCG64's random() is (next_uint64 >> 11) * 2**-53.
+RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v3"
+# Bits of a round's draw: PCG64's random() is (next_uint64 >> 11) * 2**-53.
 _UNIT_BITS = 53
-# A round's key is 2 branch bits above its 53-bit draw; its top _BUCKET_BITS
-# bits index the bucket table.
+# The top _BUCKET_BITS bits of a round's draw index the bucket table.
 _BUCKET_BITS = 12
-_BUCKET_SHIFT = 2 + _UNIT_BITS - _BUCKET_BITS
+_BUCKET_SHIFT = _UNIT_BITS - _BUCKET_BITS
 # Rounds per byte grid of the CSV body.  A window holds its grid, NUL mask
 # and compacted bytes at once, about 0.3 MB at 2048 rounds; windows of 4096
 # rounds wrote no faster and hold twice that.
@@ -259,11 +257,11 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         return control_plain, [], message, []
     control_attacked = control(True, control_outcomes(_SCHEME_ATTACK[config.scheme]))
     # The eavesdropper's symmetrization coin: a fair one for the symmetrized
-    # attack, never heads for the plain one, and none for the reference.
+    # attack, never heads for the others.
     if config.scheme == "improved-symmetrized":
         coins = ((False, 0.5), (True, 0.5))
     else:
-        coins = ((False if config.scheme == "improved" else None, 1.0),)
+        coins = ((False, 1.0),)
     message_attacked = [
         (_Cell("message", True, j, k, m, None, None, s), p_j * p_s * p)
         for j, p_j in priors
@@ -275,62 +273,57 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
 
 
 class _RoundTable:
-    """The flat outcome table of one run and its block sampler."""
+    """The combined outcome table of one run and its block sampler."""
 
     def __init__(self, config: ProtocolConfig) -> None:
         self.seed = config.seed
-        self.mode_threshold = _threshold(config.control_prob)
-        self.attack_threshold = _threshold(config.resolved_attack_fraction())
-        self.cells: list[_Cell] = []
-        # Sorted cell keys: each non-empty branch b adds its start b << 53 and
-        # (b << 53) + threshold(bound) for each inner bound of its normalized
-        # CDF.  A round keyed b << 53 | k picks cell (number of keys <= key)
-        # - 1, which is searchsorted(bounds, k * 2**-53, "right") in branch b.
-        keys: list[int] = []
-        for branch, weighted in enumerate(_branch_cells(config)):
-            kept = [(cell, p) for cell, p in weighted if p > 0.0]
-            if kept:
-                cdf = np.cumsum([p for _, p in kept])
-                start = branch << _UNIT_BITS
-                bounds = (cdf[:-1] / cdf[-1]).tolist()
-                keys += [start] + [start + _threshold(bound) for bound in bounds]
-                self.cells += [cell for cell, _ in kept]
-        self.keys = np.array(keys, dtype=np.int64)
-        # Cell indices are stored in uint8.
-        assert len(self.cells) < 256
-        # Bucket (guide) table: bucket b holds the keys with key >> 43 == b,
-        # the branch bits and the top 10 bits of k.  Every key of a bucket
-        # picks the cell of its start unless a table key lies inside it; only
-        # rounds in such straddling buckets (a handful of 4096) are searched.
-        # A key is <= the start of bucket b exactly when its rounded-up
-        # bucket index is <= b, so a running count of those indices gives
-        # each start's cell.  Branches 0 and 2 are never empty, so the first
-        # table key is 0 and no bucket's cell is negative.
+        control, attacked = config.control_prob, config.resolved_attack_fraction()
+        branch_probs = (
+            control * (1.0 - attacked), control * attacked,
+            (1.0 - control) * (1.0 - attacked), (1.0 - control) * attacked,
+        )
+        # A cell's probability is its branch's times its normalized weight in
+        # the branch; cells of probability zero are dropped.
+        weighted = []
+        for p_branch, cells in zip(branch_probs, _branch_cells(config)):
+            total = sum(p for _, p in cells)
+            weighted += [(cell, p_branch * (p / total)) for cell, p in cells]
+        kept = [(cell, p) for cell, p in weighted if p > 0.0]
+        self.cells = [cell for cell, _ in kept]
+        # Sorted keys, threshold(bound) of each inner bound of the normalized
+        # CDF: a round's 53-bit draw k picks cell (number of keys <= k), which
+        # is searchsorted(bounds, k * 2**-53, "right").  A bound that rounds to
+        # 1.0 gives the key 2**53, above every draw, so the cells past it are
+        # never picked.
+        cdf = np.cumsum([p for _, p in kept])
+        self.keys = np.array([_threshold(bound) for bound in (cdf[:-1] / cdf[-1]).tolist()],
+                             dtype=np.int64)
+        # Bucket (guide) table: bucket b holds the draws with k >> 41 == b.
+        # Every draw of a bucket picks the cell of its start unless a table
+        # key lies inside it; only rounds in such straddling buckets (a
+        # handful of 4096) are searched.  A key is <= the start of bucket b
+        # exactly when its rounded-up bucket index is <= b, so a running
+        # count of those indices gives each start's cell.  Cell indices are
+        # intp, which numpy gathers and counts about twice as fast as uint8.
         low = (1 << _BUCKET_SHIFT) - 1
         rounded_up = (self.keys + low) >> _BUCKET_SHIFT
         counts = np.bincount(rounded_up, minlength=(1 << _BUCKET_BITS) + 1)
-        self.bucket_cell = (np.cumsum(counts[:-1]) - 1).astype(np.uint8)
+        self.bucket_cell = np.cumsum(counts[:-1], dtype=np.intp)
         # A bucket straddles cells exactly when one of its keys lies past its start.
         self.straddles = np.zeros(1 << _BUCKET_BITS, dtype=bool)
         self.straddles[self.keys[(self.keys & low) != 0] >> _BUCKET_SHIFT] = True
 
     def sample(self, block: int, n: int) -> np.ndarray:
         """Cell indices of the first n rounds of a block."""
-        # PCG64 emits in order, so 3n outputs are a prefix of the block, and
+        # PCG64 emits in order, so n outputs are a prefix of the block, and
         # shifting each right by 11 gives the 53-bit integer of random().
-        draws = round_rng(self.seed, block).bit_generator.random_raw(_DRAWS_PER_ROUND * n)
+        draws = round_rng(self.seed, block).bit_generator.random_raw(n)
         draws >>= 64 - _UNIT_BITS
-        draws = draws.view(np.int64).reshape(n, _DRAWS_PER_ROUND)
-        # branch = 2 * (message round) + (attacked), key = branch << 53 | k
-        key = (draws[:, 0] >= self.mode_threshold).astype(np.int64)
-        key <<= 1
-        key += draws[:, 1] < self.attack_threshold
-        key <<= _UNIT_BITS
-        key |= draws[:, 2]
-        bucket = key >> _BUCKET_SHIFT
+        draws = draws.view(np.int64)
+        bucket = draws >> _BUCKET_SHIFT
         cells = self.bucket_cell[bucket]
         fix = np.flatnonzero(self.straddles[bucket])
-        cells[fix] = np.searchsorted(self.keys, key[fix], "right") - 1
+        cells[fix] = np.searchsorted(self.keys, draws[fix], "right")
         return cells
 
     def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -20,7 +20,7 @@ FLOATS = [
     -1.0, -0.176239, 0.0, 1e-12, 1e-10, 1e-09, 1e-08, 1e-06, 0.0001, 0.073761, 0.188722,
     0.25, 0.3, 0.311278, 0.5, 0.51, 0.554594, 0.75, 0.76, 0.777297, 0.890812, 1.0, 2.0,
 ]
-INTEGERS = [100, 101, 256, 438, 576, 2026, 100000, 20260817]
+INTEGERS = [100, 101, 438, 576, 2026, 100000, 20260817]
 
 
 def test_constant_pool_is_pinned():

@@ -189,24 +189,25 @@ def test_round_rng_substreams():
     assert np.array_equal(floats.random(1000), (raw.random_raw(1000) >> 11) * 2.0**-53)
 
 
+def combined_bounds(config: ProtocolConfig) -> np.ndarray:
+    """Inner bounds of the normalized CDF of the run's one table: each
+    branch's cells of positive weight, weighted by the branch's probability
+    times their normalized weight, and those of probability zero dropped."""
+    control, attacked = config.control_prob, config.resolved_attack_fraction()
+    branch_probs = (control * (1.0 - attacked), control * attacked,
+                    (1.0 - control) * (1.0 - attacked), (1.0 - control) * attacked)
+    probs = []
+    for p_branch, weighted in zip(branch_probs, _branch_cells(config)):
+        kept = [p for _, p in weighted if p > 0.0]
+        probs += [p_branch * (p / sum(kept)) for p in kept]
+    cdf = np.cumsum([p for p in probs if p > 0.0])
+    return cdf[:-1] / cdf[-1]
+
+
 def float_sample(config: ProtocolConfig, rng, n: int) -> np.ndarray:
-    """Reference block sampler on floats: three uniforms per round, then a
-    searchsorted on the normalized CDF of the round's branch."""
-    u = rng.random((n, 3))
-    branch = np.where(u[:, 0] < config.control_prob, 0, 2)
-    branch += u[:, 1] < config.resolved_attack_fraction()
-    cells = np.empty(n, dtype=np.intp)
-    first = 0
-    for b, weighted in enumerate(_branch_cells(config)):
-        probs = [p for _, p in weighted if p > 0.0]
-        rows = branch == b
-        if probs:
-            cdf = np.cumsum(probs)
-            cells[rows] = first + np.searchsorted(cdf[:-1] / cdf[-1], u[rows, 2], side="right")
-        else:
-            assert not rows.any()
-        first += len(probs)
-    return cells
+    """Reference block sampler on floats: one uniform per round, then a
+    searchsorted on the normalized CDF of the run's one table."""
+    return np.searchsorted(combined_bounds(config), rng.random(n), side="right")
 
 
 def reference_configs(scheme: str) -> list[ProtocolConfig]:
@@ -235,73 +236,82 @@ def test_sampler_equals_the_float_reference(scheme):
 
 class ReplayedDraws:
     """A stand-in generator that emits fixed 64-bit outputs, both raw and as
-    PCG64's random() makes floats of them."""
+    PCG64's random() makes floats of them, and records each raw request."""
 
     def __init__(self, raw: np.ndarray) -> None:
         self.raw = raw
         self.bit_generator = self
+        self.requests: list[int] = []
 
     def random_raw(self, size: int) -> np.ndarray:
+        self.requests.append(size)
         return self.raw[:size].copy()
 
-    def random(self, shape) -> np.ndarray:
-        return ((self.raw >> 11) * 2.0**-53).reshape(shape)
+    def random(self, size: int) -> np.ndarray:
+        return (self.raw[:size] >> 11) * 2.0**-53
+
+
+def assert_samples_draws(config: ProtocolConfig, ks, monkeypatch) -> np.ndarray:
+    """Sample block 0 from the 53-bit draws ``ks``, and hold the cells to the
+    float reference and the sampler to one raw request for the block."""
+    # The low 11 bits of each output are not part of the draw.
+    raw = (np.array(ks, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+    replayed = ReplayedDraws(raw)
+    monkeypatch.setattr(protocol, "round_rng", lambda seed, block: replayed)
+    cells = _RoundTable(config).sample(0, raw.size)
+    assert replayed.requests == [raw.size]
+    assert np.array_equal(cells, float_sample(config, ReplayedDraws(raw), raw.size))
+    return cells
+
+
+def straddle(keys) -> list[int]:
+    """The 53-bit draws one unit either side of each key, and the key."""
+    near = {int(key) + d for key in keys for d in (-1, 0, 1)}
+    return sorted(k for k in near if 0 <= k < 2**53)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sampler_at_the_draw_boundaries(scheme, monkeypatch):
-    """Draws one unit either side of every probability the sampler compares
-    with: the mode and attack probabilities and each inner CDF bound."""
+    """Draws one unit either side of every inner bound of the run's table,
+    each of which starts the cell past it."""
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3, eta=0.85,
                             control_prob=0.3, attack_fraction=0.4)
-
-    def straddle(probabilities):
-        near = {math.ceil(p * 2**53) + d for p in probabilities for d in (-1, 0, 1)}
-        return sorted(k for k in near if 0 <= k < 2**53)
-
-    bounds = []
-    for weighted in _branch_cells(config):
-        cdf = np.cumsum([p for _, p in weighted if p > 0.0])
-        bounds += (cdf[:-1] / cdf[-1]).tolist() if cdf.size else []
-    ks = np.array(
-        list(itertools.product(
-            straddle([config.control_prob]),
-            straddle([config.resolved_attack_fraction()]),
-            straddle(bounds),
-        )),
-        dtype=np.uint64,
-    ).ravel()
-    # The low 11 bits of each output are not part of the draw.
-    raw = (ks << np.uint64(11)) | np.uint64(0x5A5)
-    n = raw.size // 3
-    monkeypatch.setattr(protocol, "round_rng", lambda seed, block: ReplayedDraws(raw))
-    expected = float_sample(config, ReplayedDraws(raw), n)
-    assert np.array_equal(_RoundTable(config).sample(0, n), expected)
+    bounds = combined_bounds(config)
+    assert bounds.size == len(_RoundTable(config).cells) - 1
+    ks = straddle(math.ceil(bound * 2**53) for bound in bounds.tolist())
+    cells = assert_samples_draws(config, ks, monkeypatch)
+    # every cell of the table is picked: the first below the first bound's
+    # key, each other one from its bound's key on
+    assert np.array_equal(np.unique(cells), np.arange(bounds.size + 1))
 
 
-BUCKET_WIDTH = 1 << protocol._BUCKET_SHIFT
-BUCKETS = 1 << protocol._BUCKET_BITS
-# A prior whose message-table bound is the last key of a bucket.
+# A bucket holds the draws that share their top 12 of 53 bits.
+BUCKET_WIDTH = 1 << 41
+BUCKETS = 1 << 12
+# A prior whose inner bound is the last draw of a bucket, when the prior is
+# the table's only inner bound: every round is an unattacked message round
+# on a lossless channel, so the cells are (j=0, psi+) and (j=1, psi-).
 LAST_KEY_C0 = (5 * BUCKET_WIDTH - 1) / 2**53
 
 
 def brute_force_cells(keys: np.ndarray, table: _RoundTable) -> np.ndarray:
-    """The number of table keys at or below each key, less one."""
-    return (table.keys[None, :] <= keys[:, None]).sum(axis=1) - 1
+    """The number of table keys at or below each draw."""
+    return (table.keys[None, :] <= keys[:, None]).sum(axis=1)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_bucket_table_invariants(scheme):
-    """A bucket is marked straddling exactly when its first and last keys
-    pick different cells, and its entry is the cell of its first key."""
+    """A bucket is marked straddling exactly when its first and last draws
+    pick different cells, and its entry is the cell of its first draw."""
     first = np.arange(BUCKETS, dtype=np.int64) * BUCKET_WIDTH
-    last_key = ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=LAST_KEY_C0)
-    assert ((_RoundTable(last_key).keys + 1) % BUCKET_WIDTH == 0).any()
+    last_key = ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=LAST_KEY_C0, eta=1.0,
+                              control_prob=0.0, attack_fraction=0.0)
+    assert _RoundTable(last_key).keys.tolist() == [5 * BUCKET_WIDTH - 1]
     for config in reference_configs(scheme) + [last_key]:
         table = _RoundTable(config)
         at_first = brute_force_cells(first, table)
         at_last = brute_force_cells(first + BUCKET_WIDTH - 1, table)
-        assert at_first.min() == 0
+        assert table.bucket_cell.dtype == np.intp
         assert np.array_equal(table.bucket_cell, at_first), config
         assert np.array_equal(table.straddles, at_first != at_last), config
 
@@ -311,39 +321,42 @@ def test_bucket_table_invariants(scheme):
     "kwargs",
     [
         {"c0": 0.3, "eta": 0.85, "control_prob": 0.3, "attack_fraction": 0.4},
-        # thresholds and inner CDF bounds land exactly on bucket edges
+        # inner CDF bounds land exactly on bucket edges
         {"c0": 0.5, "eta": 1.0, "control_prob": 0.5, "attack_fraction": 0.25},
         {"c0": 0.5, "eta": 0.75, "control_prob": 0.5, "attack_fraction": 0.25},
-        {"c0": LAST_KEY_C0, "eta": 1.0, "control_prob": 0.5, "attack_fraction": 0.25},
+        {"c0": LAST_KEY_C0, "eta": 1.0, "control_prob": 0.0, "attack_fraction": 0.0},
     ],
 )
 def test_sampler_at_the_bucket_edges(scheme, kwargs, monkeypatch):
-    """Keys one unit either side of the start and the end of every bucket
-    that holds a table key and of a spread of other buckets, in every
-    branch a round can reach."""
+    """Draws one unit either side of the start and the end of every bucket
+    that holds a table key and of a spread of other buckets."""
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, **kwargs)
     table = _RoundTable(config)
     if kwargs["c0"] == 0.5:
-        inner = table.keys[table.keys % (1 << 53) != 0]
-        assert (inner % BUCKET_WIDTH == 0).any()
+        assert (table.keys % BUCKET_WIDTH == 0).any()
     holding = (table.keys // BUCKET_WIDTH).tolist()
     buckets = {*holding, *(m + 1 for m in holding), *range(0, BUCKETS, 61), BUCKETS - 1}
-    # Mode and attack draws on either side of their thresholds pick each branch.
-    mode = (table.mode_threshold - 1, table.mode_threshold)
-    attack = (table.attack_threshold, table.attack_threshold - 1)
-    draws = []
-    for m in sorted(buckets):
-        for key in (m * BUCKET_WIDTH - 1, m * BUCKET_WIDTH, m * BUCKET_WIDTH + 1):
-            branch, k = divmod(key, 1 << 53)
-            round_draws = (mode[branch >> 1], attack[branch & 1], k)
-            if 0 <= key and all(0 <= d < 1 << 53 for d in round_draws):
-                draws += round_draws
-    raw = (np.array(draws, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
-    n = raw.size // 3
-    assert n > len(buckets)
-    monkeypatch.setattr(protocol, "round_rng", lambda seed, block: ReplayedDraws(raw))
-    expected = float_sample(config, ReplayedDraws(raw), n)
-    assert np.array_equal(_RoundTable(config).sample(0, n), expected)
+    ks = straddle(m * BUCKET_WIDTH for m in buckets)
+    assert len(ks) > len(buckets)
+    assert_samples_draws(config, ks, monkeypatch)
+
+
+def test_a_bound_rounded_to_one_ends_the_table(monkeypatch):
+    """At a subnormal prior, control and channel probability, the message
+    cells of bit 1 weigh about 1e-308 against the lost photon's 1.0, so the
+    bound before them rounds to 1.0.  Its key is 2**53, above every draw:
+    the table builds, and those cells are never picked."""
+    tiny = 1.1125369292536007e-308
+    config = ProtocolConfig(rounds=1, seed=0, scheme="none", c0=tiny, control_prob=tiny,
+                            eta=tiny)
+    table = _RoundTable(config)
+    assert table.keys.max() == 2**53
+    past = int(np.searchsorted(table.keys, 2**53)) + 1
+    assert past < len(table.cells)
+    assert all(cell.j == 1 for cell in table.cells[past:])
+    assert table.bucket_cell.max() < past
+    cells = assert_samples_draws(config, [*straddle(table.keys), 2**53 - 1], monkeypatch)
+    assert cells.max() == past - 1
 
 
 def test_threshold_is_exact_on_53_bit_draws():
