@@ -15,9 +15,10 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from functools import lru_cache
-from typing import Iterator
+from typing import IO, Iterator
 
 from . import __version__
 from .attacks import ATTACKS, attack_profile
@@ -28,7 +29,6 @@ from .protocol import (
     SCHEMES,
     ProtocolConfig,
     metadata_lines,
-    open_output,
     run_simulation,
     write_records_csv,
 )
@@ -118,11 +118,23 @@ class _WriteError(Exception):
 
 
 @contextlib.contextmanager
-def _writing(path: str) -> Iterator[None]:
-    """Turn an OSError from writing the output ``path`` into a _WriteError,
-    which _check_outputs reports in one line."""
+def _output(path: str, binary: bool = False) -> Iterator[IO]:
+    """Open the output ``path`` for writing over what it holds, without
+    cutting it to zero first; once the body has written everything, cut a
+    regular file at the final write position.  The null device and pipes are
+    written as they are, since they cannot be cut.  If the body raises, the
+    tail of a longer old file is left behind, for _check_outputs to empty.
+    An OSError from opening or writing becomes a _WriteError, which
+    _check_outputs reports in one line."""
+    # On ext4, a file cut to zero and written again is flushed at close, in
+    # the writing process: an 885 KB CSV took 1.2-1.3 ms that way, against
+    # 0.05-0.08 ms written in place (medians, 2-vCPU VM).
     try:
-        yield
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with os.fdopen(fd, "wb" if binary else "w") as handle:
+            yield handle
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
     except OSError as error:
         raise _WriteError(f"cannot write {path}: {error.strerror}") from error
 
@@ -134,7 +146,7 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Itera
     error rather than a late traceback or one output overwriting another.
     A refused command keeps existing files as they were and removes the
     files the check created, so it leaves the directory as it was.  The
-    body then rewrites each output in place with ``open_output``, cut to
+    body then rewrites each output in place with ``_output``, cut to
     length once written; if it raises, even by Ctrl-C, every output is
     emptied before the error goes on, so a failed command never leaves a
     previous run's bytes behind.  A failed write (a _WriteError) then ends
@@ -217,12 +229,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             "attack_loss": config.attack_loss,
         }
         if args.out:
-            with _writing(args.out):
-                stats = write_records_csv(config, args.out, metadata)
+            with _output(args.out, binary=True) as handle:
+                stats = write_records_csv(config, handle, metadata)
         else:
             stats = run_simulation(config)
         if args.stats:
-            with _writing(args.stats), open_output(args.stats) as handle:
+            with _output(args.stats) as handle:
                 json.dump(
                     {"metadata": metadata, "stats": stats.to_json_dict()},
                     handle,
@@ -269,12 +281,12 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "mu_star": f"{report.mu_star:.9f}",
         }
         if args.curve:
-            with _writing(args.curve), open_output(args.curve) as handle:
+            with _output(args.curve) as handle:
                 handle.write("\n".join(_curve_lines(report, metadata)) + "\n")
         if args.report:
             payload = report.to_json_dict()
             payload["metadata"] = metadata
-            with _writing(args.report), open_output(args.report) as handle:
+            with _output(args.report) as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
                 handle.write("\n")
         for line in metadata_lines(metadata):
@@ -294,7 +306,7 @@ def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namesp
         counts = summarize(reports)
         metadata = {"version": __version__, "command": "solve-conventions"}
         if args.out:
-            with _writing(args.out), open_output(args.out) as handle:
+            with _output(args.out) as handle:
                 handle.write("\n".join(metadata_lines(metadata) + rows) + "\n")
             for line in metadata_lines(metadata):
                 print(line)
@@ -326,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # Stdout's reader has gone, as in ``solve-conventions | head -1``.  A
-        # named output's errors never get here: _writing reports them.  The
+        # named output's errors never get here: _output reports them.  The
         # command has failed, so exit 1, but quietly, and with stdout on the
         # null device so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

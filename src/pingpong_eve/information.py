@@ -209,8 +209,8 @@ def info_vs_eta(profile: AttackProfile, etas: Iterable[float]) -> list[CurvePoin
 
 
 def _info_gap(profile: AttackProfile, eta: float) -> float:
-    mu = max_attack_fraction(eta, profile.loss)
-    return mu * profile.i_ae - ((1.0 - mu) + mu * profile.i_ab)
+    [point] = info_vs_eta(profile, [eta])
+    return point.i_ae - point.i_ab
 
 
 def insecurity_bound(profile: AttackProfile) -> float:

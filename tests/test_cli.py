@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -685,6 +686,32 @@ def test_simulate_out_rewrites_a_longer_run(tmp_path, capsys):
     assert run_main(argv + [str(fresh), "--rounds", "7"]) == 0
     capsys.readouterr()
     assert records.read_bytes() == fresh.read_bytes()
+
+
+def test_simulate_out_is_the_writers_bytes(tmp_path, monkeypatch, capsys):
+    # The CLI only opens and cuts the file: write_records_csv into a BytesIO
+    # gives every byte that simulate --out leaves over a longer stale file.
+    config = protocol.ProtocolConfig(
+        rounds=16384 + 5, seed=7, scheme="improved-symmetrized", eta=0.8, c0=0.3
+    )
+    passed = []
+
+    def record(run_config, handle, metadata):
+        passed.append((run_config, metadata))
+        return protocol.write_records_csv(run_config, handle, metadata)
+
+    monkeypatch.setattr(cli, "write_records_csv", record)
+    out = tmp_path / "records.csv"
+    write_stale(LONGER, out)
+    argv = ["simulate", "--seed", "7", "--scheme", "improved-symmetrized", "--eta", "0.8",
+            "--c0", "0.3", "--rounds", str(config.rounds), "--out", str(out)]
+    assert run_main(argv) == 0
+    capsys.readouterr()
+    [(cli_config, metadata)] = passed
+    assert cli_config == config
+    handle = io.BytesIO()
+    protocol.write_records_csv(config, handle, metadata)
+    assert handle.getvalue() == out.read_bytes()
 
 
 @STALE_SIZES

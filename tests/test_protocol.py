@@ -642,11 +642,11 @@ def test_chi_squared_helper():
     assert math.isinf(stat)
 
 
-def test_records_csv_round_trip(tmp_path):
+def test_records_csv_round_trip():
     config = ProtocolConfig(rounds=50, seed=2, scheme="improved-symmetrized", eta=0.8)
-    path = tmp_path / "rounds.csv"
-    write_records_csv(config, str(path), {"seed": 2, "scheme": "improved-symmetrized"})
-    lines = path.read_text().splitlines()
+    handle = io.BytesIO()
+    write_records_csv(config, handle, {"seed": 2, "scheme": "improved-symmetrized"})
+    lines = handle.getvalue().decode().splitlines()
     assert lines[0] == "# seed=2"
     assert lines[1] == "# scheme=improved-symmetrized"
     assert lines[2].startswith("round_index,mode,attacked,j,k,m,")
@@ -673,7 +673,7 @@ def test_records_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_records_csv_matches_per_record_formatting(tmp_path, scheme):
+def test_records_csv_matches_per_record_formatting(scheme):
     config = ProtocolConfig(rounds=BLOCK_ROUNDS + 1234, seed=6, scheme=scheme, eta=0.75, c0=0.3)
     assert config.rounds % BLOCK_ROUNDS
     metadata = {"scheme": scheme, "attack_loss": None, "flag": True, "eta": 0.75}
@@ -683,9 +683,9 @@ def test_records_csv_matches_per_record_formatting(tmp_path, scheme):
     writer.writerow(_CSV_COLUMNS)
     for record in run_rounds(config):
         writer.writerow([_cell(getattr(record, column)) for column in _CSV_COLUMNS])
-    path = tmp_path / "rounds.csv"
-    write_records_csv(config, str(path), metadata)
-    assert path.read_bytes() == reference.getvalue().encode()
+    handle = io.BytesIO()
+    write_records_csv(config, handle, metadata)
+    assert handle.getvalue() == reference.getvalue().encode()
 
 
 def reference_csv(config: ProtocolConfig) -> io.StringIO:
@@ -705,11 +705,11 @@ def reference_csv(config: ProtocolConfig) -> io.StringIO:
     [k * _CSV_WINDOW_ROUNDS + d for k in (1, 2) for d in (-1, 0, 1)]
     + [BLOCK_ROUNDS + k * _CSV_WINDOW_ROUNDS + 1 for k in (1, 2)],
 )
-def test_records_csv_at_the_chunk_edges(tmp_path, rounds):
+def test_records_csv_at_the_chunk_edges(rounds):
     config = ProtocolConfig(rounds=rounds, seed=8, scheme="improved-symmetrized", eta=0.8, c0=0.3)
-    path = tmp_path / "rounds.csv"
-    write_records_csv(config, str(path), {})
-    assert path.read_bytes() == reference_csv(config).getvalue().encode()
+    handle = io.BytesIO()
+    write_records_csv(config, handle, {})
+    assert handle.getvalue() == reference_csv(config).getvalue().encode()
 
 
 @lru_cache(maxsize=None)
@@ -718,22 +718,22 @@ def reference_lines(scheme: str, rounds: int) -> tuple[bytes, ...]:
     return tuple(reference_csv(config).getvalue().encode().splitlines(keepends=True))
 
 
-def assert_csv_is_a_reference_prefix(tmp_path, scheme: str, rounds: int, longest: int) -> None:
+def assert_csv_is_a_reference_prefix(scheme: str, rounds: int, longest: int) -> None:
     """The CSV of a run of ``rounds`` against the header and first rows of
     the per-record reference of a run of ``longest`` rounds, which holds it
     as a prefix (test_shorter_run_is_a_prefix)."""
     config = ProtocolConfig(rounds=rounds, seed=8, scheme=scheme, eta=0.8, c0=0.3)
-    path = tmp_path / "rounds.csv"
-    write_records_csv(config, str(path), {})
-    assert path.read_bytes() == b"".join(reference_lines(scheme, longest)[:1 + rounds])
+    handle = io.BytesIO()
+    write_records_csv(config, handle, {})
+    assert handle.getvalue() == b"".join(reference_lines(scheme, longest)[:1 + rounds])
 
 
 # Round indices of one digit, and of four and five digits around the first
 # index that prints a prefix i // 10**4 above its zero-padded low digits.
 @pytest.mark.parametrize("rounds", [1, _INDEX_LOW - 1, _INDEX_LOW, _INDEX_LOW + 1])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_records_csv_at_the_index_digit_edges(tmp_path, scheme, rounds):
-    assert_csv_is_a_reference_prefix(tmp_path, scheme, rounds, _INDEX_LOW + 1)
+def test_records_csv_at_the_index_digit_edges(scheme, rounds):
+    assert_csv_is_a_reference_prefix(scheme, rounds, _INDEX_LOW + 1)
 
 
 # A window of the CSV body ends at a block edge, at a multiple of 10**4, or
@@ -751,22 +751,20 @@ WINDOW_EDGES = [
 
 
 @pytest.mark.parametrize("rounds", sorted(edge + d for edge in WINDOW_EDGES for d in (-1, 0, 1)))
-def test_records_csv_at_the_window_edges(tmp_path, rounds):
-    assert_csv_is_a_reference_prefix(
-        tmp_path, "improved-symmetrized", rounds, 10 * _INDEX_LOW + 1
-    )
+def test_records_csv_at_the_window_edges(rounds):
+    assert_csv_is_a_reference_prefix("improved-symmetrized", rounds, 10 * _INDEX_LOW + 1)
 
 
 @pytest.mark.parametrize("text", [",control,\0\r\n", ",contr\u00f4le\r\n"])
-def test_records_csv_refuses_a_row_text_it_cannot_compact(tmp_path, monkeypatch, text):
+def test_records_csv_refuses_a_row_text_it_cannot_compact(monkeypatch, text):
     # The body drops every NUL byte of its byte grid, so a row text must be
-    # ASCII without NUL; the check runs before the file is opened.
+    # ASCII without NUL; the check runs before the first byte is written.
     monkeypatch.setattr(protocol, "_row_text", lambda cell: text)
     config = ProtocolConfig(rounds=10, seed=8)
-    path = tmp_path / "rounds.csv"
+    handle = io.BytesIO()
     with pytest.raises(ValueError):
-        write_records_csv(config, str(path), {})
-    assert not path.exists()
+        write_records_csv(config, handle, {})
+    assert handle.getvalue() == b""
 
 
 def test_wojcik_replay_is_deterministic():

@@ -14,8 +14,6 @@ import dataclasses
 import io
 import math
 import operator
-import os
-import tempfile
 from functools import lru_cache
 
 import pytest
@@ -220,11 +218,9 @@ def test_csv_body_matches_the_records(config):
             row = formatted[key] = [None, *map(_cell, values)]
         row[0] = _cell(record.round_index)
         writer.writerow(row)
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "rounds.csv")
-        written = write_records_csv(config, path, {})
-        with open(path, newline="") as handle:
-            body = handle.read()
+    handle = io.BytesIO()
+    written = write_records_csv(config, handle, {})
+    body = handle.getvalue().decode()
     expected_body = reference.getvalue()
     if body != expected_body:
         # Not `assert body == ...`: pytest's diff of two texts this long runs
