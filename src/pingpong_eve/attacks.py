@@ -50,13 +50,23 @@ Every leg takes the attack by name, the improved one by default.  A row
 with support outside the leg's span raises SubspaceLeakageError, which
 names every leaking ket of the stack.
 
-The symmetrization S = X_t Z_t N_ty X_t (rightmost first) is built from the
-state-engine gates and makes the attack's outcome statistics symmetric
-under swapping the message-bit value.
+The symmetrization S = X_t Z_t N_ty X_t (rightmost first) is the engine's
+stacked gate kernels applied in that order (``symmetrization_amps``), and
+makes the attack's outcome statistics symmetric under swapping the
+message-bit value.
+
+The message layer works on stacks as well.  ``message_amps`` runs a
+message round for both bits at once: one outbound call on the prepared
+pair, the sender's Z_t on the (2, 54) stack of the two encodings, one
+inbound call, and S on the stack when asked for.  ``message_outcome_stack``
+tabulates every row of a stack in one ``engine.exact_probabilities`` call,
+so an outcome table is one pass over its two states.  ``message_state``,
+``apply_symmetrization`` and ``message_outcomes`` read these kernels for
+one ``PureState``.
 
 The control and message outcome tables are tabulated exactly from the
-branch states (``engine.exact_probabilities``); each attack's loss is read
-off its own attacked control table.
+branch states; each attack's loss is read off its own attacked control
+table.
 """
 
 from __future__ import annotations
@@ -75,13 +85,13 @@ from .engine import (
     PAULI_X,
     PAULI_Z,
     PureState,
-    apply_cnot,
-    apply_polarization_gate,
-    bell_amplitudes,
+    bell_amps,
+    cnot_amps,
     controlled_flip_permutation,
     exact_probabilities,
     ket,
     make_initial,
+    polarization_gate_amps,
     router_maps,
 )
 
@@ -114,8 +124,7 @@ ATTACKS = tuple(_CIRCUITS)
 def split_rows() -> np.ndarray:
     """(4, 54) read-only rows of f1..f4 after the split H_y, the circuits'
     only gate that makes more than one term."""
-    basis = np.eye(DIM)[_F_INDICES]
-    rows = np.array([apply_polarization_gate(PureState(row), "y", HADAMARD).amps for row in basis])
+    rows = polarization_gate_amps(np.eye(DIM)[_F_INDICES], "y", HADAMARD)
     rows.setflags(write=False)
     return rows
 
@@ -222,39 +231,50 @@ def attack_ab(state: PureState, apply_s: bool = False, attack: str = "improved")
 
     Defined only for states supported on span of the outbound images.
     """
-    restored = PureState(inbound_amps(state.amps, attack))
-    if apply_s:
-        restored = apply_symmetrization(restored)
-    return restored
+    restored = inbound_amps(state.amps, attack)
+    return PureState(symmetrization_amps(restored) if apply_s else restored)
+
+
+def symmetrization_amps(amps: np.ndarray) -> np.ndarray:
+    """S = X_t Z_t N_ty X_t, applied rightmost first, on every row of a
+    (..., 54) amplitude stack."""
+    amps = polarization_gate_amps(amps, "t", PAULI_X)
+    amps = cnot_amps(amps, "t", "y")
+    amps = polarization_gate_amps(amps, "t", PAULI_Z)
+    return polarization_gate_amps(amps, "t", PAULI_X)
 
 
 def apply_symmetrization(state: PureState) -> PureState:
-    """S = X_t Z_t N_ty X_t, applied rightmost first."""
-    state = apply_polarization_gate(state, "t", PAULI_X)
-    state = apply_cnot(state, "t", "y")
-    state = apply_polarization_gate(state, "t", PAULI_Z)
-    state = apply_polarization_gate(state, "t", PAULI_X)
-    return state
+    """``symmetrization_amps`` on one state."""
+    return PureState(symmetrization_amps(state.amps))
+
+
+def message_amps(apply_s: bool = False, attack: str = "improved") -> np.ndarray:
+    """(2, 54) stack of the states reaching Eve's register and the receiver,
+    row j for message bit j.
+
+    Runs the message-mode round on the channel under the named attack, both
+    bits at once: the outbound leg on the prepared pair, the sender's phase
+    encoding Z_t^j on the stack, then the inbound leg (with optional
+    symmetrization).
+    """
+    outbound = outbound_amps(make_initial().amps, attack)
+    encoded = np.array([outbound, polarization_gate_amps(outbound, "t", PAULI_Z)])
+    returned = inbound_amps(encoded, attack)
+    return symmetrization_amps(returned) if apply_s else returned
 
 
 def message_state(j: int, apply_s: bool = False, attack: str = "improved") -> PureState:
-    """State reaching Eve's register and the receiver for message bit j.
-
-    Runs the full message-mode round on the channel under the named attack:
-    outbound leg on the prepared pair, the sender's phase encoding Z_t^j,
-    then the inbound leg (with optional symmetrization).
-    """
+    """State reaching Eve's register and the receiver for message bit j:
+    row j of ``message_amps``."""
     if j not in (0, 1):
         raise ValueError(f"message bit must be 0 or 1, got {j!r}")
-    state = attack_ba(make_initial(), attack)
-    if j == 1:
-        state = apply_polarization_gate(state, "t", PAULI_Z)
-    return attack_ab(state, apply_s, attack)
+    return PureState(message_amps(apply_s, attack)[j])
 
 
-# Label of each amplitude of a message state's bell_amplitudes, flattened in
-# BellOutcome order (nine amplitudes each, eighteen for no_photon; y is the
-# last axis of every block): 5 * (code of y) + (the two-particle outcome).
+# Label of each amplitude of a message state's bell_amps row (nine amplitudes
+# per BellOutcome, eighteen for no_photon; y is the last axis of every
+# block): 5 * (code of y) + (the two-particle outcome).
 _MESSAGE_LABEL = np.repeat(np.arange(5), [9, 9, 9, 9, 18]) + 5 * (np.arange(DIM) % 3)
 # The (t outcome, h bit) of each entry of control_outcomes, and the entry of
 # each basis ket: 2 * (code of t) + (bit of h).
@@ -262,12 +282,18 @@ CONTROL_T_H = tuple((t, h) for t in Occupation for h in (0, 1))
 _CONTROL_LABEL = np.array([2 * k.t + k.h for k in map(BasisKet.from_index, range(DIM))])
 
 
-def message_outcomes(state: PureState) -> np.ndarray:
-    """Exact joint probabilities, shape (3, 5), of the register y's
+def message_outcome_stack(amps: np.ndarray) -> np.ndarray:
+    """Exact joint probabilities, shape (..., 3, 5), of the register y's
     occupation code (rows vac, pol0, pol1) and the receiver's two-particle
-    outcome (columns in BellOutcome order) for a message-round state."""
-    amps = np.concatenate(list(bell_amplitudes(state).values()), axis=None)
-    return exact_probabilities(amps, _MESSAGE_LABEL, 15).reshape(3, 5)
+    outcome (columns in BellOutcome order) for every message-round state of
+    a (..., 54) amplitude stack, tabulated in one pass."""
+    outcomes = exact_probabilities(bell_amps(amps), _MESSAGE_LABEL, 15)
+    return outcomes.reshape(*outcomes.shape[:-1], 3, 5)
+
+
+def message_outcomes(state: PureState) -> np.ndarray:
+    """``message_outcome_stack`` of one message-round state."""
+    return message_outcome_stack(state.amps)
 
 
 @lru_cache(maxsize=None)
@@ -287,9 +313,10 @@ def exact_outcome_table(apply_s: bool, attack: str = "improved") -> np.ndarray:
     Eve's register bit (y polarization) and m the receiver's two-particle
     outcome mapped psi_plus -> 0, psi_minus -> 1.  All other outcomes (empty
     register, phi-type or no-photon results) carry zero probability for
-    these states; this is verified, not assumed.
+    these states; this is verified, not assumed.  Both rows are tabulated
+    as one stack from ``message_amps``.
     """
-    outcomes = np.array([message_outcomes(message_state(j, apply_s, attack)) for j in (0, 1)])
+    outcomes = message_outcome_stack(message_amps(apply_s, attack))
     table = outcomes[:, 1:, :2].copy()
     outcomes[:, 1:, :2] = 0.0
     if outcomes.any():

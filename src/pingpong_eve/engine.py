@@ -27,12 +27,17 @@ Conventions baked into the gates:
   (``router_maps``), and marks the kets on which two photons would meet.
 
 States are immutable.  Every operation is a pure function returning a new
-``PureState``.
+``PureState``.  The gates and the change to the two-particle measurement
+basis are array kernels on amplitude stacks of shape (..., 54)
+(``polarization_gate_amps``, ``cnot_amps``, ``bell_amps``), which give each
+row what a lone state gets; ``apply_polarization_gate``, ``apply_cnot`` and
+``bell_amplitudes`` wrap them for one ``PureState``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from enum import Enum, IntEnum
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -268,16 +273,21 @@ _GATE_PAIRS = {
 }
 
 
-def apply_polarization_gate(state: PureState, mode: str, gate: np.ndarray) -> PureState:
-    """Apply a 2x2 unitary to a mode's polarization; vacuum is untouched.
-
-    On mode ``h`` the gate acts on the qubit itself.
-    """
+def polarization_gate_amps(amps: np.ndarray, mode: str, gate: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 unitary to a mode's polarization on every row of a
+    (..., 54) amplitude stack; vacuum is untouched.  On mode ``h`` the gate
+    acts on the qubit itself.  Each row gets the (2, 2) @ (2, n) product a
+    single row gets, so a row of a stack and a lone row agree bit for bit."""
     gate = _require_unitary(gate)
     pairs = _GATE_PAIRS[MODES[_mode_axis(mode)]]
-    new = state.amps.copy()
-    new[pairs] = gate @ state.amps[pairs]
-    return PureState(new)
+    new = np.array(amps, dtype=complex)
+    new[..., pairs] = gate @ new.take(pairs, axis=-1)
+    return new
+
+
+def apply_polarization_gate(state: PureState, mode: str, gate: np.ndarray) -> PureState:
+    """``polarization_gate_amps`` on one state."""
+    return PureState(polarization_gate_amps(state.amps, mode, gate))
 
 
 @lru_cache(maxsize=None)
@@ -336,12 +346,17 @@ def router_maps(modes: tuple[str, ...], routes: tuple) -> tuple[np.ndarray, np.n
     return image, meet
 
 
-def apply_cnot(state: PureState, control: str, target: str) -> PureState:
-    """Photonic CNOT: flip target polarization iff the control holds pol1."""
+def cnot_amps(amps: np.ndarray, control: str, target: str) -> np.ndarray:
+    """Photonic CNOT on every row of a (..., 54) amplitude stack: flip the
+    target polarization iff the control holds pol1."""
+    # The gate is its own inverse, so index i's amplitude comes from perm[i].
     perm = controlled_flip_permutation(control, target, Occupation.POL1)
-    new = np.empty(DIM, dtype=complex)
-    new[perm] = state.amps
-    return PureState(new)
+    return np.asarray(amps, dtype=complex).take(perm, axis=-1)
+
+
+def apply_cnot(state: PureState, control: str, target: str) -> PureState:
+    """``cnot_amps`` on one state."""
+    return PureState(cnot_amps(state.amps, control, target))
 
 
 @lru_cache(maxsize=None)
@@ -384,18 +399,35 @@ def project_mode(
     return prob, PureState(np.where(mask, state.amps, 0.0) / np.sqrt(prob))
 
 
-def bell_amplitudes(state: PureState) -> dict[BellOutcome, np.ndarray]:
-    """Amplitudes of each outcome of the two-particle measurement on (h, t):
-    c(x, y) of the four (h, t) two-particle states, and c(h, x, y) of the
-    kets with an empty travel mode for no_photon."""
-    arr = state.amps.reshape(2, 3, 3, 3)
+def bell_amps(amps: np.ndarray) -> np.ndarray:
+    """Every row of a (..., 54) amplitude stack in the basis of the
+    two-particle measurement on (h, t): the c(x, y) of psi_plus, psi_minus,
+    phi_plus and phi_minus, then the c(h, x, y) of the kets with an empty
+    travel mode for no_photon, each block flattened with y last, in the
+    order of ``BellOutcome``: 9, 9, 9, 9 and 18 amplitudes."""
+    amps = np.asarray(amps)
+    rows = amps.shape[:-1]
+    arr = amps.reshape(*rows, 2, 3, 9)
+    out = np.empty((*rows, 6, 9), dtype=complex)
+    # (h=0, t=1), (h=0, t=0) against (h=1, t=0), (h=1, t=1): their sums are
+    # psi_plus and phi_plus, their differences psi_minus and phi_minus.
+    first, second = arr[..., 0, 2:0:-1, :], arr[..., 1, 1:, :]
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    out[..., 0:4:2, :] = (first + second) * inv_sqrt2
+    out[..., 1:4:2, :] = (first - second) * inv_sqrt2
+    out[..., 4:, :] = arr[..., :, 0, :]
+    return out.reshape(*rows, DIM)
+
+
+def bell_amplitudes(state: PureState) -> dict[BellOutcome, np.ndarray]:
+    """Amplitudes of each outcome of the two-particle measurement on (h, t),
+    the blocks of ``bell_amps``: c(x, y) of the four (h, t) two-particle
+    states, and c(h, x, y) of the kets with an empty travel mode for
+    no_photon."""
+    blocks = np.split(bell_amps(state.amps), [9, 18, 27, 36])
+    shapes = [(3, 3)] * 4 + [(2, 3, 3)]
     return {
-        BellOutcome.PSI_PLUS: (arr[0, 2] + arr[1, 1]) * inv_sqrt2,
-        BellOutcome.PSI_MINUS: (arr[0, 2] - arr[1, 1]) * inv_sqrt2,
-        BellOutcome.PHI_PLUS: (arr[0, 1] + arr[1, 2]) * inv_sqrt2,
-        BellOutcome.PHI_MINUS: (arr[0, 1] - arr[1, 2]) * inv_sqrt2,
-        BellOutcome.NO_PHOTON: arr[:, 0],
+        outcome: block.reshape(shape) for outcome, block, shape in zip(BellOutcome, blocks, shapes)
     }
 
 
@@ -411,11 +443,16 @@ def bell_probabilities(state: PureState) -> dict[BellOutcome, float]:
 
 
 def exact_probabilities(amps: np.ndarray, outcome: np.ndarray, size: int) -> np.ndarray:
-    """Exact probability of each outcome label 0 .. size - 1, where
-    ``outcome`` labels each amplitude: every amplitude is snapped to the
+    """Exact probability of each outcome label 0 .. size - 1 for every row
+    of an (..., n) amplitude stack, shape (..., size), where ``outcome``
+    labels each of a row's n amplitudes: every amplitude is snapped to the
     lattice n / sqrt(2)**k (integer n, k <= 4), and a label sums the exact
     dyadic floats n**2 * 2**-k of its amplitudes.  An amplitude more than
-    1e-12 off the lattice (a nan, or off the real axis) is a ValueError."""
+    1e-12 off the lattice (a nan, or off the real axis) is a ValueError.
+    The rows share one pass: row r's labels are offset by r * size."""
+    rows = np.shape(amps)[:-1]
+    count = math.prod(rows)
+    labels = np.ravel(outcome) + size * np.arange(count)[:, None]
     amps = np.ravel(amps)
     # n / sqrt(2)**k is n4 / sqrt(2)**4 for even k and n3 / sqrt(2)**3 for
     # odd k, with integers n4 and n3.
@@ -426,7 +463,7 @@ def exact_probabilities(amps: np.ndarray, outcome: np.ndarray, size: int) -> np.
     if not (on4 | (np.abs(amps - n3 / root8) <= 1e-12)).all():
         raise ValueError("amplitudes are not within 1e-12 of n / sqrt(2)**k, k <= 4")
     squares = np.where(on4, np.ldexp(n4 * n4, -4), np.ldexp(n3 * n3, -3))
-    return np.bincount(np.ravel(outcome), squares, minlength=size)
+    return np.bincount(labels.ravel(), squares, minlength=count * size).reshape(*rows, size)
 
 
 def project_bell(

@@ -137,13 +137,13 @@ def mixture_ae_conditioned(c0: float) -> float:
     )
 
 
-def closed_form(formula: str, c0: float) -> tuple[float, bool]:
+def closed_form(formula: str, c0: float) -> tuple[float, bool, float]:
     """Evaluate one printed closed-form information expression verbatim.
 
-    Returns (value in bits, discrepancy flag).  The flag is set when the
-    printed expression differs from the brute-force mutual information of
-    the corresponding distribution by more than 1e-9; the printed value is
-    returned either way, never corrected.
+    Returns (value in bits, discrepancy flag, brute-force reference).  The
+    flag is set when the printed expression differs from the brute-force
+    mutual information of the corresponding distribution by more than 1e-9;
+    the printed value is returned either way, never corrected.
     """
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"prior c0 must lie strictly between 0 and 1, got {c0!r}")
@@ -170,7 +170,7 @@ def closed_form(formula: str, c0: float) -> tuple[float, bool]:
         reference = mutual_information(exact_joint("symmetrized", c0), "BE")
     else:
         raise ValueError(f"unknown formula {formula!r}, expected one of {FORMULAS}")
-    return value, abs(value - reference) > 1e-9
+    return value, abs(value - reference) > 1e-9, reference
 
 
 # --- security curves over the transmission efficiency -------------------------
@@ -198,19 +198,28 @@ class CurvePoint(NamedTuple):
     i_be: float
 
 
+def _gains(
+    eta: float, loss: float, i_ae: float, i_ab: float, i_be: float
+) -> tuple[float, float, float, float]:
+    """(mu, i_ae, i_ab, i_be) of the curve point at one efficiency, from an
+    attack's loss and its per-round gains."""
+    mu = max_attack_fraction(eta, loss)
+    return mu, mu * i_ae, (1.0 - mu) + mu * i_ab, mu * i_be
+
+
 def info_vs_eta(profile: AttackProfile, etas: Iterable[float]) -> list[CurvePoint]:
     """Evaluate the information curves on a grid of transmission efficiencies."""
     loss, i_ae, i_ab, i_be = profile.loss, profile.i_ae, profile.i_ab, profile.i_be
     points = []
     for eta in etas:
-        mu = max_attack_fraction(eta, loss)
-        points.append(CurvePoint(float(eta), mu, mu * i_ae, (1.0 - mu) + mu * i_ab, mu * i_be))
+        mu, gain_ae, gain_ab, gain_be = _gains(eta, loss, i_ae, i_ab, i_be)
+        points.append(CurvePoint(float(eta), mu, gain_ae, gain_ab, gain_be))
     return points
 
 
 def _info_gap(profile: AttackProfile, eta: float) -> float:
-    [point] = info_vs_eta(profile, [eta])
-    return point.i_ae - point.i_ab
+    _, i_ae, i_ab, _ = _gains(eta, profile.loss, profile.i_ae, profile.i_ab, profile.i_be)
+    return i_ae - i_ab
 
 
 def insecurity_bound(profile: AttackProfile) -> float:

@@ -23,8 +23,8 @@ from .attacks import (
     forward_images,
     improved_profile,
     inbound_amps,
-    message_outcomes,
-    message_state,
+    message_amps,
+    message_outcome_stack,
     outbound_amps,
     wojcik_profile,
 )
@@ -80,22 +80,15 @@ def _pinned_outbound() -> PureState:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _pinned_returned(j: int) -> PureState:
-    return PureState.from_terms(
-        {
-            ket(0, "1", "vac", str(j)): _INV_SQRT2,
-            ket(1, "0", "vac", "0"): _INV_SQRT2,
-        }
-    )
-
-
-def _pinned_symmetrized(j: int) -> PureState:
-    return PureState.from_terms(
-        {
-            ket(0, "1", "vac", str(j)): _INV_SQRT2,
-            ket(1, "0", "vac", "1"): -_INV_SQRT2,
-        }
-    )
+def _pinned_messages(apply_s: bool) -> np.ndarray:
+    """(2, 54) pinned message states, row j for message bit j: the returned
+    (|0, 1, vac, j> + |1, 0, vac, 0>)/sqrt(2), or after the symmetrization
+    (|0, 1, vac, j> - |1, 0, vac, 1>)/sqrt(2)."""
+    rows = np.zeros((2, DIM), dtype=complex)
+    for j in (0, 1):
+        rows[j, ket(0, "1", "vac", str(j)).index] = _INV_SQRT2
+        rows[j, ket(1, "0", "vac", str(int(apply_s))).index] = -_INV_SQRT2 if apply_s else _INV_SQRT2
+    return rows
 
 
 def run_all_checks() -> list[CheckResult]:
@@ -120,12 +113,13 @@ def run_all_checks() -> list[CheckResult]:
         f"four basis terms at amplitude 1/2, max diff {diff:.3e}",
     )
 
+    # each message state row by row against its pinned row
+    pinned = {apply_s: _pinned_messages(apply_s) for apply_s in (False, True)}
+    returned, symmetrized = message_amps(), message_amps(apply_s=True)
     for j in (0, 1):
-        returned = message_state(j)
-        diff = returned.max_amplitude_diff(_pinned_returned(j))
+        diff = float(np.max(np.abs(returned[j] - pinned[False][j])))
         add(f"returned-state-bit{j}", diff <= 1e-12, f"max amplitude diff {diff:.3e}")
-        symmetrized = message_state(j, apply_s=True)
-        diff = symmetrized.max_amplitude_diff(_pinned_symmetrized(j))
+        diff = float(np.max(np.abs(symmetrized[j] - pinned[True][j])))
         add(
             f"symmetrized-returned-bit{j}",
             diff <= 1e-12,
@@ -146,12 +140,13 @@ def run_all_checks() -> list[CheckResult]:
     p_equal = control[2] + control[5]
     add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
 
-    # outcome tables: the attack states' against the pinned states' tables
+    # outcome tables: the attack states' against the pinned states' tables,
+    # both pinned states of a table tabulated as one stack
     tables = []
-    for variant, returned in (("plain", _pinned_returned), ("symmetrized", _pinned_symmetrized)):
-        table = exact_outcome_table(variant == "symmetrized")
+    for variant, apply_s in (("plain", False), ("symmetrized", True)):
+        table = exact_outcome_table(apply_s)
         tables.append(table)
-        expected = np.array([message_outcomes(returned(j))[1:, :2] for j in (0, 1)])
+        expected = message_outcome_stack(pinned[apply_s])[:, 1:, :2]
         diff = float(np.max(np.abs(table - expected)))
         add(f"{variant}-outcome-table", (table == expected).all(), f"max cell diff {diff:.3e}")
 
@@ -203,9 +198,7 @@ def run_all_checks() -> list[CheckResult]:
     worst = 0.0
     for formula in ("plain_ae_ab", "sym_ae_ab"):
         for c0 in C0_GRID:
-            value, flagged = closed_form(formula, c0)
-            variant = "plain" if formula.startswith("plain") else "symmetrized"
-            brute = mutual_information(exact_joint(variant, c0), "AE")
+            value, flagged, brute = closed_form(formula, c0)
             worst = max(worst, abs(value - brute))
             if flagged:
                 worst = math.inf
@@ -214,8 +207,7 @@ def run_all_checks() -> list[CheckResult]:
         worst <= 1e-9,
         f"printed forms track brute force, worst diff {worst:.3e}",
     )
-    printed, flagged = closed_form("plain_be", 0.5)
-    brute = mutual_information(plain, "BE")
+    printed, flagged, brute = closed_form("plain_be", 0.5)
     add(
         "closed-form-be-discrepancy",
         flagged and abs(printed - (-0.176239)) < 1e-6 and abs(brute - 0.073761) < 1e-6,

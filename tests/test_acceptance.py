@@ -175,16 +175,16 @@ def test_criterion_4_information_values():
 def test_criterion_5_closed_form_audit():
     for formula, variant in (("plain_ae_ab", "plain"), ("sym_ae_ab", "symmetrized")):
         for c0 in C0_GRID:
-            value, flagged = closed_form(formula, c0)
+            value, flagged, _ = closed_form(formula, c0)
             assert not flagged
             brute = mutual_information(exact_joint(variant, c0), "AE")
             assert abs(value - brute) <= 1e-9
-    printed, flagged = closed_form("plain_be", 0.5)
+    printed, flagged, _ = closed_form("plain_be", 0.5)
     assert flagged, "the discrepancy flag being raised is the pass condition"
     assert abs(printed - (-0.176239)) < 1e-6
     brute = mutual_information(exact_joint("plain", 0.5), "BE")
     assert abs(brute - 0.073761) < 1e-6
-    printed_sym, flagged_sym = closed_form("sym_be", 0.5)
+    printed_sym, flagged_sym, _ = closed_form("sym_be", 0.5)
     assert flagged_sym
     assert abs(printed_sym - (-0.176239)) < 1e-6
     print(

@@ -13,6 +13,7 @@ import pytest
 
 from pingpong_eve import attacks
 from pingpong_eve.attacks import (
+    ATTACKS,
     F_KETS,
     SubspaceLeakageError,
     apply_symmetrization,
@@ -23,16 +24,22 @@ from pingpong_eve.attacks import (
     forward_images,
     improved_profile,
     inbound_amps,
+    message_amps,
+    message_outcome_stack,
+    message_outcomes,
     message_state,
     outbound_amps,
     wojcik_profile,
 )
 from pingpong_eve.engine import (
     DIM,
+    PAULI_X,
     PAULI_Z,
     BasisKet,
     PureState,
+    apply_cnot,
     apply_polarization_gate,
+    bell_probabilities,
     ket,
     make_initial,
     mode_marginal,
@@ -305,6 +312,52 @@ def test_message_state_matches_pinned_states():
 PLAIN_COND = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.25, 0.25], [0.25, 0.25]]])
 
 
+def gate_by_gate_message_state(j: int, apply_s: bool, attack: str) -> PureState:
+    """The message round one PureState at a time: the outbound leg, Z_t for
+    bit 1, the inbound leg, then S as its gate word X_t Z_t N_ty X_t."""
+    state = attack_ba(make_initial(), attack)
+    if j == 1:
+        state = apply_polarization_gate(state, "t", PAULI_Z)
+    state = attack_ab(state, attack=attack)
+    if apply_s:
+        state = apply_polarization_gate(state, "t", PAULI_X)
+        state = apply_cnot(state, "t", "y")
+        state = apply_polarization_gate(state, "t", PAULI_Z)
+        state = apply_polarization_gate(state, "t", PAULI_X)
+    return state
+
+
+def test_message_amps_equal_the_gate_by_gate_round():
+    for attack in ATTACKS:
+        for apply_s in (False, True):
+            stack = message_amps(apply_s, attack)
+            assert stack.shape == (2, DIM)
+            for j in (0, 1):
+                expected = gate_by_gate_message_state(j, apply_s, attack).amps
+                assert (stack[j] == expected).all()
+                assert (message_state(j, apply_s, attack).amps == expected).all()
+            encoded = attack_ba(make_initial(), attack)
+            encoded = apply_polarization_gate(encoded, "t", PAULI_Z)
+            expected = gate_by_gate_message_state(1, apply_s, attack).amps
+            assert (attack_ab(encoded, apply_s, attack).amps == expected).all()
+
+
+def test_stacked_tabulation_equals_per_state_tabulation():
+    # Every message state of both attacks as one (2, 2, 2, 54) stack, indexed
+    # [attack, apply_s, j]: each row's table must be its lone state's.
+    stack = np.array([[message_amps(s, attack) for s in (False, True)] for attack in ATTACKS])
+    stacked = message_outcome_stack(stack)
+    assert stacked.shape == (2, 2, 2, 3, 5)
+    for index in np.ndindex(stack.shape[:-1]):
+        state = PureState(stack[index])
+        assert stacked[index].tobytes() == message_outcomes(state).tobytes()
+        by_outcome = list(bell_probabilities(state).values())
+        assert np.abs(stacked[index].sum(axis=0) - by_outcome).max() <= 1e-15
+    for a, attack in enumerate(ATTACKS):
+        for s in (0, 1):
+            assert (exact_outcome_table(bool(s), attack) == stacked[a, s, :, 1:, :2]).all()
+
+
 def test_exact_outcome_table_plain():
     assert (exact_outcome_table(apply_s=False) == PLAIN_COND).all()
 
@@ -339,7 +392,7 @@ def test_outcome_table_refuses_mass_outside_it(monkeypatch):
     phi_plus = PureState.from_terms(
         {ket(0, "0", "vac", "0"): INV_SQRT2, ket(1, "1", "vac", "0"): INV_SQRT2}
     )
-    monkeypatch.setattr(attacks, "message_state", lambda j, apply_s, attack: phi_plus)
+    monkeypatch.setattr(attacks, "message_amps", lambda apply_s, attack: np.stack([phi_plus.amps] * 2))
     with pytest.raises(ValueError, match="outside the table"):
         exact_outcome_table(apply_s=False)
 

@@ -4,6 +4,8 @@ Expected amplitudes and probabilities are frozen from hand expansions of
 the pinned protocol states; the engine must reproduce them exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,16 @@ from pingpong_eve.engine import (
     PureState,
     apply_cnot,
     apply_polarization_gate,
+    bell_amplitudes,
+    bell_amps,
     bell_probabilities,
+    cnot_amps,
     exact_probabilities,
     ket,
     make_initial,
     mode_marginal,
     project_bell,
+    polarization_gate_amps,
     project_mode,
     require_normalized,
     router_maps,
@@ -550,3 +556,133 @@ def test_projection_branches_resolve_the_state():
         assert np.max(np.abs(resolved - state.amps)) < 1e-12
     assert project_mode(state, "h", Occupation.VAC) == (0.0, None)
 
+
+
+# --- stacked kernels ------------------------------------------------------------
+
+
+def _gate_oracle(amps: np.ndarray, mode: str, gate: np.ndarray) -> np.ndarray:
+    """A polarization gate ket by ket: a ket whose mode holds level b sends
+    gate[b', b] of its amplitude to the ket with level b' there."""
+    out = np.zeros(DIM, dtype=complex)
+    for index, amp in enumerate(amps):
+        basis_ket = BasisKet.from_index(index)
+        level = int(getattr(basis_ket, mode))
+        if mode != "h" and level == 0:
+            out[index] += amp
+            continue
+        bit = level if mode == "h" else level - 1
+        for new_bit in (0, 1):
+            new_level = new_bit if mode == "h" else Occupation(new_bit + 1)
+            out[dataclasses.replace(basis_ket, **{mode: new_level}).index] += gate[new_bit, bit] * amp
+    return out
+
+
+def _cnot_oracle(amps: np.ndarray, control: str, target: str) -> np.ndarray:
+    """The photonic CNOT ket by ket: flip the target's polarization where the
+    control holds pol1."""
+    out = np.zeros(DIM, dtype=complex)
+    flip = {Occupation.VAC: Occupation.VAC, Occupation.POL0: Occupation.POL1, Occupation.POL1: Occupation.POL0}
+    for index, amp in enumerate(amps):
+        basis_ket = BasisKet.from_index(index)
+        if getattr(basis_ket, control) is Occupation.POL1:
+            basis_ket = dataclasses.replace(basis_ket, **{target: flip[getattr(basis_ket, target)]})
+        out[basis_ket.index] += amp
+    return out
+
+
+def _bell_oracle(amps: np.ndarray) -> np.ndarray:
+    """The two-particle basis amplitudes read ket by ket, in bell_amps order."""
+
+    def amp(h, t, x, y):
+        return amps[BasisKet(h, Occupation(t), Occupation(x), Occupation(y)).index]
+
+    xy = [(x, y) for x in range(3) for y in range(3)]
+    out = []
+    for first, second in (((0, 2), (1, 1)), ((0, 1), (1, 2))):
+        out += [(amp(*first, x, y) + amp(*second, x, y)) * INV_SQRT2 for x, y in xy]
+        out += [(amp(*first, x, y) - amp(*second, x, y)) * INV_SQRT2 for x, y in xy]
+    return np.array(out + [amp(h, 0, x, y) for h in (0, 1) for x, y in xy])
+
+
+def _kernel(kind, a, b):
+    """The stacked kernel, its PureState wrapper and its oracle for one gate
+    of the pool."""
+    if kind == "pol":
+        return (
+            lambda amps: polarization_gate_amps(amps, a, b),
+            lambda state: apply_polarization_gate(state, a, b),
+            lambda amps: _gate_oracle(amps, a, b),
+        )
+    return (
+        lambda amps: cnot_amps(amps, a, b),
+        lambda state: apply_cnot(state, a, b),
+        lambda amps: _cnot_oracle(amps, a, b),
+    )
+
+
+def test_stacked_gates_equal_the_state_gates_on_every_basis_ket():
+    # One (54, 54) stack of every basis ket: each row must be the PureState
+    # gate's image of its ket, and the oracle's, exactly.
+    basis = np.eye(DIM, dtype=complex)
+    for kind, a, b in _gate_pool():
+        kernel, state_gate, oracle = _kernel(kind, a, b)
+        stacked = kernel(basis)
+        assert stacked.shape == (DIM, DIM)
+        for index, row in enumerate(basis):
+            assert stacked[index].tobytes() == state_gate(PureState(row)).amps.tobytes()
+            assert (stacked[index] == oracle(row)).all()
+
+
+def test_stacked_gates_equal_the_state_gates_on_random_stacks():
+    # A (3, 4, 54) stack of random states: every row bit for bit the gate of
+    # its lone state, and within rounding of the ket-by-ket oracle.
+    rng = np.random.default_rng(5)
+    stack = np.array([[random_state(rng).amps for _ in range(4)] for _ in range(3)])
+    for kind, a, b in _gate_pool():
+        kernel, state_gate, oracle = _kernel(kind, a, b)
+        stacked = kernel(stack)
+        assert stacked.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-1]):
+            assert stacked[index].tobytes() == state_gate(PureState(stack[index])).amps.tobytes()
+            assert np.abs(stacked[index] - oracle(stack[index])).max() <= 1e-15
+
+
+def test_stacked_kernels_leave_their_input_alone():
+    rng = np.random.default_rng(8)
+    stack = np.array([random_state(rng).amps for _ in range(3)])
+    before = stack.copy()
+    for kind, a, b in _gate_pool():
+        _kernel(kind, a, b)[0](stack)
+    bell_amps(stack)
+    assert stack.tobytes() == before.tobytes()
+
+
+def test_bell_amps_stack_equals_the_state_blocks_and_the_oracle():
+    rng = np.random.default_rng(6)
+    stack = np.array([[random_state(rng).amps for _ in range(3)] for _ in range(2)])
+    stacked = bell_amps(stack)
+    assert stacked.shape == stack.shape
+    for index in np.ndindex(stack.shape[:-1]):
+        state = PureState(stack[index])
+        blocks = np.concatenate(list(bell_amplitudes(state).values()), axis=None)
+        assert stacked[index].tobytes() == blocks.tobytes()
+        assert (stacked[index] == _bell_oracle(stack[index])).all()
+    shapes = {outcome: block.shape for outcome, block in bell_amplitudes(state).items()}
+    assert shapes == {
+        **{outcome: (3, 3) for outcome in BellOutcome},
+        BellOutcome.NO_PHOTON: (2, 3, 3),
+    }
+
+
+def test_exact_probabilities_tabulates_a_stack_row_by_row():
+    states = (make_initial(), post_attack_state(), returned_state(1), symmetrized_state(0))
+    stack = np.array([state.amps for state in states]).reshape(2, 2, DIM)
+    stacked = exact_probabilities(stack, T_LABEL, 4)
+    assert stacked.shape == (2, 2, 4)
+    for index in np.ndindex(2, 2):
+        assert stacked[index].tolist() == exact_probabilities(stack[index], T_LABEL, 4).tolist()
+    # one row off the lattice refuses the whole stack
+    stack[1, 0, 0] = 0.3
+    with pytest.raises(ValueError, match="1e-12"):
+        exact_probabilities(stack, T_LABEL, 4)

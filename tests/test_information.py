@@ -344,7 +344,7 @@ def test_qber_values():
 def test_closed_form_ae_ab_match_brute_force():
     for formula, variant in (("plain_ae_ab", "plain"), ("sym_ae_ab", "symmetrized")):
         for c0 in C0_GRID:
-            value, flagged = closed_form(formula, c0)
+            value, flagged, _ = closed_form(formula, c0)
             assert not flagged
             assert abs(value - oracle_pair_mi(variant, c0, "AE")) < 1e-9
             assert abs(value - oracle_pair_mi(variant, c0, "AB")) < 1e-9
@@ -353,7 +353,7 @@ def test_closed_form_ae_ab_match_brute_force():
 def test_closed_form_be_flagged_discrepant():
     for formula, variant in (("plain_be", "plain"), ("sym_be", "symmetrized")):
         for c0 in C0_GRID:
-            value, flagged = closed_form(formula, c0)
+            value, flagged, _ = closed_form(formula, c0)
             assert flagged
             assert abs(value - oracle_pair_mi(variant, c0, "BE")) > 1e-6
 
@@ -363,7 +363,7 @@ def test_closed_form_be_printed_values_at_half():
     # the distributions give +0.073761; both values are pinned here and the
     # flag is the deliverable, not a corrected formula
     for formula in ("plain_be", "sym_be"):
-        value, flagged = closed_form(formula, 0.5)
+        value, flagged, _ = closed_form(formula, 0.5)
         assert flagged
         assert abs(value - (-0.176239)) < 1e-6
         assert abs(value - (-0.176238691777133)) < 1e-12
@@ -371,10 +371,22 @@ def test_closed_form_be_printed_values_at_half():
 
 
 def test_closed_form_anchor_values_at_half():
-    value, _ = closed_form("plain_ae_ab", 0.5)
+    value, _, _ = closed_form("plain_ae_ab", 0.5)
     assert abs(value - 0.311278) < 1e-6
-    value, _ = closed_form("sym_ae_ab", 0.5)
+    value, _, _ = closed_form("sym_ae_ab", 0.5)
     assert abs(value - 0.311278) < 1e-6
+
+
+def test_closed_form_hands_back_its_reference():
+    # The brute-force value the flag is decided on, bit for bit, so a caller
+    # that needs it reads it instead of computing it again.
+    pairs = {"plain_ae_ab": "AE", "plain_be": "BE", "sym_ae_ab": "AE", "sym_be": "BE"}
+    for formula, pair in pairs.items():
+        variant = "plain" if formula.startswith("plain") else "symmetrized"
+        for c0 in C0_GRID:
+            value, flagged, reference = closed_form(formula, c0)
+            assert reference == mutual_information(exact_joint(variant, c0), pair)
+            assert flagged == (abs(value - reference) > 1e-9)
 
 
 def test_closed_form_errors():
