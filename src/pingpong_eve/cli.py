@@ -234,14 +234,9 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         else:
             stats = run_simulation(config)
         if args.stats:
+            document = {"metadata": metadata, "stats": stats.to_json_dict()}
             with _output(args.stats) as handle:
-                json.dump(
-                    {"metadata": metadata, "stats": stats.to_json_dict()},
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                )
-                handle.write("\n")
+                handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
         for line in metadata_lines(metadata):
             print(line)
         print(f"rounds={stats.n_rounds} control={stats.n_control} message={stats.n_message}")

@@ -33,8 +33,11 @@ k, the cell at each bucket's start; only the few buckets with a table key
 inside them are searched.  Rounds are drawn in blocks of ``BLOCK_ROUNDS``;
 block b reads ``round_rng(seed, b)``, so round i's draw depends only on
 (seed, i), a shorter run is a prefix of a longer one, and ``replay_round``
-regenerates a single block.  ``run_simulation`` tallies cell counts per
-block without building records; ``run_rounds`` builds one per round.
+regenerates a single block.  ``run_simulation`` counts rounds per bucket,
+not per round, and builds no records: each block counts its draws per
+bucket and searches only those in straddling buckets, and the summed counts
+of the other buckets go to their start cells once per run, as exact
+integers.  ``run_rounds`` builds one record per round.
 ``write_records_csv`` builds no records either: it formats each table
 cell's CSV row once, as a row of a NUL-padded byte table, and writes every
 block in windows of up to 2048 rounds that share i // 10**4 to a binary
@@ -272,7 +275,8 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
 
 
 class _RoundTable:
-    """The combined outcome table of one run and its block sampler."""
+    """The combined outcome table of one run, its block sampler and its
+    per-bucket counter."""
 
     def __init__(self, config: ProtocolConfig) -> None:
         self.seed = config.seed
@@ -312,11 +316,15 @@ class _RoundTable:
         self.straddles = np.zeros(1 << _BUCKET_BITS, dtype=bool)
         self.straddles[self.keys[(self.keys & low) != 0] >> _BUCKET_SHIFT] = True
 
+    def raw(self, block: int, n: int) -> np.ndarray:
+        """The generator's 64-bit outputs of the first n rounds of a block.
+        PCG64 emits in order, so n outputs are a prefix of the block, and
+        shifting each right by 11 gives the 53-bit integer of random()."""
+        return round_rng(self.seed, block).bit_generator.random_raw(n)
+
     def sample(self, block: int, n: int) -> np.ndarray:
         """Cell indices of the first n rounds of a block."""
-        # PCG64 emits in order, so n outputs are a prefix of the block, and
-        # shifting each right by 11 gives the 53-bit integer of random().
-        draws = round_rng(self.seed, block).bit_generator.random_raw(n)
+        draws = self.raw(block, n)
         draws >>= 64 - _UNIT_BITS
         draws = draws.view(np.int64)
         bucket = draws >> _BUCKET_SHIFT
@@ -329,6 +337,30 @@ class _RoundTable:
         """(first round index, cell indices) of each block of the run."""
         for start in range(0, rounds, BLOCK_ROUNDS):
             yield start, self.sample(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
+
+    def count(self, rounds: int) -> np.ndarray:
+        """Rounds of each cell in the run, counted per bucket instead of per
+        round: the same cells as ``blocks``, with no cell index gathered.
+        Each block counts its rounds per bucket (the top 12 bits of each
+        output) and searches only its rounds in straddling buckets; the
+        summed counts of the other buckets go to their start cells once per
+        run, as exact integer sums over each cell's run of buckets."""
+        buckets = np.zeros(1 << _BUCKET_BITS, dtype=np.int64)
+        counts = np.zeros(len(self.cells), dtype=np.int64)
+        for start in range(0, rounds, BLOCK_ROUNDS):
+            raw = self.raw(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
+            bucket = (raw >> np.uint64(64 - _BUCKET_BITS)).view(np.int64)
+            buckets += np.bincount(bucket, minlength=buckets.size)
+            draws = (raw[self.straddles[bucket]] >> np.uint64(64 - _UNIT_BITS)).view(np.int64)
+            counts += np.bincount(np.searchsorted(self.keys, draws, "right"),
+                                  minlength=counts.size)
+        buckets[self.straddles] = 0
+        # The start cells never decrease, so each cell's buckets are one run
+        # of them, edges[c]:edges[c + 1]; a cell that starts no bucket, or
+        # lies past a 2**53 key, has an empty run.
+        edges = np.searchsorted(self.bucket_cell, np.arange(counts.size + 1), "left")
+        running = np.concatenate(([0], np.cumsum(buckets)))
+        return counts + np.diff(running[edges])
 
 
 def round_rng(seed: int, block: int) -> np.random.Generator:
@@ -416,7 +448,10 @@ class RunStats:
 
     def conditional_se(self) -> np.ndarray:
         """Per-cell standard error sqrt(p(1-p)/n_j); rows with no samples are NaN."""
-        table = self.conditional_table()
+        return self._table_se(self.conditional_table())
+
+    def _table_se(self, table: np.ndarray) -> np.ndarray:
+        """The standard errors of the run's conditional table ``table``."""
         n_j = self.joint_counts.sum(axis=(1, 2))[:, None, None]
         return np.sqrt(table * (1.0 - table) / n_j)
 
@@ -430,8 +465,9 @@ class RunStats:
         payload["counts_s_on"] = self.counts_s_on.tolist()
         for name in _RATES:
             payload[name] = _json_float(getattr(self, name))
-        payload["conditional_table"] = _json_table(self.conditional_table())
-        payload["conditional_se"] = _json_table(self.conditional_se())
+        table = self.conditional_table()
+        payload["conditional_table"] = _json_table(table)
+        payload["conditional_se"] = _json_table(self._table_se(table))
         return payload
 
 
@@ -501,13 +537,10 @@ def _tally(cells: Sequence[tuple], counts: Sequence[int] | np.ndarray) -> RunSta
 
 
 def run_simulation(config: ProtocolConfig) -> RunStats:
-    """Sample and tally every round, block by block, without building
+    """Count every round per bucket, block by block, without building
     records; equal to ``aggregate(run_rounds(config))``."""
     table = _RoundTable(config)
-    counts = np.zeros(len(table.cells), dtype=np.int64)
-    for _, cells in table.blocks(config.rounds):
-        counts += np.bincount(cells, minlength=counts.size)
-    return _tally(table.cells, counts)
+    return _tally(table.cells, table.count(config.rounds))
 
 
 def chi_squared(counts: np.ndarray, expected_conditional: np.ndarray) -> tuple[float, int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from pingpong_eve.information import (
     exact_joint,
     info_vs_eta,
     insecurity_bound,
+    max_attack_fraction,
     mixture_ae_conditioned,
     mutual_information,
     qber,
@@ -213,6 +215,19 @@ def test_joint_probs_read_only():
     dist = exact_joint("plain", 0.5)
     with pytest.raises(ValueError):
         dist.probs[0, 0, 0] = 0.0
+
+
+def test_exact_joint_is_built_once_per_variant_and_prior():
+    dist = exact_joint("symmetrized", 0.3)
+    assert exact_joint("symmetrized", 0.3) is dist
+    assert exact_joint("symmetrized", 0.31) is not dist
+    assert exact_joint("plain", 0.3) is not dist
+    with pytest.raises(ValueError):
+        dist.probs[1, 0, 1] = 0.0
+    # a refused prior is refused on every call, never cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="strictly between"):
+            exact_joint("symmetrized", 1.0)
 
 
 # --- mutual information ------------------------------------------------------
@@ -435,6 +450,40 @@ def test_curve_monotonicity_in_partial_domain():
             assert curr.i_ae < prev.i_ae
             assert curr.i_ab > prev.i_ab
             assert 0.0 <= curr.mu <= 1.0
+
+
+def test_curve_points_equal_the_scalar_formula():
+    """Every point of the array pass, bit for bit, against the partial-attack
+    formula at its eta alone."""
+    for profile in (improved_profile(), wojcik_profile()):
+        edge = 1.0 - profile.loss
+        etas = default_eta_grid() + [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
+                                     np.float64(0.3), 1, 0]
+        points = info_vs_eta(profile, iter(etas))
+        assert len(points) == len(etas)
+        for eta, point in zip(etas, points):
+            mu = max_attack_fraction(eta, profile.loss)
+            expected = (float(eta), mu, mu * profile.i_ae, (1.0 - mu) + mu * profile.i_ab,
+                        mu * profile.i_be)
+            assert tuple(point) == expected, eta
+            assert all(type(value) is float for value in point)
+    assert info_vs_eta(improved_profile(), []) == []
+
+
+def test_curve_refuses_what_max_attack_fraction_refuses():
+    profile = improved_profile()
+    for bad in (-0.01, 1.01, math.nan, -math.inf):
+        for grid in ([bad], [0.5, bad, 0.7], [0.5, 0.7, bad]):
+            with pytest.raises(ValueError, match=r"must be in \[0, 1\], got " + re.escape(repr(bad))):
+                info_vs_eta(profile, grid)
+    # a loss that is not positive refuses the first point, whatever follows
+    for loss in (0.0, -0.5):
+        lossless = AttackProfile("lossless", loss, profile.i_ae, profile.i_ab, profile.i_be)
+        with pytest.raises(ValueError, match="attack loss must be positive"):
+            info_vs_eta(lossless, [0.5, 2.0])
+        with pytest.raises(ValueError, match=r"got 2\.0$"):
+            info_vs_eta(lossless, [2.0, 0.5])
+        assert info_vs_eta(lossless, []) == []
 
 
 def test_insecurity_bounds_match_published_values():

@@ -251,16 +251,32 @@ class ReplayedDraws:
         return (self.raw[:size] >> 11) * 2.0**-53
 
 
-def assert_samples_draws(config: ProtocolConfig, ks, monkeypatch) -> np.ndarray:
-    """Sample block 0 from the 53-bit draws ``ks``, and hold the cells to the
-    float reference and the sampler to one raw request for the block."""
-    # The low 11 bits of each output are not part of the draw.
-    raw = (np.array(ks, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+def replay(raw: np.ndarray, monkeypatch) -> ReplayedDraws:
+    """Make every block of every run read the 64-bit outputs ``raw``."""
     replayed = ReplayedDraws(raw)
     monkeypatch.setattr(protocol, "round_rng", lambda seed, block: replayed)
-    cells = _RoundTable(config).sample(0, raw.size)
+    return replayed
+
+
+def outputs(ks) -> np.ndarray:
+    """64-bit outputs whose 53-bit draws are ``ks``; the low 11 bits of each
+    output are not part of the draw."""
+    return (np.array(ks, dtype=np.uint64) << np.uint64(11)) | np.uint64(0x5A5)
+
+
+def assert_samples_draws(config: ProtocolConfig, ks, monkeypatch) -> np.ndarray:
+    """Sample and count block 0 from the 53-bit draws ``ks``: hold the cells
+    to the float reference, the per-bucket counts to those cells, and each
+    path to one raw request for the block."""
+    raw = outputs(ks)
+    replayed = replay(raw, monkeypatch)
+    table = _RoundTable(config)
+    cells = table.sample(0, raw.size)
     assert replayed.requests == [raw.size]
     assert np.array_equal(cells, float_sample(config, ReplayedDraws(raw), raw.size))
+    counts = table.count(raw.size)
+    assert replayed.requests == [raw.size] * 2
+    assert np.array_equal(counts, np.bincount(cells, minlength=len(table.cells)))
     return cells
 
 
@@ -357,6 +373,60 @@ def test_a_bound_rounded_to_one_ends_the_table(monkeypatch):
     assert table.bucket_cell.max() < past
     cells = assert_samples_draws(config, [*straddle(table.keys), 2**53 - 1], monkeypatch)
     assert cells.max() == past - 1
+
+
+# Run lengths at the block edges, for the per-bucket counter.
+COUNT_ROUNDS = (1, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 2 * BLOCK_ROUNDS + 37)
+
+
+def sampled_counts(table: _RoundTable, rounds: int) -> np.ndarray:
+    """Cell counts of a run, counted from the cell the sampler gives each round."""
+    cells = np.concatenate([cells for _, cells in table.blocks(rounds)])
+    return np.bincount(cells, minlength=len(table.cells))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_counting_per_bucket_equals_counting_the_sampled_cells(scheme):
+    for config in reference_configs(scheme):
+        table = _RoundTable(config)
+        for rounds in COUNT_ROUNDS:
+            counts = table.count(rounds)
+            assert counts.dtype == np.int64 and counts.sum() == rounds, (config, rounds)
+            assert np.array_equal(counts, sampled_counts(table, rounds)), (config, rounds)
+
+
+def test_counting_requests_one_raw_block_per_block(monkeypatch):
+    config = ProtocolConfig(rounds=1, seed=0, scheme="improved-symmetrized", c0=0.3, eta=0.85,
+                            control_prob=0.3, attack_fraction=0.4)
+    raw = round_rng(9, 0).bit_generator.random_raw(BLOCK_ROUNDS)
+    replayed = replay(raw, monkeypatch)
+    counts = _RoundTable(config).count(2 * BLOCK_ROUNDS + 37)
+    assert replayed.requests == [BLOCK_ROUNDS, BLOCK_ROUNDS, 37]
+    size = len(_RoundTable(config).cells)
+    whole, head = (
+        np.bincount(float_sample(config, ReplayedDraws(raw), n), minlength=size)
+        for n in (BLOCK_ROUNDS, 37)
+    )
+    assert np.array_equal(counts, 2 * whole + head)
+
+
+def test_cells_past_a_key_of_2_53_count_zero(monkeypatch):
+    """The table of ``test_a_bound_rounded_to_one_ends_the_table``: no run
+    counts a round in the cells past its key 2**53, not even from the top
+    draw of every bucket."""
+    tiny = 1.1125369292536007e-308
+    config = ProtocolConfig(rounds=2 * BLOCK_ROUNDS + 37, seed=3, scheme="none", c0=tiny,
+                            control_prob=tiny, eta=tiny)
+    table = _RoundTable(config)
+    past = int(np.searchsorted(table.keys, 2**53)) + 1
+    counts = table.count(config.rounds)
+    assert counts[past:].tolist() == [0] * (len(table.cells) - past)
+    assert np.array_equal(counts, sampled_counts(table, config.rounds))
+    tops = np.arange(1, BUCKETS + 1, dtype=np.int64) * BUCKET_WIDTH - 1
+    replay(outputs(tops), monkeypatch)
+    counts = table.count(tops.size)
+    assert counts[past:].tolist() == [0] * (len(table.cells) - past)
+    assert counts[past - 1] > 0 and counts.sum() == tops.size
 
 
 def test_threshold_is_exact_on_53_bit_draws():
