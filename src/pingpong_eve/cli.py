@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import math
 import os
 import stat
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import IO, Iterator
 
 from . import __version__
@@ -186,6 +186,59 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Itera
         raise
 
 
+def _json_float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The text of each JSON scalar, by its exact type.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives, for
+    dicts with string keys, lists, tuples, strings, ints, floats, bools and
+    None, subclasses included; any other value, or a key that is not a
+    string, is a TypeError.  ``json`` writes an indented document with its
+    pure-Python encoder, as its C encoder does not indent; this writer
+    leaves only the string escapes to json's C code and joins the rest."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"JSON object keys must be strings, got {list(value)!r}")
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    # json writes a subclass of these as its base type; bool cannot be subclassed.
+    for kind in (str, int, float):
+        if isinstance(value, kind):
+            return _JSON_SCALARS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _fmt_rate(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.9f}"
 
@@ -236,23 +289,18 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         if args.stats:
             document = {"metadata": metadata, "stats": stats.to_json_dict()}
             with _output(args.stats) as handle:
-                handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        for line in metadata_lines(metadata):
-            print(line)
-        print(f"rounds={stats.n_rounds} control={stats.n_control} message={stats.n_message}")
-        print(
+                handle.write(_json_text(document) + "\n")
+        print("\n".join([
+            *metadata_lines(metadata),
+            f"rounds={stats.n_rounds} control={stats.n_control} message={stats.n_message}",
             f"control_loss_rate={_fmt_rate(stats.control_loss_rate)}"
-            f" se={_fmt_rate(stats.control_loss_se)}"
-        )
-        print(
+            f" se={_fmt_rate(stats.control_loss_se)}",
             f"detection_rate={_fmt_rate(stats.detection_rate)}"
-            f" se={_fmt_rate(stats.detection_se)}"
-        )
-        print(f"qber={_fmt_rate(stats.qber)} se={_fmt_rate(stats.qber_se)}")
-        print(
+            f" se={_fmt_rate(stats.detection_se)}",
+            f"qber={_fmt_rate(stats.qber)} se={_fmt_rate(stats.qber_se)}",
             f"message_attacked={stats.n_message_attacked}"
-            f" stray_outcomes={stats.n_stray_outcomes}"
-        )
+            f" stray_outcomes={stats.n_stray_outcomes}",
+        ]))
     return 0
 
 
@@ -282,8 +330,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             payload = report.to_json_dict()
             payload["metadata"] = metadata
             with _output(args.report) as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                handle.write(_json_text(payload) + "\n")
         for line in metadata_lines(metadata):
             print(line)
         print(

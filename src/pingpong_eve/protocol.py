@@ -38,21 +38,23 @@ not per round, and builds no records: each block counts its draws per
 bucket and searches only those in straddling buckets, and the summed counts
 of the other buckets go to their start cells once per run, as exact
 integers.  ``run_rounds`` builds one record per round.
-``write_records_csv`` builds no records either: it formats each table
-cell's CSV row once, as a row of a NUL-padded byte table, and writes every
-block in windows of up to 2048 rounds that share i // 10**4 to a binary
-handle; the CLI opens the CSV file, cuts it and reports its errors, as for
-every file it writes.  A window is one byte grid: the index prefix
-i // 10**4, the index's last four digits sliced from a digit table, and the
-cells' row texts, with the NUL padding dropped.  The same blocks are
-tallied into the run's stats, so each block is drawn once.  The stream
-scheme is named by ``RNG_STREAM``.
+``write_records_csv`` builds no records either: it formats every table
+cell's CSV row in one csv.writer pass, as the rows of a NUL-padded byte
+table, and writes every block in windows of up to 2048 rounds that share
+i // 10**4 to a binary handle; the CLI opens the CSV file, cuts it and
+reports its errors, as for every file it writes.  A window is one byte
+grid: the index prefix i // 10**4, the index's last four digits sliced from
+a digit table, and the cells' row texts, with the NUL padding dropped.  The
+same blocks are tallied into the run's stats, so each block is drawn once.
+The stream scheme is named by ``RNG_STREAM``.
 
 Every count of ``RunStats`` is the cell counts times the cells' counter
 rows: a cell's row holds what one round of it adds to the ten counters,
 then one-hot slots for its (j, k, m) cell in ``counts_s_off`` and
 ``counts_s_on``.  ``run_simulation`` and ``write_records_csv`` count the
 table's cells; ``aggregate`` counts a record stream's distinct records.
+The stats' conditional table and its standard errors are computed in plain
+Python from the integer counts, with numpy's IEEE operations.
 
 Every scheme runs through the same cells.  An attacked control branch is
 its attack's control table (``attacks.control_outcomes``), so the
@@ -205,10 +207,11 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 _ZERO_PADDED, _NUL_PADDED = _digit_tables()
 
 
-def _threshold(p: float) -> int:
-    """The least 53-bit draw k with k * 2**-53 >= p, so that a uniform
-    k * 2**-53 is below p exactly when k < _threshold(p)."""
-    return math.ceil(float(p) * (1 << _UNIT_BITS))
+def _threshold(p: np.ndarray) -> np.ndarray:
+    """The least 53-bit draw k with k * 2**-53 >= p, for each p, so that a
+    uniform k * 2**-53 is below p exactly when k < _threshold(p).  Scaling
+    by 2**53 is exact, so this is ceil(p * 2**53) without rounding."""
+    return np.ceil(np.ldexp(p, _UNIT_BITS)).astype(np.int64)
 
 
 # The record schema, which is also the CSV header.
@@ -227,8 +230,9 @@ _PLAIN_ROWS = [
 
 
 def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ...]:
-    """Weighted cells of the four branches, in sampling order: control
-    unattacked, control attacked, message unattacked, message attacked."""
+    """Cells of positive weight of the four branches, in sampling order:
+    control unattacked, control attacked, message unattacked, message
+    attacked."""
     # Only the plain channel loses photons; the attacker's channel is lossless.
     eta = config.eta if config.scheme == "none" else 1.0
     lost = (1.0 - eta) / 2
@@ -243,6 +247,7 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
             (_Cell("control", attacked, None, None, None, t, h, None,
                    t is vac, t is not vac and h == (t is pol1)), p)
             for (t, h), p in zip(CONTROL_T_H, weights)
+            if p > 0.0
         ]
 
     control_plain = control(False, [
@@ -250,10 +255,12 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         for (t, _), p in zip(CONTROL_T_H, control_outcomes(None))
     ])
     no_photon = _Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True)
-    message = [(no_photon, 1.0 - eta)] + [
-        (_Cell("message", False, j, None, m), eta * p_j * p)
+    message = [(no_photon, 1.0 - eta)] if eta < 1.0 else []
+    message += [
+        (_Cell("message", False, j, None, m), w)
         for j, p_j in priors
         for m, p in zip(BellOutcome, _PLAIN_ROWS[j])
+        if (w := eta * p_j * p) > 0.0
     ]
     if config.scheme == "none":
         return control_plain, [], message, []
@@ -264,12 +271,14 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         coins = ((False, 0.5), (True, 0.5))
     else:
         coins = ((False, 1.0),)
+    tables = {s: CONDITIONALS["symmetrized" if s else "plain"].tolist() for s, _ in coins}
     message_attacked = [
-        (_Cell("message", True, j, k, m, None, None, s), p_j * p_s * p)
+        (_Cell("message", True, j, k, m, None, None, s), w)
         for j, p_j in priors
         for s, p_s in coins
-        for k, row in enumerate(CONDITIONALS["symmetrized" if s else "plain"][j].tolist())
+        for k, row in enumerate(tables[s][j])
         for m, p in zip(_M_BIT, row)
+        if (w := p_j * p_s * p) > 0.0
     ]
     return control_plain, control_attacked, message, message_attacked
 
@@ -287,31 +296,35 @@ class _RoundTable:
         )
         # A cell's probability is its branch's times its normalized weight in
         # the branch; cells of probability zero are dropped.
-        weighted = []
+        self.cells, probs = [], []
         for p_branch, cells in zip(branch_probs, _branch_cells(config)):
             total = sum(p for _, p in cells)
-            weighted += [(cell, p_branch * (p / total)) for cell, p in cells]
-        kept = [(cell, p) for cell, p in weighted if p > 0.0]
-        self.cells = [cell for cell, _ in kept]
+            for cell, p in cells:
+                p = p_branch * (p / total)
+                if p > 0.0:
+                    self.cells.append(cell)
+                    probs.append(p)
         # Sorted keys, threshold(bound) of each inner bound of the normalized
         # CDF: a round's 53-bit draw k picks cell (number of keys <= k), which
         # is searchsorted(bounds, k * 2**-53, "right").  A bound that rounds to
         # 1.0 gives the key 2**53, above every draw, so the cells past it are
         # never picked.
-        cdf = np.cumsum([p for _, p in kept])
-        self.keys = np.array([_threshold(bound) for bound in (cdf[:-1] / cdf[-1]).tolist()],
-                             dtype=np.int64)
+        cdf = np.cumsum(probs)
+        self.keys = _threshold(cdf[:-1] / cdf[-1])
         # Bucket (guide) table: bucket b holds the draws with k >> 41 == b.
         # Every draw of a bucket picks the cell of its start unless a table
         # key lies inside it; only rounds in such straddling buckets (a
         # handful of 4096) are searched.  A key is <= the start of bucket b
-        # exactly when its rounded-up bucket index is <= b, so a running
-        # count of those indices gives each start's cell.  Cell indices are
-        # intp, which numpy gathers and counts about twice as fast as uint8.
+        # exactly when its rounded-up bucket index is <= b, so cell c starts
+        # the buckets edges[c]:edges[c + 1], between the rounded-up indices
+        # of the keys either side of it; a cell that starts no bucket, or
+        # lies past a 2**53 key, has an empty run.  Cell indices are intp,
+        # which numpy gathers and counts about twice as fast as uint8.
         low = (1 << _BUCKET_SHIFT) - 1
         rounded_up = (self.keys + low) >> _BUCKET_SHIFT
-        counts = np.bincount(rounded_up, minlength=(1 << _BUCKET_BITS) + 1)
-        self.bucket_cell = np.cumsum(counts[:-1], dtype=np.intp)
+        self.edges = np.concatenate(([0], rounded_up, [1 << _BUCKET_BITS]))
+        self.bucket_cell = np.repeat(np.arange(len(self.cells), dtype=np.intp),
+                                     self.edges[1:] - self.edges[:-1])
         # A bucket straddles cells exactly when one of its keys lies past its start.
         self.straddles = np.zeros(1 << _BUCKET_BITS, dtype=bool)
         self.straddles[self.keys[(self.keys & low) != 0] >> _BUCKET_SHIFT] = True
@@ -345,7 +358,9 @@ class _RoundTable:
         output) and searches only its rounds in straddling buckets; the
         summed counts of the other buckets go to their start cells once per
         run, as exact integer sums over each cell's run of buckets."""
-        buckets = np.zeros(1 << _BUCKET_BITS, dtype=np.int64)
+        # One bucket more than the table, always empty, where the runs that
+        # start past the last bucket begin.
+        buckets = np.zeros((1 << _BUCKET_BITS) + 1, dtype=np.int64)
         counts = np.zeros(len(self.cells), dtype=np.int64)
         for start in range(0, rounds, BLOCK_ROUNDS):
             raw = self.raw(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
@@ -354,13 +369,12 @@ class _RoundTable:
             draws = (raw[self.straddles[bucket]] >> np.uint64(64 - _UNIT_BITS)).view(np.int64)
             counts += np.bincount(np.searchsorted(self.keys, draws, "right"),
                                   minlength=counts.size)
-        buckets[self.straddles] = 0
-        # The start cells never decrease, so each cell's buckets are one run
-        # of them, edges[c]:edges[c + 1]; a cell that starts no bucket, or
-        # lies past a 2**53 key, has an empty run.
-        edges = np.searchsorted(self.bucket_cell, np.arange(counts.size + 1), "left")
-        running = np.concatenate(([0], np.cumsum(buckets)))
-        return counts + np.diff(running[edges])
+        buckets[:-1][self.straddles] = 0
+        # Each cell's run of buckets, summed: reduceat sums each run but gives
+        # an empty one the bucket at its start, so empty runs are zeroed.
+        runs = np.add.reduceat(buckets, self.edges[:-1])
+        runs[self.edges[1:] == self.edges[:-1]] = 0
+        return counts + runs
 
 
 def round_rng(seed: int, block: int) -> np.random.Generator:
@@ -438,22 +452,25 @@ class RunStats:
 
     def conditional_table(self) -> np.ndarray:
         """Empirical P(k, m | j); rows with no samples are NaN."""
-        counts = self.joint_counts
-        table = np.full((2, 2, 2), math.nan)
-        for j in (0, 1):
-            n_j = counts[j].sum()
-            if n_j > 0:
-                table[j] = counts[j] / n_j
-        return table
+        return np.array(self._conditional(math.nan)[0])
 
     def conditional_se(self) -> np.ndarray:
         """Per-cell standard error sqrt(p(1-p)/n_j); rows with no samples are NaN."""
-        return self._table_se(self.conditional_table())
+        return np.array(self._conditional(math.nan)[1])
 
-    def _table_se(self, table: np.ndarray) -> np.ndarray:
-        """The standard errors of the run's conditional table ``table``."""
-        n_j = self.joint_counts.sum(axis=(1, 2))[:, None, None]
-        return np.sqrt(table * (1.0 - table) / n_j)
+    def _conditional(self, empty) -> tuple[list, list]:
+        """The conditional table and its standard errors as nested lists,
+        with ``empty`` in each cell of a row with no samples.  They are
+        computed in plain Python from the integer counts, with the IEEE
+        operations numpy applies to the count arrays (each count and n_j
+        made a float, then divided), so every bit is numpy's."""
+        table, se = [], []
+        for block in self.joint_counts.tolist():
+            n_j = float(sum(block[0]) + sum(block[1]))
+            table.append([[c / n_j if n_j else empty for c in row] for row in block])
+            se.append([[math.sqrt(p * (1.0 - p) / n_j) if n_j else empty for p in row]
+                       for row in table[-1]])
+        return table, se
 
     def to_json_dict(self) -> dict:
         """Every field, each rate and standard error (None for NaN), and the
@@ -465,9 +482,7 @@ class RunStats:
         payload["counts_s_on"] = self.counts_s_on.tolist()
         for name in _RATES:
             payload[name] = _json_float(getattr(self, name))
-        table = self.conditional_table()
-        payload["conditional_table"] = _json_table(table)
-        payload["conditional_se"] = _json_table(self._table_se(table))
+        payload["conditional_table"], payload["conditional_se"] = self._conditional(None)
         return payload
 
 
@@ -492,10 +507,6 @@ def _json_float(value: float):
     return None if math.isnan(value) else value
 
 
-def _json_table(table: np.ndarray):
-    return [[[_json_float(float(v)) for v in row] for row in block] for block in table]
-
-
 def aggregate(records: Iterable[RoundRecord]) -> RunStats:
     """Tally a record stream into RunStats."""
     counted = collections.Counter(record[1:] for record in records)
@@ -503,29 +514,38 @@ def aggregate(records: Iterable[RoundRecord]) -> RunStats:
 
 
 # A cell's counter row holds what one round of it adds to each count of
-# RunStats: the ten counters, in field order, then one-hot slots for its
-# (j, k, m) cell in counts_s_off and then in counts_s_on.
+# RunStats: the ten counters, in field order (0 n_rounds, 1 n_control,
+# 2 n_message, 3 n_control_attacked, 4 n_control_lost, 5 n_detection,
+# 6 n_message_attacked, 7 n_message_unattacked_lost, 8 n_qber_errors,
+# 9 n_stray_outcomes), then one-hot slots for its (j, k, m) cell in
+# counts_s_off and then in counts_s_on.
 _N_COUNTERS = 10
 _ROW_SIZE = _N_COUNTERS + 2 * 8
 
 
-def _counter_row(cell: tuple) -> bytes:
+def _counter_row(cell: tuple) -> bytearray:
     """The counter row of a round record without its index, a byte a count.
     An attacked message round with no (j, k, m) cell is a stray outcome."""
     mode, attacked, j, k, m, _, _, s_applied, lost, detection = cell
-    control = mode == "control"
-    message = not control
-    attacked_message = message and bool(attacked)
-    bit = _M_BIT.get(m)  # the receiver's decoded bit, None for any other outcome
-    counted = attacked_message and bit is not None and k is not None
-    row = [
-        1, control, message, control and attacked, control and lost, control and detection,
-        attacked_message, message and not attacked and lost,
-        attacked_message and (bit is None or bit != j), attacked_message and not counted,
-    ] + [0] * (_ROW_SIZE - _N_COUNTERS)
-    if counted:
-        row[_N_COUNTERS + 8 * bool(s_applied) + 4 * j + 2 * k + bit] = 1
-    return bytes(row)
+    row = bytearray(_ROW_SIZE)
+    row[0] = 1
+    if mode == "control":
+        row[1] = 1
+        row[3] = bool(attacked)
+        row[4] = bool(lost)
+        row[5] = bool(detection)
+    elif attacked:
+        row[2] = row[6] = 1
+        bit = _M_BIT.get(m)  # the receiver's decoded bit, None for any other outcome
+        row[8] = bit is None or bit != j
+        if bit is None or k is None:
+            row[9] = 1
+        else:
+            row[_N_COUNTERS + 8 * bool(s_applied) + 4 * j + 2 * k + bit] = 1
+    else:
+        row[2] = 1
+        row[7] = bool(lost)
+    return row
 
 
 def _tally(cells: Sequence[tuple], counts: Sequence[int] | np.ndarray) -> RunStats:
@@ -588,28 +608,34 @@ def metadata_lines(metadata: dict) -> list[str]:
     return [f"# {key}={_cell(value)}" for key, value in metadata.items()]
 
 
-def _csv_line(values) -> str:
-    """One CSV row, line terminator included."""
+def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
+    """Each row as one CSV line, line terminator included, all formatted in
+    one csv.writer pass."""
+    rows = list(rows)
     buffer = io.StringIO()
-    csv.writer(buffer).writerow(values)
-    return buffer.getvalue()
+    csv.writer(buffer).writerows(rows)
+    lines = buffer.getvalue().splitlines(keepends=True)
+    if len(lines) != len(rows):
+        raise ValueError(f"a CSV row holds a line break: {rows!r}")
+    return lines
 
 
-def _row_text(cell: _Cell) -> str:
-    """A cell's CSV row after the round index, line terminator included."""
-    return _csv_line(["", *map(_cell, cell)])
+def _row_texts(cells: list[_Cell]) -> list[str]:
+    """Each cell's CSV row after the round index, line terminator included."""
+    return _csv_lines(["", *map(_cell, cell)] for cell in cells)
 
 
 def _row_table(cells: list[_Cell], lead: int) -> np.ndarray:
     """The cells' row texts as the rows of a NUL-padded uint8 table, each
     after ``lead`` NUL bytes that leave room for a round index."""
+    texts = _row_texts(cells)
     # One byte per character, and no NUL: the body drops every NUL byte of
-    # its grid, padding and nothing else.  encode raises on a non-ASCII text.
-    rows = [_row_text(cell).encode("ascii") for cell in cells]
-    if any(b"\0" in row for row in rows):
-        raise ValueError(f"a CSV row text holds a NUL byte: {rows!r}")
-    padded = np.array([b"\0" * lead + row for row in rows], dtype=bytes)
-    return padded.view(np.uint8).reshape(len(rows), -1)
+    # its grid, padding and nothing else.
+    if any("\0" in text or not text.isascii() for text in texts):
+        raise ValueError(f"a CSV row text is not ASCII without NUL: {texts!r}")
+    pad = "\0" * lead
+    padded = np.array([(pad + text).encode() for text in texts], dtype=bytes)
+    return padded.view(np.uint8).reshape(len(texts), -1)
 
 
 def _window_body(
@@ -643,7 +669,7 @@ def write_records_csv(config: ProtocolConfig, handle: BinaryIO, metadata: dict) 
     lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
     rows = _row_table(table.cells, lead)
     head = "".join(line + "\n" for line in metadata_lines(metadata))
-    handle.write((head + _csv_line(_CSV_COLUMNS)).encode())
+    handle.write((head + _csv_lines([_CSV_COLUMNS])[0]).encode())
     for start, cells in table.blocks(config.rounds):
         counts += np.bincount(cells, minlength=counts.size)
         # Windows of at most _CSV_WINDOW_ROUNDS rounds that share

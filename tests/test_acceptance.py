@@ -10,7 +10,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import chi2
 
 from pingpong_eve import attacks
 from pingpong_eve.attacks import (
@@ -56,6 +55,7 @@ from pingpong_eve.protocol import (
     run_simulation,
 )
 from test_engine import post_attack_state, random_state, returned_state, symmetrized_state
+from test_protocol import chi2_quantile
 
 C0_GRID = [i / 10 for i in range(1, 10)]
 
@@ -99,7 +99,7 @@ def check_counts_against(counts, expected):
                 se = math.sqrt(p * (1.0 - p) / n_j)
                 assert abs(counts[j, k, m] / n_j - p) <= 3.0 * se + 1e-12
     stat, df = chi_squared(counts, expected)
-    assert stat <= chi2.ppf(0.999, df)
+    assert stat <= chi2_quantile(0.999, df)
 
 
 def test_criterion_1_state_pinning():

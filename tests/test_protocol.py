@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from pingpong_eve import protocol
 from pingpong_eve.attacks import improved_profile, wojcik_profile
@@ -65,6 +64,50 @@ def cached_stats(**kwargs):
     return aggregate(cached_records(**kwargs))
 
 
+def chi2_survival(x: float, df: int) -> float:
+    """P(X > x) for X chi-squared with a positive integer df, in closed
+    form: Q(x; 1) = erfc(sqrt(x / 2)), Q(x; 2) = exp(-x / 2), and
+    Q(x; k + 2) = Q(x; k) + (x / 2)**(k / 2) exp(-x / 2) / Gamma(k / 2 + 1),
+    a sum of positive terms."""
+    if df < 1:
+        raise ValueError(f"df must be a positive integer, got {df!r}")
+    if x <= 0.0:
+        return 1.0
+    half = x / 2
+    q, k = (math.erfc(math.sqrt(half)), 1) if df % 2 else (math.exp(-half), 2)
+    for k in range(k, df, 2):
+        q += math.exp(k / 2 * math.log(half) - half - math.lgamma(k / 2 + 1))
+    return q
+
+
+def chi2_quantile(p: float, df: int) -> float:
+    """The p-quantile of the chi-squared distribution with integer df, by
+    bisection on its survival function until the bracket stops shrinking."""
+    tail = 1.0 - p
+    lo, hi = 0.0, 1.0
+    while chi2_survival(hi, df) > tail:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return hi
+        if chi2_survival(mid, df) > tail:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_chi2_quantile_matches_scipy():
+    # scipy.special holds the routine behind scipy.stats.chi2.ppf and
+    # imports in a fraction of the time.
+    special = pytest.importorskip("scipy.special")
+    for df in range(1, 41):
+        expected = special.chdtri(df, 1.0 - 0.999)
+        assert chi2_quantile(0.999, df) == pytest.approx(expected, rel=1e-12, abs=0.0), df
+    with pytest.raises(ValueError):
+        chi2_quantile(0.999, 0)
+
+
 def assert_table_matches(counts, expected, df_expected):
     """3 standard errors per cell, then chi-squared at the 99.9% quantile."""
     counts = np.asarray(counts)
@@ -78,7 +121,7 @@ def assert_table_matches(counts, expected, df_expected):
                 assert abs(counts[j, k, m] / n_j - p) <= 3.0 * se + 1e-12
     stat, df = chi_squared(counts, expected)
     assert df == df_expected
-    assert stat <= chi2.ppf(0.999, df)
+    assert stat <= chi2_quantile(0.999, df)
 
 
 # --- max_attack_fraction ---------------------------------------------------------
@@ -395,6 +438,20 @@ def test_counting_per_bucket_equals_counting_the_sampled_cells(scheme):
             assert np.array_equal(counts, sampled_counts(table, rounds)), (config, rounds)
 
 
+def test_counting_cells_that_start_no_bucket():
+    """At a prior of 1e-6 the attacked message cells of bit 0 all lie in the
+    first bucket, so all but the first start no bucket: their runs of
+    buckets are empty, and they count only the searched rounds."""
+    config = ProtocolConfig(rounds=2 * BLOCK_ROUNDS + 37, seed=4, scheme="improved-symmetrized",
+                            c0=1e-6, control_prob=0.0, attack_fraction=1.0)
+    table = _RoundTable(config)
+    starting = set(table.bucket_cell.tolist())
+    startless = [c for c in range(len(table.cells) - 1) if c not in starting]
+    assert startless and table.straddles[0] and not table.straddles[1]
+    counts = table.count(config.rounds)
+    assert np.array_equal(counts, sampled_counts(table, config.rounds))
+
+
 def test_counting_requests_one_raw_block_per_block(monkeypatch):
     config = ProtocolConfig(rounds=1, seed=0, scheme="improved-symmetrized", c0=0.3, eta=0.85,
                             control_prob=0.3, attack_fraction=0.4)
@@ -590,6 +647,50 @@ def test_runstats_bookkeeping():
     assert isinstance(payload["qber"], float) or payload["qber"] is None
 
 
+def numpy_json_dict(stats: RunStats) -> dict:
+    """The stats dictionary as numpy builds it: the conditional table and its
+    standard errors from the count arrays, NaN rows written as None."""
+    payload = {field: getattr(stats, field) for field in RunStats.__dataclass_fields__}
+    payload["counts_s_off"] = stats.counts_s_off.tolist()
+    payload["counts_s_on"] = stats.counts_s_on.tolist()
+    for name in ("control_loss_rate", "control_loss_se", "detection_rate", "detection_se",
+                 "qber", "qber_se"):
+        value = getattr(stats, name)
+        payload[name] = None if math.isnan(value) else value
+    counts = stats.joint_counts
+    table = np.full((2, 2, 2), math.nan)
+    for j in (0, 1):
+        n_j = counts[j].sum()
+        if n_j > 0:
+            table[j] = counts[j] / n_j
+    se = np.sqrt(table * (1.0 - table) / counts.sum(axis=(1, 2))[:, None, None])
+    for name, values in (("conditional_table", table), ("conditional_se", se)):
+        payload[name] = [[[None if math.isnan(v) else v for v in row] for row in block]
+                         for block in values.tolist()]
+    return payload
+
+
+@pytest.mark.parametrize("rounds", [1, 100001])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stats_dict_equals_the_numpy_oracle(scheme, rounds):
+    stats = run_simulation(ProtocolConfig(rounds=rounds, seed=21, scheme=scheme, eta=0.8))
+    payload = stats.to_json_dict()
+    assert payload == numpy_json_dict(stats)
+    assert np.array_equal(stats.conditional_table(), np.array(payload["conditional_table"],
+                                                              dtype=float), equal_nan=True)
+    empty = [n_j == 0 for n_j in stats.joint_counts.sum(axis=(1, 2)).tolist()]
+    # Without an attack no row is filled; one round fills at most one row,
+    # and 100001 rounds fill both.
+    if scheme == "none":
+        assert all(empty)
+    else:
+        assert any(empty) if rounds == 1 else not any(empty)
+    for j, row_is_empty in enumerate(empty):
+        if row_is_empty:
+            assert payload["conditional_table"][j] == [[None, None], [None, None]]
+            assert payload["conditional_se"][j] == [[None, None], [None, None]]
+
+
 def test_run_simulation_equals_aggregate_of_rounds():
     config = ProtocolConfig(rounds=500, seed=3, scheme="improved-symmetrized", eta=0.85)
     direct = run_simulation(config)
@@ -659,6 +760,12 @@ def assert_counts(stats: RunStats, off=(), on=(), **counters) -> None:
 def test_aggregate_counts_each_kind_of_round(case):
     record, counts = HAND_RECORDS[case]
     assert_counts(aggregate([record]), **counts)
+
+
+def test_aggregate_counts_an_attacked_message_with_no_bit_and_no_j():
+    # No decoded bit is a decode error even where the round carries no j.
+    record = hand_record("message", True, m=BellOutcome.NO_PHOTON)
+    assert_counts(aggregate([record]), **dict(STRAY, n_qber_errors=1))
 
 
 def test_aggregate_counts_a_mixed_stream():
@@ -829,12 +936,20 @@ def test_records_csv_at_the_window_edges(rounds):
 def test_records_csv_refuses_a_row_text_it_cannot_compact(monkeypatch, text):
     # The body drops every NUL byte of its byte grid, so a row text must be
     # ASCII without NUL; the check runs before the first byte is written.
-    monkeypatch.setattr(protocol, "_row_text", lambda cell: text)
+    monkeypatch.setattr(protocol, "_row_texts", lambda cells: [text] * len(cells))
     config = ProtocolConfig(rounds=10, seed=8)
     handle = io.BytesIO()
     with pytest.raises(ValueError):
         write_records_csv(config, handle, {})
     assert handle.getvalue() == b""
+
+
+def test_csv_lines_refuse_a_field_with_a_line_break():
+    # Row texts are formatted in one csv.writer pass and split at line ends,
+    # so a quoted line break inside a field would split its row in two.
+    assert protocol._csv_lines([["a", "b"], ["", "c"]]) == ["a,b\r\n", ",c\r\n"]
+    with pytest.raises(ValueError, match="line break"):
+        protocol._csv_lines([["a\nb"], ["c"]])
 
 
 def test_wojcik_replay_is_deterministic():
