@@ -30,22 +30,22 @@ with integer keys ceil(bound * 2**53), so every test on it is exact: a
 round's cell is the number of table keys at or below k.  That count is read
 from a bucket (guide) table of 4096 entries indexed by the top 12 bits of
 k, the cell at each bucket's start; only the few buckets with a table key
-inside them are searched.  Rounds are drawn in blocks of ``BLOCK_ROUNDS``;
-block b reads ``round_rng(seed, b)``, so round i's draw depends only on
-(seed, i), a shorter run is a prefix of a longer one, and ``replay_round``
-regenerates a single block.  ``run_simulation`` counts rounds per bucket,
-not per round, and builds no records: each block counts its draws per
-bucket and searches only those in straddling buckets, and the summed counts
-of the other buckets go to their start cells once per run, as exact
+inside them are searched.  Round i reads output i of ``round_rng(seed, 0)``,
+the PCG64 stream of ``np.random.default_rng(seed)``, opened once per run and
+read in order in chunks of ``BLOCK_ROUNDS``; ``replay_round`` jumps it ahead
+to its round and reads one output.  ``run_simulation`` counts rounds per
+bucket, not per round, and builds no records: each chunk counts its draws
+per bucket and searches only those in straddling buckets, and the summed
+counts of the other buckets go to their start cells once per run, as exact
 integers.  ``run_rounds`` builds one record per round.
 ``write_records_csv`` builds no records either: it formats every table
 cell's CSV row in one csv.writer pass, as the rows of a NUL-padded byte
-table, and writes every block in windows of up to 2048 rounds that share
+table, and writes every chunk in windows of up to 2048 rounds that share
 i // 10**4 to a binary handle; the CLI opens the CSV file, cuts it and
 reports its errors, as for every file it writes.  A window is one byte
 grid: the index prefix i // 10**4, the index's last four digits sliced from
 a digit table, and the cells' row texts, with the NUL padding dropped.  The
-same blocks are tallied into the run's stats, so each block is drawn once.
+same chunks are tallied into the run's stats, so each round is drawn once.
 The stream scheme is named by ``RNG_STREAM``.
 
 Every count of ``RunStats`` is the cell counts times the cells' counter
@@ -174,8 +174,10 @@ class RoundRecord(NamedTuple):
 
 _M_BIT = {BellOutcome.PSI_PLUS: 0, BellOutcome.PSI_MINUS: 1}
 
+# Rounds per chunk of a run's stream, read, counted and written one at a time.
+# At 1e6 rounds 2**14 and 2**16 ran alike, 2**12 and 2**18 about 1.5x slower.
 BLOCK_ROUNDS = 1 << 14
-RNG_STREAM = f"pcg64-block{BLOCK_ROUNDS}-v3"
+RNG_STREAM = "pcg64-v4"
 # Bits of a round's draw: PCG64's random() is (next_uint64 >> 11) * 2**-53.
 _UNIT_BITS = 53
 # The top _BUCKET_BITS bits of a round's draw index the bucket table.
@@ -284,7 +286,7 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
 
 
 class _RoundTable:
-    """The combined outcome table of one run, its block sampler and its
+    """The combined outcome table of one run, its chunk sampler and its
     per-bucket counter."""
 
     def __init__(self, config: ProtocolConfig) -> None:
@@ -329,32 +331,35 @@ class _RoundTable:
         self.straddles = np.zeros(1 << _BUCKET_BITS, dtype=bool)
         self.straddles[self.keys[(self.keys & low) != 0] >> _BUCKET_SHIFT] = True
 
-    def raw(self, block: int, n: int) -> np.ndarray:
-        """The generator's 64-bit outputs of the first n rounds of a block.
-        PCG64 emits in order, so n outputs are a prefix of the block, and
-        shifting each right by 11 gives the 53-bit integer of random()."""
-        return round_rng(self.seed, block).bit_generator.random_raw(n)
+    def chunks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(first round index, 64-bit outputs) of each chunk of the run, read
+        in order from one stream; an output >> 11 is random()'s 53-bit integer."""
+        stream = round_rng(self.seed, 0)
+        for start in range(0, rounds, BLOCK_ROUNDS):
+            yield start, stream.random_raw(min(BLOCK_ROUNDS, rounds - start))
 
-    def sample(self, block: int, n: int) -> np.ndarray:
-        """Cell indices of the first n rounds of a block."""
-        draws = self.raw(block, n)
-        draws >>= 64 - _UNIT_BITS
-        draws = draws.view(np.int64)
+    def cells_of(self, raw: np.ndarray) -> np.ndarray:
+        """Cell index of each round, from its 64-bit output (shifted in place)."""
+        raw >>= 64 - _UNIT_BITS
+        draws = raw.view(np.int64)
         bucket = draws >> _BUCKET_SHIFT
         cells = self.bucket_cell[bucket]
         fix = np.flatnonzero(self.straddles[bucket])
         cells[fix] = np.searchsorted(self.keys, draws[fix], "right")
         return cells
 
+    def sample(self, block: int, n: int) -> np.ndarray:
+        """Cell indices of the first n rounds of chunk ``block``, jumped ahead to."""
+        return self.cells_of(round_rng(self.seed, block * BLOCK_ROUNDS).random_raw(n))
+
     def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(first round index, cell indices) of each block of the run."""
-        for start in range(0, rounds, BLOCK_ROUNDS):
-            yield start, self.sample(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
+        """(first round index, cell indices) of each chunk of the run."""
+        return ((start, self.cells_of(raw)) for start, raw in self.chunks(rounds))
 
     def count(self, rounds: int) -> np.ndarray:
         """Rounds of each cell in the run, counted per bucket instead of per
         round: the same cells as ``blocks``, with no cell index gathered.
-        Each block counts its rounds per bucket (the top 12 bits of each
+        Each chunk counts its rounds per bucket (the top 12 bits of each
         output) and searches only its rounds in straddling buckets; the
         summed counts of the other buckets go to their start cells once per
         run, as exact integer sums over each cell's run of buckets."""
@@ -362,8 +367,7 @@ class _RoundTable:
         # start past the last bucket begin.
         buckets = np.zeros((1 << _BUCKET_BITS) + 1, dtype=np.int64)
         counts = np.zeros(len(self.cells), dtype=np.int64)
-        for start in range(0, rounds, BLOCK_ROUNDS):
-            raw = self.raw(start // BLOCK_ROUNDS, min(BLOCK_ROUNDS, rounds - start))
+        for _, raw in self.chunks(rounds):
             bucket = (raw >> np.uint64(64 - _BUCKET_BITS)).view(np.int64)
             buckets += np.bincount(bucket, minlength=buckets.size)
             draws = (raw[self.straddles[bucket]] >> np.uint64(64 - _UNIT_BITS)).view(np.int64)
@@ -377,9 +381,11 @@ class _RoundTable:
         return counts + runs
 
 
-def round_rng(seed: int, block: int) -> np.random.Generator:
-    """Deterministic random substream of one block of rounds."""
-    return np.random.default_rng((seed, block))
+def round_rng(seed: int, start: int) -> np.random.PCG64:
+    """The run's one stream, PCG64(SeedSequence(seed)) as in
+    ``np.random.default_rng(seed)``, jumped ahead to round ``start`` in
+    O(log start) steps: round i reads output i."""
+    return np.random.PCG64(seed).advance(start)
 
 
 def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
@@ -393,15 +399,15 @@ def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
 
 
 def replay_round(config: ProtocolConfig, round_index: int) -> RoundRecord:
-    """Round ``round_index`` of the run, regenerated from its block alone."""
+    """Round ``round_index`` of the run, from its one output of the stream."""
     if isinstance(round_index, bool) or not isinstance(round_index, numbers.Integral):
         raise ValueError(f"round_index must be an integer, got {round_index!r}")
     round_index = int(round_index)
     if not 0 <= round_index < config.rounds:
         raise IndexError(f"round {round_index!r} is outside a run of {config.rounds} rounds")
     table = _RoundTable(config)
-    block, row = divmod(round_index, BLOCK_ROUNDS)
-    return RoundRecord(round_index, *table.cells[table.sample(block, row + 1)[row]])
+    cell = table.cells_of(round_rng(config.seed, round_index).random_raw(1))[0]
+    return RoundRecord(round_index, *table.cells[cell])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -557,7 +563,7 @@ def _tally(cells: Sequence[tuple], counts: Sequence[int] | np.ndarray) -> RunSta
 
 
 def run_simulation(config: ProtocolConfig) -> RunStats:
-    """Count every round per bucket, block by block, without building
+    """Count every round per bucket, chunk by chunk, without building
     records; equal to ``aggregate(run_rounds(config))``."""
     table = _RoundTable(config)
     return _tally(table.cells, table.count(config.rounds))
@@ -658,10 +664,10 @@ def _window_body(
 
 def write_records_csv(config: ProtocolConfig, handle: BinaryIO, metadata: dict) -> RunStats:
     """Write every round of the run to the binary ``handle`` as one CSV row,
-    block by block, without building records: each cell's row text is
+    chunk by chunk, without building records: each cell's row text is
     formatted once per run, and each window of rounds is one byte grid with
     its NUL padding dropped.  Returns the run's stats, tallied from the same
-    blocks, which equal ``run_simulation(config)``."""
+    chunks, which equal ``run_simulation(config)``."""
     table = _RoundTable(config)
     counts = np.zeros(len(table.cells), dtype=np.int64)
     # Room for the longest round index of the run, and at least the four

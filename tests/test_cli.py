@@ -236,11 +236,11 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     assert run_main(SIM_ARGS + ["--out", str(out), "--stats", str(stats)]) == 0
     console = capsys.readouterr().out
     assert "# resolved_attack_fraction=0.4" in console
-    assert "# rng_stream=pcg64-block16384-v3" in console.splitlines()
+    assert "# rng_stream=pcg64-v4" in console.splitlines()
     lines = out.read_text().splitlines()
     assert "# resolved_attack_fraction=0.4" in lines
     assert "# seed=7" in lines
-    assert "# rng_stream=pcg64-block16384-v3" in lines
+    assert "# rng_stream=pcg64-v4" in lines
     header_at = lines.index(
         "round_index,mode,attacked,j,k,m,alice_t_outcome,bob_h_outcome,"
         "s_applied,photon_lost,detection_event"
@@ -249,46 +249,46 @@ def test_simulate_records_resolved_fraction(tmp_path, capsys):
     payload = json.loads(stats.read_text())
     assert payload["metadata"]["resolved_attack_fraction"] == 0.4
     assert payload["metadata"]["seed"] == 7
-    assert payload["metadata"]["rng_stream"] == "pcg64-block16384-v3"
+    assert payload["metadata"]["rng_stream"] == "pcg64-v4"
     assert payload["stats"]["n_rounds"] == 2000
     assert "timestamp" not in json.dumps(payload)
 
 
 # SHA-256 of (stdout, --out CSV, --stats JSON) of `simulate --seed 7 --eta 0.85
 # --rounds 2*16384+5` plus the extra flags: the fixed-seed bytes of the
-# pcg64-block16384-v3 stream, across two block edges.  The metadata they
+# pcg64-v4 stream, across two chunk edges.  The metadata they
 # contain includes the package version.
 GOLDEN_SIMULATE = [
     (
         ["--scheme", "none"],
-        "1328c37f6dae78aa06ac270c5fc1f1f1971a3107402dce3a28ff31ab98f149f5",
-        "9c26c4e54782d0d541c3bb04af102d23e88f59a4d49a92d08e504cc6ded73066",
-        "f23db43d4b9168317b3241141075a37ff4ee2ba0d49fc6471ddeac875b9bf019",
+        "b1ee09a8f413cb79d70f75de73418465e0df86824db249d3b5f6c9a55af88a39",
+        "6b82542e024a78706f37d0e394635c9340a3caca79c318c45f2e17fa68f9ef28",
+        "08047f40daccb2d46137e0ec5da2c921a533e866a1ce0310e6d6ddd0eeaed292",
     ),
     (
         ["--scheme", "improved"],
-        "6bbb49585dcba1ff1a5b6bf2e40e3766203b9b136747c7c17a31372731a74ff5",
-        "4d7d10c0389b2d44d6a86669980f1e326a139cea21f7aca1bcc2b0116e7a624d",
-        "6b3faba13466a2d5f712d5a3d25dff5038765e2c787bc12df38a9e264e5e888b",
+        "5eb54ecd45bbc3642f1d097b45f84f2d6afaca64f9347e9c83c0353c2e06335a",
+        "fe5041f32e7234922131e203d9c1a547b94767e0d2f30dc9bbc129aa6756a962",
+        "f1cca97825fc0572253885875c36a4fe5121f5c7501a4fde7460603e0f934162",
     ),
     (
         ["--scheme", "improved-symmetrized"],
-        "1949d4385aa15f775fd22c31a9c61debedcff4b05478b9cc21378098e4dbff53",
-        "3a16bd362143658eaeedf6b15dc95627502f06e90e013a4aee030f2a9ee00283",
-        "0f7710e2d32c39c81db03bc6505a57089e01b07df41a0636e71321cda5c36fca",
+        "efbb9b77804f99a7fe222e58476765919d3b64b8a9d7eecb6d7210443b81bc17",
+        "7eea073dcf2b95c85cd29d624e1526b3533fdfe2ce1b672f6213b2a36f0036e8",
+        "1ce98bd7a07c4238019b4eefa2b77385dd8c8c64a705f05aab3585de686bf657",
     ),
     (
         ["--scheme", "wojcik-reference"],
-        "4b444ab509d0c918941d67812cb0adb3d9c21d5e90b9fa92c245a2fb6e1108b0",
-        "eee77e51b5fc4be4f0818c4e62281f4d610833589905841a40d8ce0ea8fc2b0d",
-        "e47aaf8fee431de729a98947def15c34c64898e6c6460adf3e916c55cfa83a77",
+        "4df72e341f8d714b433a0bd42ef059a6e1a224d1d08f6ceb50a2f284fa986286",
+        "cf63c0b10ab5c507a619904d06e3d819ca7a4390091848597d52616d7df3d9cc",
+        "ff05377a631ac1f46232a0f5225d93dc05f456eb4199a855564c34809534ae02",
     ),
     (
         ["--scheme", "improved", "--c0", "0.3", "--attack-fraction", "0.4",
          "--control-prob", "0.3"],
-        "63d79321762841d73af79fcdae14871a3da5f7adbd243b85fc0f12e24ec3bed7",
-        "47e52a1a096bd01193b0d3cea5a32e6c019c2cb73f7958335a6dd2df474f677e",
-        "124fa4a0f35e4ff61269e7aa0be3708b16f5a1b2a8dc1b7c92ae137ea60eaa9e",
+        "c29559ac916c3243114eb8602daf1e1b5d8f004765f6d321e4ca7a4c9f49e093",
+        "002140444d176c841b4615701747ba4f3be84837ed9b8a19eabb0a3251224710",
+        "6b2e9d7891ced53be4a229b68e98b1bc91c4eabaad93c392636a2fdf59c14853",
     ),
 ]
 
@@ -313,8 +313,8 @@ def test_simulate_golden_bytes(tmp_path, capsys, extra, stdout_sha, csv_sha, sta
 
 # SHA-256 of the --out CSV of `simulate --seed 7 --rounds 100001 --scheme
 # improved-symmetrized --eta 0.8 --c0 0.3`: round indices of one to six
-# digits, the last one 100000, across six block edges.
-GOLDEN_SIMULATE_CSV_100001 = "26a63834aa9009e8999b192c06ca638abe63241bd2f0cf7ae5b20dbaa7519fb9"
+# digits, the last one 100000, across six chunk edges.
+GOLDEN_SIMULATE_CSV_100001 = "623d5a4ed36caa2a0f24c7f324c43b4a94bf925d84d2053310510c79927086b4"
 
 
 def test_simulate_six_digit_csv_golden_bytes(tmp_path, capsys):
@@ -324,7 +324,7 @@ def test_simulate_six_digit_csv_golden_bytes(tmp_path, capsys):
     assert run_main(argv) == 0
     capsys.readouterr()
     data = out.read_bytes()
-    assert data.endswith(b"\n100000,control,false,,,,1,0,,false,false\r\n")
+    assert data.endswith(b"\n100000,message,true,0,1,psi_plus,,,true,false,false\r\n")
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SIMULATE_CSV_100001
 
 
@@ -477,19 +477,28 @@ def test_refused_command_removes_only_the_files_it_created(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-def test_simulate_out_draws_each_block_once(tmp_path, monkeypatch, capsys):
-    blocks = []
-    draw = protocol.round_rng
+def test_simulate_out_opens_the_stream_once(tmp_path, monkeypatch, capsys):
+    starts, requests = [], []
+    open_stream = protocol.round_rng
 
-    def counted(seed, block):
-        blocks.append(block)
-        return draw(seed, block)
+    class Counted:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def random_raw(self, size):
+            requests.append(size)
+            return self.stream.random_raw(size)
+
+    def counted(seed, start):
+        starts.append(start)
+        return Counted(open_stream(seed, start))
 
     monkeypatch.setattr(protocol, "round_rng", counted)
     out, stats = tmp_path / "rounds.csv", tmp_path / "stats.json"
     assert run_main(["simulate", "--rounds", "20000", "--out", str(out), "--stats", str(stats)]) == 0
     capsys.readouterr()
-    assert blocks == [0, 1]
+    assert starts == [0]
+    assert requests == [16384, 3616]
 
 
 # --- analyze ---------------------------------------------------------------------
@@ -933,6 +942,13 @@ def test_readme_numbers_match_the_cli(capsys):
             assert value == 0.25, pattern
         else:
             assert f"{value:.{len(figure.split('.')[1])}f}" == figure, pattern
+
+
+def test_readme_names_the_rng_stream():
+    # README quotes the metadata line that names the stream; a stream that
+    # moves without README saying so fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"`# rng_stream=([^`]*)`", readme) == [protocol.RNG_STREAM]
 
 
 # --- packaging -------------------------------------------------------------------

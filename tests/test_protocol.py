@@ -221,12 +221,35 @@ def test_resolved_attack_fraction():
 # --- determinism -----------------------------------------------------------------
 
 
-def test_round_rng_substreams():
-    assert round_rng(5, 7).random() == round_rng(5, 7).random()
-    assert round_rng(5, 7).random() != round_rng(5, 8).random()
-    assert round_rng(6, 7).random() != round_rng(5, 7).random()
+# Round offsets either side of the chunk edges, and deep inside the stream.
+JUMPS = (0, 1, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 3 * BLOCK_ROUNDS + 5, 10**12 + 3)
+
+
+def test_round_rng_jumps_ahead():
+    """The first output of round_rng(s, a + b) is output b of round_rng(s, a)."""
+    for a in JUMPS:
+        ahead = round_rng(5, a).random_raw(2 * BLOCK_ROUNDS + 2)
+        for b in (0, 1, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, 2 * BLOCK_ROUNDS + 1):
+            assert round_rng(5, a + b).random_raw(1)[0] == ahead[b], (a, b)
+
+
+def test_round_rng_is_the_default_rng_stream():
+    """Round i of seed s reads output i of np.random.default_rng(s)."""
+    for seed in (0, 5, 2**63):
+        expected = np.random.default_rng(seed).bit_generator.random_raw(BLOCK_ROUNDS + 3)
+        assert np.array_equal(round_rng(seed, 0).random_raw(BLOCK_ROUNDS + 3), expected)
+
+
+def test_round_rng_seeds_give_different_streams():
+    streams = [round_rng(seed, start).random_raw(8).tolist()
+               for seed in (0, 1, 5, 6) for start in (0, BLOCK_ROUNDS)]
+    assert len({tuple(stream) for stream in streams}) == len(streams)
+    assert round_rng(5, 7).random_raw(8).tolist() == round_rng(5, 7).random_raw(8).tolist()
+
+
+def test_round_rng_random_is_the_53_bit_draw():
     # The sampler reads the 53-bit integers behind random() directly.
-    floats, raw = round_rng(5, 7), round_rng(5, 7).bit_generator
+    floats, raw = np.random.Generator(round_rng(5, 7)), round_rng(5, 7)
     for _ in range(3):
         assert floats.random() == (raw.random_raw() >> 11) * 2.0**-53
     assert np.array_equal(floats.random(1000), (raw.random_raw(1000) >> 11) * 2.0**-53)
@@ -273,31 +296,60 @@ def test_sampler_equals_the_float_reference(scheme):
     for config in reference_configs(scheme):
         table = _RoundTable(config)
         for block, n in ((0, 1), (1, BLOCK_ROUNDS - 1), (2, BLOCK_ROUNDS)):
-            expected = float_sample(config, round_rng(config.seed, block), n)
+            stream = np.random.Generator(round_rng(config.seed, block * BLOCK_ROUNDS))
+            expected = float_sample(config, stream, n)
             assert np.array_equal(table.sample(block, n), expected), (config, block, n)
 
 
-class ReplayedDraws:
-    """A stand-in generator that emits fixed 64-bit outputs, both raw and as
-    PCG64's random() makes floats of them, and records each raw request."""
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sampling_chunks_out_of_order_equals_the_run(scheme):
+    """Chunks sampled 2, 0, 1, each from a stream advanced to it, equal the
+    run's chunks, read in order from one stream."""
+    config = ProtocolConfig(rounds=3 * BLOCK_ROUNDS, seed=11, scheme=scheme, eta=0.8, c0=0.3)
+    table = _RoundTable(config)
+    shuffled = {block: table.sample(block, BLOCK_ROUNDS) for block in (2, 0, 1)}
+    in_order = [cells for _, cells in table.blocks(config.rounds)]
+    assert len(in_order) == 3
+    for block, cells in enumerate(in_order):
+        assert np.array_equal(shuffled[block], cells), block
 
-    def __init__(self, raw: np.ndarray) -> None:
+
+class ReplayedDraws:
+    """A stand-in for the run's stream: it emits fixed 64-bit outputs in
+    order from its position, both raw and as PCG64's random() makes floats
+    of them, and records each raw request.  ``open`` stands in for
+    ``round_rng``: it records the start of each stream opened and returns a
+    stand-in positioned there, which shares the record of requests."""
+
+    def __init__(self, raw: np.ndarray, position: int = 0) -> None:
         self.raw = raw
-        self.bit_generator = self
+        self.position = position
+        self.starts: list[int] = []
         self.requests: list[int] = []
+
+    def open(self, seed: int, start: int) -> ReplayedDraws:
+        self.starts.append(start)
+        stream = ReplayedDraws(self.raw, start)
+        stream.requests = self.requests
+        return stream
+
+    def _next(self, size: int) -> np.ndarray:
+        assert self.position + size <= self.raw.size, "read past the replayed outputs"
+        self.position += size
+        return self.raw[self.position - size:self.position]
 
     def random_raw(self, size: int) -> np.ndarray:
         self.requests.append(size)
-        return self.raw[:size].copy()
+        return self._next(size).copy()
 
     def random(self, size: int) -> np.ndarray:
-        return (self.raw[:size] >> 11) * 2.0**-53
+        return (self._next(size) >> 11) * 2.0**-53
 
 
 def replay(raw: np.ndarray, monkeypatch) -> ReplayedDraws:
-    """Make every block of every run read the 64-bit outputs ``raw``."""
+    """Make every stream of every run read the 64-bit outputs ``raw``."""
     replayed = ReplayedDraws(raw)
-    monkeypatch.setattr(protocol, "round_rng", lambda seed, block: replayed)
+    monkeypatch.setattr(protocol, "round_rng", replayed.open)
     return replayed
 
 
@@ -310,15 +362,15 @@ def outputs(ks) -> np.ndarray:
 def assert_samples_draws(config: ProtocolConfig, ks, monkeypatch) -> np.ndarray:
     """Sample and count block 0 from the 53-bit draws ``ks``: hold the cells
     to the float reference, the per-bucket counts to those cells, and each
-    path to one raw request for the block."""
+    path to one stream opened at round 0 and one raw request for the block."""
     raw = outputs(ks)
     replayed = replay(raw, monkeypatch)
     table = _RoundTable(config)
     cells = table.sample(0, raw.size)
-    assert replayed.requests == [raw.size]
+    assert replayed.starts == [0] and replayed.requests == [raw.size]
     assert np.array_equal(cells, float_sample(config, ReplayedDraws(raw), raw.size))
     counts = table.count(raw.size)
-    assert replayed.requests == [raw.size] * 2
+    assert replayed.starts == [0] * 2 and replayed.requests == [raw.size] * 2
     assert np.array_equal(counts, np.bincount(cells, minlength=len(table.cells)))
     return cells
 
@@ -453,15 +505,19 @@ def test_counting_cells_that_start_no_bucket():
 
 
 def test_counting_requests_one_raw_block_per_block(monkeypatch):
+    """A run of two chunks and 37 rounds opens one stream, at round 0, and
+    reads it in three requests; each chunk is counted from its own outputs."""
     config = ProtocolConfig(rounds=1, seed=0, scheme="improved-symmetrized", c0=0.3, eta=0.85,
                             control_prob=0.3, attack_fraction=0.4)
-    raw = round_rng(9, 0).bit_generator.random_raw(BLOCK_ROUNDS)
+    block = round_rng(9, 0).random_raw(BLOCK_ROUNDS)
+    raw = np.concatenate([block, block, block[:37]])
     replayed = replay(raw, monkeypatch)
     counts = _RoundTable(config).count(2 * BLOCK_ROUNDS + 37)
+    assert replayed.starts == [0]
     assert replayed.requests == [BLOCK_ROUNDS, BLOCK_ROUNDS, 37]
     size = len(_RoundTable(config).cells)
     whole, head = (
-        np.bincount(float_sample(config, ReplayedDraws(raw), n), minlength=size)
+        np.bincount(float_sample(config, ReplayedDraws(block), n), minlength=size)
         for n in (BLOCK_ROUNDS, 37)
     )
     assert np.array_equal(counts, 2 * whole + head)
@@ -968,7 +1024,7 @@ def test_wojcik_replay_is_deterministic():
             replay_round(config, not_an_index)
 
 
-# --- block stream ----------------------------------------------------------------
+# --- one stream per run -------------------------------------------------------
 
 
 def test_replay_round_matches_the_run():
@@ -978,6 +1034,22 @@ def test_replay_round_matches_the_run():
     records = run_rounds(config)
     for i in (0, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, config.rounds - 1):
         assert replay_round(config, i) == records[i]
+
+
+@pytest.mark.parametrize("i", [0, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, 10**6 - 1])
+def test_replay_round_reads_one_output(i, monkeypatch):
+    """Replay opens one stream, positioned at its round, and reads one
+    output, which it classifies as the run's sampler does: every other
+    output is the least draw, of the first cell, and round i's the greatest,
+    of the last."""
+    config = ProtocolConfig(rounds=10**6, seed=12, scheme="improved-symmetrized", eta=0.8, c0=0.3)
+    replayed = replay(np.zeros(config.rounds, dtype=np.uint64), monkeypatch)
+    replayed.raw[i] = np.uint64(2**64 - 1)
+    record = replay_round(config, i)
+    assert replayed.starts == [i] and replayed.requests == [1]
+    cells = _RoundTable(config).cells
+    assert cells[-1] != cells[0]
+    assert record == RoundRecord(i, *cells[-1])
 
 
 def test_shorter_run_is_a_prefix():
