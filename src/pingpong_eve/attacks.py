@@ -58,15 +58,15 @@ message-bit value.
 The message layer works on stacks as well.  ``message_amps`` runs a
 message round for both bits at once: one outbound call on the prepared
 pair, the sender's Z_t on the (2, 54) stack of the two encodings, one
-inbound call, and S on the stack when asked for.  ``message_outcome_stack``
-tabulates every row of a stack in one ``engine.exact_probabilities`` call,
-so an outcome table is one pass over its two states.  ``message_state``,
-``apply_symmetrization`` and ``message_outcomes`` read these kernels for
-one ``PureState``.
+inbound call, and S on the stack when asked for; with no attack it is the
+plain channel's round.  ``message_outcome_stack`` tabulates every row of a
+stack in one ``engine.exact_probabilities`` call, so an outcome table is
+one pass over its two states.  ``message_state`` and
+``apply_symmetrization`` read these kernels for one ``PureState``.
 
 The control and message outcome tables are tabulated exactly from the
-branch states; each attack's loss is read off its own attacked control
-table.
+branch states, and each attack's profile from its own: its loss from its
+attacked control table, its information values from its message tables.
 """
 
 from __future__ import annotations
@@ -249,18 +249,19 @@ def apply_symmetrization(state: PureState) -> PureState:
     return PureState(symmetrization_amps(state.amps))
 
 
-def message_amps(apply_s: bool = False, attack: str = "improved") -> np.ndarray:
+def message_amps(apply_s: bool = False, attack: str | None = "improved") -> np.ndarray:
     """(2, 54) stack of the states reaching Eve's register and the receiver,
     row j for message bit j.
 
-    Runs the message-mode round on the channel under the named attack, both
-    bits at once: the outbound leg on the prepared pair, the sender's phase
-    encoding Z_t^j on the stack, then the inbound leg (with optional
-    symmetrization).
+    Runs the message-mode round on the channel under the named attack (the
+    plain channel when ``attack`` is None), both bits at once: the outbound
+    leg on the prepared pair, the sender's phase encoding Z_t^j on the
+    stack, then the inbound leg (with optional symmetrization).
     """
-    outbound = outbound_amps(make_initial().amps, attack)
+    pair = make_initial().amps
+    outbound = pair if attack is None else outbound_amps(pair, attack)
     encoded = np.array([outbound, polarization_gate_amps(outbound, "t", PAULI_Z)])
-    returned = inbound_amps(encoded, attack)
+    returned = encoded if attack is None else inbound_amps(encoded, attack)
     return symmetrization_amps(returned) if apply_s else returned
 
 
@@ -289,11 +290,6 @@ def message_outcome_stack(amps: np.ndarray) -> np.ndarray:
     a (..., 54) amplitude stack, tabulated in one pass."""
     outcomes = exact_probabilities(bell_amps(amps), _MESSAGE_LABEL, 15)
     return outcomes.reshape(*outcomes.shape[:-1], 3, 5)
-
-
-def message_outcomes(state: PureState) -> np.ndarray:
-    """``message_outcome_stack`` of one message-round state."""
-    return message_outcome_stack(state.amps)
 
 
 @lru_cache(maxsize=None)
@@ -348,27 +344,26 @@ class AttackProfile:
         return dataclasses.asdict(self)
 
 
-def _information_values() -> tuple[float, float, float]:
+def _information_values(attack: str) -> tuple[float, float, float]:
     """(i_ae, i_ab, i_be) per attacked message bit at balanced prior, from
-    the information layer's exact joint distributions."""
-    # Imported here: information builds its tables from this module when it
-    # is imported, so a module-level import would be circular.
+    the information layer's exact joint distributions of the named attack."""
+    # Imported here: information imports this module, so a module-level
+    # import would be circular.
     from .information import exact_joint, mixture_ae_conditioned, mutual_information
 
     return (
-        mixture_ae_conditioned(0.5),
-        mutual_information(exact_joint("fair-mixture", 0.5), "AB"),
-        mutual_information(exact_joint("plain", 0.5), "BE"),
+        mixture_ae_conditioned(0.5, attack),
+        mutual_information(exact_joint("fair-mixture", 0.5, attack), "AB"),
+        mutual_information(exact_joint("plain", 0.5, attack), "BE"),
     )
 
 
 @lru_cache(maxsize=None)
 def attack_profile(attack: str) -> AttackProfile:
-    """The named attack's profile.  The loss is P(t = vac) of its attacked
-    control table; the information values are the information layer's,
-    whose tables are the improved attack's (``verify`` checks that the
-    reference attack's tables equal them)."""
-    return AttackProfile(attack, sum(control_outcomes(attack)[:2]), *_information_values())
+    """The named attack's profile, from its own states: the loss is
+    P(t = vac) of its attacked control table, the information values those
+    of its own message tables."""
+    return AttackProfile(attack, sum(control_outcomes(attack)[:2]), *_information_values(attack))
 
 
 def improved_profile() -> AttackProfile:
@@ -378,6 +373,5 @@ def improved_profile() -> AttackProfile:
 
 
 def wojcik_profile() -> AttackProfile:
-    """Wojcik's reference attack, derived from its own circuit: half loss,
-    and the improved attack's message tables and so its information values."""
+    """Wojcik's reference attack, derived from its own circuit: half loss."""
     return attack_profile("wojcik")

@@ -165,22 +165,6 @@ def compose_candidate(conv: Convention) -> CompositionResult:
     return CompositionResult(images=images, collision=None)
 
 
-def deviation_from_reference(images: np.ndarray, references: np.ndarray) -> float:
-    """Largest amplitude difference after removing the best common phase.
-
-    The phase is fit once across all four image vectors (stacked overlap),
-    so four individually-phased lookalikes do not pass as a match.  Images
-    orthogonal to the references have no best phase: the phase is then 1
-    and the deviation is max|images - references|, which a global phase on
-    the references moves.  In the census 85 of the 216 complete candidates
-    are orthogonal; under such a phase 37 of them move between 1 and
-    sqrt(2), and none comes near a match.
-    """
-    overlap = complex(np.vdot(references, images))
-    phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
-    return float(np.max(np.abs(images - phase * references)))
-
-
 MATCH_TOL = 1e-10
 
 
@@ -231,9 +215,14 @@ def _collision(key: int) -> Collision:
 
 
 def _deviations(terms: np.ndarray, amps: np.ndarray, references: np.ndarray) -> list[float]:
-    """deviation_from_reference of each image in a stack: image i puts the
-    split amplitudes amps, shape (4, 2), on the basis indices terms[:, i],
-    where terms has shape (8, n), row r's two terms on lines 2r and 2r + 1.
+    """Deviation of each image in a stack from the references: the largest
+    amplitude difference after removing the best common phase, fit once
+    across all four rows (a phase of 1 for an image orthogonal to them).  The
+    dense computation, ``deviation_from_reference``, lives in the tests'
+    oracles (tests/oracles.py), which hold these deviations to it.  Image i
+    puts the split amplitudes amps, shape (4, 2), on the basis indices
+    terms[:, i], where terms has shape (8, n), row r's two terms on lines
+    2r and 2r + 1.
 
     An image is nonzero only on its terms and the references only on their
     support, and every other entry is 0 on both sides, so the overlap and
@@ -252,7 +241,7 @@ def _deviations(terms: np.ndarray, amps: np.ndarray, references: np.ndarray) -> 
     reference = references.take((references.shape[1] * row)[:, None] + col)
     # One contiguous row per candidate, which numpy sums pairwise; summed
     # down the columns instead, some overlaps at complex phases come out a
-    # bit off deviation_from_reference's.
+    # bit off those of deviation_from_reference in tests/oracles.py.
     products = np.ascontiguousarray((support.conj()[:, None] * image[len(terms) :]).T)
     overlap = products.sum(axis=1)
     norm = np.abs(overlap)

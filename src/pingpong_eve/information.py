@@ -2,9 +2,9 @@
 
 Message-mode outcomes are described by a joint distribution p(j, k, m) over
 the sender's bit j, the eavesdropper's register bit k, and the receiver's
-decoded bit m (psi_plus -> 0, psi_minus -> 1).  Its conditional tables are
-``attacks.exact_outcome_table``, exact from the attack states.  Three
-variants are exposed:
+decoded bit m (psi_plus -> 0, psi_minus -> 1).  Its conditional tables,
+``conditionals(attack)``, are ``attacks.exact_outcome_table`` of the named
+attack, exact from its own states.  Three variants are exposed:
 
 * ``plain``        -- attack without symmetrization,
 * ``symmetrized``  -- attack with the symmetrization step always applied,
@@ -25,7 +25,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -35,12 +36,16 @@ VARIANTS = ("plain", "symmetrized", "fair-mixture")
 PAIRS = ("AE", "AB", "BE")
 FORMULAS = ("plain_ae_ab", "plain_be", "sym_ae_ab", "sym_be")
 
-# Conditional tables P(k, m | j), indexed [j, k, m], exact from the attack
-# states; the Monte Carlo's attacked message cells read them too.
-CONDITIONALS = {"plain": exact_outcome_table(False), "symmetrized": exact_outcome_table(True)}
-CONDITIONALS["fair-mixture"] = 0.5 * (CONDITIONALS["plain"] + CONDITIONALS["symmetrized"])
-for _table in CONDITIONALS.values():
-    _table.setflags(write=False)
+
+@lru_cache(maxsize=None)
+def conditionals(attack: str = "improved") -> Mapping[str, np.ndarray]:
+    """Read-only tables P(k, m | j), indexed [j, k, m], of each variant, exact
+    from the named attack's own states; the sampler's cells read them too."""
+    plain, symmetrized = (exact_outcome_table(s, attack) for s in (False, True))
+    mixture = 0.5 * (plain + symmetrized)
+    for table in (plain, symmetrized, mixture):
+        table.setflags(write=False)
+    return MappingProxyType({"plain": plain, "symmetrized": symmetrized, "fair-mixture": mixture})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,22 +80,22 @@ class JointDistribution:
 
 
 @lru_cache(maxsize=64)
-def exact_joint(variant: str, c0: float) -> JointDistribution:
-    """Joint distribution of one attacked message round.
+def exact_joint(variant: str, c0: float, attack: str = "improved") -> JointDistribution:
+    """Joint distribution of one message round under the named attack.
 
     c0 is the prior probability of message bit 0 and must lie strictly
     between 0 and 1 (a deterministic message carries no information and the
     information measures below degenerate).  The distribution is immutable
-    and reads only the import-time conditional tables, so each (variant, c0)
-    is built once and shared: one ``verify`` pass asks 69 times for 22
-    distinct pairs, all of which the cache holds.
+    and reads only the attack's cached tables, so each distinct call builds
+    it once: one ``verify`` pass makes 69 calls with 28 distinct arguments
+    (naming the default attack or not), all of which the cache holds.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"prior c0 must lie strictly between 0 and 1, got {c0!r}")
     prior = np.array([c0, 1.0 - c0])
-    probs = prior[:, None, None] * CONDITIONALS[variant]
+    probs = prior[:, None, None] * conditionals(attack)[variant]
     return JointDistribution(probs)
 
 
@@ -128,17 +133,17 @@ def qber(dist: JointDistribution) -> float:
     return float(dist.probs[0, :, 1].sum() + dist.probs[1, :, 0].sum())
 
 
-def mixture_ae_conditioned(c0: float) -> float:
-    """Sender-eavesdropper information under the fair mixture when the
-    eavesdropper conditions on her own symmetrization coin.
+def mixture_ae_conditioned(c0: float, attack: str = "improved") -> float:
+    """Sender-eavesdropper information under the named attack's fair
+    mixture when the eavesdropper conditions on her own symmetrization coin.
 
     She keeps a record of the coin, so her gain is the average of the two
     per-branch gains rather than the gain of the blended distribution; the
     receiver, who never learns the coin, is stuck with the mixture.
     """
     return 0.5 * (
-        mutual_information(exact_joint("plain", c0), "AE")
-        + mutual_information(exact_joint("symmetrized", c0), "AE")
+        mutual_information(exact_joint("plain", c0, attack), "AE")
+        + mutual_information(exact_joint("symmetrized", c0, attack), "AE")
     )
 
 

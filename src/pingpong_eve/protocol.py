@@ -17,10 +17,10 @@ Sampling is table driven.  Once per run, ``_branch_cells`` gives each
 the round index), weighted by ``c0``, ``eta`` and the symmetrization coin.
 The probabilities are exact, from the 54-dimensional branch states: control
 cells read ``attacks.control_outcomes``, unattacked message cells the plain
-channel's outcome rows (``attacks.message_outcomes``, tabulated once at
-import), and attacked message cells ``information.CONDITIONALS``, the
-conditional tables built once at import from the same
-``attacks.exact_outcome_table`` that ``verify`` audits.  ``_RoundTable``
+channel's outcome rows (``attacks.message_amps(attack=None)``, tabulated
+once at import), and attacked message cells ``information.conditionals`` of
+the scheme's attack, the conditional tables built once per attack from the
+same ``attacks.exact_outcome_table`` that ``verify`` audits.  ``_RoundTable``
 joins the four branches into one categorical table: a cell's probability is
 its branch's (from ``control_prob`` and the attack fraction) times its
 normalized weight in the branch, and cells of probability zero are dropped.
@@ -56,13 +56,12 @@ table's cells; ``aggregate`` counts a record stream's distinct records.
 The stats' conditional table and its standard errors are computed in plain
 Python from the integer counts, with numpy's IEEE operations.
 
-Every scheme runs through the same cells.  An attacked control branch is
-its attack's control table (``attacks.control_outcomes``), so the
-``wojcik-reference`` scheme's control rounds come from the reference
-attack's own circuit.  Its message rounds read the plain table of
-``information.CONDITIONALS``, which its own tables equal, with a
-symmetrization coin that never comes up heads, as the plain improved
-attack's.
+Every scheme runs through the same cells.  A scheme is one entry of
+``_SCHEMES``: its attack (None for no eavesdropper) and the chance that the
+eavesdropper's symmetrization coin comes up heads.  Its attacked control
+cells read its attack's own control table, and its attacked message cells
+its attack's own conditional tables, so the ``wojcik-reference`` scheme's
+rounds come from the reference attack's own circuit.
 """
 
 from __future__ import annotations
@@ -77,24 +76,25 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import CONTROL_T_H, attack_profile, control_outcomes, message_outcomes
-from .engine import (
-    BellOutcome,
-    Occupation,
-    PAULI_Z,
-    apply_polarization_gate,
-    make_initial,
+from .attacks import (
+    CONTROL_T_H,
+    attack_profile,
+    control_outcomes,
+    message_amps,
+    message_outcome_stack,
 )
-from .information import CONDITIONALS, max_attack_fraction
+from .engine import BellOutcome, Occupation
+from .information import conditionals, max_attack_fraction
 
-SCHEMES = ("none", "improved", "improved-symmetrized", "wojcik-reference")
-
-# The attack each attacking scheme runs, by its ``attacks`` name.
-_SCHEME_ATTACK = {
-    "improved": "improved",
-    "improved-symmetrized": "improved",
-    "wojcik-reference": "wojcik",
+# Each scheme's attack, by its ``attacks`` name (None for no eavesdropper),
+# and P(heads) of the eavesdropper's symmetrization coin.
+_SCHEMES = {
+    "none": (None, 0.0),
+    "improved": ("improved", 0.0),
+    "improved-symmetrized": ("improved", 0.5),
+    "wojcik-reference": ("wojcik", 0.0),
 }
+SCHEMES = tuple(_SCHEMES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,11 +140,11 @@ class ProtocolConfig:
     @property
     def attack_loss(self) -> float | None:
         """Control-mode loss induced per attacked round, None without attack."""
-        attack = _SCHEME_ATTACK.get(self.scheme)
+        attack = _SCHEMES[self.scheme][0]
         return None if attack is None else attack_profile(attack).loss
 
     def resolved_attack_fraction(self) -> float:
-        if self.scheme == "none":
+        if self.attack_loss is None:
             return 0.0
         if self.attack_fraction == "auto":
             return max_attack_fraction(self.eta, self.attack_loss)
@@ -223,20 +223,18 @@ _CSV_COLUMNS = RoundRecord._fields
 _Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:], defaults=(None,) * 6 + (False, False))
 
 
-# P(receiver outcome | j) of a message round on the plain channel, for
-# j = 0, 1, in BellOutcome order.
-_PLAIN_ROWS = [
-    message_outcomes(state).sum(axis=0).tolist()
-    for state in (make_initial(), apply_polarization_gate(make_initial(), "t", PAULI_Z))
-]
+# P(receiver outcome | j) of a message round on the plain channel, row j
+# for j = 0, 1, in BellOutcome order.
+_PLAIN_ROWS = message_outcome_stack(message_amps(attack=None)).sum(axis=1).tolist()
 
 
 def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ...]:
     """Cells of positive weight of the four branches, in sampling order:
     control unattacked, control attacked, message unattacked, message
     attacked."""
+    attack, p_heads = _SCHEMES[config.scheme]
     # Only the plain channel loses photons; the attacker's channel is lossless.
-    eta = config.eta if config.scheme == "none" else 1.0
+    eta = config.eta if attack is None else 1.0
     lost = (1.0 - eta) / 2
     priors = ((0, config.c0), (1, 1.0 - config.c0))
     vac, pol1 = Occupation.VAC, Occupation.POL1
@@ -264,21 +262,19 @@ def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ..
         for m, p in zip(BellOutcome, _PLAIN_ROWS[j])
         if (w := eta * p_j * p) > 0.0
     ]
-    if config.scheme == "none":
+    if attack is None:
         return control_plain, [], message, []
-    control_attacked = control(True, control_outcomes(_SCHEME_ATTACK[config.scheme]))
-    # The eavesdropper's symmetrization coin: a fair one for the symmetrized
-    # attack, never heads for the others.
-    if config.scheme == "improved-symmetrized":
-        coins = ((False, 0.5), (True, 0.5))
-    else:
-        coins = ((False, 1.0),)
-    tables = {s: CONDITIONALS["symmetrized" if s else "plain"].tolist() for s, _ in coins}
+    control_attacked = control(True, control_outcomes(attack))
+    # The eavesdropper's symmetrization coin, with its table for each side;
+    # a side of probability zero gives no cells.
+    tables = conditionals(attack)
+    coins = ((False, 1.0 - p_heads, tables["plain"].tolist()),
+             (True, p_heads, tables["symmetrized"].tolist()))
     message_attacked = [
         (_Cell("message", True, j, k, m, None, None, s), w)
         for j, p_j in priors
-        for s, p_s in coins
-        for k, row in enumerate(tables[s][j])
+        for s, p_s, table in coins
+        for k, row in enumerate(table[j])
         for m, p in zip(_M_BIT, row)
         if (w := p_j * p_s * p) > 0.0
     ]
@@ -348,10 +344,6 @@ class _RoundTable:
         cells[fix] = np.searchsorted(self.keys, draws[fix], "right")
         return cells
 
-    def sample(self, block: int, n: int) -> np.ndarray:
-        """Cell indices of the first n rounds of chunk ``block``, jumped ahead to."""
-        return self.cells_of(round_rng(self.seed, block * BLOCK_ROUNDS).random_raw(n))
-
     def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
         """(first round index, cell indices) of each chunk of the run."""
         return ((start, self.cells_of(raw)) for start, raw in self.chunks(rounds))
@@ -384,8 +376,9 @@ class _RoundTable:
 def round_rng(seed: int, start: int) -> np.random.PCG64:
     """The run's one stream, PCG64(SeedSequence(seed)) as in
     ``np.random.default_rng(seed)``, jumped ahead to round ``start`` in
-    O(log start) steps: round i reads output i."""
-    return np.random.PCG64(seed).advance(start)
+    O(log start) steps: round i reads output i.  ``start`` may be any
+    integer, a numpy one included."""
+    return np.random.PCG64(seed).advance(int(start))
 
 
 def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
@@ -567,32 +560,6 @@ def run_simulation(config: ProtocolConfig) -> RunStats:
     records; equal to ``aggregate(run_rounds(config))``."""
     table = _RoundTable(config)
     return _tally(table.cells, table.count(config.rounds))
-
-
-def chi_squared(counts: np.ndarray, expected_conditional: np.ndarray) -> tuple[float, int]:
-    """Pearson chi-squared of observed (j, k, m) counts against an exact
-    conditional table, conditioning on the per-j sample sizes.
-
-    Cells with zero expected probability contribute no degrees of freedom;
-    any observation in such a cell returns an infinite statistic.
-    """
-    counts = np.asarray(counts, dtype=float)
-    expected_conditional = np.asarray(expected_conditional, dtype=float)
-    stat = 0.0
-    df = 0
-    for j in (0, 1):
-        n_j = counts[j].sum()
-        if n_j == 0:
-            continue
-        support = expected_conditional[j] > 0.0
-        if np.any(counts[j][~support] > 0):
-            return math.inf, df
-        expected_counts = n_j * expected_conditional[j]
-        df += int(support.sum()) - 1
-        stat += float(
-            (((counts[j] - expected_counts) ** 2)[support] / expected_counts[support]).sum()
-        )
-    return stat, df
 
 
 # --- writers -------------------------------------------------------------------

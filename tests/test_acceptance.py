@@ -50,10 +50,10 @@ from pingpong_eve.information import (
 )
 from pingpong_eve.protocol import (
     ProtocolConfig,
-    chi_squared,
     max_attack_fraction,
     run_simulation,
 )
+from oracles import chi_squared
 from test_engine import post_attack_state, random_state, returned_state, symmetrized_state
 from test_protocol import chi2_quantile
 

@@ -26,7 +26,6 @@ from pingpong_eve.attacks import (
     inbound_amps,
     message_amps,
     message_outcome_stack,
-    message_outcomes,
     message_state,
     outbound_amps,
     wojcik_profile,
@@ -45,7 +44,7 @@ from pingpong_eve.engine import (
     mode_marginal,
 )
 from pingpong_eve.information import (
-    CONDITIONALS,
+    conditionals,
     exact_joint,
     mixture_ae_conditioned,
     mutual_information,
@@ -342,6 +341,14 @@ def test_message_amps_equal_the_gate_by_gate_round():
             assert (attack_ab(encoded, apply_s, attack).amps == expected).all()
 
 
+def test_plain_channel_message_amps_are_the_encoded_pair():
+    # No attack: the prepared pair for bit 0, its Z_t image for bit 1.
+    stack = message_amps(attack=None)
+    assert stack.tobytes() == np.array([
+        make_initial().amps, apply_polarization_gate(make_initial(), "t", PAULI_Z).amps,
+    ]).tobytes()
+
+
 def test_stacked_tabulation_equals_per_state_tabulation():
     # Every message state of both attacks as one (2, 2, 2, 54) stack, indexed
     # [attack, apply_s, j]: each row's table must be its lone state's.
@@ -350,7 +357,7 @@ def test_stacked_tabulation_equals_per_state_tabulation():
     assert stacked.shape == (2, 2, 2, 3, 5)
     for index in np.ndindex(stack.shape[:-1]):
         state = PureState(stack[index])
-        assert stacked[index].tobytes() == message_outcomes(state).tobytes()
+        assert stacked[index].tobytes() == message_outcome_stack(state.amps).tobytes()
         by_outcome = list(bell_probabilities(state).values())
         assert np.abs(stacked[index].sum(axis=0) - by_outcome).max() <= 1e-15
     for a, attack in enumerate(ATTACKS):
@@ -367,14 +374,14 @@ def test_exact_outcome_table_symmetrized():
 
 
 def test_reference_message_tables_equal_the_improved_attack():
-    # Both attacks return the same message states, so the information
-    # values of the reference scheme are the improved attack's.
+    # Both attacks return the same message states, so the reference
+    # attack's own tables equal the improved attack's.
     for j in (0, 1):
         assert message_state(j, attack="wojcik").allclose(returned_state(j), atol=1e-12)
         assert message_state(j, True, "wojcik").allclose(symmetrized_state(j), atol=1e-12)
     for variant in ("plain", "symmetrized"):
         table = exact_outcome_table(variant == "symmetrized", "wojcik")
-        assert (table == CONDITIONALS[variant]).all()
+        assert (table == conditionals()[variant]).all()
 
 
 def test_control_outcomes_are_exact():
@@ -410,13 +417,18 @@ def test_profile_losses():
 
 def test_profile_information_values():
     for profile in (improved_profile(), wojcik_profile()):
+        attack = profile.name
         assert abs(profile.i_ae - 0.311278) < 1e-6
         assert abs(profile.i_ab - 0.188722) < 1e-6
         assert abs(profile.i_be - 0.073761) < 1e-6
-        # one source of truth: exactly the information layer's values
-        assert profile.i_ae == mixture_ae_conditioned(0.5)
-        assert profile.i_ab == mutual_information(exact_joint("fair-mixture", 0.5), "AB")
-        assert profile.i_be == mutual_information(exact_joint("plain", 0.5), "BE")
+        # one source of truth: the information layer's values of the
+        # attack's own tables
+        assert profile.i_ae == mixture_ae_conditioned(0.5, attack)
+        assert profile.i_ab == mutual_information(exact_joint("fair-mixture", 0.5, attack), "AB")
+        assert profile.i_be == mutual_information(exact_joint("plain", 0.5, attack), "BE")
+    # derived from each attack's own states, not shared by construction
+    gains = [(p.i_ae, p.i_ab, p.i_be) for p in (improved_profile(), wojcik_profile())]
+    assert gains[0] == gains[1]
 
 
 def test_profile_json_shape():

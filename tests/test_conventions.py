@@ -24,7 +24,6 @@ from pingpong_eve.conventions import (
     CandidateReport,
     Convention,
     compose_candidate,
-    deviation_from_reference,
     enumerate_conventions,
     perm_label,
     report_rows,
@@ -38,6 +37,7 @@ from pingpong_eve.engine import (
     mode_marginal,
     project_mode,
 )
+from oracles import deviation_from_reference
 from test_engine import post_attack_state
 
 IDENTITY = (0, 1, 2)

@@ -20,13 +20,14 @@ import re
 import numpy as np
 import pytest
 
-from pingpong_eve.attacks import AttackProfile, improved_profile, wojcik_profile
+from pingpong_eve.attacks import ATTACKS, AttackProfile, improved_profile, wojcik_profile
 from pingpong_eve.information import (
     FORMULAS,
     JointDistribution,
     PAIRS,
     VARIANTS,
     closed_form,
+    conditionals,
     crossing_closed_form,
     default_eta_grid,
     exact_joint,
@@ -217,11 +218,33 @@ def test_joint_probs_read_only():
         dist.probs[0, 0, 0] = 0.0
 
 
+def test_conditionals_are_each_attacks_own_read_only_tables():
+    for attack in ATTACKS:
+        tables = conditionals(attack)
+        assert conditionals(attack) is tables
+        assert set(tables) == set(VARIANTS)
+        for table in tables.values():
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.5
+        with pytest.raises(TypeError):
+            tables["plain"] = tables["symmetrized"]
+    wojcik, improved = conditionals("wojcik"), conditionals("improved")
+    assert wojcik is not improved
+    for variant in VARIANTS:
+        assert wojcik[variant].tobytes() == improved[variant].tobytes()
+
+
 def test_exact_joint_is_built_once_per_variant_and_prior():
     dist = exact_joint("symmetrized", 0.3)
     assert exact_joint("symmetrized", 0.3) is dist
     assert exact_joint("symmetrized", 0.31) is not dist
     assert exact_joint("plain", 0.3) is not dist
+    # each attack's apart, from its own tables, which equal bit for bit
+    for variant in VARIANTS:
+        improved, wojcik = exact_joint(variant, 0.3), exact_joint(variant, 0.3, "wojcik")
+        assert exact_joint(variant, 0.3, "wojcik") is wojcik
+        assert wojcik is not improved
+        assert wojcik.probs.tobytes() == improved.probs.tobytes()
     with pytest.raises(ValueError):
         dist.probs[1, 0, 1] = 0.0
     # a refused prior is refused on every call, never cached

@@ -40,7 +40,6 @@ from pingpong_eve.protocol import (
     _threshold,
     _window_body,
     aggregate,
-    chi_squared,
     max_attack_fraction,
     metadata_lines,
     replay_round,
@@ -49,6 +48,8 @@ from pingpong_eve.protocol import (
     run_simulation,
     write_records_csv,
 )
+
+from oracles import chi_squared, sample
 
 PLAIN_COND = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.25, 0.25], [0.25, 0.25]]])
 SYM_COND = PLAIN_COND[::-1, ::-1, ::-1].copy()
@@ -190,6 +191,10 @@ def test_config_validation():
     )
 
 
+def test_schemes_are_the_cli_choices_in_order():
+    assert SCHEMES == ("none", "improved", "improved-symmetrized", "wojcik-reference")
+
+
 def test_attack_loss_per_scheme():
     assert ProtocolConfig(rounds=1, seed=0, scheme="none").attack_loss is None
     assert ProtocolConfig(rounds=1, seed=0, scheme="improved").attack_loss == 0.25
@@ -231,6 +236,10 @@ def test_round_rng_jumps_ahead():
         ahead = round_rng(5, a).random_raw(2 * BLOCK_ROUNDS + 2)
         for b in (0, 1, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, 2 * BLOCK_ROUNDS + 1):
             assert round_rng(5, a + b).random_raw(1)[0] == ahead[b], (a, b)
+    # A numpy integer start jumps as far as the Python int.
+    for start in (np.int64(3), np.uint64(16384), np.int64(10**12)):
+        expected = round_rng(5, int(start)).random_raw(4)
+        assert np.array_equal(round_rng(5, start).random_raw(4), expected), start
 
 
 def test_round_rng_is_the_default_rng_stream():
@@ -298,7 +307,7 @@ def test_sampler_equals_the_float_reference(scheme):
         for block, n in ((0, 1), (1, BLOCK_ROUNDS - 1), (2, BLOCK_ROUNDS)):
             stream = np.random.Generator(round_rng(config.seed, block * BLOCK_ROUNDS))
             expected = float_sample(config, stream, n)
-            assert np.array_equal(table.sample(block, n), expected), (config, block, n)
+            assert np.array_equal(sample(table, block, n), expected), (config, block, n)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -307,7 +316,7 @@ def test_sampling_chunks_out_of_order_equals_the_run(scheme):
     run's chunks, read in order from one stream."""
     config = ProtocolConfig(rounds=3 * BLOCK_ROUNDS, seed=11, scheme=scheme, eta=0.8, c0=0.3)
     table = _RoundTable(config)
-    shuffled = {block: table.sample(block, BLOCK_ROUNDS) for block in (2, 0, 1)}
+    shuffled = {block: sample(table, block, BLOCK_ROUNDS) for block in (2, 0, 1)}
     in_order = [cells for _, cells in table.blocks(config.rounds)]
     assert len(in_order) == 3
     for block, cells in enumerate(in_order):
@@ -366,7 +375,7 @@ def assert_samples_draws(config: ProtocolConfig, ks, monkeypatch) -> np.ndarray:
     raw = outputs(ks)
     replayed = replay(raw, monkeypatch)
     table = _RoundTable(config)
-    cells = table.sample(0, raw.size)
+    cells = sample(table, 0, raw.size)
     assert replayed.starts == [0] and replayed.requests == [raw.size]
     assert np.array_equal(cells, float_sample(config, ReplayedDraws(raw), raw.size))
     counts = table.count(raw.size)
@@ -1115,7 +1124,7 @@ def test_readme_table_figures():
     config = ProtocolConfig(20000, 2026, 0.3, eta=0.8, scheme="improved-symmetrized")
     table = _RoundTable(config)
     lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
-    rows, cells = _row_table(table.cells, lead), table.sample(0, _CSV_WINDOW_ROUNDS)
+    rows, cells = _row_table(table.cells, lead), sample(table, 0, _CSV_WINDOW_ROUNDS)
     body = _window_body(0, 0, cells, rows, lead)
     grid = rows.take(cells, axis=0)
     assert round((2 * grid.nbytes + body.nbytes) / 1e6, 1) == window_mb
