@@ -163,6 +163,14 @@ _IMAGES = {attack: forward_images(attack) for attack in ATTACKS}
 _OUTSIDE_F = ~np.isin(np.arange(DIM), _F_INDICES)
 
 
+def _images(attack: str) -> np.ndarray:
+    """The images both legs read for the named attack; every attack name
+    they are given is looked up here, so an unknown one is a ValueError."""
+    if attack not in _IMAGES:
+        raise ValueError(f"unknown attack {attack!r}, expected one of {ATTACKS}")
+    return _IMAGES[attack]
+
+
 class SubspaceLeakageError(ValueError):
     """State has support outside the attack's domain or image span."""
 
@@ -201,13 +209,13 @@ def outbound_amps(amps: np.ndarray, attack: str = "improved") -> np.ndarray:
     the rows must lie in span{f1..f4}, or SubspaceLeakageError names the
     offending kets."""
     _check_leakage("outbound", np.where(_OUTSIDE_F, amps, 0.0))
-    return _rows_times(amps[..., _F_INDICES], _IMAGES[attack])
+    return _rows_times(amps[..., _F_INDICES], _images(attack))
 
 
 def inbound_amps(amps: np.ndarray, attack: str = "improved") -> np.ndarray:
     """Inbound leg of the named attack on amplitude rows of shape (..., 54):
     the adjoint of its outbound leg, defined on the span of its images."""
-    images = _IMAGES[attack]
+    images = _images(attack)
     coeffs = (images.conj() @ amps[..., None])[..., 0]
     _check_leakage("inbound", amps - _rows_times(coeffs, images))
     restored = np.zeros(amps.shape, dtype=complex)

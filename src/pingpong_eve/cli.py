@@ -18,7 +18,7 @@ import stat
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import IO, Iterator
+from typing import Iterator
 
 from . import __version__
 from .attacks import ATTACKS, attack_profile
@@ -66,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run every pinned-value self-check")
+    sub.add_parser("verify", help="run every pinned-value self-check").set_defaults(run=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo protocol run")
+    simulate.set_defaults(run=cmd_simulate)
     simulate.add_argument("--scheme", choices=SCHEMES, default="improved")
     simulate.add_argument("--eta", type=float, default=1.0,
                           help="channel transmission efficiency")
@@ -87,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write aggregate statistics JSON here")
 
     analyze = sub.add_parser("analyze", help="information curves and bounds")
+    analyze.set_defaults(run=cmd_analyze)
     analyze.add_argument("--scheme", choices=sorted(ATTACKS), default="improved")
     analyze.add_argument("--curve", metavar="PATH", type=_output_path,
                          help="write the eta curve CSV here")
@@ -95,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = sub.add_parser("solve-conventions",
                             help="enumerate gate-semantics candidates")
+    solver.set_defaults(run=cmd_solve_conventions)
     solver.add_argument("--out", metavar="PATH", type=_output_path,
                         help="write the candidate report CSV here (default stdout)")
 
@@ -117,41 +120,39 @@ class _WriteError(Exception):
     """Writing a named output failed; the message names the output."""
 
 
-@contextlib.contextmanager
-def _output(path: str, binary: bool = False) -> Iterator[IO]:
-    """Open the output ``path`` for writing over what it holds, without
-    cutting it to zero first; once the body has written everything, cut a
-    regular file at the final write position.  The null device and pipes are
-    written as they are, since they cannot be cut.  If the body raises, the
-    tail of a longer old file is left behind, for _check_outputs to empty.
-    An OSError from opening or writing becomes a _WriteError, which
-    _check_outputs reports in one line."""
-    # On ext4, a file cut to zero and written again is flushed at close, in
-    # the writing process: an 885 KB CSV took 1.2-1.3 ms that way, against
-    # 0.05-0.08 ms written in place (medians, 2-vCPU VM).
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with os.fdopen(fd, "wb" if binary else "w") as handle:
-            yield handle
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                handle.truncate()
-    except OSError as error:
-        raise _WriteError(f"cannot write {path}: {error.strerror}") from error
+class _Output:
+    """A named output, opened once on the descriptor ``fd``."""
+
+    def __init__(self, path: str, fd: int):
+        self.path, self.fd, self.stat = path, fd, os.fstat(fd)
+
+    def write(self, data) -> None:
+        """Write every byte of ``data``, however short each write falls."""
+        view = memoryview(data).cast("B")
+        while view:
+            view = view[self.call(os.write, view):]
+
+    def call(self, function, *args):
+        """``function(fd, *args)``, an OSError from it a _WriteError."""
+        try:
+            return function(self.fd, *args)
+        except OSError as error:
+            raise _WriteError(f"cannot write {self.path}: {error.strerror}") from error
 
 
 @contextlib.contextmanager
-def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[None]:
-    """Check every output path before any work is done, so that an
-    unwritable path, or two outputs naming one regular file, is a usage
-    error rather than a late traceback or one output overwriting another.
-    A refused command keeps existing files as they were and removes the
-    files the check created, so it leaves the directory as it was.  The
-    body then rewrites each output in place with ``_output``, cut to
-    length once written; if it raises, even by Ctrl-C, every output is
-    emptied before the error goes on, so a failed command never leaves a
-    previous run's bytes behind.  A failed write (a _WriteError) then ends
-    the command with one line on stderr and exit code 1."""
-    paths = [path for path in paths if path]
+def _outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[list]:
+    """Open each output path once, before any work is done, so that a named
+    pipe's one reader gets every byte, and yield an _Output per path, or
+    None where it is absent.  An unwritable path, or two outputs naming one
+    regular file, is a usage error that removes only the files it created.
+    Once the body is done, each regular file is cut at its final write
+    position.  If the body raises, even by Ctrl-C, every output is emptied,
+    so no previous run's bytes are left behind; a failed write or cut (a
+    _WriteError) then ends the command with one line on stderr, exit 1."""
+    # Not cut to zero first: on ext4 that flushes at close, 1.2-1.3 ms for an
+    # 885 KB CSV against 0.05-0.08 ms in place (medians, 2-vCPU VM).
+    opened: list[_Output] = []
     created = []
 
     def refuse(message: str) -> None:
@@ -160,30 +161,38 @@ def _check_outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Itera
                 os.remove(path)
         parser.error(message)
 
-    for path in paths:
-        new = not os.path.lexists(path)
-        try:
-            open(path, "a").close()
-        except OSError as error:
-            refuse(f"cannot write {path}: {error.strerror}")
-        if new:
-            created.append(path)
-    for path, other in itertools.combinations(paths, 2):
-        if os.path.isfile(path) and os.path.samefile(path, other):
-            refuse(f"{path} and {other} are the same file")
     try:
-        yield
-        # Whatever stdout still buffers is the command's output too: a
-        # closed stdout fails the command here, whether it is buffered or not.
-        sys.stdout.flush()
-    except BaseException as error:
-        for path in paths:
-            # The null device and pipes cannot be cut and keep nothing.
-            with contextlib.suppress(OSError):
-                os.truncate(path, 0)
-        if isinstance(error, _WriteError):
-            parser.exit(1, f"{parser.prog}: error: {error}\n")
-        raise
+        for path in filter(None, paths):
+            new = not os.path.lexists(path)
+            try:
+                opened.append(_Output(path, os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)))
+            except OSError as error:
+                refuse(f"cannot write {path}: {error.strerror}")
+            if new:
+                created.append(path)
+        for output, other in itertools.combinations(opened, 2):
+            if stat.S_ISREG(output.stat.st_mode) and os.path.samestat(output.stat, other.stat):
+                refuse(f"{output.path} and {other.path} are the same file")
+        named = iter(opened)
+        try:
+            yield [next(named) if path else None for path in paths]
+            for output in opened:
+                if stat.S_ISREG(output.stat.st_mode):
+                    output.call(os.ftruncate, os.lseek(output.fd, 0, os.SEEK_CUR))
+            # Whatever stdout still buffers is the command's output too: a
+            # closed stdout fails the command here, buffered or not.
+            sys.stdout.flush()
+        except BaseException as error:
+            for output in opened:
+                # The null device and pipes cannot be cut and keep nothing.
+                with contextlib.suppress(OSError):
+                    os.ftruncate(output.fd, 0)
+            if isinstance(error, _WriteError):
+                parser.exit(1, f"{parser.prog}: error: {error}\n")
+            raise
+    finally:
+        for output in opened:
+            os.close(output.fd)
 
 
 def _json_float_text(value: float) -> str:
@@ -243,7 +252,7 @@ def _fmt_rate(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.9f}"
 
 
-def cmd_verify() -> int:
+def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from .verify import render_report, run_all_checks
 
     checks = run_all_checks()
@@ -265,7 +274,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         )
     except ValueError as error:
         parser.error(str(error))
-    with _check_outputs(parser, args.out, args.stats):
+    with _outputs(parser, args.out, args.stats) as (out, stats_out):
         metadata = {
             "version": __version__,
             "command": "simulate",
@@ -281,15 +290,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             "resolved_attack_fraction": round(config.resolved_attack_fraction(), 12),
             "attack_loss": config.attack_loss,
         }
-        if args.out:
-            with _output(args.out, binary=True) as handle:
-                stats = write_records_csv(config, handle, metadata)
-        else:
-            stats = run_simulation(config)
-        if args.stats:
+        stats = write_records_csv(config, out, metadata) if out else run_simulation(config)
+        if stats_out:
             document = {"metadata": metadata, "stats": stats.to_json_dict()}
-            with _output(args.stats) as handle:
-                handle.write(_json_text(document) + "\n")
+            stats_out.write((_json_text(document) + "\n").encode())
         print("\n".join([
             *metadata_lines(metadata),
             f"rounds={stats.n_rounds} control={stats.n_control} message={stats.n_message}",
@@ -313,7 +317,7 @@ def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
 
 
 def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    with _check_outputs(parser, args.curve, args.report):
+    with _outputs(parser, args.curve, args.report) as (curve, report_out):
         report = security_report(attack_profile(args.scheme))
         metadata = {
             "version": __version__,
@@ -323,14 +327,12 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "eta_star": f"{report.eta_star:.9f}",
             "mu_star": f"{report.mu_star:.9f}",
         }
-        if args.curve:
-            with _output(args.curve) as handle:
-                handle.write("\n".join(_curve_lines(report, metadata)) + "\n")
-        if args.report:
+        if curve:
+            curve.write(("\n".join(_curve_lines(report, metadata)) + "\n").encode())
+        if report_out:
             payload = report.to_json_dict()
             payload["metadata"] = metadata
-            with _output(args.report) as handle:
-                handle.write(_json_text(payload) + "\n")
+            report_out.write((_json_text(payload) + "\n").encode())
         for line in metadata_lines(metadata):
             print(line)
         print(
@@ -342,14 +344,13 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    with _check_outputs(parser, args.out):
+    with _outputs(parser, args.out) as (out,):
         reports = solve()
         rows = [CSV_HEADER] + report_rows(reports)
         counts = summarize(reports)
         metadata = {"version": __version__, "command": "solve-conventions"}
-        if args.out:
-            with _output(args.out) as handle:
-                handle.write("\n".join(metadata_lines(metadata) + rows) + "\n")
+        if out:
+            out.write(("\n".join(metadata_lines(metadata) + rows) + "\n").encode())
             for line in metadata_lines(metadata):
                 print(line)
             print(
@@ -362,27 +363,16 @@ def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namesp
     return 0
 
 
-def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.command == "verify":
-        return cmd_verify()
-    if args.command == "simulate":
-        return cmd_simulate(parser, args)
-    if args.command == "analyze":
-        return cmd_analyze(parser, args)
-    return cmd_solve_conventions(parser, args)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _run(parser, args)
+        code = args.run(parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
-        # Stdout's reader has gone, as in ``solve-conventions | head -1``.  A
-        # named output's errors never get here: _output reports them.  The
-        # command has failed, so exit 1, but quietly, and with stdout on the
-        # null device so that the flush at exit does not fail again.
+        # Stdout's reader has gone, as in ``solve-conventions | head -1``
+        # (_outputs reports a named output's errors): exit 1 quietly, with
+        # stdout on the null device so that the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

@@ -37,10 +37,14 @@ PAIRS = ("AE", "AB", "BE")
 FORMULAS = ("plain_ae_ab", "plain_be", "sym_ae_ab", "sym_be")
 
 
-@lru_cache(maxsize=None)
 def conditionals(attack: str = "improved") -> Mapping[str, np.ndarray]:
-    """Read-only tables P(k, m | j), indexed [j, k, m], of each variant, exact
-    from the named attack's own states; the sampler's cells read them too."""
+    """Read-only tables P(k, m | j), indexed [j, k, m], of each variant, built
+    once per attack from its own states; the sampler's cells read them too."""
+    return _conditionals(attack)
+
+
+@lru_cache(maxsize=None)
+def _conditionals(attack: str) -> Mapping[str, np.ndarray]:
     plain, symmetrized = (exact_outcome_table(s, attack) for s in (False, True))
     mixture = 0.5 * (plain + symmetrized)
     for table in (plain, symmetrized, mixture):
@@ -79,7 +83,6 @@ class JointDistribution:
         return self.probs / prior[:, None, None]
 
 
-@lru_cache(maxsize=64)
 def exact_joint(variant: str, c0: float, attack: str = "improved") -> JointDistribution:
     """Joint distribution of one message round under the named attack.
 
@@ -87,9 +90,14 @@ def exact_joint(variant: str, c0: float, attack: str = "improved") -> JointDistr
     between 0 and 1 (a deterministic message carries no information and the
     information measures below degenerate).  The distribution is immutable
     and reads only the attack's cached tables, so each distinct call builds
-    it once: one ``verify`` pass makes 69 calls with 28 distinct arguments
-    (naming the default attack or not), all of which the cache holds.
+    it once, the default attack named or not: one ``verify`` pass makes 69
+    calls with 25 distinct arguments, all of which the cache holds.
     """
+    return _exact_joint(variant, c0, attack)
+
+
+@lru_cache(maxsize=64)
+def _exact_joint(variant: str, c0: float, attack: str) -> JointDistribution:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if not 0.0 < c0 < 1.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
@@ -765,6 +766,61 @@ def test_solver_writes_its_census_to_a_pipe(tmp_path, capsys):
     assert not reader.is_alive()
     capsys.readouterr()
     assert received == [fresh.read_bytes()]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_simulate_writes_its_stats_whole_to_a_named_pipe(tmp_path, capsys):
+    # Each output is opened once, so a named pipe's one reader, which reads
+    # to the first EOF, gets every byte; a second open would wait for a
+    # reader that has gone, hence the timeout.
+    fifo, regular = tmp_path / "stats.fifo", tmp_path / "stats.json"
+    os.mkfifo(fifo)
+    received = []
+
+    def read_once():
+        with open(fifo, "rb") as pipe:
+            received.append(pipe.read())
+
+    reader = threading.Thread(target=read_once, daemon=True)
+    reader.start()
+    argv = ["simulate", "--rounds", "10", "--stats"]
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pingpong_eve.cli", *argv, str(fifo)],
+            capture_output=True,
+            timeout=60,
+        )
+    finally:
+        if reader.is_alive():
+            # A reader still waiting for a writer gets EOF from this one.
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert run_main([*argv, str(regular)]) == 0
+    assert capsys.readouterr().out.encode() == result.stdout
+    assert received == [regular.read_bytes()]
+
+
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch, capsys):
+    # The output layer writes with os.write and sends what a short write
+    # left over; here no call writes more than 1000 bytes.
+    write, short = os.write, []
+
+    def write_at_most_1000(fd, data):
+        if len(data) > 1000:
+            short.append(len(data))
+        return write(fd, data[:1000])
+
+    monkeypatch.setattr(os, "write", write_at_most_1000)
+    extra, stdout_sha, csv_sha, stats_sha = GOLDEN_SIMULATE[1]
+    out, stats = tmp_path / "records.csv", tmp_path / "stats.json"
+    argv = ["simulate", "--seed", "7", "--eta", "0.85", "--rounds", str(2 * 16384 + 5)]
+    assert run_main(argv + extra + ["--out", str(out), "--stats", str(stats)]) == 0
+    monkeypatch.undo()
+    blobs = capsys.readouterr().out.encode(), out.read_bytes(), stats.read_bytes()
+    assert sha256_of(*blobs) == [stdout_sha, csv_sha, stats_sha]
+    assert short  # the writes did fall short, and were sent again
 
 
 # A command that raises once its checks have passed, even by Ctrl-C, empties

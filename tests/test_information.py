@@ -20,7 +20,15 @@ import re
 import numpy as np
 import pytest
 
-from pingpong_eve.attacks import ATTACKS, AttackProfile, improved_profile, wojcik_profile
+from pingpong_eve import attacks, information
+from pingpong_eve.attacks import (
+    ATTACKS,
+    AttackProfile,
+    attack_profile,
+    control_outcomes,
+    improved_profile,
+    wojcik_profile,
+)
 from pingpong_eve.information import (
     FORMULAS,
     JointDistribution,
@@ -39,6 +47,7 @@ from pingpong_eve.information import (
     qber,
     security_report,
 )
+from pingpong_eve.verify import run_all_checks
 
 A_GAIN = 0.311278124459133
 B_GAIN = 0.188721875540867
@@ -251,6 +260,41 @@ def test_exact_joint_is_built_once_per_variant_and_prior():
     for _ in range(2):
         with pytest.raises(ValueError, match="strictly between"):
             exact_joint("symmetrized", 1.0)
+
+
+def test_caches_are_keyed_on_the_resolved_attack():
+    # A call that names the default attack finds the entry of one that
+    # leaves it out, positional or keyword.
+    assert conditionals() is conditionals("improved") is conditionals(attack="improved")
+    dist = exact_joint("fair-mixture", 0.5)
+    assert exact_joint("fair-mixture", 0.5, "improved") is dist
+    assert exact_joint(variant="fair-mixture", c0=0.5, attack="improved") is dist
+    # A cold verify pass asks for 25 distinct joints, some of them both ways.
+    attacks.attack_profile.cache_clear()
+    information._exact_joint.cache_clear()
+    run_all_checks()
+    assert information._exact_joint.cache_info().currsize == 25
+
+
+UNKNOWN_ATTACK = re.escape("unknown attack 'nope', expected one of ('improved', 'wojcik')")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_joint("plain", 0.5, "nope"),
+        lambda: conditionals("nope"),
+        lambda: attack_profile("nope"),
+        lambda: control_outcomes("nope"),
+    ],
+    ids=["exact_joint", "conditionals", "attack_profile", "control_outcomes"],
+)
+def test_unknown_attack_is_a_value_error(call):
+    for _ in range(2):  # refused on every call, never cached
+        with pytest.raises(ValueError, match=UNKNOWN_ATTACK):
+            call()
+    # None still names the plain channel, which loses no photon.
+    assert sum(control_outcomes(None)[:2]) == 0.0
 
 
 # --- mutual information ------------------------------------------------------
