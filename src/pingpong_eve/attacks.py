@@ -24,8 +24,9 @@ splitter) is the engine's router over (t, x, y) that swaps the pol1 photons
 of its two modes and keeps pol0 photons in place; SWAP_tx is the router
 that swaps t and x whatever the polarization; and each CNOT flips its
 target's polarization when t holds pol0.  After the split every gate moves
-basis kets, so the images are the split terms carried through index maps,
-and no term puts two photons in one mode.  With
+basis kets, so the images are the split terms carried through the gates'
+index maps by ``engine.carry``, once per attack at import, and no term puts
+two photons in one mode.  With
 
     B1 = |0, vac, 1, 0>      B2 = |0, 1, 1, vac>
     B3 = |1, 0, vac, 1>      B4 = |1, 0, 0, vac>      R3 = |1, vac, 0, 0>
@@ -86,6 +87,7 @@ from .engine import (
     PAULI_Z,
     PureState,
     bell_amps,
+    carry,
     cnot_amps,
     controlled_flip_permutation,
     exact_probabilities,
@@ -129,43 +131,36 @@ def split_rows() -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _gate_maps() -> dict[str, tuple[np.ndarray, np.ndarray | None]]:
-    """Each gate's basis-index map, with the meeting modes of a router."""
-    images, meets = router_maps(PHOTON_MODES, tuple(_ROUTES.values()))
-    gates = {name: (image, meet) for name, image, meet in zip(_ROUTES, images, meets)}
-    for mode in "xy":
-        gates[f"CNOT_t{mode}"] = (controlled_flip_permutation("t", mode, Occupation.POL0), None)
-    return gates
+# Each gate's basis-index map, with the meeting modes of a router.
+_GATES = dict(zip(_ROUTES, zip(*router_maps(PHOTON_MODES, tuple(_ROUTES.values())))))
+for _mode in "xy":
+    _GATES[f"CNOT_t{_mode}"] = (controlled_flip_permutation("t", _mode, Occupation.POL0), None)
 
 
-@lru_cache(maxsize=None)
-def forward_images(attack: str = "improved") -> np.ndarray:
+def _trace(attack: str) -> np.ndarray:
     """(4, 54) read-only array whose rows are the named attack's outbound
-    images of f1..f4: each split term moved through its circuit's index
-    maps after the split."""
+    images of f1..f4: each split term carried through its circuit's index
+    maps by ``engine.carry``."""
     rows, at = np.nonzero(split_rows())
-    amps = split_rows()[rows, at]
-    gates = _gate_maps()
-    for gate in _CIRCUITS[attack]:
-        image, meet = gates[gate]
-        if meet is not None and (meet[at] >= 0).any():
-            raise AssertionError(f"the {attack} circuit puts two photons in one mode")
-        at = image[at]
+    stages = [(*_GATES[gate], 0) for gate in _CIRCUITS[attack]]
+    landed, first = carry(at[None, :], stages)
+    if first >= 0:
+        raise AssertionError(f"the {attack} circuit puts two photons in one mode")
     images = np.zeros((len(F_KETS), DIM), dtype=complex)
-    np.add.at(images, (rows, at), amps)
+    np.add.at(images, (rows, landed[0]), split_rows()[rows, at])
     images.setflags(write=False)
     return images
 
 
 # The images both legs read, by attack, when called, so they can be replaced.
-_IMAGES = {attack: forward_images(attack) for attack in ATTACKS}
+_IMAGES = {attack: _trace(attack) for attack in ATTACKS}
 _OUTSIDE_F = ~np.isin(np.arange(DIM), _F_INDICES)
 
 
-def _images(attack: str) -> np.ndarray:
-    """The images both legs read for the named attack; every attack name
-    they are given is looked up here, so an unknown one is a ValueError."""
+def forward_images(attack: str = "improved") -> np.ndarray:
+    """The named attack's outbound images of f1..f4, the (4, 54) rows both
+    legs read; every attack name they are given is looked up here, so an
+    unknown one is a ValueError."""
     if attack not in _IMAGES:
         raise ValueError(f"unknown attack {attack!r}, expected one of {ATTACKS}")
     return _IMAGES[attack]
@@ -209,13 +204,13 @@ def outbound_amps(amps: np.ndarray, attack: str = "improved") -> np.ndarray:
     the rows must lie in span{f1..f4}, or SubspaceLeakageError names the
     offending kets."""
     _check_leakage("outbound", np.where(_OUTSIDE_F, amps, 0.0))
-    return _rows_times(amps[..., _F_INDICES], _images(attack))
+    return _rows_times(amps[..., _F_INDICES], forward_images(attack))
 
 
 def inbound_amps(amps: np.ndarray, attack: str = "improved") -> np.ndarray:
     """Inbound leg of the named attack on amplitude rows of shape (..., 54):
     the adjoint of its outbound leg, defined on the span of its images."""
-    images = _images(attack)
+    images = forward_images(attack)
     coeffs = (images.conj() @ amps[..., None])[..., 0]
     _check_leakage("inbound", amps - _rows_times(coeffs, images))
     restored = np.zeros(amps.shape, dtype=complex)

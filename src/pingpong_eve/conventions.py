@@ -26,13 +26,15 @@ candidate is invalid when a router would put two photons into one mode
 within a single basis term; the state space here is strictly
 single-occupancy, so its first such collision is reported instead.
 
-solve() composes the whole census in one batched pass: every candidate's
-split terms are gathered through flat integer tables of all 144 router and
-4 CNOT conventions.  An image holds at most two terms per row, so a
-candidate that completes is scored on those terms and the references'
-support alone, never as a dense image.  compose_candidate is the
-single-candidate replay of the same circuit, and the tests hold solve()
-equal to it on every candidate.
+solve() composes the whole census in one call of ``engine.carry``, the walk
+that also traces the attacks' circuits: every candidate's split terms go
+through flat integer tables of all 144 router and 4 CNOT conventions, the
+first router once per route, and the kernel keys each candidate's first
+collision.  An image holds at most two terms per row, so a candidate that
+completes is scored on those terms and the references' support alone,
+never as a dense image.  compose_candidate is an independent
+single-candidate replay of the same circuit, term by term in Python, and
+the tests hold solve() equal to it on every candidate.
 """
 
 from __future__ import annotations
@@ -181,20 +183,19 @@ _status_of = operator.itemgetter(CandidateReport._fields.index("status"))
 
 @lru_cache(maxsize=None)
 def _batch_tables() -> tuple:
-    """Every candidate's stages as raveled integer tables, built on first use.
-
-    Per stage an (image, meet) pair, flat so that entry c * DIM + index is
-    convention c's value at a basis index: for a router, the landing index
-    and meeting mode (engine.MODES index, -1 for none) under each route in
-    _ROUTES; for a CNOT, the index permutation under each CNOT convention in
-    _CNOTS, and None.  Then the split rows' term indices and amplitudes,
-    shape (4, 2)."""
-    stages = []
-    for name, modes in _STAGES:
-        if name.startswith("route"):
-            stages.append(tuple(table.ravel() for table in engine.router_maps(modes, _ROUTES)))
-        else:
-            stages.append((np.array([_cnot_map(modes, *cnot) for cnot in _CNOTS]).ravel(), None))
+    """Every candidate's ``engine.carry`` stages, built on first use: per
+    stage the raveled tables of all router routes or CNOT conventions, and
+    column offsets over a (route, cnot) grid that reads row-major as the
+    candidate ids.  Then the split rows' term indices, shape (4, 2, 1, 1),
+    and amplitudes, shape (4, 2)."""
+    route = np.arange(len(_ROUTES))[:, None] * DIM
+    cnot = np.arange(len(_CNOTS)) * DIM
+    stages = tuple(
+        (*(table.ravel() for table in engine.router_maps(modes, _ROUTES)), route)
+        if name.startswith("route")
+        else (np.array([_cnot_map(modes, *conv) for conv in _CNOTS]).ravel(), None, cnot)
+        for name, modes in _STAGES
+    )
     rows = split_rows()
     # The solver routes each row's two terms apart and adds them only where
     # they end on one ket; a sum of two is the same in either order, so the
@@ -202,15 +203,13 @@ def _batch_tables() -> tuple:
     if (np.count_nonzero(rows, axis=1) != 2).any():
         raise AssertionError("the batched solver expects two terms per split row")
     index = np.array([np.flatnonzero(row) for row in rows])
-    return tuple(stages), index, np.take_along_axis(rows, index, axis=1)
+    return stages, index[..., None, None], np.take_along_axis(rows, index, axis=1)
 
 
 @lru_cache(maxsize=None)
 def _collision(key: int) -> Collision:
-    """Decode a packed (row, stage, index, mode) collision key."""
-    key, mode = divmod(key, len(engine.MODES))
-    key, index = divmod(key, DIM)
-    stage = key % len(_STAGES)
+    """The Collision of a meeting key that ``engine.carry`` reports."""
+    _, stage, index, mode = engine.meeting(key, len(_STAGES))
     return Collision(_STAGES[stage][0], BasisKet.from_index(index).label(), engine.MODES[mode])
 
 
@@ -260,41 +259,20 @@ def solve() -> list[CandidateReport]:
     """
     stages, index, amps = _batch_tables()
     conventions = enumerate_conventions()
-    # Terms run down the lines, candidates across the columns.  The first
-    # router sees the same split terms under every candidate, so it runs
-    # once per route; candidate route * 4 + cnot then takes its route's
-    # column.
-    route = np.arange(len(_ROUTES)) * DIM
-    cnot = np.tile(np.arange(len(_CNOTS)) * DIM, len(_ROUTES))
-    rows = (np.arange(index.size) // index.shape[1])[:, None]
-    terms = index.reshape(-1, 1)
-
-    # The first collision in row, stage, term-index order is the least
-    # packed (row, stage, index, mode) key over the terms that meet.  Terms
-    # that compose_candidate would have merged share their index, and so
-    # their key.
-    no_collision = index.shape[0] * len(_STAGES) * DIM * len(engine.MODES)
-    first = no_collision
-    for stage, (image, meet) in enumerate(stages):
-        if meet is None:  # a CNOT
-            terms = image.take(cnot + terms)
-            continue
-        at = route + terms
-        mode = meet.take(at)
-        key = ((rows * len(_STAGES) + stage) * DIM + terms) * len(engine.MODES) + mode
-        first = np.minimum(first, np.where(mode >= 0, key, no_collision).min(axis=0))
-        terms = image.take(at)
-        if stage == 0:
-            route, terms, first = (a.repeat(len(_CNOTS), axis=-1) for a in (route, terms, first))
-
-    found = iter(_deviations(terms[:, first == no_collision], amps, forward_images()))
+    # Terms run down the lines, candidates across a (route, cnot) grid of
+    # columns: the first router sees the same split terms under every
+    # candidate, so it runs once per route.  Terms that compose_candidate
+    # would have merged share their index, and so their meeting key.
+    terms, first = engine.carry(index, stages)
+    first = first.ravel()
+    found = iter(_deviations(terms.reshape(index.size, -1)[:, first < 0], amps, forward_images()))
     keys = first.tolist()
-    deviations = [next(found) if key == no_collision else None for key in keys]
+    deviations = [next(found) if key < 0 else None for key in keys]
     statuses = [
         STATUS_INVALID if dev is None else STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
         for dev in deviations
     ]
-    collisions = [None if key == no_collision else _collision(key) for key in keys]
+    collisions = [None if key < 0 else _collision(key) for key in keys]
     # tuple.__new__ builds each report from its fields as CandidateReport._make
     # does, without a Python call per report
     fields = zip(range(len(conventions)), conventions, statuses, deviations, collisions)

@@ -25,6 +25,8 @@ Conventions baked into the gates:
   empty or ``pol0`` control makes the gate the identity.
 * A polarizing router moves photons between modes by their polarization
   (``router_maps``), and marks the kets on which two photons would meet.
+  ``carry`` walks basis-index terms through a word of such index maps, one
+  circuit per column, and keys each circuit's first meeting.
 
 States are immutable.  Every operation is a pure function returning a new
 ``PureState``.  The gates and the change to the two-particle measurement
@@ -344,6 +346,34 @@ def router_maps(modes: tuple[str, ...], routes: tuple) -> tuple[np.ndarray, np.n
     image.setflags(write=False)
     meet.setflags(write=False)
     return image, meet
+
+
+def carry(terms: np.ndarray, stages: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Carry each row's basis-index terms, shape (rows, n, 1, ...), through
+    ``(image, meet, column)`` stages, one circuit per column: entry
+    ``column + i`` of a flat table is the column's landing index for basis
+    index i, and the MODES index where two of its photons meet (-1 for none;
+    ``meet`` is None for a CNOT).  Returns the carried terms and each
+    column's least (row, stage, entering index, mode) meeting key, -1 where
+    no two photons meet; ``meeting`` unpacks a key."""
+    rows = np.arange(len(terms)).reshape((-1,) + (1,) * (terms.ndim - 1))
+    none = len(terms) * len(stages) * DIM * len(MODES)
+    first = none
+    for stage, (image, meet, column) in enumerate(stages):
+        at = column + terms
+        if meet is not None:
+            mode = meet.take(at)
+            key = ((rows * len(stages) + stage) * DIM + terms) * len(MODES) + mode
+            first = np.minimum(first, np.where(mode >= 0, key, none).min(axis=(0, 1)))
+        terms = image.take(at)
+    return terms, np.broadcast_to(np.where(first < none, first, -1), terms.shape[2:])
+
+
+def meeting(key: int, stages: int) -> tuple[int, int, int, int]:
+    """The (row, stage, index, mode) of a ``carry`` key over ``stages`` stages."""
+    key, mode = divmod(key, len(MODES))
+    key, index = divmod(key, DIM)
+    return (*divmod(key, stages), index, mode)
 
 
 def cnot_amps(amps: np.ndarray, control: str, target: str) -> np.ndarray:

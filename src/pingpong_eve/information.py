@@ -62,17 +62,11 @@ class JointDistribution:
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (2, 2, 2):
             raise ValueError(f"joint table must have shape (2,2,2), got {probs.shape}")
-        # The entries in memory order, which is the order numpy's sum adds
-        # them in: pairwise, as the total below does, so the total is
-        # probs.sum() bit for bit.
-        p0, p1, p2, p3, p4, p5, p6, p7 = cells = probs.ravel("K").tolist()
-        # As probs.min() < 0.0, whose minimum is nan when any entry is: a
-        # table with a nan entry fails the sum check instead.
-        if min(cells) < 0.0 and not any(map(math.isnan, cells)):
+        # A nan entry makes the minimum nan, and fails the sum check instead.
+        if probs.min() < 0.0:
             raise ValueError("joint table has negative entries")
-        total = ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7))
         # Written as "not <=" so that a nan entry fails too.
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ValueError("joint table does not sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

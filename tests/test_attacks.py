@@ -39,6 +39,7 @@ from pingpong_eve.engine import (
     apply_cnot,
     apply_polarization_gate,
     bell_probabilities,
+    carry,
     ket,
     make_initial,
     mode_marginal,
@@ -106,8 +107,10 @@ def test_circuit_images_equal_the_pinned_table():
     pinned[:, [b.index for b in B_KETS]] = IMAGE_COEFFS
     images = forward_images()
     assert images.tobytes() == pinned.tobytes()
-    # Built once and shared: read-only, so no caller can change the legs.
+    # Built once and shared: read-only, so no caller can change the legs,
+    # and one entry whether the default attack is named or not.
     assert forward_images() is images and not images.flags.writeable
+    assert forward_images() is forward_images("improved") is attacks._IMAGES["improved"]
 
 
 def test_reference_circuit_images_equal_the_pinned_table():
@@ -118,6 +121,19 @@ def test_reference_circuit_images_equal_the_pinned_table():
     images = forward_images("wojcik")
     assert images.tobytes() == pinned.tobytes()
     assert forward_images("wojcik") is images and not images.flags.writeable
+
+
+@pytest.mark.parametrize("attack", ATTACKS)
+def test_each_circuit_is_walked_by_the_engine_kernel(monkeypatch, attack):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return carry(*args)
+
+    monkeypatch.setattr(attacks, "carry", counted)
+    assert attacks._trace(attack).tobytes() == forward_images(attack).tobytes()
+    assert len(calls) == 1
 
 
 def test_outbound_images_are_orthonormal():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pingpong_eve import attacks, conventions
+from pingpong_eve import attacks, conventions, engine
 from pingpong_eve.attacks import attack_ba, exact_outcome_table, forward_images
 from pingpong_eve.conventions import (
     ACTIVATIONS,
@@ -180,6 +180,21 @@ def test_solve_equals_the_single_candidate_oracle():
     assert len(reports) == 576
     for candidate_id, conv in enumerate(enumerate_conventions()):
         assert reports[candidate_id] == oracle_report(candidate_id, conv)
+
+
+def test_solve_walks_the_census_through_the_engine_kernel(monkeypatch):
+    # One call carries all 576 candidates, and the reports are those of
+    # the unpatched solve.
+    expected = solve()
+    carry, calls = engine.carry, []
+
+    def counted(*args):
+        calls.append(args)
+        return carry(*args)
+
+    monkeypatch.setattr(engine, "carry", counted)
+    assert solve() == expected
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.5])

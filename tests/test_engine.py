@@ -24,10 +24,13 @@ from pingpong_eve.engine import (
     bell_amplitudes,
     bell_amps,
     bell_probabilities,
+    carry,
     cnot_amps,
+    controlled_flip_permutation,
     exact_probabilities,
     ket,
     make_initial,
+    meeting,
     mode_marginal,
     project_bell,
     polarization_gate_amps,
@@ -320,6 +323,58 @@ def test_router_rejects_bad_modes():
         router_maps(("h", "t", "x"), route)
     with pytest.raises(ValueError):
         router_maps(("t", "t", "x"), route)
+
+
+# --- the basis-index walk ---------------------------------------------------
+
+
+def test_each_column_reads_its_own_tables():
+    # Three columns and three stages of random permutations, each stage
+    # stacking the columns' tables in its own order: every column's terms
+    # must be those of its own circuit, walked stage by stage.
+    rng = np.random.default_rng(5)
+    tables = rng.permuted(np.tile(np.arange(DIM), (3, 3, 1)), axis=-1)
+    orders = ([0, 1, 2], [2, 0, 1], [1, 2, 0])
+    stages = [
+        (tables[stage][order].ravel(), None, np.argsort(order) * DIM)
+        for stage, order in enumerate(orders)
+    ]
+    terms = rng.integers(0, DIM, (2, 3))
+    carried, first = carry(terms[..., None], stages)
+    for column in range(3):
+        expected = terms
+        for stage in range(3):
+            expected = tables[stage, column][expected]
+        assert carried[..., column].tolist() == expected.tolist()
+    assert first.tolist() == [-1, -1, -1]
+
+
+def test_a_router_meet_keys_the_row_stage_entering_index_and_mode():
+    # PBS_xy swaps the pol1 photons of x and y, so |h, vac, 1, 1> crosses
+    # cleanly; CNOT_xy then makes it |h, vac, 1, 0>, where the next PBS_xy
+    # sends x's pol1 photon into y, which holds a pol0 photon.
+    pbs_xy = ((STAY, (0, 2, 1), False, False),)
+    image, meet = (table.ravel() for table in router_maps(PHOTONS, pbs_xy))
+    cnot = controlled_flip_permutation("x", "y", Occupation.POL1)
+    stages = [(image, meet, 0), (cnot, None, 0), (image, meet, 0)]
+    crossing = [ket(h, "vac", "1", "1").index for h in (1, 0)]
+    entering = [ket(h, "vac", "1", "0").index for h in (1, 0)]
+    assert [image[i] for i in crossing] == crossing and (meet[crossing] < 0).all()
+    assert [cnot[i] for i in crossing] == entering
+    assert meet[entering].tolist() == [MODES.index("y")] * 2
+    # Row 0's terms meet at the last stage, the h=0 term first by index
+    # though it is on the later line; row 1's meet at the first stage.
+    _, first = carry(np.array([crossing, entering]), stages)
+    assert meeting(int(first), len(stages)) == (0, 2, entering[1], MODES.index("y"))
+    _, first = carry(np.array([entering, crossing]), stages)
+    assert meeting(int(first), len(stages)) == (0, 0, entering[1], MODES.index("y"))
+
+
+def test_a_cnot_stage_reports_no_meeting():
+    cnot = controlled_flip_permutation("t", "y", Occupation.POL1)
+    carried, first = carry(np.arange(DIM)[None, :], [(cnot, None, 0)])
+    assert carried.tolist() == [cnot.tolist()]
+    assert first == -1
 
 
 # --- measurements -----------------------------------------------------------

@@ -26,6 +26,7 @@ from pingpong_eve.attacks import (
     AttackProfile,
     attack_profile,
     control_outcomes,
+    forward_images,
     improved_profile,
     wojcik_profile,
 )
@@ -286,8 +287,9 @@ UNKNOWN_ATTACK = re.escape("unknown attack 'nope', expected one of ('improved', 
         lambda: conditionals("nope"),
         lambda: attack_profile("nope"),
         lambda: control_outcomes("nope"),
+        lambda: forward_images("nope"),
     ],
-    ids=["exact_joint", "conditionals", "attack_profile", "control_outcomes"],
+    ids=["exact_joint", "conditionals", "attack_profile", "control_outcomes", "forward_images"],
 )
 def test_unknown_attack_is_a_value_error(call):
     for _ in range(2):  # refused on every call, never cached
