@@ -145,7 +145,8 @@ def _outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[li
     """Open each output path once, before any work is done, so that a named
     pipe's one reader gets every byte, and yield an _Output per path, or
     None where it is absent.  An unwritable path, or two outputs naming one
-    regular file, is a usage error that removes only the files it created.
+    regular file, stdout among them, is a usage error that removes only the
+    files it created.
     Once the body is done, each regular file is cut at its final write
     position.  If the body raises, even by Ctrl-C, every output is emptied,
     so no previous run's bytes are left behind; a failed write or cut (a
@@ -170,9 +171,14 @@ def _outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[li
                 refuse(f"cannot write {path}: {error.strerror}")
             if new:
                 created.append(path)
-        for output, other in itertools.combinations(opened, 2):
-            if stat.S_ISREG(output.stat.st_mode) and os.path.samestat(output.stat, other.stat):
-                refuse(f"{output.path} and {other.path} are the same file")
+        # Opened anew, stdout's own regular file would be written from its
+        # start, over stdout's bytes; a closed stdout names no file.
+        stats = [(output.path, output.stat) for output in opened]
+        with contextlib.suppress(OSError):
+            stats.append(("standard output", os.fstat(1)))
+        for (path, first), (other, second) in itertools.combinations(stats, 2):
+            if stat.S_ISREG(first.st_mode) and os.path.samestat(first, second):
+                refuse(f"{path} and {other} are the same file")
         named = iter(opened)
         try:
             yield [next(named) if path else None for path in paths]

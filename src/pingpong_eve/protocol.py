@@ -12,18 +12,18 @@ attack loss masquerade as channel loss, and it is why the attack fraction
 is capped at (1 - eta)/loss).  With ``scheme="none"`` the photon traverses
 the real channel and survives with probability ``eta``.
 
-Sampling is table driven.  Once per run, ``_branch_cells`` gives each
-(mode, attacked) branch its cells, complete round records (every field but
-the round index), weighted by ``c0``, ``eta`` and the symmetrization coin.
-The probabilities are exact, from the 54-dimensional branch states: control
-cells read ``attacks.control_outcomes``, unattacked message cells the plain
-channel's outcome rows (``attacks.message_amps(attack=None)``, tabulated
-once at import), and attacked message cells ``information.conditionals`` of
-the scheme's attack, the conditional tables built once per attack from the
-same ``attacks.exact_outcome_table`` that ``verify`` audits.  ``_RoundTable``
-joins the four branches into one categorical table: a cell's probability is
-its branch's (from ``control_prob`` and the attack fraction) times its
-normalized weight in the branch, and cells of probability zero are dropped.
+Sampling is table driven.  Each (mode, attacked) branch has fixed cells,
+complete round records but for the index (``_BRANCH_CELLS``), and once per
+run ``_branch_weights`` weighs them: each branch's exact table times its
+factors (``eta``, ``c0``, the symmetrization coin).  The tables come from
+the 54-dimensional branch states: ``attacks.control_outcomes``, the plain
+channel's outcome rows (``attacks.message_amps(attack=None)``, tabulated at
+import) and ``information.conditionals`` of the scheme's attack, built once
+per attack from the ``attacks.exact_outcome_table`` that ``verify`` audits.
+``_RoundTable`` joins the branches into one categorical table: a cell's
+probability is its branch's (from ``control_prob`` and the attack fraction)
+times its normalized weight in the branch; cells of probability zero are
+dropped.
 Every round draws one uniform, an inverse-CDF draw on that table.  The draw
 is the generator's 53-bit integer k (its uniform is k * 2**-53), compared
 with integer keys ceil(bound * 2**53), so every test on it is exact: a
@@ -58,9 +58,8 @@ Python from the integer counts, with numpy's IEEE operations.
 
 Every scheme runs through the same cells.  A scheme is one entry of
 ``_SCHEMES``: its attack (None for no eavesdropper) and the chance that the
-eavesdropper's symmetrization coin comes up heads.  Its attacked control
-cells read its attack's own control table, and its attacked message cells
-its attack's own conditional tables, so the ``wojcik-reference`` scheme's
+eavesdropper's symmetrization coin comes up heads.  Its attacked cells are
+weighed by its attack's own tables, so the ``wojcik-reference`` scheme's
 rounds come from the reference attack's own circuit.
 """
 
@@ -70,6 +69,7 @@ import collections
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import numbers
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
@@ -225,60 +225,45 @@ _Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:], defaults=(None,) * 6 +
 
 # P(receiver outcome | j) of a message round on the plain channel, row j
 # for j = 0, 1, in BellOutcome order.
-_PLAIN_ROWS = message_outcome_stack(message_amps(attack=None)).sum(axis=1).tolist()
+_PLAIN_ROWS = message_outcome_stack(message_amps(attack=None)).sum(axis=1)
+
+# The cells of the four branches, in sampling order, each in the ravel order
+# of its weights in _branch_weights.  Control cells, unattacked and attacked,
+# follow CONTROL_T_H; the receiver detects the eavesdropper when a surviving
+# photon breaks the anticorrelation.  The plain channel's message cells are
+# the lost photon, then (j, m) in BellOutcome order; the attacked message
+# cells run over (j, coin s, k, m), with m in _M_BIT order.
+_BRANCH_CELLS = (
+    *(tuple(_Cell("control", attacked, None, None, None, t, h, None, t is Occupation.VAC,
+                  t is not Occupation.VAC and h == (t is Occupation.POL1))
+            for t, h in CONTROL_T_H)
+      for attacked in (False, True)),
+    (_Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True),
+     *(_Cell("message", False, j, None, m) for j in (0, 1) for m in BellOutcome)),
+    tuple(_Cell("message", True, j, k, m, None, None, s)
+          for j, s, k, m in itertools.product((0, 1), (False, True), (0, 1), _M_BIT)),
+)
+_CONTROL_LOST = np.array([cell.photon_lost for cell in _BRANCH_CELLS[0]])
 
 
-def _branch_cells(config: ProtocolConfig) -> tuple[list[tuple[_Cell, float]], ...]:
-    """Cells of positive weight of the four branches, in sampling order:
-    control unattacked, control attacked, message unattacked, message
-    attacked."""
+def _branch_weights(config: ProtocolConfig) -> tuple[list[float], ...]:
+    """Each branch's weights, one per cell of _BRANCH_CELLS, zeros kept: its
+    exact table times its factors (eta, c0, the symmetrization coin), in the
+    association the pinned outputs hold.  No attack weighs no attacked cell."""
     attack, p_heads = _SCHEMES[config.scheme]
     # Only the plain channel loses photons; the attacker's channel is lossless.
     eta = config.eta if attack is None else 1.0
-    lost = (1.0 - eta) / 2
-    priors = ((0, config.c0), (1, 1.0 - config.c0))
-    vac, pol1 = Occupation.VAC, Occupation.POL1
-
-    def control(attacked: bool, weights) -> list[tuple[_Cell, float]]:
-        """Control cells of the (t outcome, h bit) pairs of CONTROL_T_H; the
-        receiver detects the eavesdropper when a surviving photon breaks the
-        anticorrelation."""
-        return [
-            (_Cell("control", attacked, None, None, None, t, h, None,
-                   t is vac, t is not vac and h == (t is pol1)), p)
-            for (t, h), p in zip(CONTROL_T_H, weights)
-            if p > 0.0
-        ]
-
-    control_plain = control(False, [
-        (lost if t is vac else 0.0) + eta * p
-        for (t, _), p in zip(CONTROL_T_H, control_outcomes(None))
-    ])
-    no_photon = _Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True)
-    message = [(no_photon, 1.0 - eta)] if eta < 1.0 else []
-    message += [
-        (_Cell("message", False, j, None, m), w)
-        for j, p_j in priors
-        for m, p in zip(BellOutcome, _PLAIN_ROWS[j])
-        if (w := eta * p_j * p) > 0.0
-    ]
+    priors = np.array([config.c0, 1.0 - config.c0])
+    control = (1.0 - eta) / 2 * _CONTROL_LOST + eta * np.array(control_outcomes(None))
+    message = np.concatenate(([1.0 - eta], ((eta * priors)[:, None] * _PLAIN_ROWS).ravel()))
     if attack is None:
-        return control_plain, [], message, []
-    control_attacked = control(True, control_outcomes(attack))
-    # The eavesdropper's symmetrization coin, with its table for each side;
-    # a side of probability zero gives no cells.
+        return control.tolist(), [], message.tolist(), []
+    # The eavesdropper's symmetrization coin, with its table for each side.
     tables = conditionals(attack)
-    coins = ((False, 1.0 - p_heads, tables["plain"].tolist()),
-             (True, p_heads, tables["symmetrized"].tolist()))
-    message_attacked = [
-        (_Cell("message", True, j, k, m, None, None, s), w)
-        for j, p_j in priors
-        for s, p_s, table in coins
-        for k, row in enumerate(table[j])
-        for m, p in zip(_M_BIT, row)
-        if (w := p_j * p_s * p) > 0.0
-    ]
-    return control_plain, control_attacked, message, message_attacked
+    coins = (priors[:, None] * [1.0 - p_heads, p_heads])[:, :, None, None]
+    attacked = coins * np.stack((tables["plain"], tables["symmetrized"]), axis=1)
+    return (control.tolist(), list(control_outcomes(attack)), message.tolist(),
+            attacked.ravel().tolist())
 
 
 class _RoundTable:
@@ -295,9 +280,10 @@ class _RoundTable:
         # A cell's probability is its branch's times its normalized weight in
         # the branch; cells of probability zero are dropped.
         self.cells, probs = [], []
-        for p_branch, cells in zip(branch_probs, _branch_cells(config)):
-            total = sum(p for _, p in cells)
-            for cell, p in cells:
+        for p_branch, cells, weights in zip(branch_probs, _BRANCH_CELLS, _branch_weights(config)):
+            # Summed left to right: np.sum sums pairwise from 8 terms.
+            total = sum(weights)
+            for cell, p in zip(cells, weights):
                 p = p_branch * (p / total)
                 if p > 0.0:
                     self.cells.append(cell)
@@ -334,14 +320,20 @@ class _RoundTable:
         for start in range(0, rounds, BLOCK_ROUNDS):
             yield start, stream.random_raw(min(BLOCK_ROUNDS, rounds - start))
 
+    def _search(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each round's bucket, the top 12 bits of its 64-bit output, which
+        rounds lie in straddling buckets, and their cells, searched by their
+        53-bit draws."""
+        bucket = (raw >> np.uint64(64 - _BUCKET_BITS)).view(np.int64)
+        straddling = self.straddles[bucket]
+        draws = (raw[straddling] >> np.uint64(64 - _UNIT_BITS)).view(np.int64)
+        return bucket, straddling, np.searchsorted(self.keys, draws, "right")
+
     def cells_of(self, raw: np.ndarray) -> np.ndarray:
-        """Cell index of each round, from its 64-bit output (shifted in place)."""
-        raw >>= 64 - _UNIT_BITS
-        draws = raw.view(np.int64)
-        bucket = draws >> _BUCKET_SHIFT
+        """Cell index of each round, from its 64-bit output."""
+        bucket, straddling, searched = self._search(raw)
         cells = self.bucket_cell[bucket]
-        fix = np.flatnonzero(self.straddles[bucket])
-        cells[fix] = np.searchsorted(self.keys, draws[fix], "right")
+        cells[straddling] = searched
         return cells
 
     def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -360,11 +352,9 @@ class _RoundTable:
         buckets = np.zeros((1 << _BUCKET_BITS) + 1, dtype=np.int64)
         counts = np.zeros(len(self.cells), dtype=np.int64)
         for _, raw in self.chunks(rounds):
-            bucket = (raw >> np.uint64(64 - _BUCKET_BITS)).view(np.int64)
+            bucket, _, searched = self._search(raw)
             buckets += np.bincount(bucket, minlength=buckets.size)
-            draws = (raw[self.straddles[bucket]] >> np.uint64(64 - _UNIT_BITS)).view(np.int64)
-            counts += np.bincount(np.searchsorted(self.keys, draws, "right"),
-                                  minlength=counts.size)
+            counts += np.bincount(searched, minlength=counts.size)
         buckets[:-1][self.straddles] = 0
         # Each cell's run of buckets, summed: reduceat sums each run but gives
         # an empty one the bucket at its start, so empty runs are zeroed.

@@ -435,6 +435,55 @@ def test_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+STDOUT = "/dev/stdout"
+STDOUT_OUTPUTS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rounds", "5", "--out", STDOUT],
+        ["simulate", "--rounds", "5", "--stats", STDOUT],
+        ["analyze", "--report", STDOUT],
+        ["solve-conventions", "--out", STDOUT],
+    ],
+    ids=["simulate-out", "simulate-stats", "analyze-report", "solver-out"],
+)
+
+
+@pytest.mark.skipif(not os.path.exists(STDOUT), reason="needs /dev/stdout")
+@STDOUT_OUTPUTS
+@pytest.mark.parametrize("mode", ["wb", "ab"], ids=["new", "appended"])
+def test_output_on_stdouts_regular_file_is_usage_error(tmp_path, argv, mode):
+    # Opened anew, the output would write from the file's start over what
+    # stdout writes there (under >> too): stdout's own file is refused.
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"earlier line\n")
+    with open(log, mode) as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "pingpong_eve.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    assert result.returncode == 2
+    assert result.stderr.endswith(f"error: {STDOUT} and standard output are the same file\n")
+    assert "Traceback" not in result.stderr
+    assert log.read_bytes() == (b"" if mode == "wb" else b"earlier line\n")
+
+
+@pytest.mark.skipif(not os.path.exists(STDOUT), reason="needs /dev/stdout")
+@STDOUT_OUTPUTS
+def test_output_on_a_stdout_pipe_is_written(argv):
+    # A pipe has no start to write over: the output and stdout's summary
+    # both reach it, in the order they are written.
+    result = subprocess.run(
+        [sys.executable, "-m", "pingpong_eve.cli", *argv],
+        capture_output=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout
+
+
 def test_refused_command_keeps_existing_files(tmp_path, monkeypatch, capsys):
     for name in ("run_simulation", "write_records_csv", "security_report"):
         monkeypatch.setattr(cli, name, refuse_work)

@@ -21,8 +21,16 @@ import numpy as np
 import pytest
 
 from pingpong_eve import protocol
-from pingpong_eve.attacks import improved_profile, wojcik_profile
+from pingpong_eve.attacks import (
+    CONTROL_T_H,
+    control_outcomes,
+    improved_profile,
+    message_amps,
+    message_outcome_stack,
+    wojcik_profile,
+)
 from pingpong_eve.engine import BellOutcome, Occupation
+from pingpong_eve.information import conditionals
 from pingpong_eve.protocol import (
     _CSV_COLUMNS,
     _CSV_WINDOW_ROUNDS,
@@ -33,7 +41,9 @@ from pingpong_eve.protocol import (
     ProtocolConfig,
     RoundRecord,
     RunStats,
-    _branch_cells,
+    _BRANCH_CELLS,
+    _M_BIT,
+    _branch_weights,
     _cell,
     _RoundTable,
     _row_table,
@@ -272,8 +282,8 @@ def combined_bounds(config: ProtocolConfig) -> np.ndarray:
     branch_probs = (control * (1.0 - attacked), control * attacked,
                     (1.0 - control) * (1.0 - attacked), (1.0 - control) * attacked)
     probs = []
-    for p_branch, weighted in zip(branch_probs, _branch_cells(config)):
-        kept = [p for _, p in weighted if p > 0.0]
+    for p_branch, weighted in zip(branch_probs, _branch_weights(config)):
+        kept = [p for p in weighted if p > 0.0]
         probs += [p_branch * (p / sum(kept)) for p in kept]
     cdf = np.cumsum([p for p in probs if p > 0.0])
     return cdf[:-1] / cdf[-1]
@@ -300,6 +310,97 @@ def reference_configs(scheme: str) -> list[ProtocolConfig]:
     return configs
 
 
+# Each scheme's attack and P(heads) of its symmetrization coin.
+SCHEME_ATTACKS = {"none": (None, 0.0), "improved": ("improved", 0.0),
+                  "improved-symmetrized": ("improved", 0.5),
+                  "wojcik-reference": ("wojcik", 0.0)}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_branch_weights_line_up_with_the_branch_cells(scheme):
+    """Each branch's weights are one per cell, in its cells' order: control
+    cells in CONTROL_T_H order, the plain message cells with the lost photon
+    first and then (j, m) in BellOutcome order, and the attacked message
+    cells over (j, coin, k, m) in ravel order."""
+    config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3, eta=0.85)
+    weights = _branch_weights(config)
+    attacked = SCHEME_ATTACKS[scheme][0] is not None
+    for branch, (cells, weighted) in enumerate(zip(_BRANCH_CELLS, weights)):
+        # A scheme with no attack weighs no attacked cell.
+        expected = len(cells) if attacked or branch % 2 == 0 else 0
+        assert len(weighted) == expected, branch
+    control_plain, control_attacked, message, message_attacked = _BRANCH_CELLS
+    for flag, cells in ((False, control_plain), (True, control_attacked)):
+        assert [(c.mode, c.attacked) for c in cells] == [("control", flag)] * len(CONTROL_T_H)
+        assert [(c.alice_t_outcome, c.bob_h_outcome) for c in cells] == list(CONTROL_T_H)
+    assert [(c.mode, c.attacked) for c in message] == [("message", False)] * len(message)
+    no_photon = (None, BellOutcome.NO_PHOTON, True)
+    assert [(c.j, c.m, c.photon_lost) for c in message] == [no_photon] + [
+        (j, m, False) for j in (0, 1) for m in BellOutcome]
+    assert {(c.mode, c.attacked) for c in message_attacked} == {("message", True)}
+    assert [(c.j, c.s_applied, c.k, _M_BIT[c.m]) for c in message_attacked] == list(
+        np.ndindex(2, 2, 2, 2))
+    assert {type(c.s_applied) for c in message_attacked} == {bool}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("c0, eta", [(0.3, 0.85), (0.5, 0.8), (1.0, 0.0)])
+def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
+    """Every weight is its cell's exact probability times its factors, in
+    the association that the pinned digests hold: (1 - eta)/2 + eta*p for
+    a lost control photon, 0.0 + eta*p for any other plain control cell,
+    (eta*p_j)*p for a plain message cell and (p_j*p_s)*p for an attacked one."""
+    config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=c0, eta=eta)
+    attack, p_heads = SCHEME_ATTACKS[scheme]
+    eta = eta if attack is None else 1.0
+    priors = (c0, 1.0 - c0)
+    plain_rows = message_outcome_stack(message_amps(attack=None)).sum(axis=1).tolist()
+    control_plain, control_attacked, message, message_attacked = _branch_weights(config)
+    assert control_plain == [
+        ((1.0 - eta) / 2 if c.alice_t_outcome is Occupation.VAC else 0.0) + eta * p
+        for c, p in zip(_BRANCH_CELLS[0], control_outcomes(None))]
+    assert message == [1.0 - eta] + [
+        (eta * priors[c.j]) * plain_rows[c.j][list(BellOutcome).index(c.m)]
+        for c in _BRANCH_CELLS[2][1:]]
+    if attack is None:
+        return
+    assert control_attacked == list(control_outcomes(attack))
+    tables = conditionals(attack)
+    assert message_attacked == [
+        (priors[c.j] * (p_heads if c.s_applied else 1.0 - p_heads))
+        * tables["symmetrized" if c.s_applied else "plain"][c.j, c.k, _M_BIT[c.m]]
+        for c in _BRANCH_CELLS[3]]
+
+
+@pytest.mark.parametrize("scheme", ["improved", "improved-symmetrized"])
+def test_attacked_weights_read_the_coin_sides_table_at_j(scheme, monkeypatch):
+    """The attack's own tables hold plain[1] == symmetrized[0], so a j/coin
+    mix-up would leave their weights as they are; tables with distinct
+    entries tell every (j, coin, k, m) cell apart."""
+    tables = {"plain": np.arange(1.0, 9.0).reshape(2, 2, 2) / 36,
+              "symmetrized": np.arange(9.0, 17.0).reshape(2, 2, 2) / 100}
+    monkeypatch.setattr(protocol, "conditionals", lambda attack: tables)
+    p_heads = SCHEME_ATTACKS[scheme][1]
+    config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3)
+    priors = (0.3, 1.0 - 0.3)
+    assert _branch_weights(config)[3] == [
+        (priors[c.j] * (p_heads if c.s_applied else 1.0 - p_heads))
+        * tables["symmetrized" if c.s_applied else "plain"][c.j, c.k, _M_BIT[c.m]]
+        for c in _BRANCH_CELLS[3]]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_table_keys_are_the_references_bounds(scheme):
+    """The table's keys are exactly the thresholds of the reference's
+    normalized CDF, whose branch totals are summed left to right."""
+    for config in reference_configs(scheme) + [
+        ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=c0, eta=0.8, attack_fraction=0.4)
+        for c0 in (0.1, 0.3, 0.7)
+    ]:
+        table = _RoundTable(config)
+        assert table.keys.tolist() == _threshold(combined_bounds(config)).tolist(), config
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sampler_equals_the_float_reference(scheme):
     for config in reference_configs(scheme):
@@ -321,6 +422,17 @@ def test_sampling_chunks_out_of_order_equals_the_run(scheme):
     assert len(in_order) == 3
     for block, cells in enumerate(in_order):
         assert np.array_equal(shuffled[block], cells), block
+
+
+def test_cells_of_leaves_the_outputs_as_they_are():
+    """The sampler reads the stream's outputs without shifting them, so the
+    same outputs give the same cells twice."""
+    table = _RoundTable(ProtocolConfig(rounds=1, seed=0, c0=0.3, eta=0.85))
+    raw = round_rng(3, 0).random_raw(4096)
+    kept = raw.copy()
+    first = table.cells_of(raw)
+    assert np.array_equal(raw, kept)
+    assert np.array_equal(table.cells_of(raw), first)
 
 
 class ReplayedDraws:
