@@ -164,13 +164,15 @@ def _outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[li
 
     try:
         for path in filter(None, paths):
-            new = not os.path.lexists(path)
+            # A dangling symlink names no file, and the open creates its
+            # target: that file, not the link, is the one to remove.
+            new = not os.path.exists(path)
             try:
                 opened.append(_Output(path, os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)))
             except OSError as error:
                 refuse(f"cannot write {path}: {error.strerror}")
             if new:
-                created.append(path)
+                created.append(os.path.realpath(path))
         # Opened anew, stdout's own regular file would be written from its
         # start, over stdout's bytes; a closed stdout names no file.
         stats = [(output.path, output.stat) for output in opened]

@@ -13,8 +13,8 @@ is capped at (1 - eta)/loss).  With ``scheme="none"`` the photon traverses
 the real channel and survives with probability ``eta``.
 
 Sampling is table driven.  Each (mode, attacked) branch has fixed cells,
-complete round records but for the index (``_BRANCH_CELLS``), and once per
-run ``_branch_weights`` weighs them: each branch's exact table times its
+complete round records but for the index (``_BRANCH_CELLS``), and
+``_branch_weights`` weighs them: each branch's exact table times its
 factors (``eta``, ``c0``, the symmetrization coin).  The tables come from
 the 54-dimensional branch states: ``attacks.control_outcomes``, the plain
 channel's outcome rows (``attacks.message_amps(attack=None)``, tabulated at
@@ -23,7 +23,12 @@ per attack from the ``attacks.exact_outcome_table`` that ``verify`` audits.
 ``_RoundTable`` joins the branches into one categorical table: a cell's
 probability is its branch's (from ``control_prob`` and the attack fraction)
 times its normalized weight in the branch; cells of probability zero are
-dropped.
+dropped.  A table depends on its distribution alone (scheme, ``eta``,
+``c0``, ``control_prob`` and the resolved attack fraction), not on the seed
+or the rounds: ``_round_table`` builds it with its keys, bucket table and
+counter rows, and its CSV row texts when a run first writes them, all
+read-only, once per process for each of the last ``_TABLES``
+distributions, and every run of it reads them.
 Every round draws one uniform, an inverse-CDF draw on that table.  The draw
 is the generator's 53-bit integer k (its uniform is k * 2**-53), compared
 with integer keys ceil(bound * 2**53), so every test on it is exact: a
@@ -38,21 +43,23 @@ bucket, not per round, and builds no records: each chunk counts its draws
 per bucket and searches only those in straddling buckets, and the summed
 counts of the other buckets go to their start cells once per run, as exact
 integers.  ``run_rounds`` builds one record per round.
-``write_records_csv`` builds no records either: it formats every table
-cell's CSV row in one csv.writer pass, as the rows of a NUL-padded byte
-table, and writes every chunk in windows of up to 2048 rounds that share
-i // 10**4 to a binary handle; the CLI opens the CSV file, cuts it and
-reports its errors, as for every file it writes.  A window is one byte
-grid: the index prefix i // 10**4, the index's last four digits sliced from
-a digit table, and the cells' row texts, with the NUL padding dropped.  The
-same chunks are tallied into the run's stats, so each round is drawn once.
+``write_records_csv`` builds no records either: it reads every table
+cell's CSV row, formatted in one csv.writer pass by the table's first
+written run, as the rows of a NUL-padded byte table, and writes every
+chunk in windows of up to 2048 rounds that share i // 10**4 to a binary
+handle; the CLI opens the CSV file, cuts it and reports its errors, as for
+every file it writes.  A window is one byte grid: the index prefix
+i // 10**4, the index's last four digits sliced from a digit table, and
+the cells' row texts, with the NUL padding dropped.  The same chunks are
+tallied into the run's stats, so each round is drawn once.
 The stream scheme is named by ``RNG_STREAM``.
 
 Every count of ``RunStats`` is the cell counts times the cells' counter
 rows: a cell's row holds what one round of it adds to the ten counters,
 then one-hot slots for its (j, k, m) cell in ``counts_s_off`` and
 ``counts_s_on``.  ``run_simulation`` and ``write_records_csv`` count the
-table's cells; ``aggregate`` counts a record stream's distinct records.
+table's cells, whose rows the table holds; ``aggregate`` counts a record
+stream's distinct records and encodes their rows.
 The stats' conditional table and its standard errors are computed in plain
 Python from the integer counts, with numpy's IEEE operations.
 
@@ -68,6 +75,7 @@ from __future__ import annotations
 import collections
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -246,14 +254,14 @@ _BRANCH_CELLS = (
 _CONTROL_LOST = np.array([cell.photon_lost for cell in _BRANCH_CELLS[0]])
 
 
-def _branch_weights(config: ProtocolConfig) -> tuple[list[float], ...]:
+def _branch_weights(scheme: str, eta: float, c0: float) -> tuple[list[float], ...]:
     """Each branch's weights, one per cell of _BRANCH_CELLS, zeros kept: its
     exact table times its factors (eta, c0, the symmetrization coin), in the
     association the pinned outputs hold.  No attack weighs no attacked cell."""
-    attack, p_heads = _SCHEMES[config.scheme]
+    attack, p_heads = _SCHEMES[scheme]
     # Only the plain channel loses photons; the attacker's channel is lossless.
-    eta = config.eta if attack is None else 1.0
-    priors = np.array([config.c0, 1.0 - config.c0])
+    eta = eta if attack is None else 1.0
+    priors = np.array([c0, 1.0 - c0])
     control = (1.0 - eta) / 2 * _CONTROL_LOST + eta * np.array(control_outcomes(None))
     message = np.concatenate(([1.0 - eta], ((eta * priors)[:, None] * _PLAIN_ROWS).ravel()))
     if attack is None:
@@ -267,27 +275,32 @@ def _branch_weights(config: ProtocolConfig) -> tuple[list[float], ...]:
 
 
 class _RoundTable:
-    """The combined outcome table of one run, its chunk sampler and its
-    per-bucket counter."""
+    """The combined outcome table of one distribution, which holds no seed:
+    its kept cells, their keys, the bucket table and straddle mask, each
+    cell's counter row and, once a run writes them, its CSV row text, all
+    read-only; and the chunk sampler and per-bucket counter of any run of
+    it, given the run's seed."""
 
-    def __init__(self, config: ProtocolConfig) -> None:
-        self.seed = config.seed
-        control, attacked = config.control_prob, config.resolved_attack_fraction()
+    def __init__(self, scheme: str, eta: float, c0: float, control: float,
+                 attacked: float) -> None:
         branch_probs = (
             control * (1.0 - attacked), control * attacked,
             (1.0 - control) * (1.0 - attacked), (1.0 - control) * attacked,
         )
         # A cell's probability is its branch's times its normalized weight in
         # the branch; cells of probability zero are dropped.
-        self.cells, probs = [], []
-        for p_branch, cells, weights in zip(branch_probs, _BRANCH_CELLS, _branch_weights(config)):
+        cells, probs = [], []
+        for p_branch, branch, weights in zip(
+            branch_probs, _BRANCH_CELLS, _branch_weights(scheme, eta, c0)
+        ):
             # Summed left to right: np.sum sums pairwise from 8 terms.
             total = sum(weights)
-            for cell, p in zip(cells, weights):
+            for cell, p in zip(branch, weights):
                 p = p_branch * (p / total)
                 if p > 0.0:
-                    self.cells.append(cell)
+                    cells.append(cell)
                     probs.append(p)
+        self.cells = tuple(cells)
         # Sorted keys, threshold(bound) of each inner bound of the normalized
         # CDF: a round's 53-bit draw k picks cell (number of keys <= k), which
         # is searchsorted(bounds, k * 2**-53, "right").  A bound that rounds to
@@ -307,16 +320,33 @@ class _RoundTable:
         low = (1 << _BUCKET_SHIFT) - 1
         rounded_up = (self.keys + low) >> _BUCKET_SHIFT
         self.edges = np.concatenate(([0], rounded_up, [1 << _BUCKET_BITS]))
-        self.bucket_cell = np.repeat(np.arange(len(self.cells), dtype=np.intp),
+        self.bucket_cell = np.repeat(np.arange(len(cells), dtype=np.intp),
                                      self.edges[1:] - self.edges[:-1])
         # A bucket straddles cells exactly when one of its keys lies past its start.
         self.straddles = np.zeros(1 << _BUCKET_BITS, dtype=bool)
         self.straddles[self.keys[(self.keys & low) != 0] >> _BUCKET_SHIFT] = True
+        self.counters = _counter_rows(self.cells)
+        for array in (self.keys, self.edges, self.bucket_cell, self.straddles):
+            array.flags.writeable = False
 
-    def chunks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
+    @functools.cached_property
+    def texts(self) -> np.ndarray:
+        """The cells' CSV row texts as the rows of a read-only NUL-padded
+        uint8 table, formatted when a run first writes them."""
+        texts = _row_texts(self.cells)
+        # One byte per character, and no NUL: the body drops every NUL byte of
+        # its grid, padding and nothing else.
+        if any("\0" in text or not text.isascii() for text in texts):
+            raise ValueError(f"a CSV row text is not ASCII without NUL: {texts!r}")
+        table = np.array([text.encode() for text in texts], dtype=bytes)
+        table = table.view(np.uint8).reshape(len(texts), -1)
+        table.flags.writeable = False
+        return table
+
+    def chunks(self, seed: int, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
         """(first round index, 64-bit outputs) of each chunk of the run, read
         in order from one stream; an output >> 11 is random()'s 53-bit integer."""
-        stream = round_rng(self.seed, 0)
+        stream = round_rng(seed, 0)
         for start in range(0, rounds, BLOCK_ROUNDS):
             yield start, stream.random_raw(min(BLOCK_ROUNDS, rounds - start))
 
@@ -336,11 +366,11 @@ class _RoundTable:
         cells[straddling] = searched
         return cells
 
-    def blocks(self, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
+    def blocks(self, seed: int, rounds: int) -> Iterator[tuple[int, np.ndarray]]:
         """(first round index, cell indices) of each chunk of the run."""
-        return ((start, self.cells_of(raw)) for start, raw in self.chunks(rounds))
+        return ((start, self.cells_of(raw)) for start, raw in self.chunks(seed, rounds))
 
-    def count(self, rounds: int) -> np.ndarray:
+    def count(self, seed: int, rounds: int) -> np.ndarray:
         """Rounds of each cell in the run, counted per bucket instead of per
         round: the same cells as ``blocks``, with no cell index gathered.
         Each chunk counts its rounds per bucket (the top 12 bits of each
@@ -351,7 +381,7 @@ class _RoundTable:
         # start past the last bucket begin.
         buckets = np.zeros((1 << _BUCKET_BITS) + 1, dtype=np.int64)
         counts = np.zeros(len(self.cells), dtype=np.int64)
-        for _, raw in self.chunks(rounds):
+        for _, raw in self.chunks(seed, rounds):
             bucket, _, searched = self._search(raw)
             buckets += np.bincount(bucket, minlength=buckets.size)
             counts += np.bincount(searched, minlength=counts.size)
@@ -361,6 +391,23 @@ class _RoundTable:
         runs = np.add.reduceat(buckets, self.edges[:-1])
         runs[self.edges[1:] == self.edges[:-1]] = 0
         return counts + runs
+
+
+# Distributions whose tables a process keeps, the least recently used
+# dropped first: twice the 8 (scheme, eta) pairs that the mc-stats benchmark
+# cycles.  A table takes about 40 KB, most of it the bucket table.
+_TABLES = 16
+# The table of each distribution, keyed on the type and value of each of
+# (scheme, eta, c0, control_prob, resolved attack fraction).
+_tables = functools.lru_cache(maxsize=_TABLES, typed=True)(_RoundTable)
+
+
+def _round_table(config: ProtocolConfig) -> _RoundTable:
+    """The table of the run's distribution, built once while it is among the
+    process's last _TABLES distributions; "auto" shares the entry of the
+    fraction it resolves to."""
+    return _tables(config.scheme, config.eta, config.c0, config.control_prob,
+                   config.resolved_attack_fraction())
 
 
 def round_rng(seed: int, start: int) -> np.random.PCG64:
@@ -373,10 +420,10 @@ def round_rng(seed: int, start: int) -> np.random.PCG64:
 
 def run_rounds(config: ProtocolConfig) -> list[RoundRecord]:
     """All rounds of one run; round i depends only on (seed, i)."""
-    table = _RoundTable(config)
+    table = _round_table(config)
     return [
         RoundRecord(i, *table.cells[cell])
-        for start, cells in table.blocks(config.rounds)
+        for start, cells in table.blocks(config.seed, config.rounds)
         for i, cell in enumerate(cells.tolist(), start)
     ]
 
@@ -388,7 +435,7 @@ def replay_round(config: ProtocolConfig, round_index: int) -> RoundRecord:
     round_index = int(round_index)
     if not 0 <= round_index < config.rounds:
         raise IndexError(f"round {round_index!r} is outside a run of {config.rounds} rounds")
-    table = _RoundTable(config)
+    table = _round_table(config)
     cell = table.cells_of(round_rng(config.seed, round_index).random_raw(1))[0]
     return RoundRecord(round_index, *table.cells[cell])
 
@@ -499,7 +546,7 @@ def _json_float(value: float):
 def aggregate(records: Iterable[RoundRecord]) -> RunStats:
     """Tally a record stream into RunStats."""
     counted = collections.Counter(record[1:] for record in records)
-    return _tally(list(counted), list(counted.values()))
+    return _tally(list(counted.values()), _counter_rows(list(counted)))
 
 
 # A cell's counter row holds what one round of it adds to each count of
@@ -537,19 +584,24 @@ def _counter_row(cell: tuple) -> bytearray:
     return row
 
 
-def _tally(cells: Sequence[tuple], counts: Sequence[int] | np.ndarray) -> RunStats:
-    """RunStats of counts[i] rounds of each cells[i], a record without its
-    index: every count is the cell counts times the cells' counter rows."""
+def _counter_rows(cells: Sequence[tuple]) -> np.ndarray:
+    """The cells' counter rows, one read-only uint8 row per cell."""
     rows = np.frombuffer(b"".join([_counter_row(cell) for cell in cells]), dtype=np.uint8)
-    totals = np.asarray(counts, dtype=np.int64) @ rows.reshape(-1, _ROW_SIZE)
+    return rows.reshape(-1, _ROW_SIZE)
+
+
+def _tally(counts: Sequence[int] | np.ndarray, rows: np.ndarray) -> RunStats:
+    """RunStats of counts[i] rounds of the cell of counter row rows[i]:
+    every count is the cell counts times the cells' counter rows."""
+    totals = np.asarray(counts, dtype=np.int64) @ rows
     return RunStats(*totals[:_N_COUNTERS].tolist(), *totals[_N_COUNTERS:].reshape(2, 2, 2, 2))
 
 
 def run_simulation(config: ProtocolConfig) -> RunStats:
     """Count every round per bucket, chunk by chunk, without building
     records; equal to ``aggregate(run_rounds(config))``."""
-    table = _RoundTable(config)
-    return _tally(table.cells, table.count(config.rounds))
+    table = _round_table(config)
+    return _tally(table.count(config.seed, config.rounds), table.counters)
 
 
 # --- writers -------------------------------------------------------------------
@@ -583,22 +635,15 @@ def _csv_lines(rows: Iterable[Sequence]) -> list[str]:
     return lines
 
 
-def _row_texts(cells: list[_Cell]) -> list[str]:
+def _row_texts(cells: Sequence[_Cell]) -> list[str]:
     """Each cell's CSV row after the round index, line terminator included."""
     return _csv_lines(["", *map(_cell, cell)] for cell in cells)
 
 
-def _row_table(cells: list[_Cell], lead: int) -> np.ndarray:
-    """The cells' row texts as the rows of a NUL-padded uint8 table, each
-    after ``lead`` NUL bytes that leave room for a round index."""
-    texts = _row_texts(cells)
-    # One byte per character, and no NUL: the body drops every NUL byte of
-    # its grid, padding and nothing else.
-    if any("\0" in text or not text.isascii() for text in texts):
-        raise ValueError(f"a CSV row text is not ASCII without NUL: {texts!r}")
-    pad = "\0" * lead
-    padded = np.array([(pad + text).encode() for text in texts], dtype=bytes)
-    return padded.view(np.uint8).reshape(len(texts), -1)
+def _row_table(texts: np.ndarray, lead: int) -> np.ndarray:
+    """The rows of a text table, each after ``lead`` NUL bytes that leave
+    room for a round index."""
+    return np.concatenate((np.zeros((len(texts), lead), dtype=np.uint8), texts), axis=1)
 
 
 def _window_body(
@@ -621,19 +666,19 @@ def _window_body(
 
 def write_records_csv(config: ProtocolConfig, handle: BinaryIO, metadata: dict) -> RunStats:
     """Write every round of the run to the binary ``handle`` as one CSV row,
-    chunk by chunk, without building records: each cell's row text is
-    formatted once per run, and each window of rounds is one byte grid with
-    its NUL padding dropped.  Returns the run's stats, tallied from the same
-    chunks, which equal ``run_simulation(config)``."""
-    table = _RoundTable(config)
+    chunk by chunk, without building records: each cell's row text is the
+    table's, formatted once per table, and each window of rounds is one
+    byte grid with its NUL padding dropped.  Returns the run's stats,
+    tallied from the same chunks, which equal ``run_simulation(config)``."""
+    table = _round_table(config)
     counts = np.zeros(len(table.cells), dtype=np.int64)
     # Room for the longest round index of the run, and at least the four
     # low digits.
     lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
-    rows = _row_table(table.cells, lead)
+    rows = _row_table(table.texts, lead)
     head = "".join(line + "\n" for line in metadata_lines(metadata))
     handle.write((head + _csv_lines([_CSV_COLUMNS])[0]).encode())
-    for start, cells in table.blocks(config.rounds):
+    for start, cells in table.blocks(config.seed, config.rounds):
         counts += np.bincount(cells, minlength=counts.size)
         # Windows of at most _CSV_WINDOW_ROUNDS rounds that share
         # i // 10**4, so that their low digits are one slice of a table.
@@ -643,4 +688,4 @@ def write_records_csv(config: ProtocolConfig, handle: BinaryIO, metadata: dict) 
             n = min(cells.size - offset, _INDEX_LOW - low, _CSV_WINDOW_ROUNDS)
             handle.write(_window_body(high, low, cells[offset:offset + n], rows, lead))
             offset += n
-    return _tally(table.cells, counts)
+    return _tally(counts, table.counters)

@@ -57,8 +57,8 @@ def deviation_from_reference(images: np.ndarray, references: np.ndarray) -> floa
     return float(np.max(np.abs(images - phase * references)))
 
 
-def sample(table, block: int, n: int) -> np.ndarray:
-    """Cell indices of the first n rounds of chunk ``block`` of a run's round
-    table, from the run's stream jumped ahead to the chunk."""
-    stream = protocol.round_rng(table.seed, block * protocol.BLOCK_ROUNDS)
+def sample(table, seed: int, block: int, n: int) -> np.ndarray:
+    """Cell indices of the first n rounds of chunk ``block`` of a run of the
+    round table with ``seed``, from the run's stream jumped ahead to the chunk."""
+    stream = protocol.round_rng(seed, block * protocol.BLOCK_ROUNDS)
     return table.cells_of(stream.random_raw(n))

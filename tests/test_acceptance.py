@@ -10,6 +10,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from pingpong_eve import attacks
 from pingpong_eve.attacks import (
@@ -298,6 +299,7 @@ def test_criterion_8_property_suites():
     )
 
 
+@pytest.mark.usefixtures("fresh_tables")
 def test_criterion_9_convention_solver(monkeypatch):
     reports = solve()
     assert len(reports) == 576

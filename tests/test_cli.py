@@ -527,6 +527,29 @@ def test_refused_command_removes_only_the_files_it_created(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("second", ["unwritable", "same-file"])
+def test_refused_command_removes_a_dangling_links_new_target(tmp_path, second):
+    # Opening a dangling symlink creates its target: a refused command
+    # removes that file and leaves the link as it was.
+    link, target = tmp_path / "link", tmp_path / "target.csv"
+    link.symlink_to("target.csv")
+    other = tmp_path / "missing" / "x.json" if second == "unwritable" else target
+    result = subprocess.run(
+        [sys.executable, "-m", "pingpong_eve.cli", "simulate", "--rounds", "10",
+         "--out", str(link), "--stats", str(other)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    expected = f"cannot write {other}" if second == "unwritable" else "are the same file"
+    assert expected in result.stderr and "Traceback" not in result.stderr
+    assert not os.path.lexists(target)
+    assert os.readlink(link) == "target.csv"
+    assert sorted(tmp_path.iterdir()) == [link]
+
+
 def test_simulate_out_opens_the_stream_once(tmp_path, monkeypatch, capsys):
     starts, requests = [], []
     open_stream = protocol.round_rng

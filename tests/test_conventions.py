@@ -325,6 +325,7 @@ def test_invalid_reports_replay_to_collisions():
     }
 
 
+@pytest.mark.usefixtures("fresh_tables")
 def test_matches_reproduce_pinned_attack(monkeypatch):
     # any match must be a drop-in replacement for the truth-table images:
     # same outbound state up to global phase, same loss and anticorrelation,

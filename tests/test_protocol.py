@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -46,6 +47,7 @@ from pingpong_eve.protocol import (
     _branch_weights,
     _cell,
     _RoundTable,
+    _round_table,
     _row_table,
     _threshold,
     _window_body,
@@ -282,7 +284,7 @@ def combined_bounds(config: ProtocolConfig) -> np.ndarray:
     branch_probs = (control * (1.0 - attacked), control * attacked,
                     (1.0 - control) * (1.0 - attacked), (1.0 - control) * attacked)
     probs = []
-    for p_branch, weighted in zip(branch_probs, _branch_weights(config)):
+    for p_branch, weighted in zip(branch_probs, _branch_weights(config.scheme, config.eta, config.c0)):
         kept = [p for p in weighted if p > 0.0]
         probs += [p_branch * (p / sum(kept)) for p in kept]
     cdf = np.cumsum([p for p in probs if p > 0.0])
@@ -323,7 +325,7 @@ def test_branch_weights_line_up_with_the_branch_cells(scheme):
     first and then (j, m) in BellOutcome order, and the attacked message
     cells over (j, coin, k, m) in ravel order."""
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3, eta=0.85)
-    weights = _branch_weights(config)
+    weights = _branch_weights(config.scheme, config.eta, config.c0)
     attacked = SCHEME_ATTACKS[scheme][0] is not None
     for branch, (cells, weighted) in enumerate(zip(_BRANCH_CELLS, weights)):
         # A scheme with no attack weighs no attacked cell.
@@ -355,7 +357,7 @@ def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
     eta = eta if attack is None else 1.0
     priors = (c0, 1.0 - c0)
     plain_rows = message_outcome_stack(message_amps(attack=None)).sum(axis=1).tolist()
-    control_plain, control_attacked, message, message_attacked = _branch_weights(config)
+    control_plain, control_attacked, message, message_attacked = _branch_weights(config.scheme, config.eta, config.c0)
     assert control_plain == [
         ((1.0 - eta) / 2 if c.alice_t_outcome is Occupation.VAC else 0.0) + eta * p
         for c, p in zip(_BRANCH_CELLS[0], control_outcomes(None))]
@@ -372,6 +374,7 @@ def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
         for c in _BRANCH_CELLS[3]]
 
 
+@pytest.mark.usefixtures("fresh_tables")
 @pytest.mark.parametrize("scheme", ["improved", "improved-symmetrized"])
 def test_attacked_weights_read_the_coin_sides_table_at_j(scheme, monkeypatch):
     """The attack's own tables hold plain[1] == symmetrized[0], so a j/coin
@@ -383,7 +386,7 @@ def test_attacked_weights_read_the_coin_sides_table_at_j(scheme, monkeypatch):
     p_heads = SCHEME_ATTACKS[scheme][1]
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3)
     priors = (0.3, 1.0 - 0.3)
-    assert _branch_weights(config)[3] == [
+    assert _branch_weights(config.scheme, config.eta, config.c0)[3] == [
         (priors[c.j] * (p_heads if c.s_applied else 1.0 - p_heads))
         * tables["symmetrized" if c.s_applied else "plain"][c.j, c.k, _M_BIT[c.m]]
         for c in _BRANCH_CELLS[3]]
@@ -397,18 +400,18 @@ def test_table_keys_are_the_references_bounds(scheme):
         ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=c0, eta=0.8, attack_fraction=0.4)
         for c0 in (0.1, 0.3, 0.7)
     ]:
-        table = _RoundTable(config)
+        table = _round_table(config)
         assert table.keys.tolist() == _threshold(combined_bounds(config)).tolist(), config
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sampler_equals_the_float_reference(scheme):
     for config in reference_configs(scheme):
-        table = _RoundTable(config)
+        table = _round_table(config)
         for block, n in ((0, 1), (1, BLOCK_ROUNDS - 1), (2, BLOCK_ROUNDS)):
             stream = np.random.Generator(round_rng(config.seed, block * BLOCK_ROUNDS))
             expected = float_sample(config, stream, n)
-            assert np.array_equal(sample(table, block, n), expected), (config, block, n)
+            assert np.array_equal(sample(table, config.seed, block, n), expected), (config, block, n)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -416,9 +419,9 @@ def test_sampling_chunks_out_of_order_equals_the_run(scheme):
     """Chunks sampled 2, 0, 1, each from a stream advanced to it, equal the
     run's chunks, read in order from one stream."""
     config = ProtocolConfig(rounds=3 * BLOCK_ROUNDS, seed=11, scheme=scheme, eta=0.8, c0=0.3)
-    table = _RoundTable(config)
-    shuffled = {block: sample(table, block, BLOCK_ROUNDS) for block in (2, 0, 1)}
-    in_order = [cells for _, cells in table.blocks(config.rounds)]
+    table = _round_table(config)
+    shuffled = {block: sample(table, config.seed, block, BLOCK_ROUNDS) for block in (2, 0, 1)}
+    in_order = [cells for _, cells in table.blocks(config.seed, config.rounds)]
     assert len(in_order) == 3
     for block, cells in enumerate(in_order):
         assert np.array_equal(shuffled[block], cells), block
@@ -427,7 +430,7 @@ def test_sampling_chunks_out_of_order_equals_the_run(scheme):
 def test_cells_of_leaves_the_outputs_as_they_are():
     """The sampler reads the stream's outputs without shifting them, so the
     same outputs give the same cells twice."""
-    table = _RoundTable(ProtocolConfig(rounds=1, seed=0, c0=0.3, eta=0.85))
+    table = _round_table(ProtocolConfig(rounds=1, seed=0, c0=0.3, eta=0.85))
     raw = round_rng(3, 0).random_raw(4096)
     kept = raw.copy()
     first = table.cells_of(raw)
@@ -486,11 +489,11 @@ def assert_samples_draws(config: ProtocolConfig, ks, monkeypatch) -> np.ndarray:
     path to one stream opened at round 0 and one raw request for the block."""
     raw = outputs(ks)
     replayed = replay(raw, monkeypatch)
-    table = _RoundTable(config)
-    cells = sample(table, 0, raw.size)
+    table = _round_table(config)
+    cells = sample(table, config.seed, 0, raw.size)
     assert replayed.starts == [0] and replayed.requests == [raw.size]
     assert np.array_equal(cells, float_sample(config, ReplayedDraws(raw), raw.size))
-    counts = table.count(raw.size)
+    counts = table.count(config.seed, raw.size)
     assert replayed.starts == [0] * 2 and replayed.requests == [raw.size] * 2
     assert np.array_equal(counts, np.bincount(cells, minlength=len(table.cells)))
     return cells
@@ -509,7 +512,7 @@ def test_sampler_at_the_draw_boundaries(scheme, monkeypatch):
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3, eta=0.85,
                             control_prob=0.3, attack_fraction=0.4)
     bounds = combined_bounds(config)
-    assert bounds.size == len(_RoundTable(config).cells) - 1
+    assert bounds.size == len(_round_table(config).cells) - 1
     ks = straddle(math.ceil(bound * 2**53) for bound in bounds.tolist())
     cells = assert_samples_draws(config, ks, monkeypatch)
     # every cell of the table is picked: the first below the first bound's
@@ -538,9 +541,9 @@ def test_bucket_table_invariants(scheme):
     first = np.arange(BUCKETS, dtype=np.int64) * BUCKET_WIDTH
     last_key = ProtocolConfig(rounds=1, seed=17, scheme=scheme, c0=LAST_KEY_C0, eta=1.0,
                               control_prob=0.0, attack_fraction=0.0)
-    assert _RoundTable(last_key).keys.tolist() == [5 * BUCKET_WIDTH - 1]
+    assert _round_table(last_key).keys.tolist() == [5 * BUCKET_WIDTH - 1]
     for config in reference_configs(scheme) + [last_key]:
-        table = _RoundTable(config)
+        table = _round_table(config)
         at_first = brute_force_cells(first, table)
         at_last = brute_force_cells(first + BUCKET_WIDTH - 1, table)
         assert table.bucket_cell.dtype == np.intp
@@ -563,7 +566,7 @@ def test_sampler_at_the_bucket_edges(scheme, kwargs, monkeypatch):
     """Draws one unit either side of the start and the end of every bucket
     that holds a table key and of a spread of other buckets."""
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, **kwargs)
-    table = _RoundTable(config)
+    table = _round_table(config)
     if kwargs["c0"] == 0.5:
         assert (table.keys % BUCKET_WIDTH == 0).any()
     holding = (table.keys // BUCKET_WIDTH).tolist()
@@ -581,7 +584,7 @@ def test_a_bound_rounded_to_one_ends_the_table(monkeypatch):
     tiny = 1.1125369292536007e-308
     config = ProtocolConfig(rounds=1, seed=0, scheme="none", c0=tiny, control_prob=tiny,
                             eta=tiny)
-    table = _RoundTable(config)
+    table = _round_table(config)
     assert table.keys.max() == 2**53
     past = int(np.searchsorted(table.keys, 2**53)) + 1
     assert past < len(table.cells)
@@ -595,20 +598,20 @@ def test_a_bound_rounded_to_one_ends_the_table(monkeypatch):
 COUNT_ROUNDS = (1, BLOCK_ROUNDS - 1, BLOCK_ROUNDS, BLOCK_ROUNDS + 1, 2 * BLOCK_ROUNDS + 37)
 
 
-def sampled_counts(table: _RoundTable, rounds: int) -> np.ndarray:
+def sampled_counts(table: _RoundTable, seed: int, rounds: int) -> np.ndarray:
     """Cell counts of a run, counted from the cell the sampler gives each round."""
-    cells = np.concatenate([cells for _, cells in table.blocks(rounds)])
+    cells = np.concatenate([cells for _, cells in table.blocks(seed, rounds)])
     return np.bincount(cells, minlength=len(table.cells))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_counting_per_bucket_equals_counting_the_sampled_cells(scheme):
     for config in reference_configs(scheme):
-        table = _RoundTable(config)
+        table = _round_table(config)
         for rounds in COUNT_ROUNDS:
-            counts = table.count(rounds)
+            counts = table.count(config.seed, rounds)
             assert counts.dtype == np.int64 and counts.sum() == rounds, (config, rounds)
-            assert np.array_equal(counts, sampled_counts(table, rounds)), (config, rounds)
+            assert np.array_equal(counts, sampled_counts(table, config.seed, rounds)), (config, rounds)
 
 
 def test_counting_cells_that_start_no_bucket():
@@ -617,12 +620,12 @@ def test_counting_cells_that_start_no_bucket():
     buckets are empty, and they count only the searched rounds."""
     config = ProtocolConfig(rounds=2 * BLOCK_ROUNDS + 37, seed=4, scheme="improved-symmetrized",
                             c0=1e-6, control_prob=0.0, attack_fraction=1.0)
-    table = _RoundTable(config)
+    table = _round_table(config)
     starting = set(table.bucket_cell.tolist())
     startless = [c for c in range(len(table.cells) - 1) if c not in starting]
     assert startless and table.straddles[0] and not table.straddles[1]
-    counts = table.count(config.rounds)
-    assert np.array_equal(counts, sampled_counts(table, config.rounds))
+    counts = table.count(config.seed, config.rounds)
+    assert np.array_equal(counts, sampled_counts(table, config.seed, config.rounds))
 
 
 def test_counting_requests_one_raw_block_per_block(monkeypatch):
@@ -633,10 +636,10 @@ def test_counting_requests_one_raw_block_per_block(monkeypatch):
     block = round_rng(9, 0).random_raw(BLOCK_ROUNDS)
     raw = np.concatenate([block, block, block[:37]])
     replayed = replay(raw, monkeypatch)
-    counts = _RoundTable(config).count(2 * BLOCK_ROUNDS + 37)
+    counts = _round_table(config).count(config.seed, 2 * BLOCK_ROUNDS + 37)
     assert replayed.starts == [0]
     assert replayed.requests == [BLOCK_ROUNDS, BLOCK_ROUNDS, 37]
-    size = len(_RoundTable(config).cells)
+    size = len(_round_table(config).cells)
     whole, head = (
         np.bincount(float_sample(config, ReplayedDraws(block), n), minlength=size)
         for n in (BLOCK_ROUNDS, 37)
@@ -651,14 +654,14 @@ def test_cells_past_a_key_of_2_53_count_zero(monkeypatch):
     tiny = 1.1125369292536007e-308
     config = ProtocolConfig(rounds=2 * BLOCK_ROUNDS + 37, seed=3, scheme="none", c0=tiny,
                             control_prob=tiny, eta=tiny)
-    table = _RoundTable(config)
+    table = _round_table(config)
     past = int(np.searchsorted(table.keys, 2**53)) + 1
-    counts = table.count(config.rounds)
+    counts = table.count(config.seed, config.rounds)
     assert counts[past:].tolist() == [0] * (len(table.cells) - past)
-    assert np.array_equal(counts, sampled_counts(table, config.rounds))
+    assert np.array_equal(counts, sampled_counts(table, config.seed, config.rounds))
     tops = np.arange(1, BUCKETS + 1, dtype=np.int64) * BUCKET_WIDTH - 1
     replay(outputs(tops), monkeypatch)
-    counts = table.count(tops.size)
+    counts = table.count(config.seed, tops.size)
     assert counts[past:].tolist() == [0] * (len(table.cells) - past)
     assert counts[past - 1] > 0 and counts.sum() == tops.size
 
@@ -1109,6 +1112,7 @@ def test_records_csv_at_the_window_edges(rounds):
     assert_csv_is_a_reference_prefix("improved-symmetrized", rounds, 10 * _INDEX_LOW + 1)
 
 
+@pytest.mark.usefixtures("fresh_tables")
 @pytest.mark.parametrize("text", [",control,\0\r\n", ",contr\u00f4le\r\n"])
 def test_records_csv_refuses_a_row_text_it_cannot_compact(monkeypatch, text):
     # The body drops every NUL byte of its byte grid, so a row text must be
@@ -1168,7 +1172,7 @@ def test_replay_round_reads_one_output(i, monkeypatch):
     replayed.raw[i] = np.uint64(2**64 - 1)
     record = replay_round(config, i)
     assert replayed.starts == [i] and replayed.requests == [1]
-    cells = _RoundTable(config).cells
+    cells = _round_table(config).cells
     assert cells[-1] != cells[0]
     assert record == RoundRecord(i, *cells[-1])
 
@@ -1219,11 +1223,11 @@ def test_readme_table_figures():
     assert len(counts) == 2
     for count, c0 in counts:
         config = ProtocolConfig(rounds=1, seed=0, c0=float(c0), scheme="improved-symmetrized")
-        assert _RoundTable(config).straddles.sum() == int(count), c0
+        assert _round_table(config).straddles.sum() == int(count), c0
     most = int(re.search(r"at most (\d+) distinct rows", text)[1])
     corners = (0.0, 0.3, 1.0)
     rows = [
-        len(set(_RoundTable(ProtocolConfig(1, 0, c0, control, eta, scheme, fraction)).cells))
+        len(set(_round_table(ProtocolConfig(1, 0, c0, control, eta, scheme, fraction)).cells))
         for scheme in SCHEMES
         for c0, control, eta in itertools.product(corners, repeat=3)
         for fraction in (*corners, "auto")
@@ -1234,9 +1238,134 @@ def test_readme_table_figures():
     # (the symmetrized attack, eta 0.8, c0 0.3, 2e4 rounds).
     window_mb = float(re.search(r"take about (\S+) MB at once", text)[1])
     config = ProtocolConfig(20000, 2026, 0.3, eta=0.8, scheme="improved-symmetrized")
-    table = _RoundTable(config)
+    table = _round_table(config)
     lead = max(_INDEX_DIGITS, len(str(config.rounds - 1)))
-    rows, cells = _row_table(table.cells, lead), sample(table, 0, _CSV_WINDOW_ROUNDS)
+    rows, cells = _row_table(table.texts, lead), sample(table, config.seed, 0, _CSV_WINDOW_ROUNDS)
     body = _window_body(0, 0, cells, rows, lead)
     grid = rows.take(cells, axis=0)
     assert round((2 * grid.nbytes + body.nbytes) / 1e6, 1) == window_mb
+
+
+# --- one table per distribution ------------------------------------------------
+
+
+def fresh_table(config: ProtocolConfig) -> _RoundTable:
+    """A table of the config's distribution built anew, past the cache."""
+    return _RoundTable(config.scheme, config.eta, config.c0, config.control_prob,
+                       config.resolved_attack_fraction())
+
+
+TABLE_ARRAYS = ("keys", "edges", "bucket_cell", "straddles", "counters", "texts")
+
+
+def table_bytes(table: _RoundTable) -> list:
+    """The table's cells, then each array's dtype, shape and bytes."""
+    arrays = [getattr(table, name) for name in TABLE_ARRAYS]
+    return [table.cells, *((a.dtype, a.shape, a.tobytes()) for a in arrays)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cached_table_equals_a_fresh_build(scheme):
+    """Every distribution's cached table, read on a first and a second call,
+    holds the cells, keys, bucket table, straddle mask, counter rows and
+    row texts of a table built anew for it."""
+    for c0, eta, control_prob, fraction in itertools.product(
+        (0.0, 0.3, 0.5, 1.0), (0.0, 0.5, 0.85, 1.0), (0.0, 0.3, 1.0), (0.0, 0.4, 1.0, "auto")
+    ):
+        config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=c0, eta=eta,
+                                control_prob=control_prob, attack_fraction=fraction)
+        expected = table_bytes(fresh_table(config))
+        assert table_bytes(_round_table(config)) == expected, config
+        assert table_bytes(_round_table(config)) == expected, config
+
+
+def test_table_rows_are_each_cells_own():
+    """The table's counter rows and row texts are those of its cells,
+    encoded one cell at a time."""
+    table = _round_table(ProtocolConfig(rounds=1, seed=0, scheme="improved-symmetrized",
+                                        c0=0.3, eta=0.8, control_prob=0.3))
+    assert table.counters.shape == (len(table.cells), protocol._ROW_SIZE)
+    for cell, counters, text in zip(table.cells, table.counters, table.texts):
+        assert counters.tobytes() == bytes(protocol._counter_row(cell))
+        assert text.tobytes().rstrip(b"\0").decode() == protocol._row_texts([cell])[0]
+
+
+@pytest.mark.usefixtures("fresh_tables")
+def test_every_run_of_a_distribution_reads_one_table():
+    """The first run of a distribution builds its table, with no CSV row
+    text; every later run of it, through any entry point and with any seed
+    or length, builds none."""
+    config = ProtocolConfig(rounds=BLOCK_ROUNDS + 5, seed=3, scheme="improved-symmetrized",
+                            c0=0.3, eta=0.8)
+    first = run_simulation(config)
+    assert protocol._tables.cache_info().misses == 1
+    assert "texts" not in vars(_round_table(config))
+    reseeded = dataclasses.replace(config, seed=4, rounds=70)
+    run_simulation(reseeded)
+    records = run_rounds(reseeded)
+    replay_round(config, BLOCK_ROUNDS)
+    written = write_records_csv(config, io.BytesIO(), {})
+    assert written.to_json_dict() == first.to_json_dict()
+    assert aggregate(records).to_json_dict() == run_simulation(reseeded).to_json_dict()
+    info = protocol._tables.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+@pytest.mark.usefixtures("fresh_tables")
+def test_the_benchmark_cycle_fits_the_table_cache():
+    """The 8 (scheme, eta) distributions of the mc-stats benchmark, run
+    twice in turn, build 8 tables: the cache's bound holds them all."""
+    assert protocol._tables.cache_info().maxsize == protocol._TABLES >= 8
+    for _ in range(2):
+        for scheme in SCHEMES:
+            for eta in (0.9, 0.8):
+                run_simulation(ProtocolConfig(rounds=10, seed=1, scheme=scheme, eta=eta))
+    assert protocol._tables.cache_info().misses == 8
+
+
+def test_table_arrays_are_read_only_and_runs_leave_them_as_they_are():
+    config = ProtocolConfig(rounds=BLOCK_ROUNDS + 5, seed=3, scheme="improved-symmetrized",
+                            c0=0.3, eta=0.8)
+    table = _round_table(config)
+    before = table_bytes(table)
+    assert isinstance(table.cells, tuple)
+    for name in TABLE_ARRAYS:
+        array = getattr(table, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[...] = array
+    table.count(config.seed, config.rounds)
+    table.cells_of(round_rng(5, 0).random_raw(4096))
+    write_records_csv(config, io.BytesIO(), {})
+    run_simulation(config)
+    replay_round(config, 7)
+    assert table_bytes(table) == before
+    assert _round_table(config) is table and table.texts is table.texts
+
+
+@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_equal_distributions_share_one_table(scheme):
+    """"auto" and the fraction it resolves to name one distribution, as do
+    a prior of -0.0 and of 0.0; the shared table is each one's own."""
+    auto = ProtocolConfig(rounds=1, seed=0, scheme=scheme, eta=0.8, c0=0.3)
+    resolved = dataclasses.replace(auto, attack_fraction=auto.resolved_attack_fraction())
+    assert _round_table(auto) is _round_table(resolved)
+    assert table_bytes(_round_table(auto)) == table_bytes(fresh_table(resolved))
+    zero = ProtocolConfig(rounds=1, seed=0, scheme=scheme, eta=0.8, c0=0.0)
+    negative = dataclasses.replace(zero, c0=-0.0)
+    assert _round_table(zero) is _round_table(negative)
+    assert table_bytes(_round_table(zero)) == table_bytes(fresh_table(negative))
+    assert protocol._tables.cache_info().currsize == 2
+
+
+@pytest.mark.usefixtures("fresh_tables")
+def test_equal_values_of_other_types_keep_their_own_tables():
+    """A float32 prior may equal a float one yet weigh the cells otherwise:
+    numpy 2 rounds 1 - 2**-30 to 1 in float32.  Each keeps its own table."""
+    config = ProtocolConfig(rounds=1, seed=0, scheme="none", c0=2.0**-30, eta=0.8)
+    single = dataclasses.replace(config, c0=np.float32(2.0**-30))
+    assert single.c0 == config.c0
+    for each in (config, single, config):
+        assert table_bytes(_round_table(each)) == table_bytes(fresh_table(each)), each
+    assert protocol._tables.cache_info().currsize == 2

@@ -31,6 +31,7 @@ from pingpong_eve.protocol import (  # noqa: E402
     ProtocolConfig,
     RoundRecord,
     _cell,
+    _counter_rows,
     _tally,
     aggregate,
     run_rounds,
@@ -235,8 +236,8 @@ def test_csv_body_matches_the_records(config):
     # distinct row without its index back once, weighted by its count.
     distinct = collections.Counter(line.partition(",")[2] for line in lines)
     tallied = _tally(
-        [parse_row(("0", *next(csv.reader([text]))))[1:] for text in distinct],
         list(distinct.values()),
+        _counter_rows([parse_row(("0", *next(csv.reader([text]))))[1:] for text in distinct]),
     )
     expected = run_simulation(config).to_json_dict()
     assert tallied.to_json_dict() == expected
