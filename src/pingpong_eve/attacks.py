@@ -51,18 +51,21 @@ Every leg takes the attack by name, the improved one by default.  A row
 with support outside the leg's span raises SubspaceLeakageError, which
 names every leaking ket of the stack.
 
-The symmetrization S = X_t Z_t N_ty X_t (rightmost first) is the engine's
-stacked gate kernels applied in that order (``symmetrization_amps``), and
-makes the attack's outcome statistics symmetric under swapping the
-message-bit value.
+The symmetrization S = X_t Z_t N_ty X_t (rightmost first) makes the
+attack's outcome statistics symmetric under swapping the message-bit value.
+Its gates, like the sender's phase encoding Z_t, only move and sign basis
+kets, so each is applied as one signed gather (``symmetrization_amps``),
+read at import from the engine's gate kernels by
+``engine.signed_permutation``: the values are the gates', and a zero's sign
+may differ from the one the gates leave.
 
 The message layer works on stacks as well.  ``message_amps`` runs a
 message round for both bits at once: one outbound call on the prepared
-pair, the sender's Z_t on the (2, 54) stack of the two encodings, one
-inbound call, and S on the stack when asked for; with no attack it is the
-plain channel's round.  ``message_outcome_stack`` tabulates every row of a
-stack in one ``engine.exact_probabilities`` call, so an outcome table is
-one pass over its two states.  ``message_state`` and
+pair, the (2, 54) stack of its two encodings, one inbound call, and S on
+the stack when asked for; with no attack it is the plain channel's round,
+whose Z_t is the engine's gate.  ``message_outcome_stack`` tabulates every
+row of a stack in one ``engine.exact_probabilities`` call, so an outcome
+table is one pass over its two states.  ``message_state`` and
 ``apply_symmetrization`` read these kernels for one ``PureState``.
 
 The control and message outcome tables are tabulated exactly from the
@@ -95,6 +98,7 @@ from .engine import (
     make_initial,
     polarization_gate_amps,
     router_maps,
+    signed_permutation,
 )
 
 F_KETS: tuple[BasisKet, ...] = (
@@ -238,13 +242,35 @@ def attack_ab(state: PureState, apply_s: bool = False, attack: str = "improved")
     return PureState(symmetrization_amps(restored) if apply_s else restored)
 
 
-def symmetrization_amps(amps: np.ndarray) -> np.ndarray:
-    """S = X_t Z_t N_ty X_t, applied rightmost first, on every row of a
-    (..., 54) amplitude stack."""
+def _symmetrization_gates(amps: np.ndarray) -> np.ndarray:
+    """S = X_t Z_t N_ty X_t, applied rightmost first as the engine's gate
+    kernels."""
     amps = polarization_gate_amps(amps, "t", PAULI_X)
     amps = cnot_amps(amps, "t", "y")
     amps = polarization_gate_amps(amps, "t", PAULI_Z)
     return polarization_gate_amps(amps, "t", PAULI_X)
+
+
+def _phase_gate(amps: np.ndarray) -> np.ndarray:
+    """The sender's phase encoding Z_t as the engine's gate kernel."""
+    return polarization_gate_amps(amps, "t", PAULI_Z)
+
+
+# S and Z_t move and sign basis kets, so each is a signed gather, read once
+# from the gate kernels above.
+_S = signed_permutation(_symmetrization_gates)
+_Z_T = signed_permutation(_phase_gate)
+
+
+def _signed(amps: np.ndarray, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    source, sign = gather
+    return np.take(amps, source, axis=-1) * sign
+
+
+def symmetrization_amps(amps: np.ndarray) -> np.ndarray:
+    """S = X_t Z_t N_ty X_t on every row of a (..., 54) amplitude stack, as
+    one signed gather with the values of its gates applied rightmost first."""
+    return _signed(amps, _S)
 
 
 def apply_symmetrization(state: PureState) -> PureState:
@@ -262,9 +288,13 @@ def message_amps(apply_s: bool = False, attack: str | None = "improved") -> np.n
     stack, then the inbound leg (with optional symmetrization).
     """
     pair = make_initial().amps
-    outbound = pair if attack is None else outbound_amps(pair, attack)
-    encoded = np.array([outbound, polarization_gate_amps(outbound, "t", PAULI_Z)])
-    returned = encoded if attack is None else inbound_amps(encoded, attack)
+    if attack is None:
+        # Built once, at import, and pinned to the Z_t kernel's bits, the
+        # sign of each zero included.
+        returned = np.array([pair, _phase_gate(pair)])
+    else:
+        outbound = outbound_amps(pair, attack)
+        returned = inbound_amps(np.array([outbound, _signed(outbound, _Z_T)]), attack)
     return symmetrization_amps(returned) if apply_s else returned
 
 

@@ -33,7 +33,9 @@ States are immutable.  Every operation is a pure function returning a new
 basis are array kernels on amplitude stacks of shape (..., 54)
 (``polarization_gate_amps``, ``cnot_amps``, ``bell_amps``), which give each
 row what a lone state gets; ``apply_polarization_gate``, ``apply_cnot`` and
-``bell_amplitudes`` wrap them for one ``PureState``.
+``bell_amplitudes`` wrap them for one ``PureState``.  ``signed_permutation``
+reads a word of gates that only moves and signs basis kets as one gather and
+one multiply.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import dataclasses
 import math
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -236,7 +238,9 @@ def require_normalized(amps: np.ndarray) -> None:
     PureState keeps its own single-vector check, which costs a fifth of this
     one per state.
     """
-    norm_sq = np.einsum("...d,...d->...", amps.conj(), amps).real
+    # Summed squares, not np.einsum, which parses its subscripts on every call.
+    real, imag = amps.real, amps.imag
+    norm_sq = (real * real + imag * imag).sum(axis=-1)
     bad = ~(np.abs(norm_sq - 1.0) <= _NORM_TOL)
     if bad.any():
         raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq[bad].flat[0]!r}")
@@ -387,6 +391,36 @@ def cnot_amps(amps: np.ndarray, control: str, target: str) -> np.ndarray:
 def apply_cnot(state: PureState, control: str, target: str) -> PureState:
     """``cnot_amps`` on one state."""
     return PureState(cnot_amps(state.amps, control, target))
+
+
+def signed_permutation(
+    kernel: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (source, sign) of an amplitude-stack kernel that takes every
+    basis ket to one basis ket times +1 or -1, read from its images of the
+    54 basis kets: ``amps.take(source, axis=-1) * sign`` is then the
+    kernel's action on every row of a finite (..., 54) stack, one gather and
+    one multiply in place of its gates.  The values are the kernel's; a
+    zero's sign is the multiply's, which may differ from the one the
+    kernel's gates leave.  Any other kernel is a ValueError."""
+    images = np.asarray(kernel(np.eye(DIM, dtype=complex)))
+    if images.shape != (DIM, DIM):
+        raise ValueError(f"kernel images must have shape ({DIM}, {DIM}), got {images.shape}")
+    source = np.abs(images).argmax(axis=0)
+    sign = images[source, _INDICES]
+    signed = np.zeros((DIM, DIM), dtype=complex)
+    signed[source, _INDICES] = sign
+    # Checked without np.unique or np.isin, whose first calls cost a process
+    # about 2 MB of memory.
+    if not (
+        ((sign == 1.0) | (sign == -1.0)).all()
+        and np.array_equal(images, signed)
+        and (np.bincount(source, minlength=DIM) == 1).all()
+    ):
+        raise ValueError("kernel does not take every basis ket to one basis ket times +1 or -1")
+    source.setflags(write=False)
+    sign.setflags(write=False)
+    return source, sign
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,12 @@ printed in the source material of this model and audited against the
 brute-force values from the joint distributions; one pair of printed
 formulas is known to disagree with brute force, and ``closed_form`` reports
 that through its discrepancy flag instead of silently correcting it.
+
+The security curve over the transmission efficiency, ``info_vs_eta``, is
+one array pass over its grid whose points equal the scalar
+``max_attack_fraction`` formula's bit for bit.  ``security_report`` is built
+once per attack profile in a process and shared; ``verify`` never reads it
+and recomputes its bounds and curve on every call.
 """
 
 from __future__ import annotations
@@ -217,11 +223,20 @@ def _gains(mu, i_ae: float, i_ab: float, i_be: float):
 
 
 def info_vs_eta(profile: AttackProfile, etas: Iterable[float]) -> list[CurvePoint]:
-    """Evaluate the information curves on a grid of transmission efficiencies."""
+    """Evaluate the information curves on a grid of transmission efficiencies,
+    in one array pass over the etas as floats: each point's attack fraction
+    is ``max_attack_fraction`` of its float eta, bit for bit, and a grid that
+    it refuses is refused with its error at the first point it refuses."""
     etas = list(etas)
-    mu = np.array([max_attack_fraction(eta, profile.loss) for eta in etas], dtype=float)
+    grid = np.array(etas, dtype=float)
+    refused = ~((0.0 <= grid) & (grid <= 1.0))
+    if etas and (profile.loss <= 0.0 or refused.any()):
+        # A loss that is not positive is refused at the first point, after its eta.
+        max_attack_fraction(etas[0 if profile.loss <= 0.0 else refused.argmax()], profile.loss)
+    # fmin, as Python's min, keeps the 1.0 where the other value is nan.
+    mu = np.fmin(1.0, (1.0 - grid) / profile.loss)
     gains = _gains(mu, profile.i_ae, profile.i_ab, profile.i_be)
-    columns = ([float(eta) for eta in etas], mu.tolist(), *[gain.tolist() for gain in gains])
+    columns = (grid.tolist(), mu.tolist(), *[gain.tolist() for gain in gains])
     return list(map(CurvePoint._make, zip(*columns)))
 
 
@@ -290,8 +305,17 @@ def default_eta_grid() -> list[float]:
     return [i / 100 for i in range(101)]
 
 
+# Profiles whose reports a process keeps, the least recently used dropped
+# first: both attacks' profiles and two others.
+_REPORTS = 4
+
+
+@lru_cache(maxsize=_REPORTS)
 def security_report(profile: AttackProfile) -> SecurityReport:
-    """Security summary of one scheme on the default transmission-efficiency grid."""
+    """Security summary of one scheme on the default transmission-efficiency
+    grid, built once per profile while it is among the process's last
+    _REPORTS profiles: the report is immutable, so every caller can share
+    it."""
     eta_star = insecurity_bound(profile)
     mu_star, eta_star_closed = crossing_closed_form(profile)
     if abs(eta_star - eta_star_closed) > 1e-8:

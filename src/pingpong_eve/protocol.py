@@ -144,6 +144,9 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            # A numpy scalar would carry its own precision into the run's
+            # table: in float32, 1 - 2**-30 rounds to 1.
+            object.__setattr__(self, name, float(value))
 
     @property
     def attack_loss(self) -> float | None:
@@ -398,7 +401,8 @@ class _RoundTable:
 # cycles.  A table takes about 40 KB, most of it the bucket table.
 _TABLES = 16
 # The table of each distribution, keyed on the type and value of each of
-# (scheme, eta, c0, control_prob, resolved attack fraction).
+# (scheme, eta, c0, control_prob, resolved attack fraction).  A config holds
+# each number as a Python float, so only a direct call can pass another type.
 _tables = functools.lru_cache(maxsize=_TABLES, typed=True)(_RoundTable)
 
 

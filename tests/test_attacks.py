@@ -28,6 +28,7 @@ from pingpong_eve.attacks import (
     message_outcome_stack,
     message_state,
     outbound_amps,
+    symmetrization_amps,
     wojcik_profile,
 )
 from pingpong_eve.engine import (
@@ -40,9 +41,11 @@ from pingpong_eve.engine import (
     apply_polarization_gate,
     bell_probabilities,
     carry,
+    cnot_amps,
     ket,
     make_initial,
     mode_marginal,
+    polarization_gate_amps,
 )
 from pingpong_eve.information import (
     conditionals,
@@ -309,6 +312,61 @@ def test_symmetrization_is_an_involution():
         state = PureState(amps / np.linalg.norm(amps))
         twice = apply_symmetrization(apply_symmetrization(state))
         assert twice.allclose(state, atol=1e-12)
+
+
+def gate_by_gate_s(amps: np.ndarray) -> np.ndarray:
+    """S = X_t Z_t N_ty X_t as the engine's gate kernels, rightmost first."""
+    amps = polarization_gate_amps(amps, "t", PAULI_X)
+    amps = cnot_amps(amps, "t", "y")
+    amps = polarization_gate_amps(amps, "t", PAULI_Z)
+    return polarization_gate_amps(amps, "t", PAULI_X)
+
+
+def gate_by_gate_z(amps: np.ndarray) -> np.ndarray:
+    return polarization_gate_amps(amps, "t", PAULI_Z)
+
+
+def signed_z(amps: np.ndarray) -> np.ndarray:
+    return attacks._signed(amps, attacks._Z_T)
+
+
+SIGNED_GATHERS = [(symmetrization_amps, gate_by_gate_s), (signed_z, gate_by_gate_z)]
+
+
+@pytest.mark.parametrize("gather, gates", SIGNED_GATHERS, ids=["S", "Z_t"])
+def test_signed_gather_equals_its_gates(gather, gates):
+    """S and Z_t as signed gathers take the values of their gate words on
+    every basis ket, on random stacks of any shape, and on both attacks'
+    message stacks; only the sign of a zero may differ."""
+    basis = np.eye(DIM, dtype=complex)
+    assert np.array_equal(gather(basis), gates(basis))
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(0, 3))) + (DIM,)
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps[rng.random(shape) < 0.3] = 0.0
+        amps[rng.random(shape) < 0.1] = -0.0
+        out = gather(amps)
+        assert out.shape == shape and out.dtype == complex
+        assert np.array_equal(out, gates(amps))
+    for attack in ATTACKS:
+        outbound = outbound_amps(make_initial().amps, attack)
+        for stack in (outbound, message_amps(False, attack), message_amps(True, attack)):
+            assert np.array_equal(gather(stack), gates(stack))
+
+
+def test_message_stacks_read_the_signed_gathers(monkeypatch):
+    """The attacked message round applies Z_t and S through their gathers."""
+    for attack in ATTACKS:
+        returned, symmetrized = message_amps(False, attack), message_amps(True, attack)
+        source, sign = attacks._S
+        monkeypatch.setattr(attacks, "_S", (source, -sign))
+        assert np.array_equal(message_amps(True, attack), -symmetrized)
+        monkeypatch.undo()
+        # With Z_t the identity, bit 1 is sent as bit 0.
+        monkeypatch.setattr(attacks, "_Z_T", (np.arange(DIM), np.ones(DIM, dtype=complex)))
+        assert np.array_equal(message_amps(False, attack), returned[[0, 0]])
+        monkeypatch.undo()
 
 
 # --- full message leg -----------------------------------------------------------

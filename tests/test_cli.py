@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pingpong_eve import cli, protocol, verify
+from pingpong_eve import cli, information, protocol, verify
 from pingpong_eve.attacks import F_KETS, attack_ab, attack_ba
 from pingpong_eve.engine import PureState
 from pingpong_eve.cli import main
@@ -70,6 +70,19 @@ GOLDEN_VERIFY = "4a3f9ebf8b3337a3c56329ca98db8eb76137b6a6eeecc69940c23a1506aa34f
 def test_verify_golden_bytes(capsys):
     assert run_main(["verify"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_VERIFY
+
+
+def test_verify_never_reads_the_report_cache(monkeypatch, capsys):
+    """verify recomputes its bounds and curve on every call: it passes with
+    no security report to read."""
+
+    def no_report(profile):
+        raise AssertionError("verify must not read a cached security report")
+
+    monkeypatch.setattr(cli, "security_report", no_report)
+    monkeypatch.setattr(information, "security_report", no_report)
+    assert run_main(["verify"]) == 0
+    assert "32/32 checks passed" in capsys.readouterr().out
 
 
 def test_round_trip_stack_equals_the_per_state_loop(monkeypatch):

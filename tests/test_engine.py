@@ -38,6 +38,7 @@ from pingpong_eve.engine import (
     require_normalized,
     router_maps,
     sample_from,
+    signed_permutation,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -162,6 +163,46 @@ def test_stack_norm_check_refuses_what_pure_state_refuses():
             PureState(rows[1])
         with pytest.raises(ValueError, match="not normalized"):
             require_normalized(rows)
+
+
+def test_stack_norm_check_reads_each_rows_squares():
+    rows = np.zeros((2, 3, DIM), dtype=complex)
+    rows[..., 0] = 0.6
+    rows[..., 1] = 0.8j
+    require_normalized(rows)
+    require_normalized(rows[0, 0].real + 0.8 * (np.arange(DIM) == 1))
+    rows[1, 2, 1] = 0.8
+    require_normalized(rows)
+    rows[1, 2, 2] = 1e-3
+    with pytest.raises(ValueError, match=r"not normalized: .*1\.000001"):
+        require_normalized(rows)
+
+
+def test_signed_permutation_reads_a_kernel_that_moves_and_signs_kets():
+    source, sign = signed_permutation(lambda amps: -cnot_amps(amps, "t", "y"))
+    assert np.array_equal(source, controlled_flip_permutation("t", "y", Occupation.POL1))
+    assert np.array_equal(sign, -np.ones(DIM))
+    assert not source.flags.writeable and not sign.flags.writeable
+    source, sign = signed_permutation(lambda amps: polarization_gate_amps(amps, "h", PAULI_Z))
+    assert np.array_equal(source, np.arange(DIM))
+    assert np.array_equal(sign, np.where(np.arange(DIM) < 27, 1, -1))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda amps: polarization_gate_amps(amps, "t", HADAMARD),
+        lambda amps: polarization_gate_amps(amps, "x", np.diag([1.0, 1j])),
+        lambda amps: 2.0 * amps,
+        lambda amps: np.where(np.arange(DIM) == 5, 0.0, amps),
+        lambda amps: np.take(amps, np.arange(DIM) // 2 * 2, axis=-1),
+        lambda amps: amps[..., :-1],
+    ],
+    ids=["hadamard", "phase-i", "scaled", "projection", "merge", "shape"],
+)
+def test_signed_permutation_refuses_any_other_kernel(kernel):
+    with pytest.raises(ValueError, match="kernel"):
+        signed_permutation(kernel)
 
 
 def test_states_are_immutable():

@@ -13,6 +13,7 @@ Anchor values are frozen from independent hand evaluation:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
@@ -539,6 +540,14 @@ def test_curve_points_equal_the_scalar_formula():
     assert info_vs_eta(improved_profile(), []) == []
 
 
+def test_curve_points_with_an_unordered_loss_equal_the_scalar_formula():
+    """A nan loss passes the scalar formula's check, whose min keeps the 1.0."""
+    profile = dataclasses.replace(improved_profile(), loss=math.nan)
+    points = info_vs_eta(profile, [0.0, 0.5, 1.0])
+    assert [point.mu for point in points] == [max_attack_fraction(eta, math.nan)
+                                              for eta in (0.0, 0.5, 1.0)] == [1.0] * 3
+
+
 def test_curve_refuses_what_max_attack_fraction_refuses():
     profile = improved_profile()
     for bad in (-0.01, 1.01, math.nan, -math.inf):
@@ -598,3 +607,41 @@ def test_security_report_contents():
     payload = report.to_json_dict()
     assert set(payload) == {"scheme", "full_attack_edge", "eta_star", "mu_star"}
     assert report.eta_star >= report.full_attack_edge
+
+
+@pytest.fixture
+def fresh_reports():
+    """Drop the process's security reports before and after the test."""
+    security_report.cache_clear()
+    yield
+    security_report.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_reports")
+def test_each_profile_builds_one_report():
+    """A profile's report is built once and shared, by equal profiles too,
+    and equals one built anew."""
+    for profile in (improved_profile(), wojcik_profile()):
+        report = security_report(profile)
+        assert security_report(profile) is report
+        assert security_report(dataclasses.replace(profile)) is report
+        assert report == security_report.__wrapped__(profile)
+    info = security_report.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+@pytest.mark.usefixtures("fresh_reports")
+def test_the_report_cache_holds_at_most_its_bound():
+    assert security_report.cache_info().maxsize == information._REPORTS >= len(ATTACKS)
+    profiles = [
+        AttackProfile(f"synthetic-{i}", 0.25, 1.0, 0.1 * i, 0.0)
+        for i in range(information._REPORTS + 3)
+    ]
+    for profile in profiles:
+        security_report(profile)
+        assert security_report.cache_info().currsize <= information._REPORTS
+    assert security_report.cache_info().currsize == information._REPORTS
+    # The least recently used profile was dropped: its report is built anew.
+    misses = security_report.cache_info().misses
+    security_report(profiles[0])
+    assert security_report.cache_info().misses == misses + 1

@@ -1360,12 +1360,25 @@ def test_equal_distributions_share_one_table(scheme):
 
 
 @pytest.mark.usefixtures("fresh_tables")
-def test_equal_values_of_other_types_keep_their_own_tables():
-    """A float32 prior may equal a float one yet weigh the cells otherwise:
-    numpy 2 rounds 1 - 2**-30 to 1 in float32.  Each keeps its own table."""
+def test_numpy_scalars_run_the_distribution_of_their_value():
+    """A config holds each probability as a Python float, so a numpy scalar
+    weighs the cells as the float of its value does: a float32 prior of
+    2**-30, whose 1 - c0 numpy 2 rounds to 1 in float32, shares the float
+    prior's table, and both equal a fresh build."""
     config = ProtocolConfig(rounds=1, seed=0, scheme="none", c0=2.0**-30, eta=0.8)
     single = dataclasses.replace(config, c0=np.float32(2.0**-30))
-    assert single.c0 == config.c0
+    assert table_bytes(fresh_table(single)) == table_bytes(fresh_table(config))
     for each in (config, single, config):
-        assert table_bytes(_round_table(each)) == table_bytes(fresh_table(each)), each
-    assert protocol._tables.cache_info().currsize == 2
+        assert table_bytes(_round_table(each)) == table_bytes(fresh_table(config)), each
+    assert _round_table(single) is _round_table(config)
+    assert protocol._tables.cache_info().currsize == 1
+    numpy_config = ProtocolConfig(
+        rounds=1, seed=0, c0=np.float32(0.25), control_prob=np.float16(0.5),
+        eta=np.float64(0.8), attack_fraction=np.float32(0.4),
+    )
+    integer_config = ProtocolConfig(rounds=1, seed=0, c0=0, control_prob=1, eta=1, attack_fraction=1)
+    for each in (numpy_config, integer_config):
+        values = (each.c0, each.control_prob, each.eta, each.attack_fraction)
+        assert all(type(value) is float for value in values), each
+    assert numpy_config.attack_fraction == float(np.float32(0.4))
+    assert ProtocolConfig(rounds=1, seed=0).attack_fraction == "auto"
