@@ -22,7 +22,7 @@ from typing import Iterator
 
 from . import __version__
 from .attacks import ATTACKS, attack_profile
-from .conventions import CSV_HEADER, report_rows, solve, summarize
+from .conventions import census
 from .information import CurvePoint, SecurityReport, security_report
 from .protocol import (
     RNG_STREAM,
@@ -353,21 +353,19 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _outputs(parser, args.out) as (out,):
-        reports = solve()
-        rows = [CSV_HEADER] + report_rows(reports)
-        counts = summarize(reports)
+        counts, csv = census()
         metadata = {"version": __version__, "command": "solve-conventions"}
         if out:
-            out.write(("\n".join(metadata_lines(metadata) + rows) + "\n").encode())
+            out.write(("\n".join([*metadata_lines(metadata), csv]) + "\n").encode())
             for line in metadata_lines(metadata):
                 print(line)
             print(
-                f"candidates={len(reports)} matches={counts['match']}"
+                f"candidates={sum(counts.values())} matches={counts['match']}"
                 f" mismatches={counts['mismatch']}"
                 f" invalid={counts['invalid-double-occupancy']}"
             )
         else:
-            print("\n".join(rows))
+            print(csv)
     return 0
 
 

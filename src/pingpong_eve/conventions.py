@@ -35,6 +35,11 @@ completes is scored on those terms and the references' support alone,
 never as a dense image.  compose_candidate is an independent
 single-candidate replay of the same circuit, term by term in Python, and
 the tests hold solve() equal to it on every candidate.
+
+The census takes no input, so census() composes it once per process for
+the solve-conventions command and keeps its counts and CSV text; every
+solve() call composes it afresh, and verify, which calls solve() twice on
+each run, never reads census().
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ import dataclasses
 import itertools
 import operator
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -290,25 +296,32 @@ CSV_HEADER = (
 )
 
 
-@lru_cache(maxsize=None)
-def _row_prefixes() -> tuple[str, ...]:
-    """The id and six convention fields of each candidate's CSV row,
-    comma-terminated, indexed by candidate id."""
-    return tuple(
-        f"{candidate_id},{perm_label(conv.sigma0)},{perm_label(conv.sigma1)},"
-        f"{str(conv.flip0).lower()},{str(conv.flip1).lower()},"
-        f"{conv.control_position},{conv.active_on},"
-        for candidate_id, conv in enumerate(enumerate_conventions())
-    )
-
-
 def report_rows(reports: Iterable[CandidateReport]) -> list[str]:
-    """CSV rows (without header) in enumeration order, deterministic; each
-    row's convention fields are those of its candidate_id, as in solve()."""
-    prefixes = _row_prefixes()
+    """CSV rows (without header) in the reports' order, deterministic; an
+    invalid candidate's deviation field is empty."""
+    labels = {perm: perm_label(perm) for perm in PERMUTATIONS}
+    flags = {False: "false", True: "true"}
     return [
-        f"{prefixes[candidate_id]}{status},"
-        if deviation is None
-        else f"{prefixes[candidate_id]}{status},{deviation:.12e}"
-        for candidate_id, _, status, deviation, _ in reports
+        f"{candidate_id},{labels[conv.sigma0]},{labels[conv.sigma1]},"
+        f"{flags[conv.flip0]},{flags[conv.flip1]},"
+        f"{conv.control_position},{conv.active_on},{status},"
+        + ("" if deviation is None else f"{deviation:.12e}")
+        for candidate_id, conv, status, deviation, _ in reports
     ]
+
+
+class Census(NamedTuple):
+    """The census as solve-conventions prints it: read-only counts by
+    status, and the CSV text, header and one row per candidate."""
+
+    counts: Mapping[str, int]
+    csv: str
+
+
+@lru_cache(maxsize=None)
+def census() -> Census:
+    """The census of solve(), composed and rendered once per process: it
+    takes no input, so every call shares the same immutable values."""
+    reports = solve()
+    csv = "\n".join([CSV_HEADER, *report_rows(reports)])
+    return Census(MappingProxyType(summarize(reports)), csv)

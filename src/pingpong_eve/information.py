@@ -196,12 +196,13 @@ def closed_form(formula: str, c0: float) -> tuple[float, bool, float]:
 
 def max_attack_fraction(eta: float, loss: float) -> float:
     """Largest fraction of rounds attackable without raising the observed
-    loss rate above the channel's own 1 - eta: min(1, (1 - eta)/loss)."""
+    loss rate above the channel's own 1 - eta: min(1, (1 - eta)/loss), a
+    float computed on eta and loss as floats, whatever their types."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission efficiency must be in [0, 1], got {eta!r}")
     if loss <= 0.0:
         raise ValueError(f"attack loss must be positive, got {loss!r}")
-    return min(1.0, (1.0 - eta) / loss)
+    return min(1.0, (1.0 - float(eta)) / float(loss))
 
 
 class CurvePoint(NamedTuple):

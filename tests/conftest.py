@@ -2,7 +2,7 @@
 
 import pytest
 
-from pingpong_eve import protocol
+from pingpong_eve import conventions, protocol
 
 
 @pytest.fixture
@@ -14,3 +14,14 @@ def fresh_tables():
     protocol._tables.cache_clear()
     yield
     protocol._tables.cache_clear()
+
+
+@pytest.fixture
+def fresh_census():
+    """Drop the process's census memo before and after the test, as
+    fresh_tables drops the run tables: a test that patches what the census
+    is composed from (``conventions.solve``, ``attacks._IMAGES``) reads no
+    census composed before its patch, and leaves none composed during it."""
+    conventions.census.cache_clear()
+    yield
+    conventions.census.cache_clear()

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pingpong_eve import cli, information, protocol, verify
+from pingpong_eve import cli, conventions, information, protocol, verify
 from pingpong_eve.attacks import F_KETS, attack_ab, attack_ba
 from pingpong_eve.engine import PureState
 from pingpong_eve.cli import main
@@ -83,6 +83,37 @@ def test_verify_never_reads_the_report_cache(monkeypatch, capsys):
     monkeypatch.setattr(information, "security_report", no_report)
     assert run_main(["verify"]) == 0
     assert "32/32 checks passed" in capsys.readouterr().out
+
+
+def test_verify_never_reads_the_census_memo(monkeypatch, capsys):
+    """verify composes its census afresh: it passes with every name of the
+    memo, in every module of the package, raising."""
+
+    def no_census():
+        raise AssertionError("verify must not read the census memo")
+
+    memo = conventions.census
+    package = [module for key, module in sys.modules.items() if key.startswith("pingpong_eve")]
+    for module in package:
+        for name in [name for name, value in vars(module).items() if value is memo]:
+            monkeypatch.setattr(module, name, no_census)
+    assert run_main(["verify"]) == 0
+    assert "32/32 checks passed" in capsys.readouterr().out
+
+
+def test_verify_solves_twice_while_the_census_memo_is_warm(monkeypatch, capsys):
+    conventions.census()
+    calls = []
+    for module in (verify, conventions):
+        def counted(original=module.solve):
+            calls.append(None)
+            return original()
+
+        monkeypatch.setattr(module, "solve", counted)
+    for runs in (1, 2):
+        assert run_main(["verify"]) == 0
+        assert len(calls) == 2 * runs
+    capsys.readouterr()
 
 
 def test_round_trip_stack_equals_the_per_state_loop(monkeypatch):
@@ -412,7 +443,7 @@ def test_simulate_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys
     ],
 )
 def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
-    for name in ("run_simulation", "write_records_csv", "security_report", "solve"):
+    for name in ("run_simulation", "write_records_csv", "security_report", "census"):
         monkeypatch.setattr(cli, name, refuse_work)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
@@ -737,8 +768,31 @@ def test_solver_golden_bytes(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SOLVER
 
 
+@pytest.mark.usefixtures("fresh_census")
+def test_solver_composes_the_census_once_per_process(tmp_path, monkeypatch, capsys):
+    """Repeated solve-conventions calls, to a file and to stdout, compose the
+    census with one solve() and print the same bytes every time."""
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return solve()
+
+    monkeypatch.setattr(conventions, "solve", counted)
+    outputs = []
+    for rep in range(3):
+        path = tmp_path / f"census-{rep}.csv"
+        assert run_main(["solve-conventions", "--out", str(path)]) == 0
+        summary = capsys.readouterr().out
+        assert run_main(["solve-conventions"]) == 0
+        outputs.append((path.read_bytes(), summary, capsys.readouterr().out))
+    assert len(calls) == 1
+    assert outputs[1:] == outputs[:1] * 2
+    assert hashlib.sha256(outputs[0][2].encode()).hexdigest() == GOLDEN_SOLVER
+
+
 def test_solver_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "solve", refuse_work)
+    monkeypatch.setattr(cli, "census", refuse_work)
     missing = tmp_path / "no-such-dir" / "census.csv"
     assert_unwritable_is_usage_error(["solve-conventions", "--out", str(missing)], capsys, missing)
 
@@ -954,7 +1008,7 @@ def test_failed_analyze_empties_its_outputs(tmp_path, monkeypatch, capsys, error
 
 @FAILURES
 def test_failed_solver_empties_its_census(tmp_path, monkeypatch, capsys, error):
-    monkeypatch.setattr(cli, "solve", failing(error))
+    monkeypatch.setattr(cli, "census", failing(error))
     census = tmp_path / "census.csv"
     write_stale(LONGER, census)
     with pytest.raises(error):

@@ -292,6 +292,34 @@ def test_solve_returns_fresh_reports():
     assert all(a is not b for a, b in zip(first, second))
 
 
+@pytest.mark.usefixtures("fresh_census")
+def test_census_memo_is_the_rendered_solve():
+    memo = conventions.census()
+    reports = solve()
+    assert memo.counts == summarize(reports)
+    assert memo.csv == "\n".join([CSV_HEADER, *report_rows(reports)])
+    assert conventions.census() is memo
+
+
+def test_census_memo_is_read_only():
+    memo = conventions.census()
+    assert isinstance(memo, tuple)
+    assert type(memo.csv) is str
+    with pytest.raises(TypeError):
+        memo.counts[STATUS_MATCH] = 1
+    with pytest.raises(TypeError):
+        del memo.counts[STATUS_INVALID]
+    with pytest.raises(AttributeError):
+        memo.csv = ""
+    assert conventions.census().counts == summarize(solve())
+
+
+def test_fresh_census_drops_the_memo(request):
+    conventions.census()
+    request.getfixturevalue("fresh_census")
+    assert conventions.census.cache_info().currsize == 0
+
+
 def test_solve_is_deterministic():
     rows_a = report_rows(solve())
     rows_b = report_rows(solve())
@@ -325,7 +353,7 @@ def test_invalid_reports_replay_to_collisions():
     }
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_tables", "fresh_census")
 def test_matches_reproduce_pinned_attack(monkeypatch):
     # any match must be a drop-in replacement for the truth-table images:
     # same outbound state up to global phase, same loss and anticorrelation,

@@ -528,7 +528,7 @@ def test_curve_points_equal_the_scalar_formula():
     for profile in (improved_profile(), wojcik_profile()):
         edge = 1.0 - profile.loss
         etas = default_eta_grid() + [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
-                                     np.float64(0.3), 1, 0]
+                                     np.float64(0.3), np.float32(0.8), 1, 0]
         points = info_vs_eta(profile, iter(etas))
         assert len(points) == len(etas)
         for eta, point in zip(etas, points):

@@ -157,6 +157,22 @@ def test_max_attack_fraction_errors():
         max_attack_fraction(1.5, 0.25)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_attack_fraction_is_a_float_of_float_inputs(dtype):
+    """numpy scalars are read as floats: the fraction is a Python float,
+    the formula on float(eta) and float(loss), whatever the inputs' types."""
+    for eta, loss in ((0.8, 0.25), (0.9, 0.5), (0.3, 0.5), (1.0, 0.25)):
+        for args in ((dtype(eta), loss), (eta, dtype(loss)), (dtype(eta), dtype(loss))):
+            mu = max_attack_fraction(*args)
+            assert type(mu) is float
+            assert mu == min(1.0, (1.0 - float(args[0])) / float(args[1])), args
+    # refused as before, each error naming the value as given
+    with pytest.raises(ValueError, match=re.escape(f"must be in [0, 1], got {dtype(1.5)!r}") + "$"):
+        max_attack_fraction(dtype(1.5), 0.25)
+    with pytest.raises(ValueError, match=re.escape(f"must be positive, got {dtype(-0.25)!r}") + "$"):
+        max_attack_fraction(0.5, dtype(-0.25))
+
+
 # --- configuration ---------------------------------------------------------------
 
 
