@@ -64,9 +64,11 @@ message round for both bits at once: one outbound call on the prepared
 pair, the (2, 54) stack of its two encodings, one inbound call, and S on
 the stack when asked for; with no attack it is the plain channel's round,
 whose Z_t is the engine's gate.  ``message_outcome_stack`` tabulates every
-row of a stack in one ``engine.exact_probabilities`` call, so an outcome
-table is one pass over its two states.  ``message_state`` and
-``apply_symmetrization`` read these kernels for one ``PureState``.
+row of a stack in one ``engine.exact_probabilities`` call, so
+``exact_outcome_tables`` tabulates both of an attack's variants in one
+pass: its two returned states and their S images, one (2, 2, 54) stack.
+``message_state`` and ``apply_symmetrization`` read these kernels for one
+``PureState``.
 
 The control and message outcome tables are tabulated exactly from the
 branch states, and each attack's profile from its own: its loss from its
@@ -335,22 +337,30 @@ def control_outcomes(attack: str | None) -> tuple[float, ...]:
     return tuple(exact_probabilities(state.amps, _CONTROL_LABEL, 6).tolist())
 
 
-def exact_outcome_table(apply_s: bool, attack: str = "improved") -> np.ndarray:
-    """Exact conditional table P(k, m | j) from the named attack's states.
+def exact_outcome_tables(attack: str = "improved") -> np.ndarray:
+    """Exact conditional tables P(k, m | j) of both variants from the named
+    attack's states, shape (2, 2, 2, 2) indexed by (s, j, k, m): s = 1 with
+    the symmetrization, k is Eve's register bit (y polarization) and m the
+    receiver's two-particle outcome mapped psi_plus -> 0, psi_minus -> 1.
 
-    Returned array has shape (2, 2, 2) indexed by (j, k, m) where k is
-    Eve's register bit (y polarization) and m the receiver's two-particle
-    outcome mapped psi_plus -> 0, psi_minus -> 1.  All other outcomes (empty
-    register, phi-type or no-photon results) carry zero probability for
-    these states; this is verified, not assumed.  Both rows are tabulated
-    as one stack from ``message_amps``.
+    All other outcomes (empty register, phi-type or no-photon results)
+    carry zero probability for these states; this is verified, not assumed.
+    The returned rows of one ``message_amps`` call and their S images are
+    tabulated as one (2, 2, 54) stack in one ``message_outcome_stack`` call.
     """
-    outcomes = message_outcome_stack(message_amps(apply_s, attack))
-    table = outcomes[:, 1:, :2].copy()
-    outcomes[:, 1:, :2] = 0.0
+    returned = message_amps(False, attack)
+    outcomes = message_outcome_stack(np.array([returned, symmetrization_amps(returned)]))
+    tables = outcomes[..., 1:, :2].copy()
+    outcomes[..., 1:, :2] = 0.0
     if outcomes.any():
         raise ValueError(f"unexpected outcome mass {outcomes.sum()!r} outside the table")
-    return table
+    return tables
+
+
+def exact_outcome_table(apply_s: bool, attack: str = "improved") -> np.ndarray:
+    """One variant of ``exact_outcome_tables``: the (2, 2, 2) table P(k, m | j)
+    indexed by (j, k, m), with the symmetrization when ``apply_s``."""
+    return exact_outcome_tables(attack)[int(apply_s)]
 
 
 # --- profiles ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterator
 from . import __version__
 from .attacks import ATTACKS, attack_profile
 from .conventions import census
-from .information import CurvePoint, SecurityReport, security_report
+from .information import _REPORTS, CurvePoint, SecurityReport, security_report
 from .protocol import (
     RNG_STREAM,
     SCHEMES,
@@ -33,6 +33,7 @@ from .protocol import (
     write_records_csv,
 )
 
+PROG = "pingpong-eve"
 DEFAULT_SEED = 2026
 SEED_ENV_VAR = "PINGPONG_EVE_SEED"
 
@@ -57,7 +58,7 @@ def _output_path(text: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
-        prog="pingpong-eve",
+        prog=PROG,
         description=(
             "Exact-state simulation and security analysis of an eavesdropping "
             "attack on the ping-pong protocol"
@@ -66,10 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run every pinned-value self-check").set_defaults(run=cmd_verify)
+    # Each command is handed its own parser, so that a usage error found
+    # while it runs prints that command's usage, as argparse's own do.
+    verifier = sub.add_parser("verify", help="run every pinned-value self-check")
+    verifier.set_defaults(run=cmd_verify, parser=verifier)
 
     simulate = sub.add_parser("simulate", help="Monte Carlo protocol run")
-    simulate.set_defaults(run=cmd_simulate)
+    simulate.set_defaults(run=cmd_simulate, parser=simulate)
     simulate.add_argument("--scheme", choices=SCHEMES, default="improved")
     simulate.add_argument("--eta", type=float, default=1.0,
                           help="channel transmission efficiency")
@@ -88,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write aggregate statistics JSON here")
 
     analyze = sub.add_parser("analyze", help="information curves and bounds")
-    analyze.set_defaults(run=cmd_analyze)
+    analyze.set_defaults(run=cmd_analyze, parser=analyze)
     analyze.add_argument("--scheme", choices=sorted(ATTACKS), default="improved")
     analyze.add_argument("--curve", metavar="PATH", type=_output_path,
                          help="write the eta curve CSV here")
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solver = sub.add_parser("solve-conventions",
                             help="enumerate gate-semantics candidates")
-    solver.set_defaults(run=cmd_solve_conventions)
+    solver.set_defaults(run=cmd_solve_conventions, parser=solver)
     solver.add_argument("--out", metavar="PATH", type=_output_path,
                         help="write the candidate report CSV here (default stdout)")
 
@@ -196,7 +200,7 @@ def _outputs(parser: argparse.ArgumentParser, *paths: str | None) -> Iterator[li
                 with contextlib.suppress(OSError):
                     os.ftruncate(output.fd, 0)
             if isinstance(error, _WriteError):
-                parser.exit(1, f"{parser.prog}: error: {error}\n")
+                parser.exit(1, f"{PROG}: error: {error}\n")
             raise
     finally:
         for output in opened:
@@ -316,6 +320,17 @@ def cmd_simulate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 0
 
 
+def _analyze_metadata(report: SecurityReport) -> dict:
+    return {
+        "version": __version__,
+        "command": "analyze",
+        "scheme": report.scheme,
+        "full_attack_edge": report.full_attack_edge,
+        "eta_star": f"{report.eta_star:.9f}",
+        "mu_star": f"{report.mu_star:.9f}",
+    }
+
+
 def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
     lines = metadata_lines(metadata)
     lines.append(",".join(CurvePoint._fields))
@@ -324,19 +339,21 @@ def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
     return lines
 
 
+@lru_cache(maxsize=_REPORTS)
+def _curve_text(report: SecurityReport) -> bytes:
+    """The curve CSV that ``analyze --curve`` writes for a report, rendered
+    once per report while it is among the process's last _REPORTS, as many
+    as ``security_report`` keeps: the bytes are immutable, so every call
+    can write them."""
+    return ("\n".join(_curve_lines(report, _analyze_metadata(report))) + "\n").encode()
+
+
 def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _outputs(parser, args.curve, args.report) as (curve, report_out):
         report = security_report(attack_profile(args.scheme))
-        metadata = {
-            "version": __version__,
-            "command": "analyze",
-            "scheme": args.scheme,
-            "full_attack_edge": report.full_attack_edge,
-            "eta_star": f"{report.eta_star:.9f}",
-            "mu_star": f"{report.mu_star:.9f}",
-        }
+        metadata = _analyze_metadata(report)
         if curve:
-            curve.write(("\n".join(_curve_lines(report, metadata)) + "\n").encode())
+            curve.write(_curve_text(report))
         if report_out:
             payload = report.to_json_dict()
             payload["metadata"] = metadata
@@ -373,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.run(parser, args)
+        code = args.run(args.parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # Stdout's reader has gone, as in ``solve-conventions | head -1``

@@ -3,8 +3,9 @@
 Message-mode outcomes are described by a joint distribution p(j, k, m) over
 the sender's bit j, the eavesdropper's register bit k, and the receiver's
 decoded bit m (psi_plus -> 0, psi_minus -> 1).  Its conditional tables,
-``conditionals(attack)``, are ``attacks.exact_outcome_table`` of the named
-attack, exact from its own states.  Three variants are exposed:
+``conditionals(attack)``, are ``attacks.exact_outcome_tables`` of the named
+attack, both variants tabulated exactly from its own states in one stacked
+pass.  Three variants are exposed:
 
 * ``plain``        -- attack without symmetrization,
 * ``symmetrized``  -- attack with the symmetrization step always applied,
@@ -22,8 +23,9 @@ that through its discrepancy flag instead of silently correcting it.
 The security curve over the transmission efficiency, ``info_vs_eta``, is
 one array pass over its grid whose points equal the scalar
 ``max_attack_fraction`` formula's bit for bit.  ``security_report`` is built
-once per attack profile in a process and shared; ``verify`` never reads it
-and recomputes its bounds and curve on every call.
+once per attack profile in a process and shared, and ``analyze`` renders each
+report's curve text once too; ``verify`` reads neither and recomputes its
+bounds and curve on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .attacks import AttackProfile, exact_outcome_table
+from .attacks import AttackProfile, exact_outcome_tables
 
 VARIANTS = ("plain", "symmetrized", "fair-mixture")
 PAIRS = ("AE", "AB", "BE")
@@ -51,10 +53,12 @@ def conditionals(attack: str = "improved") -> Mapping[str, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _conditionals(attack: str) -> Mapping[str, np.ndarray]:
-    plain, symmetrized = (exact_outcome_table(s, attack) for s in (False, True))
+    tables = exact_outcome_tables(attack)
+    # Read-only before its views are taken, which then are read-only too.
+    tables.setflags(write=False)
+    plain, symmetrized = tables
     mixture = 0.5 * (plain + symmetrized)
-    for table in (plain, symmetrized, mixture):
-        table.setflags(write=False)
+    mixture.setflags(write=False)
     return MappingProxyType({"plain": plain, "symmetrized": symmetrized, "fair-mixture": mixture})
 
 

@@ -9,8 +9,8 @@ reporting that disagreement is the intended behavior.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,13 +19,14 @@ from .attacks import (
     F_KETS,
     attack_ba,
     control_outcomes,
-    exact_outcome_table,
+    exact_outcome_tables,
     forward_images,
     improved_profile,
     inbound_amps,
     message_amps,
     message_outcome_stack,
     outbound_amps,
+    symmetrization_amps,
     wojcik_profile,
 )
 from .conventions import solve, summarize
@@ -59,8 +60,7 @@ ETA_STAR_WOJCIK_ANCHOR = 0.554594
 MU_STAR_ANCHOR = 0.890812
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -69,26 +69,57 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _pinned_outbound() -> PureState:
-    # the four image kets B1..B4 of the attack, at amplitude 1/2 each
-    image_kets = (
+# The pinned states are fixed data, built once at import; every check
+# recomputes what it compares with them.
+_EXPECTED_INITIAL = PureState.from_terms(
+    {ket(0, "1", "vac", "0"): math.sqrt(0.5), ket(1, "0", "vac", "0"): math.sqrt(0.5)}
+)
+# the four image kets B1..B4 of the attack, at amplitude 1/2 each
+_PINNED_OUTBOUND = PureState.from_terms({
+    ket(*b): 0.5
+    for b in (
         (0, "vac", "1", "0"), (0, "1", "1", "vac"), (1, "0", "vac", "1"), (1, "0", "0", "vac")
     )
-    return PureState.from_terms({ket(*b): 0.5 for b in image_kets})
-
+})
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _pinned_messages(apply_s: bool) -> np.ndarray:
-    """(2, 54) pinned message states, row j for message bit j: the returned
-    (|0, 1, vac, j> + |1, 0, vac, 0>)/sqrt(2), or after the symmetrization
-    (|0, 1, vac, j> - |1, 0, vac, 1>)/sqrt(2)."""
-    rows = np.zeros((2, DIM), dtype=complex)
-    for j in (0, 1):
-        rows[j, ket(0, "1", "vac", str(j)).index] = _INV_SQRT2
-        rows[j, ket(1, "0", "vac", str(int(apply_s))).index] = -_INV_SQRT2 if apply_s else _INV_SQRT2
+def _pinned_messages() -> np.ndarray:
+    """(2, 2, 54) read-only pinned message states, row [s, j] for message
+    bit j: for s = 0 the returned (|0, 1, vac, j> + |1, 0, vac, 0>)/sqrt(2),
+    for s = 1, after the symmetrization, (|0, 1, vac, j> - |1, 0, vac, 1>)/sqrt(2)."""
+    rows = np.zeros((2, 2, DIM), dtype=complex)
+    for s in (0, 1):
+        for j in (0, 1):
+            rows[s, j, ket(0, "1", "vac", str(j)).index] = _INV_SQRT2
+            rows[s, j, ket(1, "0", "vac", str(s)).index] = -_INV_SQRT2 if s else _INV_SQRT2
+    rows.setflags(write=False)
     return rows
+
+
+_PINNED_MESSAGES = _pinned_messages()
+
+
+def _round_trip_states() -> np.ndarray:
+    """(100, 54) read-only random in-domain states, seeded: normal draws as
+    coefficients on f1..f4, each row normalized."""
+    rng = np.random.default_rng(20260817)
+    draws = rng.normal(size=(100, 2, 4))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    # Each row is divided by its np.linalg.norm: the square root of a dot
+    # product over the real parts plus one over the imaginary parts, which a
+    # stacked (1, 4) @ (4, 1) matmul computes row by row.  A norm along
+    # axis 1 sums in another order and rounds some rows differently.
+    re, im = coeffs.real[:, None, :], coeffs.imag[:, None, :]
+    coeffs /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    states = np.zeros((100, DIM), dtype=complex)
+    states[:, [k.index for k in F_KETS]] = coeffs
+    states.setflags(write=False)
+    return states
+
+
+_ROUND_TRIP_STATES = _round_trip_states()
 
 
 def run_all_checks() -> list[CheckResult]:
@@ -99,27 +130,25 @@ def run_all_checks() -> list[CheckResult]:
 
     # state pinning
     initial = make_initial()
-    expected_initial = PureState.from_terms(
-        {ket(0, "1", "vac", "0"): math.sqrt(0.5), ket(1, "0", "vac", "0"): math.sqrt(0.5)}
-    )
-    diff = initial.max_amplitude_diff(expected_initial)
+    diff = initial.max_amplitude_diff(_EXPECTED_INITIAL)
     add("initial-state", diff <= 1e-12, f"max amplitude diff {diff:.3e}")
 
     outbound = attack_ba(initial)
-    diff = outbound.max_amplitude_diff(_pinned_outbound())
+    diff = outbound.max_amplitude_diff(_PINNED_OUTBOUND)
     add(
         "outbound-state",
         diff <= 1e-12,
         f"four basis terms at amplitude 1/2, max diff {diff:.3e}",
     )
 
-    # each message state row by row against its pinned row
-    pinned = {apply_s: _pinned_messages(apply_s) for apply_s in (False, True)}
-    returned, symmetrized = message_amps(), message_amps(apply_s=True)
+    # each message state row by row against its pinned row: the returned
+    # rows of one message round and their S images
+    returned = message_amps()
+    symmetrized = symmetrization_amps(returned)
     for j in (0, 1):
-        diff = float(np.max(np.abs(returned[j] - pinned[False][j])))
+        diff = float(np.max(np.abs(returned[j] - _PINNED_MESSAGES[0, j])))
         add(f"returned-state-bit{j}", diff <= 1e-12, f"max amplitude diff {diff:.3e}")
-        diff = float(np.max(np.abs(symmetrized[j] - pinned[True][j])))
+        diff = float(np.max(np.abs(symmetrized[j] - _PINNED_MESSAGES[1, j])))
         add(
             f"symmetrized-returned-bit{j}",
             diff <= 1e-12,
@@ -141,22 +170,17 @@ def run_all_checks() -> list[CheckResult]:
     add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
 
     # outcome tables: the attack states' against the pinned states' tables,
-    # both pinned states of a table tabulated as one stack
-    tables = []
-    for variant, apply_s in (("plain", False), ("symmetrized", True)):
-        table = exact_outcome_table(apply_s)
-        tables.append(table)
-        expected = message_outcome_stack(pinned[apply_s])[:, 1:, :2]
-        diff = float(np.max(np.abs(table - expected)))
-        add(f"{variant}-outcome-table", (table == expected).all(), f"max cell diff {diff:.3e}")
+    # both variants of each tabulated as one stack
+    tables = exact_outcome_tables()
+    expected = message_outcome_stack(_PINNED_MESSAGES)[..., 1:, :2]
+    for variant, table, pinned in zip(("plain", "symmetrized"), tables, expected):
+        diff = float(np.max(np.abs(table - pinned)))
+        add(f"{variant}-outcome-table", (table == pinned).all(), f"max cell diff {diff:.3e}")
 
     # the reference attack, tabulated exactly from its own circuit
     reference = control_outcomes("wojcik")
     p_vac, p_equal = reference[0] + reference[1], reference[2] + reference[5]
-    same_tables = all(
-        (exact_outcome_table(apply_s, "wojcik") == table).all()
-        for apply_s, table in zip((False, True), tables)
-    )
+    same_tables = bool((exact_outcome_tables("wojcik") == tables).all())
     add(
         "reference-attack",
         p_vac == 0.5 and wojcik_profile().loss == p_vac and p_equal == 0.0 and same_tables,
@@ -322,17 +346,7 @@ def run_all_checks() -> list[CheckResult]:
     )
 
     # random-state round trips (seeded, deterministic), as one stack of rows
-    rng = np.random.default_rng(20260817)
-    draws = rng.normal(size=(100, 2, 4))
-    coeffs = draws[:, 0] + 1j * draws[:, 1]
-    # Each row is divided by its np.linalg.norm: the square root of a dot
-    # product over the real parts plus one over the imaginary parts, which a
-    # stacked (1, 4) @ (4, 1) matmul computes row by row.  A norm along
-    # axis 1 sums in another order and rounds some rows differently.
-    re, im = coeffs.real[:, None, :], coeffs.imag[:, None, :]
-    coeffs /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
-    states = np.zeros((100, DIM), dtype=complex)
-    states[:, [k.index for k in F_KETS]] = coeffs
+    states = _ROUND_TRIP_STATES
     outbound = outbound_amps(states)
     round_trip = inbound_amps(outbound)
     for stack in (states, outbound, round_trip):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pingpong_eve import conventions, protocol
+from pingpong_eve import cli, conventions, protocol
 
 
 @pytest.fixture
@@ -25,3 +25,12 @@ def fresh_census():
     conventions.census.cache_clear()
     yield
     conventions.census.cache_clear()
+
+
+@pytest.fixture
+def fresh_curves():
+    """Drop the process's rendered curve texts before and after the test, so
+    that a test counting renders starts from none."""
+    cli._curve_text.cache_clear()
+    yield
+    cli._curve_text.cache_clear()

@@ -21,6 +21,7 @@ from pingpong_eve.attacks import (
     attack_ba,
     control_outcomes,
     exact_outcome_table,
+    exact_outcome_tables,
     forward_images,
     improved_profile,
     inbound_amps,
@@ -437,6 +438,30 @@ def test_stacked_tabulation_equals_per_state_tabulation():
     for a, attack in enumerate(ATTACKS):
         for s in (0, 1):
             assert (exact_outcome_table(bool(s), attack) == stacked[a, s, :, 1:, :2]).all()
+
+
+def test_outcome_tables_are_one_stacked_tabulation(monkeypatch):
+    # The reference is the tabulation the stack replaces: each variant's two
+    # message states, from its own message_amps call, tabulated on their own.
+    for attack in ATTACKS:
+        expected = [
+            message_outcome_stack(message_amps(s, attack))[:, 1:, :2] for s in (False, True)
+        ]
+        shapes = []
+
+        def counted(amps, tabulate=attacks.message_outcome_stack):
+            shapes.append(amps.shape)
+            return tabulate(amps)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "message_outcome_stack", counted)
+            tables = exact_outcome_tables(attack)
+            assert shapes == [(2, 2, DIM)]
+            singles = [exact_outcome_table(s, attack) for s in (False, True)]
+        assert tables.shape == (2, 2, 2, 2)
+        for s in (0, 1):
+            assert tables[s].tobytes() == expected[s].tobytes()
+            assert singles[s].tobytes() == expected[s].tobytes()
 
 
 def test_exact_outcome_table_plain():

@@ -116,6 +116,47 @@ def test_verify_solves_twice_while_the_census_memo_is_warm(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_verify_never_reads_the_curve_memo(monkeypatch, capsys):
+    """verify renders no curve text: it passes with every name of the memo,
+    in every module of the package, raising."""
+
+    def no_curve(report):
+        raise AssertionError("verify must not read the curve memo")
+
+    memo = cli._curve_text
+    package = [module for key, module in sys.modules.items() if key.startswith("pingpong_eve")]
+    for module in package:
+        for name in [name for name, value in vars(module).items() if value is memo]:
+            monkeypatch.setattr(module, name, no_curve)
+    assert run_main(["verify"]) == 0
+    assert "32/32 checks passed" in capsys.readouterr().out
+
+
+def test_verify_tabulates_each_attack_once_per_call(monkeypatch, capsys):
+    """Every call tabulates both attacks afresh, each in one stacked call,
+    and builds its returned states with one message round."""
+    calls = []
+    for name in ("exact_outcome_tables", "message_amps", "message_outcome_stack"):
+        def counted(*args, original=getattr(verify, name), name=name):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    for runs in (1, 2):
+        assert run_main(["verify"]) == 0
+        assert [name for name, _ in calls] == [
+            "message_amps", "exact_outcome_tables", "message_outcome_stack", "exact_outcome_tables"
+        ] * runs
+        assert [args for name, args in calls if name == "exact_outcome_tables"] == [
+            (), ("wojcik",)
+        ] * runs
+    # the pinned states of both tables, tabulated as one stack
+    assert [args[0].shape for name, args in calls if name == "message_outcome_stack"] == [
+        (2, 2, 54)
+    ] * 2
+    capsys.readouterr()
+
+
 def test_round_trip_stack_equals_the_per_state_loop(monkeypatch):
     # The reference is the loop over single states that the check replaces:
     # the same draws, norms and legs, so every row must match bit for bit.
@@ -160,9 +201,9 @@ def test_verify_fails_a_perturbed_round_trip(monkeypatch, capsys):
 def test_verify_outcome_tables_and_loss_are_exact(monkeypatch, capsys):
     # One ulp below the exact values, an error the size of a float
     # projection's: the checks compare with ==, so each one fails.
-    table, profile = verify.exact_outcome_table, verify.improved_profile()
+    tables, profile = verify.exact_outcome_tables, verify.improved_profile()
     monkeypatch.setattr(
-        verify, "exact_outcome_table", lambda s, attack="improved": np.nextafter(table(s, attack), 0)
+        verify, "exact_outcome_tables", lambda attack="improved": np.nextafter(tables(attack), 0)
     )
     below = dataclasses.replace(profile, loss=np.nextafter(profile.loss, 0))
     monkeypatch.setattr(verify, "improved_profile", lambda: below)
@@ -195,7 +236,7 @@ def test_verify_fails_a_reference_attack_off_its_pins(monkeypatch, capsys):
     # One fault at a time in what the reference attack's circuit gives, the
     # improved attack's left as it is: each fails the reference-attack line
     # and no other.
-    control_outcomes, table = verify.control_outcomes, verify.exact_outcome_table
+    control_outcomes, tables = verify.control_outcomes, verify.exact_outcome_tables
 
     def reference_control(reference):
         return lambda attack: reference if attack == "wojcik" else control_outcomes(attack)
@@ -206,8 +247,8 @@ def test_verify_fails_a_reference_attack_off_its_pins(monkeypatch, capsys):
         # the improved attack's loss of 1/4 in place of 1/2
         ("control_outcomes", reference_control((0.25, 0.0, 0.0, 0.5, 0.25, 0.0))),
         # message tables one ulp below the improved attack's
-        ("exact_outcome_table", lambda s, attack="improved": (
-            np.nextafter(table(s, attack), 0) if attack == "wojcik" else table(s, attack)
+        ("exact_outcome_tables", lambda attack="improved": (
+            np.nextafter(tables(attack), 0) if attack == "wojcik" else tables(attack)
         )),
     ]
     for name, fault in faults:
@@ -414,6 +455,51 @@ def test_negative_seed_is_usage_error(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert "usage: pingpong-eve" in err
         assert "error: seed must be non-negative" in err
+
+
+UNWRITABLE = "cannot write {missing}: No such file or directory"
+# An argument each command's parser refuses itself.
+REFUSED_BY_PARSER = {
+    "simulate": ["--eta", "abc"],
+    "analyze": ["--scheme", "x"],
+    "solve-conventions": ["--out", ""],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["simulate", "--eta", "2"], None, "eta must be in [0, 1], got 2.0"),
+        (["simulate", "--seed", "-1"], None, "seed must be non-negative, got -1"),
+        (["simulate"], "-5", "seed must be non-negative, got -5"),
+        (["simulate"], "abc", "PINGPONG_EVE_SEED must be an integer, got 'abc'"),
+        (["simulate", "--stats", "{missing}"], None, UNWRITABLE),
+        (["analyze", "--curve", "{missing}"], None, UNWRITABLE),
+        (["solve-conventions", "--out", "{missing}"], None, UNWRITABLE),
+    ],
+    ids=["eta", "seed", "env-seed", "env-malformed", "simulate-out", "analyze-out", "solver-out"],
+)
+def test_usage_error_in_a_command_prints_its_usage(
+    tmp_path, monkeypatch, capsys, argv, env, message
+):
+    """An error the command finds prints that command's usage, as argparse's
+    own errors do, with the message unchanged."""
+    monkeypatch.delenv("PINGPONG_EVE_SEED", raising=False)
+    with pytest.raises(SystemExit) as excinfo:
+        run_main([argv[0], *REFUSED_BY_PARSER[argv[0]]])
+    assert excinfo.value.code == 2
+    usage = capsys.readouterr().err.split(f"pingpong-eve {argv[0]}: error:")[0]
+    assert usage.startswith(f"usage: pingpong-eve {argv[0]} [-h]")
+    if env is not None:
+        monkeypatch.setenv("PINGPONG_EVE_SEED", env)
+    missing = tmp_path / "no-such-dir" / "x"
+    with pytest.raises(SystemExit) as excinfo:
+        run_main([arg.format(missing=missing) for arg in argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = message.format(missing=missing)
+    assert captured.err == f"{usage}pingpong-eve {argv[0]}: error: {message}\n"
 
 
 def test_default_seed_without_env(monkeypatch, capsys):
@@ -719,6 +805,54 @@ def test_analyze_golden_bytes(tmp_path, capsys, scheme, stdout_sha, curve_sha, r
         for data in (capsys.readouterr().out.encode(), curve.read_bytes(), report.read_bytes())
     ]
     assert digests == [stdout_sha, curve_sha, report_sha]
+
+
+@pytest.mark.usefixtures("fresh_curves")
+def test_analyze_renders_each_curve_once_per_process(tmp_path, monkeypatch, capsys):
+    """Repeated analyze --curve calls, in either order of the schemes, render
+    each report's curve once and write the same bytes every time."""
+    rendered = []
+
+    def counted(report, metadata, render=cli._curve_lines):
+        rendered.append(report.scheme)
+        return render(report, metadata)
+
+    monkeypatch.setattr(cli, "_curve_lines", counted)
+    curves = {}
+    for order in (("improved", "wojcik"), ("wojcik", "improved"), ("improved", "wojcik")):
+        for scheme in order:
+            path = tmp_path / f"{scheme}.csv"
+            assert run_main(["analyze", "--scheme", scheme, "--curve", str(path)]) == 0
+            assert curves.setdefault(scheme, path.read_bytes()) == path.read_bytes()
+    capsys.readouterr()
+    assert sorted(rendered) == ["improved", "wojcik"]
+    digests = {scheme: curve_sha for scheme, _, curve_sha, _ in GOLDEN_ANALYZE}
+    assert {scheme: hashlib.sha256(curve).hexdigest() for scheme, curve in curves.items()} == (
+        digests
+    )
+
+
+@pytest.mark.usefixtures("fresh_curves")
+def test_curve_memo_is_a_fresh_render_and_bounded():
+    report = information.security_report(cli.attack_profile("improved"))
+    text = cli._curve_text(report)
+    assert cli._curve_text(report) is text
+    # bytes, so no caller can change what a later call writes
+    assert type(text) is bytes
+    fresh = "\n".join(cli._curve_lines(report, cli._analyze_metadata(report))) + "\n"
+    assert text == fresh.encode()
+    assert cli._curve_text.cache_info().maxsize == information._REPORTS
+    reports = [
+        dataclasses.replace(report, eta_star=0.1 * i) for i in range(information._REPORTS + 3)
+    ]
+    for other in reports:
+        cli._curve_text(other)
+        assert cli._curve_text.cache_info().currsize <= information._REPORTS
+    assert cli._curve_text.cache_info().currsize == information._REPORTS
+    # The least recently used report was dropped: its curve is rendered anew.
+    misses = cli._curve_text.cache_info().misses
+    cli._curve_text(reports[0])
+    assert cli._curve_text.cache_info().misses == misses + 1
 
 
 def test_analyze_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
