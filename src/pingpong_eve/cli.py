@@ -22,8 +22,8 @@ from typing import Iterator
 
 from . import __version__
 from .attacks import ATTACKS, attack_profile
-from .conventions import census
-from .information import _REPORTS, CurvePoint, SecurityReport, security_report
+from .conventions import CSV_HEADER, report_rows, solve, summarize
+from .information import CurvePoint, SecurityReport, security_report
 from .protocol import (
     RNG_STREAM,
     SCHEMES,
@@ -339,48 +339,63 @@ def _curve_lines(report: SecurityReport, metadata: dict) -> list[str]:
     return lines
 
 
-@lru_cache(maxsize=_REPORTS)
-def _curve_text(report: SecurityReport) -> bytes:
-    """The curve CSV that ``analyze --curve`` writes for a report, rendered
-    once per report while it is among the process's last _REPORTS, as many
-    as ``security_report`` keeps: the bytes are immutable, so every call
-    can write them."""
-    return ("\n".join(_curve_lines(report, _analyze_metadata(report))) + "\n").encode()
+@lru_cache(maxsize=None)
+def _analysis(scheme: str) -> tuple[bytes, bytes, str]:
+    """What ``analyze --scheme scheme`` writes: the curve CSV, the report
+    JSON and the stdout text, rendered once per scheme in a process.  Its
+    keys are the ``--scheme`` choices, and every value is immutable."""
+    report = security_report(attack_profile(scheme))
+    metadata = _analyze_metadata(report)
+    payload = report.to_json_dict()
+    payload["metadata"] = metadata
+    summary = (
+        f"insecure below eta*={report.eta_star:.9f}"
+        f" (optimal attack fraction mu*={report.mu_star:.9f},"
+        f" full-attack domain up to eta={report.full_attack_edge})"
+    )
+    return (
+        ("\n".join(_curve_lines(report, metadata)) + "\n").encode(),
+        (_json_text(payload) + "\n").encode(),
+        "\n".join([*metadata_lines(metadata), summary]),
+    )
 
 
 def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _outputs(parser, args.curve, args.report) as (curve, report_out):
-        report = security_report(attack_profile(args.scheme))
-        metadata = _analyze_metadata(report)
+        curve_text, report_text, summary = _analysis(args.scheme)
         if curve:
-            curve.write(_curve_text(report))
+            curve.write(curve_text)
         if report_out:
-            payload = report.to_json_dict()
-            payload["metadata"] = metadata
-            report_out.write((_json_text(payload) + "\n").encode())
-        for line in metadata_lines(metadata):
-            print(line)
-        print(
-            f"insecure below eta*={report.eta_star:.9f}"
-            f" (optimal attack fraction mu*={report.mu_star:.9f},"
-            f" full-attack domain up to eta={report.full_attack_edge})"
-        )
+            report_out.write(report_text)
+        print(summary)
     return 0
+
+
+@lru_cache(maxsize=None)
+def _census() -> tuple[bytes, str, str]:
+    """What ``solve-conventions`` writes: the ``--out`` CSV with its
+    metadata, the CSV text it prints without ``--out`` and the summary it
+    prints with it, composed and rendered once per process.  The census
+    takes no input, and every value is immutable; ``verify`` never reads
+    this memo and solves the census afresh."""
+    reports = solve()
+    counts = summarize(reports)
+    metadata = metadata_lines({"version": __version__, "command": "solve-conventions"})
+    csv = "\n".join([CSV_HEADER, *report_rows(reports)])
+    summary = (
+        f"candidates={sum(counts.values())} matches={counts['match']}"
+        f" mismatches={counts['mismatch']}"
+        f" invalid={counts['invalid-double-occupancy']}"
+    )
+    return ("\n".join([*metadata, csv]) + "\n").encode(), csv, "\n".join([*metadata, summary])
 
 
 def cmd_solve_conventions(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _outputs(parser, args.out) as (out,):
-        counts, csv = census()
-        metadata = {"version": __version__, "command": "solve-conventions"}
+        document, csv, summary = _census()
         if out:
-            out.write(("\n".join([*metadata_lines(metadata), csv]) + "\n").encode())
-            for line in metadata_lines(metadata):
-                print(line)
-            print(
-                f"candidates={sum(counts.values())} matches={counts['match']}"
-                f" mismatches={counts['mismatch']}"
-                f" invalid={counts['invalid-double-occupancy']}"
-            )
+            out.write(document)
+            print(summary)
         else:
             print(csv)
     return 0

@@ -36,10 +36,9 @@ never as a dense image.  compose_candidate is an independent
 single-candidate replay of the same circuit, term by term in Python, and
 the tests hold solve() equal to it on every candidate.
 
-The census takes no input, so census() composes it once per process for
-the solve-conventions command and keeps its counts and CSV text; every
-solve() call composes it afresh, and verify, which calls solve() twice on
-each run, never reads census().
+Every solve() call composes the census afresh.  The solve-conventions
+command keeps its rendered census once per process, and verify, which
+calls solve() twice on each run, never reads that memo.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ import dataclasses
 import itertools
 import operator
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -309,19 +307,3 @@ def report_rows(reports: Iterable[CandidateReport]) -> list[str]:
         for candidate_id, conv, status, deviation, _ in reports
     ]
 
-
-class Census(NamedTuple):
-    """The census as solve-conventions prints it: read-only counts by
-    status, and the CSV text, header and one row per candidate."""
-
-    counts: Mapping[str, int]
-    csv: str
-
-
-@lru_cache(maxsize=None)
-def census() -> Census:
-    """The census of solve(), composed and rendered once per process: it
-    takes no input, so every call shares the same immutable values."""
-    reports = solve()
-    csv = "\n".join([CSV_HEADER, *report_rows(reports)])
-    return Census(MappingProxyType(summarize(reports)), csv)

@@ -22,10 +22,10 @@ that through its discrepancy flag instead of silently correcting it.
 
 The security curve over the transmission efficiency, ``info_vs_eta``, is
 one array pass over its grid whose points equal the scalar
-``max_attack_fraction`` formula's bit for bit.  ``security_report`` is built
-once per attack profile in a process and shared, and ``analyze`` renders each
-report's curve text once too; ``verify`` reads neither and recomputes its
-bounds and curve on every call.
+``max_attack_fraction`` formula's bit for bit.  ``security_report`` builds a
+report on every call; the ``analyze`` command keeps what it renders from
+one, once per scheme, and ``verify`` recomputes its bounds and curve on
+every call.
 """
 
 from __future__ import annotations
@@ -310,17 +310,9 @@ def default_eta_grid() -> list[float]:
     return [i / 100 for i in range(101)]
 
 
-# Profiles whose reports a process keeps, the least recently used dropped
-# first: both attacks' profiles and two others.
-_REPORTS = 4
-
-
-@lru_cache(maxsize=_REPORTS)
 def security_report(profile: AttackProfile) -> SecurityReport:
     """Security summary of one scheme on the default transmission-efficiency
-    grid, built once per profile while it is among the process's last
-    _REPORTS profiles: the report is immutable, so every caller can share
-    it."""
+    grid."""
     eta_star = insecurity_bound(profile)
     mu_star, eta_star_closed = crossing_closed_form(profile)
     if abs(eta_star - eta_star_closed) > 1e-8:

@@ -19,7 +19,7 @@ factors (``eta``, ``c0``, the symmetrization coin).  The tables come from
 the 54-dimensional branch states: ``attacks.control_outcomes``, the plain
 channel's outcome rows (``attacks.message_amps(attack=None)``, tabulated at
 import) and ``information.conditionals`` of the scheme's attack, built once
-per attack from the ``attacks.exact_outcome_table`` that ``verify`` audits.
+per attack from the ``attacks.exact_outcome_tables`` that ``verify`` audits.
 ``_RoundTable`` joins the branches into one categorical table: a cell's
 probability is its branch's (from ``control_prob`` and the attack fraction)
 times its normalized weight in the branch; cells of probability zero are

@@ -1,36 +1,42 @@
 """Fixtures shared by the test modules."""
 
+import importlib
+import pkgutil
+
 import pytest
 
-from pingpong_eve import cli, conventions, protocol
+import pingpong_eve
+
+
+def package_memos() -> dict:
+    """Every object with a ``cache_clear`` in the namespaces of the package's
+    modules, each imported first, one entry per object, named
+    ``module.attribute`` after the module that defines it."""
+    memos = {}
+    for info in pkgutil.iter_modules(pingpong_eve.__path__):
+        module = importlib.import_module(f"{pingpong_eve.__name__}.{info.name}")
+        for name, value in vars(module).items():
+            if not hasattr(value, "cache_clear"):
+                continue
+            home = getattr(value, "__module__", None) == module.__name__
+            if home or id(value) not in memos:
+                memos[id(value)] = (f"{info.name}.{name}", value)
+    return dict(memos.values())
 
 
 @pytest.fixture
-def fresh_tables():
-    """Drop the process's run tables before and after the test.  A test that
-    patches what a table is built from (``protocol.conditionals``,
-    ``protocol._row_texts``, ``attacks._IMAGES``) then reads no table built
-    before its patch, and leaves none built during it to later tests."""
-    protocol._tables.cache_clear()
-    yield
-    protocol._tables.cache_clear()
+def fresh_memos():
+    """Drop every memo of the package before and after the test, and yield
+    the function that drops them.  A test that patches what a memo is built
+    from (``attacks._IMAGES``, ``protocol.conditionals``, ``conventions.solve``)
+    then reads no value built before its patch, and leaves none built during
+    it to later tests."""
+    memos = package_memos().values()
 
+    def clear():
+        for memo in memos:
+            memo.cache_clear()
 
-@pytest.fixture
-def fresh_census():
-    """Drop the process's census memo before and after the test, as
-    fresh_tables drops the run tables: a test that patches what the census
-    is composed from (``conventions.solve``, ``attacks._IMAGES``) reads no
-    census composed before its patch, and leaves none composed during it."""
-    conventions.census.cache_clear()
-    yield
-    conventions.census.cache_clear()
-
-
-@pytest.fixture
-def fresh_curves():
-    """Drop the process's rendered curve texts before and after the test, so
-    that a test counting renders starts from none."""
-    cli._curve_text.cache_clear()
-    yield
-    cli._curve_text.cache_clear()
+    clear()
+    yield clear
+    clear()

@@ -299,7 +299,7 @@ def test_criterion_8_property_suites():
     )
 
 
-@pytest.mark.usefixtures("fresh_tables", "fresh_census")
+@pytest.mark.usefixtures("fresh_memos")
 def test_criterion_9_convention_solver(monkeypatch):
     reports = solve()
     assert len(reports) == 576

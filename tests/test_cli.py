@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from pingpong_eve import cli, conventions, information, protocol, verify
-from pingpong_eve.attacks import F_KETS, attack_ab, attack_ba
+from pingpong_eve.attacks import ATTACKS, F_KETS, attack_ab, attack_ba
 from pingpong_eve.engine import PureState
 from pingpong_eve.cli import main
 from pingpong_eve.conventions import report_rows, solve
@@ -85,24 +85,26 @@ def test_verify_never_reads_the_report_cache(monkeypatch, capsys):
     assert "32/32 checks passed" in capsys.readouterr().out
 
 
-def test_verify_never_reads_the_census_memo(monkeypatch, capsys):
-    """verify composes its census afresh: it passes with every name of the
-    memo, in every module of the package, raising."""
+@pytest.mark.parametrize("memo", ["_census", "_analysis"])
+def test_verify_never_reads_a_command_memo(monkeypatch, capsys, memo):
+    """verify composes its census afresh and renders no curve: it passes
+    with every name of either command's memo, in every module of the
+    package, raising."""
 
-    def no_census():
-        raise AssertionError("verify must not read the census memo")
+    def no_memo(*args):
+        raise AssertionError(f"verify must not read {memo}")
 
-    memo = conventions.census
+    target = getattr(cli, memo)
     package = [module for key, module in sys.modules.items() if key.startswith("pingpong_eve")]
     for module in package:
-        for name in [name for name, value in vars(module).items() if value is memo]:
-            monkeypatch.setattr(module, name, no_census)
+        for name in [name for name, value in vars(module).items() if value is target]:
+            monkeypatch.setattr(module, name, no_memo)
     assert run_main(["verify"]) == 0
     assert "32/32 checks passed" in capsys.readouterr().out
 
 
 def test_verify_solves_twice_while_the_census_memo_is_warm(monkeypatch, capsys):
-    conventions.census()
+    cli._census()
     calls = []
     for module in (verify, conventions):
         def counted(original=module.solve):
@@ -114,22 +116,6 @@ def test_verify_solves_twice_while_the_census_memo_is_warm(monkeypatch, capsys):
         assert run_main(["verify"]) == 0
         assert len(calls) == 2 * runs
     capsys.readouterr()
-
-
-def test_verify_never_reads_the_curve_memo(monkeypatch, capsys):
-    """verify renders no curve text: it passes with every name of the memo,
-    in every module of the package, raising."""
-
-    def no_curve(report):
-        raise AssertionError("verify must not read the curve memo")
-
-    memo = cli._curve_text
-    package = [module for key, module in sys.modules.items() if key.startswith("pingpong_eve")]
-    for module in package:
-        for name in [name for name, value in vars(module).items() if value is memo]:
-            monkeypatch.setattr(module, name, no_curve)
-    assert run_main(["verify"]) == 0
-    assert "32/32 checks passed" in capsys.readouterr().out
 
 
 def test_verify_tabulates_each_attack_once_per_call(monkeypatch, capsys):
@@ -529,7 +515,7 @@ def test_simulate_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys
     ],
 )
 def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
-    for name in ("run_simulation", "write_records_csv", "security_report", "census"):
+    for name in ("run_simulation", "write_records_csv", "_analysis", "_census"):
         monkeypatch.setattr(cli, name, refuse_work)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
@@ -542,7 +528,7 @@ def test_empty_output_path_is_usage_error(tmp_path, monkeypatch, capsys, argv):
 
 
 def test_outputs_naming_one_file_are_usage_error(tmp_path, monkeypatch, capsys):
-    for name in ("run_simulation", "write_records_csv", "security_report"):
+    for name in ("run_simulation", "write_records_csv", "_analysis"):
         monkeypatch.setattr(cli, name, refuse_work)
     monkeypatch.chdir(tmp_path)
     for argv in (
@@ -615,7 +601,7 @@ def test_output_on_a_stdout_pipe_is_written(argv):
 
 
 def test_refused_command_keeps_existing_files(tmp_path, monkeypatch, capsys):
-    for name in ("run_simulation", "write_records_csv", "security_report"):
+    for name in ("run_simulation", "write_records_csv", "_analysis"):
         monkeypatch.setattr(cli, name, refuse_work)
     monkeypatch.chdir(tmp_path)
     data = b"round_index,mode\n0,control\n"
@@ -807,7 +793,7 @@ def test_analyze_golden_bytes(tmp_path, capsys, scheme, stdout_sha, curve_sha, r
     assert digests == [stdout_sha, curve_sha, report_sha]
 
 
-@pytest.mark.usefixtures("fresh_curves")
+@pytest.mark.usefixtures("fresh_memos")
 def test_analyze_renders_each_curve_once_per_process(tmp_path, monkeypatch, capsys):
     """Repeated analyze --curve calls, in either order of the schemes, render
     each report's curve once and write the same bytes every time."""
@@ -832,31 +818,26 @@ def test_analyze_renders_each_curve_once_per_process(tmp_path, monkeypatch, caps
     )
 
 
-@pytest.mark.usefixtures("fresh_curves")
-def test_curve_memo_is_a_fresh_render_and_bounded():
-    report = information.security_report(cli.attack_profile("improved"))
-    text = cli._curve_text(report)
-    assert cli._curve_text(report) is text
-    # bytes, so no caller can change what a later call writes
-    assert type(text) is bytes
-    fresh = "\n".join(cli._curve_lines(report, cli._analyze_metadata(report))) + "\n"
-    assert text == fresh.encode()
-    assert cli._curve_text.cache_info().maxsize == information._REPORTS
-    reports = [
-        dataclasses.replace(report, eta_star=0.1 * i) for i in range(information._REPORTS + 3)
-    ]
-    for other in reports:
-        cli._curve_text(other)
-        assert cli._curve_text.cache_info().currsize <= information._REPORTS
-    assert cli._curve_text.cache_info().currsize == information._REPORTS
-    # The least recently used report was dropped: its curve is rendered anew.
-    misses = cli._curve_text.cache_info().misses
-    cli._curve_text(reports[0])
-    assert cli._curve_text.cache_info().misses == misses + 1
+@pytest.mark.usefixtures("fresh_memos")
+def test_analysis_memo_is_a_fresh_render_per_scheme():
+    """Each scheme's outputs are rendered once, equal a render made anew,
+    and are immutable, so every call can write them; the memo holds one
+    entry per scheme, in either order of the calls."""
+    for order in (("improved", "wojcik"), ("wojcik", "improved")):
+        for scheme in order:
+            memo = cli._analysis(scheme)
+            assert cli._analysis(scheme) is memo
+            assert memo == cli._analysis.__wrapped__(scheme)
+            assert [type(part) for part in memo] == [bytes, bytes, str]
+            report = information.security_report(cli.attack_profile(scheme))
+            fresh = "\n".join(cli._curve_lines(report, cli._analyze_metadata(report))) + "\n"
+            assert memo[0] == fresh.encode()
+    info = cli._analysis.cache_info()
+    assert (info.maxsize, info.misses, info.currsize) == (None, 2, len(ATTACKS))
 
 
 def test_analyze_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "security_report", refuse_work)
+    monkeypatch.setattr(cli, "_analysis", refuse_work)
     missing = tmp_path / "no-such-dir" / "c.csv"
     for flag in ("--curve", "--report"):
         assert_unwritable_is_usage_error(["analyze", flag, str(missing)], capsys, missing)
@@ -902,7 +883,7 @@ def test_solver_golden_bytes(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SOLVER
 
 
-@pytest.mark.usefixtures("fresh_census")
+@pytest.mark.usefixtures("fresh_memos")
 def test_solver_composes_the_census_once_per_process(tmp_path, monkeypatch, capsys):
     """Repeated solve-conventions calls, to a file and to stdout, compose the
     census with one solve() and print the same bytes every time."""
@@ -912,7 +893,7 @@ def test_solver_composes_the_census_once_per_process(tmp_path, monkeypatch, caps
         calls.append(None)
         return solve()
 
-    monkeypatch.setattr(conventions, "solve", counted)
+    monkeypatch.setattr(cli, "solve", counted)
     outputs = []
     for rep in range(3):
         path = tmp_path / f"census-{rep}.csv"
@@ -926,7 +907,7 @@ def test_solver_composes_the_census_once_per_process(tmp_path, monkeypatch, caps
 
 
 def test_solver_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "census", refuse_work)
+    monkeypatch.setattr(cli, "_census", refuse_work)
     missing = tmp_path / "no-such-dir" / "census.csv"
     assert_unwritable_is_usage_error(["solve-conventions", "--out", str(missing)], capsys, missing)
 
@@ -1131,7 +1112,7 @@ def test_failed_simulate_empties_its_outputs(tmp_path, monkeypatch, capsys, erro
 
 @FAILURES
 def test_failed_analyze_empties_its_outputs(tmp_path, monkeypatch, capsys, error):
-    monkeypatch.setattr(cli, "security_report", failing(error))
+    monkeypatch.setattr(cli, "_analysis", failing(error))
     curve, report = tmp_path / "curve.csv", tmp_path / "report.json"
     write_stale(LONGER, curve, report)
     with pytest.raises(error):
@@ -1142,7 +1123,7 @@ def test_failed_analyze_empties_its_outputs(tmp_path, monkeypatch, capsys, error
 
 @FAILURES
 def test_failed_solver_empties_its_census(tmp_path, monkeypatch, capsys, error):
-    monkeypatch.setattr(cli, "census", failing(error))
+    monkeypatch.setattr(cli, "_census", failing(error))
     census = tmp_path / "census.csv"
     write_stale(LONGER, census)
     with pytest.raises(error):

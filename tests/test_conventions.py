@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from pingpong_eve import attacks, conventions, engine
+from pingpong_eve import attacks, cli, conventions, engine
 from pingpong_eve.attacks import attack_ba, exact_outcome_table, forward_images
 from pingpong_eve.conventions import (
     ACTIVATIONS,
@@ -292,32 +292,37 @@ def test_solve_returns_fresh_reports():
     assert all(a is not b for a, b in zip(first, second))
 
 
-@pytest.mark.usefixtures("fresh_census")
+@pytest.mark.usefixtures("fresh_memos")
 def test_census_memo_is_the_rendered_solve():
-    memo = conventions.census()
+    """solve-conventions' memo holds the census that solve() composes, as
+    its CSV, its file with the metadata lines and its summary."""
+    memo = cli._census()
+    document, csv, summary = memo
     reports = solve()
-    assert memo.counts == summarize(reports)
-    assert memo.csv == "\n".join([CSV_HEADER, *report_rows(reports)])
-    assert conventions.census() is memo
+    counts = summarize(reports)
+    assert csv == "\n".join([CSV_HEADER, *report_rows(reports)])
+    metadata = summary.splitlines()[:-1]
+    assert document == "\n".join([*metadata, csv, ""]).encode()
+    assert summary.splitlines()[-1] == (
+        f"candidates={len(reports)} matches={counts[STATUS_MATCH]}"
+        f" mismatches={counts[STATUS_MISMATCH]} invalid={counts[STATUS_INVALID]}"
+    )
+    assert cli._census() is memo
 
 
 def test_census_memo_is_read_only():
-    memo = conventions.census()
-    assert isinstance(memo, tuple)
-    assert type(memo.csv) is str
+    memo = cli._census()
+    assert type(memo) is tuple
+    assert [type(part) for part in memo] == [bytes, str, str]
     with pytest.raises(TypeError):
-        memo.counts[STATUS_MATCH] = 1
-    with pytest.raises(TypeError):
-        del memo.counts[STATUS_INVALID]
-    with pytest.raises(AttributeError):
-        memo.csv = ""
-    assert conventions.census().counts == summarize(solve())
+        memo[1] = ""
+    assert memo[1] == "\n".join([CSV_HEADER, *report_rows(solve())])
 
 
 def test_fresh_census_drops_the_memo(request):
-    conventions.census()
-    request.getfixturevalue("fresh_census")
-    assert conventions.census.cache_info().currsize == 0
+    cli._census()
+    request.getfixturevalue("fresh_memos")
+    assert cli._census.cache_info().currsize == 0
 
 
 def test_solve_is_deterministic():
@@ -353,7 +358,7 @@ def test_invalid_reports_replay_to_collisions():
     }
 
 
-@pytest.mark.usefixtures("fresh_tables", "fresh_census")
+@pytest.mark.usefixtures("fresh_memos")
 def test_matches_reproduce_pinned_attack(monkeypatch):
     # any match must be a drop-in replacement for the truth-table images:
     # same outbound state up to global phase, same loss and anticorrelation,

@@ -21,7 +21,7 @@ import re
 import numpy as np
 import pytest
 
-from pingpong_eve import attacks, information
+from pingpong_eve import information
 from pingpong_eve.attacks import (
     ATTACKS,
     AttackProfile,
@@ -264,7 +264,7 @@ def test_exact_joint_is_built_once_per_variant_and_prior():
             exact_joint("symmetrized", 1.0)
 
 
-def test_caches_are_keyed_on_the_resolved_attack():
+def test_caches_are_keyed_on_the_resolved_attack(fresh_memos):
     # A call that names the default attack finds the entry of one that
     # leaves it out, positional or keyword.
     assert conditionals() is conditionals("improved") is conditionals(attack="improved")
@@ -272,8 +272,7 @@ def test_caches_are_keyed_on_the_resolved_attack():
     assert exact_joint("fair-mixture", 0.5, "improved") is dist
     assert exact_joint(variant="fair-mixture", c0=0.5, attack="improved") is dist
     # A cold verify pass asks for 25 distinct joints, some of them both ways.
-    attacks.attack_profile.cache_clear()
-    information._exact_joint.cache_clear()
+    fresh_memos()
     run_all_checks()
     assert information._exact_joint.cache_info().currsize == 25
 
@@ -608,40 +607,3 @@ def test_security_report_contents():
     assert set(payload) == {"scheme", "full_attack_edge", "eta_star", "mu_star"}
     assert report.eta_star >= report.full_attack_edge
 
-
-@pytest.fixture
-def fresh_reports():
-    """Drop the process's security reports before and after the test."""
-    security_report.cache_clear()
-    yield
-    security_report.cache_clear()
-
-
-@pytest.mark.usefixtures("fresh_reports")
-def test_each_profile_builds_one_report():
-    """A profile's report is built once and shared, by equal profiles too,
-    and equals one built anew."""
-    for profile in (improved_profile(), wojcik_profile()):
-        report = security_report(profile)
-        assert security_report(profile) is report
-        assert security_report(dataclasses.replace(profile)) is report
-        assert report == security_report.__wrapped__(profile)
-    info = security_report.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-
-
-@pytest.mark.usefixtures("fresh_reports")
-def test_the_report_cache_holds_at_most_its_bound():
-    assert security_report.cache_info().maxsize == information._REPORTS >= len(ATTACKS)
-    profiles = [
-        AttackProfile(f"synthetic-{i}", 0.25, 1.0, 0.1 * i, 0.0)
-        for i in range(information._REPORTS + 3)
-    ]
-    for profile in profiles:
-        security_report(profile)
-        assert security_report.cache_info().currsize <= information._REPORTS
-    assert security_report.cache_info().currsize == information._REPORTS
-    # The least recently used profile was dropped: its report is built anew.
-    misses = security_report.cache_info().misses
-    security_report(profiles[0])
-    assert security_report.cache_info().misses == misses + 1

@@ -390,7 +390,7 @@ def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
         for c in _BRANCH_CELLS[3]]
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("scheme", ["improved", "improved-symmetrized"])
 def test_attacked_weights_read_the_coin_sides_table_at_j(scheme, monkeypatch):
     """The attack's own tables hold plain[1] == symmetrized[0], so a j/coin
@@ -1128,7 +1128,7 @@ def test_records_csv_at_the_window_edges(rounds):
     assert_csv_is_a_reference_prefix("improved-symmetrized", rounds, 10 * _INDEX_LOW + 1)
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("text", [",control,\0\r\n", ",contr\u00f4le\r\n"])
 def test_records_csv_refuses_a_row_text_it_cannot_compact(monkeypatch, text):
     # The body drops every NUL byte of its byte grid, so a row text must be
@@ -1306,7 +1306,7 @@ def test_table_rows_are_each_cells_own():
         assert text.tobytes().rstrip(b"\0").decode() == protocol._row_texts([cell])[0]
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_memos")
 def test_every_run_of_a_distribution_reads_one_table():
     """The first run of a distribution builds its table, with no CSV row
     text; every later run of it, through any entry point and with any seed
@@ -1327,7 +1327,7 @@ def test_every_run_of_a_distribution_reads_one_table():
     assert (info.misses, info.currsize) == (1, 1)
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_memos")
 def test_the_benchmark_cycle_fits_the_table_cache():
     """The 8 (scheme, eta) distributions of the mc-stats benchmark, run
     twice in turn, build 8 tables: the cache's bound holds them all."""
@@ -1359,7 +1359,7 @@ def test_table_arrays_are_read_only_and_runs_leave_them_as_they_are():
     assert _round_table(config) is table and table.texts is table.texts
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_memos")
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_equal_distributions_share_one_table(scheme):
     """"auto" and the fraction it resolves to name one distribution, as do
@@ -1375,7 +1375,7 @@ def test_equal_distributions_share_one_table(scheme):
     assert protocol._tables.cache_info().currsize == 2
 
 
-@pytest.mark.usefixtures("fresh_tables")
+@pytest.mark.usefixtures("fresh_memos")
 def test_numpy_scalars_run_the_distribution_of_their_value():
     """A config holds each probability as a Python float, so a numpy scalar
     weighs the cells as the float of its value does: a float32 prior of
