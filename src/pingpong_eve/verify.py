@@ -1,10 +1,11 @@
 """Self-verification battery: every pinned number recomputed and compared.
 
-Each check recomputes one pinned quantity from scratch (state amplitudes,
-outcome tables, information anchors, security bounds, solver census) and
-reports a PASS/FAIL line.  The known printed-formula discrepancy is itself
-a check: it passes when the discrepancy is detected, because faithfully
-reporting that disagreement is the intended behavior.
+``CHECKS`` lists the battery's topics in report order, each a function that
+yields its checks' results.  ``run_all_checks`` computes the inputs that
+several checks read once per call (``_Inputs``) and keeps nothing, so every
+call recomputes every check.  The known printed-formula discrepancy is
+itself a check: it passes when the discrepancy is detected, because
+faithfully reporting that disagreement is the intended behavior.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from . import __version__
 from .attacks import (
     F_KETS,
+    AttackProfile,
     attack_ba,
     control_outcomes,
     exact_outcome_tables,
@@ -30,14 +32,10 @@ from .attacks import (
     wojcik_profile,
 )
 from .conventions import solve, summarize
-from .engine import (
-    DIM,
-    PureState,
-    ket,
-    make_initial,
-    require_normalized,
-)
+from .engine import DIM, PureState, ket, make_initial, require_normalized
 from .information import (
+    FORMULAS,
+    PAIRS,
     closed_form,
     crossing_closed_form,
     default_eta_grid,
@@ -122,154 +120,132 @@ def _round_trip_states() -> np.ndarray:
 _ROUND_TRIP_STATES = _round_trip_states()
 
 
-def run_all_checks() -> list[CheckResult]:
-    checks: list[CheckResult] = []
+class _Prior(NamedTuple):
+    """Information values at one grid prior c0, computed through ``information``."""
 
-    def add(name: str, passed: bool, detail: str) -> None:
-        checks.append(CheckResult(name, bool(passed), detail))
+    forms: dict[str, tuple[float, bool, float]]  # closed_form(formula, c0) by formula
+    plain: tuple[float, float, float]  # plain (AE, AB, BE) at c0
+    mirrored: tuple[float, float, float]  # symmetrized (AE, AB, BE) at 1 - c0
 
-    # state pinning
+
+def _prior(c0: float) -> _Prior:
+    forms = {formula: closed_form(formula, c0) for formula in FORMULAS}
+    # The plain AE and BE gains are the closed forms' brute-force references.
+    plain_ab = mutual_information(exact_joint("plain", c0), "AB")
+    mirrored = exact_joint("symmetrized", 1.0 - c0)
+    mirrored_gains = tuple(mutual_information(mirrored, pair) for pair in PAIRS)
+    return _Prior(forms, (forms["plain_ae_ab"][2], plain_ab, forms["plain_be"][2]), mirrored_gains)
+
+
+class _Inputs(NamedTuple):
+    """What several checks read, computed once per ``run_all_checks`` call."""
+
+    returned: np.ndarray  # message_amps(): row j for message bit j
+    tables: np.ndarray  # exact_outcome_tables() of the improved attack
+    pinned: np.ndarray  # the same tables of the pinned message rows
+    improved: AttackProfile
+    wojcik: AttackProfile
+    priors: dict[float, _Prior]  # by prior in C0_GRID
+
+
+def _within(name: str, label: str, diff: float) -> tuple:
+    """A difference that must be at most 1e-12."""
+    return name, diff <= 1e-12, f"{label} {diff:.3e}"
+
+
+def _anchored(name: str, label: str, value: float, anchor: float, tol: float) -> tuple:
+    """A value that must lie within tol of its printed anchor."""
+    return name, abs(value - anchor) < tol, f"{label} = {value:.9f} (anchor {anchor})"
+
+
+def _states(inputs: _Inputs):
     initial = make_initial()
     diff = initial.max_amplitude_diff(_EXPECTED_INITIAL)
-    add("initial-state", diff <= 1e-12, f"max amplitude diff {diff:.3e}")
-
-    outbound = attack_ba(initial)
-    diff = outbound.max_amplitude_diff(_PINNED_OUTBOUND)
-    add(
-        "outbound-state",
-        diff <= 1e-12,
-        f"four basis terms at amplitude 1/2, max diff {diff:.3e}",
-    )
-
-    # each message state row by row against its pinned row: the returned
-    # rows of one message round and their S images
-    returned = message_amps()
-    symmetrized = symmetrization_amps(returned)
+    yield _within("initial-state", "max amplitude diff", diff)
+    diff = attack_ba(initial).max_amplitude_diff(_PINNED_OUTBOUND)
+    yield _within("outbound-state", "four basis terms at amplitude 1/2, max diff", diff)
+    # each message state row by row against its pinned row [s, j]: the
+    # returned rows of one message round (s = 0) and their S images (s = 1)
+    messages = np.array([inputs.returned, symmetrization_amps(inputs.returned)])
+    diffs = np.abs(messages - _PINNED_MESSAGES).max(axis=-1)
     for j in (0, 1):
-        diff = float(np.max(np.abs(returned[j] - _PINNED_MESSAGES[0, j])))
-        add(f"returned-state-bit{j}", diff <= 1e-12, f"max amplitude diff {diff:.3e}")
-        diff = float(np.max(np.abs(symmetrized[j] - _PINNED_MESSAGES[1, j])))
-        add(
-            f"symmetrized-returned-bit{j}",
-            diff <= 1e-12,
-            f"max amplitude diff {diff:.3e}",
-        )
+        yield _within(f"returned-state-bit{j}", "max amplitude diff", diffs[0, j])
+        yield _within(f"symmetrized-returned-bit{j}", "max amplitude diff", diffs[1, j])
+    images = forward_images()
+    diff = np.max(np.abs(images @ images.conj().T - np.eye(4)))
+    yield _within("attack-images-orthonormal", "gram deviation", diff)
 
-    gram = forward_images() @ forward_images().conj().T
-    diff = float(np.max(np.abs(gram - np.eye(4))))
-    add("attack-images-orthonormal", diff <= 1e-12, f"gram deviation {diff:.3e}")
 
+def _tables(inputs: _Inputs):
     # control statistics of the attacked control table, tabulated exactly from
     # the outbound state, so they admit equality checks; entries (t, h bit):
     # (vac, 0), (vac, 1), (pol0, 0), (pol0, 1), (pol1, 0), (pol1, 1)
     control = control_outcomes("improved")
-    p_vac = control[0] + control[1]
-    exact = p_vac == 0.25 and improved_profile().loss == p_vac
-    add("control-no-photon", exact, f"P(no photon) = {p_vac!r}, pinned 1/4")
-    p_equal = control[2] + control[5]
-    add("control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}")
+    p_vac, p_equal = control[0] + control[1], control[2] + control[5]
+    exact = p_vac == 0.25 and inputs.improved.loss == p_vac
+    yield "control-no-photon", exact, f"P(no photon) = {p_vac!r}, pinned 1/4"
+    yield "control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}"
 
-    # outcome tables: the attack states' against the pinned states' tables,
-    # both variants of each tabulated as one stack
-    tables = exact_outcome_tables()
-    expected = message_outcome_stack(_PINNED_MESSAGES)[..., 1:, :2]
-    for variant, table, pinned in zip(("plain", "symmetrized"), tables, expected):
-        diff = float(np.max(np.abs(table - pinned)))
-        add(f"{variant}-outcome-table", (table == pinned).all(), f"max cell diff {diff:.3e}")
+    # outcome tables: the attack states' against the pinned states' tables
+    for variant, table, pinned in zip(("plain", "symmetrized"), inputs.tables, inputs.pinned):
+        diff = np.max(np.abs(table - pinned))
+        yield f"{variant}-outcome-table", (table == pinned).all(), f"max cell diff {diff:.3e}"
 
     # the reference attack, tabulated exactly from its own circuit
     reference = control_outcomes("wojcik")
     p_vac, p_equal = reference[0] + reference[1], reference[2] + reference[5]
-    same_tables = bool((exact_outcome_tables("wojcik") == tables).all())
-    add(
+    same_tables = bool((exact_outcome_tables("wojcik") == inputs.tables).all())
+    yield (
         "reference-attack",
-        p_vac == 0.5 and wojcik_profile().loss == p_vac and p_equal == 0.0 and same_tables,
+        p_vac == 0.5 and inputs.wojcik.loss == p_vac and p_equal == 0.0 and same_tables,
         f"P(no photon) = {p_vac!r}, pinned 1/2; P(equal bits) = {p_equal!r}; "
         + f"message tables {'equal' if same_tables else 'differ from'} the improved attack's",
     )
 
-    # information anchors at the balanced prior
-    plain = exact_joint("plain", 0.5)
-    i_ae = mutual_information(plain, "AE")
-    i_ab = mutual_information(plain, "AB")
-    i_be = mutual_information(plain, "BE")
-    add(
-        "info-gain-eavesdropper",
-        abs(i_ae - A_ANCHOR) < 1e-6 and abs(i_ae - i_ab) < 1e-12,
-        f"I_AE = I_AB = {i_ae:.9f} (anchor {A_ANCHOR})",
-    )
-    add(
-        "info-receiver-eavesdropper",
-        abs(i_be - E_ANCHOR) < 1e-6,
-        f"I_BE = {i_be:.9f} (anchor {E_ANCHOR})",
-    )
+
+def _information(inputs: _Inputs):
+    # anchors at the balanced prior
+    priors = inputs.priors
+    i_ae, i_ab, i_be = priors[0.5].plain
+    name, passed, detail = _anchored("info-gain-eavesdropper", "I_AE = I_AB", i_ae, A_ANCHOR, 1e-6)
+    yield name, passed and abs(i_ae - i_ab) < 1e-12, detail
+    yield _anchored("info-receiver-eavesdropper", "I_BE", i_be, E_ANCHOR, 1e-6)
     mix_ab = mutual_information(exact_joint("fair-mixture", 0.5), "AB")
-    add(
-        "info-mixture-receiver",
-        abs(mix_ab - B_ANCHOR) < 1e-6,
-        f"mixture I_AB = {mix_ab:.9f} (anchor {B_ANCHOR})",
-    )
+    yield _anchored("info-mixture-receiver", "mixture I_AB", mix_ab, B_ANCHOR, 1e-6)
     cond_ae = mixture_ae_conditioned(0.5)
-    add(
-        "info-mixture-coin-conditioning",
-        abs(cond_ae - i_ae) < 1e-12,
-        f"coin-conditioned mixture I_AE = {cond_ae:.9f} equals plain gain",
-    )
-    error_rate = qber(plain)
-    add("decode-error-rate", error_rate == 0.25, f"QBER = {error_rate!r}, pinned 1/4")
+    detail = f"coin-conditioned mixture I_AE = {cond_ae:.9f} equals plain gain"
+    yield "info-mixture-coin-conditioning", abs(cond_ae - i_ae) < 1e-12, detail
+    error_rate = qber(exact_joint("plain", 0.5))
+    yield "decode-error-rate", error_rate == 0.25, f"QBER = {error_rate!r}, pinned 1/4"
 
     # closed forms
     worst = 0.0
     for formula in ("plain_ae_ab", "sym_ae_ab"):
         for c0 in C0_GRID:
-            value, flagged, brute = closed_form(formula, c0)
-            worst = max(worst, abs(value - brute))
-            if flagged:
-                worst = math.inf
-    add(
-        "closed-form-ae-ab-grid",
-        worst <= 1e-9,
-        f"printed forms track brute force, worst diff {worst:.3e}",
-    )
-    printed, flagged, brute = closed_form("plain_be", 0.5)
-    add(
+            value, flagged, brute = priors[c0].forms[formula]
+            worst = max(worst, math.inf if flagged else abs(value - brute))
+    detail = f"printed forms track brute force, worst diff {worst:.3e}"
+    yield "closed-form-ae-ab-grid", worst <= 1e-9, detail
+    printed, flagged, brute = priors[0.5].forms["plain_be"]
+    yield (
         "closed-form-be-discrepancy",
         flagged and abs(printed - (-0.176239)) < 1e-6 and abs(brute - 0.073761) < 1e-6,
         f"printed form gives {printed:.6f}, brute force gives {brute:.6f}, flagged",
     )
-    sym_flags = [closed_form("sym_be", c0)[1] for c0 in C0_GRID]
-    plain_flags = [closed_form("plain_be", c0)[1] for c0 in C0_GRID]
-    add(
-        "closed-form-be-flag-grid",
-        all(sym_flags) and all(plain_flags),
-        "discrepancy flag raised at every grid prior",
-    )
+    flags = [priors[c0].forms[formula][1] for formula in ("sym_be", "plain_be") for c0 in C0_GRID]
+    yield "closed-form-be-flag-grid", all(flags), "discrepancy flag raised at every grid prior"
 
     # symmetry properties
-    worst = 0.0
-    for c0 in C0_GRID:
-        plain_c0 = exact_joint("plain", c0)
-        mirrored = exact_joint("symmetrized", 1.0 - c0)
-        for pair in ("AE", "AB", "BE"):
-            worst = max(
-                worst,
-                abs(mutual_information(plain_c0, pair) - mutual_information(mirrored, pair)),
-            )
-    add("mirror-symmetry", worst <= 1e-12, f"worst pairwise diff {worst:.3e}")
-    gap = abs(
-        mutual_information(exact_joint("plain", 0.3), "AE")
-        - mutual_information(exact_joint("symmetrized", 0.3), "AE")
-    )
-    add(
-        "biased-prior-asymmetry",
-        gap > 1e-6,
-        f"plain vs symmetrized gain differ by {gap:.6f} at prior 0.3",
-    )
+    diffs = [abs(a - b) for c0 in C0_GRID for a, b in zip(priors[c0].plain, priors[c0].mirrored)]
+    yield _within("mirror-symmetry", "worst pairwise diff", max(diffs))
+    gap = abs(priors[0.3].forms["plain_ae_ab"][2] - priors[0.3].forms["sym_ae_ab"][2])
+    detail = f"plain vs symmetrized gain differ by {gap:.6f} at prior 0.3"
+    yield "biased-prior-asymmetry", gap > 1e-6, detail
 
-    # security bounds
-    improved = improved_profile()
-    wojcik = wojcik_profile()
-    add(
+
+def _bounds_and_curve(inputs: _Inputs):
+    improved, wojcik = inputs.improved, inputs.wojcik
+    yield (
         "full-attack-domains",
         max_attack_fraction(0.75, improved.loss) == 1.0
         and max_attack_fraction(0.5, wojcik.loss) == 1.0
@@ -277,40 +253,23 @@ def run_all_checks() -> list[CheckResult]:
         and max_attack_fraction(0.51, wojcik.loss) < 1.0,
         "every round attackable up to eta 0.75 (improved) and 0.50 (reference)",
     )
-    eta_star_i = insecurity_bound(improved)
-    eta_star_w = insecurity_bound(wojcik)
-    mu_star, eta_closed_i = crossing_closed_form(improved)
-    _, eta_closed_w = crossing_closed_form(wojcik)
-    add(
-        "insecurity-bound-improved",
-        abs(eta_star_i - ETA_STAR_IMPROVED_ANCHOR) < 1e-4,
-        f"eta* = {eta_star_i:.9f} (anchor {ETA_STAR_IMPROVED_ANCHOR})",
-    )
-    add(
-        "insecurity-bound-reference",
-        abs(eta_star_w - ETA_STAR_WOJCIK_ANCHOR) < 1e-4,
-        f"eta* = {eta_star_w:.9f} (anchor {ETA_STAR_WOJCIK_ANCHOR})",
-    )
-    add(
-        "bisection-vs-closed-form",
-        abs(eta_star_i - eta_closed_i) <= 1e-9 and abs(eta_star_w - eta_closed_w) <= 1e-9,
-        f"bisection within {max(abs(eta_star_i - eta_closed_i), abs(eta_star_w - eta_closed_w)):.3e} of closed form",
-    )
-    add(
-        "optimal-attack-fraction",
-        abs(mu_star - MU_STAR_ANCHOR) < 1e-4,
-        f"mu* = {mu_star:.9f} (anchor {MU_STAR_ANCHOR})",
-    )
+    eta_i, eta_w = insecurity_bound(improved), insecurity_bound(wojcik)
+    mu_star, closed_i = crossing_closed_form(improved)
+    closed_w = crossing_closed_form(wojcik)[1]
+    yield _anchored("insecurity-bound-improved", "eta*", eta_i, ETA_STAR_IMPROVED_ANCHOR, 1e-4)
+    yield _anchored("insecurity-bound-reference", "eta*", eta_w, ETA_STAR_WOJCIK_ANCHOR, 1e-4)
+    worst = max(abs(eta_i - closed_i), abs(eta_w - closed_w))
+    yield "bisection-vs-closed-form", worst <= 1e-9, f"bisection within {worst:.3e} of closed form"
+    yield _anchored("optimal-attack-fraction", "mu*", mu_star, MU_STAR_ANCHOR, 1e-4)
 
     # curve shape
-    grid = default_eta_grid()
-    points = info_vs_eta(improved, grid)
+    points = info_vs_eta(improved, default_eta_grid())
     plateau = [p for p in points if p.eta <= 0.75]
     tail = [p for p in points if p.eta >= 0.75]
     plateau_ok = all(abs(p.i_ae - plateau[0].i_ae) <= 1e-12 for p in plateau)
     decreasing = all(b.i_ae < a.i_ae for a, b in zip(tail, tail[1:]))
     increasing = all(b.i_ab > a.i_ab for a, b in zip(tail, tail[1:]))
-    add(
+    yield (
         "curve-shape",
         plateau_ok and decreasing and increasing,
         "gain flat on the full-attack domain, then strictly crossing",
@@ -319,46 +278,56 @@ def run_all_checks() -> list[CheckResult]:
     for a, b in zip(points, points[1:]):
         if (a.i_ae - a.i_ab) >= 0.0 > (b.i_ae - b.i_ab):
             bracket = (a.eta, b.eta)
-    add(
+    yield (
         "curve-crossing-bracketed",
-        bracket is not None and bracket[0] <= eta_star_i <= bracket[1],
+        bracket is not None and bracket[0] <= eta_i <= bracket[1],
         f"sign change between eta {bracket[0]:.2f} and {bracket[1]:.2f}"
         if bracket
         else "no sign change found on the grid",
     )
 
-    # convention solver census
+
+def _census_and_round_trip(inputs: _Inputs):
     reports = solve()
     counts = summarize(reports)
     # Report for report: every field, each deviation bit for bit.
     deterministic = reports == solve()
-    add(
+    yield (
         "solver-census",
         len(reports) == 576 and deterministic,
         "576 candidates, deterministic, "
         + f"{counts['match']} match / {counts['mismatch']} mismatch / "
         + f"{counts['invalid-double-occupancy']} invalid",
     )
-    add(
-        "solver-identity-mismatch",
-        reports[0].status == "mismatch",
-        "all-identity semantics do not reproduce the pinned images",
-    )
+    detail = "all-identity semantics do not reproduce the pinned images"
+    yield "solver-identity-mismatch", reports[0].status == "mismatch", detail
 
     # random-state round trips (seeded, deterministic), as one stack of rows
-    states = _ROUND_TRIP_STATES
-    outbound = outbound_amps(states)
+    outbound = outbound_amps(_ROUND_TRIP_STATES)
     round_trip = inbound_amps(outbound)
-    for stack in (states, outbound, round_trip):
+    for stack in (_ROUND_TRIP_STATES, outbound, round_trip):
         require_normalized(stack)
-    worst = float(np.abs(round_trip - states).max())
-    add(
-        "attack-round-trip",
-        worst <= 1e-12,
-        f"100 random in-domain states, worst diff {worst:.3e}",
-    )
+    worst = np.abs(round_trip - _ROUND_TRIP_STATES).max()
+    yield _within("attack-round-trip", "100 random in-domain states, worst diff", worst)
 
-    return checks
+
+# The battery in report order: each topic yields (name, passed, detail) for
+# each of its checks, in the order they are reported.
+CHECKS = (_states, _tables, _information, _bounds_and_curve, _census_and_round_trip)
+
+
+def run_all_checks() -> list[CheckResult]:
+    """Every check of ``CHECKS`` in order, on inputs computed once per call."""
+    inputs = _Inputs(
+        message_amps(),
+        exact_outcome_tables(),
+        message_outcome_stack(_PINNED_MESSAGES)[..., 1:, :2],
+        improved_profile(),
+        wojcik_profile(),
+        {c0: _prior(c0) for c0 in C0_GRID},
+    )
+    results = (result for topic in CHECKS for result in topic(inputs))
+    return [CheckResult(name, bool(passed), detail) for name, passed, detail in results]
 
 
 def render_report(checks: list[CheckResult]) -> str:

@@ -72,12 +72,50 @@ def test_verify_golden_bytes(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_VERIFY
 
 
-def test_verify_never_reads_the_report_cache(monkeypatch, capsys):
-    """verify recomputes its bounds and curve on every call: it passes with
-    no security report to read."""
+# The expected `verify` stdout as text, so that a change which adds or moves
+# a check shows its lines as a plain diff of this file.
+VERIFY_STDOUT = Path(__file__).resolve().parent / "data" / "verify.stdout"
+
+
+def test_verify_prints_the_expected_stdout_file(capsys):
+    expected = VERIFY_STDOUT.read_bytes()
+    assert hashlib.sha256(expected).hexdigest() == GOLDEN_VERIFY
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out == expected.decode()
+
+
+def test_verify_makes_fixed_information_calls_per_call(monkeypatch):
+    """One call reads each information value it checks once: the closed
+    forms' brute-force references serve the anchors, the mirror symmetry and
+    the biased prior.  Every module that binds a counted name is patched, as
+    the benchmark's tracer does; the profiles are warmed first, since their
+    memo computes their values once per process."""
+    counts = dict.fromkeys(("mutual_information", "exact_joint"), 0)
+    package = [module for key, module in sys.modules.items() if key.startswith("pingpong_eve")]
+    for name in counts:
+        original = getattr(information, name)
+
+        def counted(*args, original=original, name=name, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for module in package:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    verify.improved_profile()
+    verify.wojcik_profile()
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        assert len(verify.run_all_checks()) == 32
+        assert counts == {"mutual_information": 75, "exact_joint": 58}
+
+
+def test_verify_builds_no_security_report(monkeypatch, capsys):
+    """verify recomputes its bounds and curve on every call from the
+    profiles: it passes with every name of ``security_report`` raising."""
 
     def no_report(profile):
-        raise AssertionError("verify must not read a cached security report")
+        raise AssertionError("verify must not build a security report")
 
     monkeypatch.setattr(cli, "security_report", no_report)
     monkeypatch.setattr(information, "security_report", no_report)
