@@ -64,9 +64,12 @@ message round for both bits at once: one outbound call on the prepared
 pair, the (2, 54) stack of its two encodings, one inbound call, and S on
 the stack when asked for; with no attack it is the plain channel's round,
 whose Z_t is the engine's gate.  ``message_outcome_stack`` tabulates every
-row of a stack in one ``engine.exact_probabilities`` call, so
+row of a stack in one ``engine.exact_probabilities`` call, and
+``message_outcome_tables`` reads the conditional tables of a (..., 2, 2,
+54) stack of message states off it, refusing mass outside them.  So
 ``exact_outcome_tables`` tabulates both of an attack's variants in one
-pass: its two returned states and their S images, one (2, 2, 54) stack.
+pass, its two returned states and their S images, and ``verify`` tabulates
+every state it audits, both attacks' and its pinned rows, in one call.
 ``message_state`` and ``apply_symmetrization`` read these kernels for one
 ``PureState``.
 
@@ -98,6 +101,7 @@ from .engine import (
     exact_probabilities,
     ket,
     make_initial,
+    meeting_keys,
     polarization_gate_amps,
     router_maps,
     signed_permutation,
@@ -137,8 +141,11 @@ def split_rows() -> np.ndarray:
     return rows
 
 
-# Each gate's basis-index map, with the meeting modes of a router.
-_GATES = dict(zip(_ROUTES, zip(*router_maps(PHOTON_MODES, tuple(_ROUTES.values())))))
+# Each gate's basis-index map, with the meeting keys of a router.
+_GATES = {
+    gate: (image, meeting_keys(meet))
+    for gate, image, meet in zip(_ROUTES, *router_maps(PHOTON_MODES, tuple(_ROUTES.values())))
+}
 for _mode in "xy":
     _GATES[f"CNOT_t{_mode}"] = (controlled_flip_permutation("t", _mode, Occupation.POL0), None)
 
@@ -337,24 +344,35 @@ def control_outcomes(attack: str | None) -> tuple[float, ...]:
     return tuple(exact_probabilities(state.amps, _CONTROL_LABEL, 6).tolist())
 
 
-def exact_outcome_tables(attack: str = "improved") -> np.ndarray:
-    """Exact conditional tables P(k, m | j) of both variants from the named
-    attack's states, shape (2, 2, 2, 2) indexed by (s, j, k, m): s = 1 with
-    the symmetrization, k is Eve's register bit (y polarization) and m the
+def message_outcome_tables(messages: np.ndarray) -> np.ndarray:
+    """Exact conditional tables P(k, m | j) of a (..., 2, 2, 54) stack of
+    message states with rows indexed (s, j), shape (..., 2, 2, 2, 2) indexed
+    by (s, j, k, m): k is Eve's register bit (y polarization) and m the
     receiver's two-particle outcome mapped psi_plus -> 0, psi_minus -> 1.
 
-    All other outcomes (empty register, phi-type or no-photon results)
-    carry zero probability for these states; this is verified, not assumed.
-    The returned rows of one ``message_amps`` call and their S images are
-    tabulated as one (2, 2, 54) stack in one ``message_outcome_stack`` call.
+    All other outcomes (empty register, phi-type or no-photon results) must
+    carry zero probability; any mass there, in any row of the stack, is a
+    ValueError.  The whole stack is one ``message_outcome_stack`` call.
     """
-    returned = message_amps(False, attack)
-    outcomes = message_outcome_stack(np.array([returned, symmetrization_amps(returned)]))
+    outcomes = message_outcome_stack(messages)
     tables = outcomes[..., 1:, :2].copy()
     outcomes[..., 1:, :2] = 0.0
     if outcomes.any():
         raise ValueError(f"unexpected outcome mass {outcomes.sum()!r} outside the table")
     return tables
+
+
+def exact_outcome_tables(attack: str = "improved") -> np.ndarray:
+    """Exact conditional tables P(k, m | j) of both variants from the named
+    attack's states, shape (2, 2, 2, 2) indexed by (s, j, k, m), s = 1 with
+    the symmetrization: ``message_outcome_tables`` of the returned rows of
+    one ``message_amps`` call and their S images, one (2, 2, 54) stack.
+
+    All other outcomes carry zero probability for these states; this is
+    verified, not assumed.
+    """
+    returned = message_amps(False, attack)
+    return message_outcome_tables(np.array([returned, symmetrization_amps(returned)]))
 
 
 def exact_outcome_table(apply_s: bool, attack: str = "improved") -> np.ndarray:

@@ -36,9 +36,14 @@ never as a dense image.  compose_candidate is an independent
 single-candidate replay of the same circuit, term by term in Python, and
 the tests hold solve() equal to it on every candidate.
 
-Every solve() call composes the census afresh.  The solve-conventions
-command keeps its rendered census once per process, and verify, which
-calls solve() twice on each run, never reads that memo.
+Every solve() call composes the census afresh, on tables built once per
+process (``_batch_tables``): each stage's flat tables, router meeting keys
+included, and what the deviations read of the split rows and the
+references (their support, its conjugate values, each line's row offsets,
+the split-amplitude table).  So a call is one carry, one vectorized
+deviation pass and one Python pass that builds the 576 reports.  The
+solve-conventions command keeps its rendered census once per process, and
+verify, which calls solve() twice on each run, never reads that memo.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ CONTROL_POSITIONS = ("first-index", "second-index")
 ACTIVATIONS = ("pol1", "pol0")
 
 # The template's candidate-dependent stages in circuit order, after the
-# split, with their modes; the routers are those with a meeting-mode table.
+# split, with their modes; the routers are those with a meeting-key table.
 _STAGES = (
     ("route_txy", ("t", "x", "y")),
     ("cnot_ty", ("t", "y")),
@@ -185,21 +190,41 @@ class CandidateReport(NamedTuple):
 _status_of = operator.itemgetter(CandidateReport._fields.index("status"))
 
 
+class _Tables(NamedTuple):
+    """What every ``solve`` call reads that the template, the split rows and
+    the references fix; ``_deviations`` reads one line per entry: each of the
+    eight split terms' (two per row), then each support entry's of the
+    references."""
+
+    stages: tuple  # the engine.carry stages of every candidate
+    index: np.ndarray  # the split rows' term indices, shape (4, 2, 1, 1)
+    references: np.ndarray  # forward_images() when these tables were built
+    pairs: np.ndarray  # per line, the lines of its row's two terms, shape (2, lines)
+    amps_at: np.ndarray  # per line, its row's offset in amps, shape (lines, 1)
+    reference_at: np.ndarray  # per line, its row's offset in references, (lines, 1)
+    support_col: np.ndarray  # the support entries' columns, one per candidate
+    support_conj: np.ndarray  # the support entries' conjugate values, (support, 1)
+    amps: np.ndarray  # per split row: 0, its two terms' amplitudes and their sum
+
+
 @lru_cache(maxsize=None)
-def _batch_tables() -> tuple:
-    """Every candidate's ``engine.carry`` stages, built on first use: per
-    stage the raveled tables of all router routes or CNOT conventions, and
-    column offsets over a (route, cnot) grid that reads row-major as the
-    candidate ids.  Then the split rows' term indices, shape (4, 2, 1, 1),
-    and amplitudes, shape (4, 2)."""
+def _batch_tables() -> _Tables:
+    """The census tables, built on first use.  The stages hold, per stage,
+    the raveled image and meeting-key tables of all router routes, or the
+    raveled tables of all CNOT conventions, and column offsets over a
+    (route, cnot) grid that reads row-major as the candidate ids.  The
+    references are ``forward_images()``, read here: a test that patches them
+    clears this memo."""
     route = np.arange(len(_ROUTES))[:, None] * DIM
     cnot = np.arange(len(_CNOTS)) * DIM
-    stages = tuple(
-        (*(table.ravel() for table in engine.router_maps(modes, _ROUTES)), route)
-        if name.startswith("route")
-        else (np.array([_cnot_map(modes, *conv) for conv in _CNOTS]).ravel(), None, cnot)
-        for name, modes in _STAGES
-    )
+    stages = []
+    for name, modes in _STAGES:
+        if name.startswith("route"):
+            image, meet = engine.router_maps(modes, _ROUTES)
+            stages.append((image.ravel(), engine.meeting_keys(meet).ravel(), route))
+        else:
+            maps = np.array([_cnot_map(modes, *conv) for conv in _CNOTS])
+            stages.append((maps.ravel(), None, cnot))
     rows = split_rows()
     # The solver routes each row's two terms apart and adds them only where
     # they end on one ket; a sum of two is the same in either order, so the
@@ -207,7 +232,24 @@ def _batch_tables() -> tuple:
     if (np.count_nonzero(rows, axis=1) != 2).any():
         raise AssertionError("the batched solver expects two terms per split row")
     index = np.array([np.flatnonzero(row) for row in rows])
-    return stages, index[..., None, None], np.take_along_axis(rows, index, axis=1)
+    amps = np.take_along_axis(rows, index, axis=1)
+    references = forward_images()
+    support_row, support_col = np.nonzero(references)
+    line = np.concatenate((np.arange(index.size) // 2, support_row))
+    # A row's image on an entry that none, the first, the second or both of
+    # its terms land on; two terms on one ket add as in compose_candidate.
+    table = np.column_stack((np.zeros(len(amps)), amps, (0.0 + amps[:, 0]) + amps[:, 1]))
+    return _Tables(
+        tuple(stages),
+        index[..., None, None],
+        references,
+        np.array([2 * line, 2 * line + 1]),
+        (table.shape[1] * line)[:, None],
+        (references.shape[1] * line)[:, None],
+        np.broadcast_to(support_col[:, None], (len(support_col), len(enumerate_conventions()))),
+        references[support_row, support_col].conj()[:, None],
+        table,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -217,41 +259,34 @@ def _collision(key: int) -> Collision:
     return Collision(_STAGES[stage][0], BasisKet.from_index(index).label(), engine.MODES[mode])
 
 
-def _deviations(terms: np.ndarray, amps: np.ndarray, references: np.ndarray) -> list[float]:
+def _deviations(terms: np.ndarray, tables: _Tables) -> list[float]:
     """Deviation of each image in a stack from the references: the largest
     amplitude difference after removing the best common phase, fit once
     across all four rows (a phase of 1 for an image orthogonal to them).  The
     dense computation, ``deviation_from_reference``, lives in the tests'
     oracles (tests/oracles.py), which hold these deviations to it.  Image i
-    puts the split amplitudes amps, shape (4, 2), on the basis indices
-    terms[:, i], where terms has shape (8, n), row r's two terms on lines
-    2r and 2r + 1.
+    puts the split amplitudes on the basis indices terms[:, i], where terms
+    has shape (8, n), row r's two terms on lines 2r and 2r + 1.
 
     An image is nonzero only on its terms and the references only on their
     support, and every other entry is 0 on both sides, so the overlap and
     the deviation are read off those entries alone."""
-    n = terms.shape[1]
-    support_row, support_col = np.nonzero(references)
-    support = references[support_row, support_col]
-    # The entries read, one per line: each term's, then each support entry's.
-    row = np.concatenate((np.arange(len(terms)) // 2, support_row))
-    col = np.concatenate((terms, np.broadcast_to(support_col[:, None], (len(support), n))))
-    # A row's image on an entry that none, the first, the second or both of
-    # its terms land on; two terms on one ket add as in compose_candidate.
-    table = np.column_stack((np.zeros(len(amps)), amps, (0.0 + amps[:, 0]) + amps[:, 1]))
-    code = (terms[2 * row] == col) + 2 * (terms[2 * row + 1] == col)
-    image = table.take((4 * row)[:, None] + code)
-    reference = references.take((references.shape[1] * row)[:, None] + col)
+    col = np.concatenate((terms, tables.support_col[:, : terms.shape[1]]))
+    # whether the first and the second term of the line's row land on it
+    lands = terms.take(tables.pairs, axis=0) == col
+    image = tables.amps.take(tables.amps_at + lands[0] + 2 * lands[1])
+    reference = tables.references.take(tables.reference_at + col)
     # One contiguous row per candidate, which numpy sums pairwise; summed
     # down the columns instead, some overlaps at complex phases come out a
     # bit off those of deviation_from_reference in tests/oracles.py.
-    products = np.ascontiguousarray((support.conj()[:, None] * image[len(terms) :]).T)
+    products = np.ascontiguousarray((tables.support_conj * image[len(terms) :]).T)
     overlap = products.sum(axis=1)
     norm = np.abs(overlap)
+    fitted = norm > 0.0
     phase = np.ones_like(overlap)
     # part by part, as Python divides a complex by a float
-    np.divide(overlap.real, norm, out=phase.real, where=norm > 0.0)
-    np.divide(overlap.imag, norm, out=phase.imag, where=norm > 0.0)
+    np.divide(overlap.real, norm, out=phase.real, where=fitted)
+    np.divide(overlap.imag, norm, out=phase.imag, where=fitted)
     return np.abs(image - phase * reference).max(axis=0).tolist()
 
 
@@ -261,26 +296,32 @@ def solve() -> list[CandidateReport]:
     All 576 candidates are composed at once by gathering their split terms
     through each stage's table; compose_candidate replays one of them.
     """
-    stages, index, amps = _batch_tables()
-    conventions = enumerate_conventions()
+    tables = _batch_tables()
     # Terms run down the lines, candidates across a (route, cnot) grid of
     # columns: the first router sees the same split terms under every
     # candidate, so it runs once per route.  Terms that compose_candidate
     # would have merged share their index, and so their meeting key.
-    terms, first = engine.carry(index, stages)
-    first = first.ravel()
-    found = iter(_deviations(terms.reshape(index.size, -1)[:, first < 0], amps, forward_images()))
-    keys = first.tolist()
-    deviations = [next(found) if key < 0 else None for key in keys]
-    statuses = [
-        STATUS_INVALID if dev is None else STATUS_MATCH if dev <= MATCH_TOL else STATUS_MISMATCH
-        for dev in deviations
+    terms, first = engine.carry(tables.index, tables.stages)
+    keys = first.ravel()
+    found = iter(_deviations(terms.reshape(tables.index.size, -1)[:, keys < 0], tables))
+    # One pass over (id, convention, key); tuple.__new__ builds each report
+    # from its fields as CandidateReport._make does, without a Python call
+    # per report.
+    new = tuple.__new__
+    return [
+        new(CandidateReport, (candidate_id, convention, STATUS_INVALID, None, _collision(key)))
+        if key >= 0
+        else new(CandidateReport, (
+            candidate_id,
+            convention,
+            STATUS_MATCH if (deviation := next(found)) <= MATCH_TOL else STATUS_MISMATCH,
+            deviation,
+            None,
+        ))
+        for candidate_id, convention, key in zip(
+            itertools.count(), enumerate_conventions(), keys.tolist()
+        )
     ]
-    collisions = [None if key < 0 else _collision(key) for key in keys]
-    # tuple.__new__ builds each report from its fields as CandidateReport._make
-    # does, without a Python call per report
-    fields = zip(range(len(conventions)), conventions, statuses, deviations, collisions)
-    return list(map(tuple.__new__, itertools.repeat(CandidateReport), fields))
 
 
 def summarize(reports: Iterable[CandidateReport]) -> dict[str, int]:

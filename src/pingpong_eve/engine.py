@@ -26,7 +26,8 @@ Conventions baked into the gates:
 * A polarizing router moves photons between modes by their polarization
   (``router_maps``), and marks the kets on which two photons would meet.
   ``carry`` walks basis-index terms through a word of such index maps, one
-  circuit per column, and keys each circuit's first meeting.
+  circuit per column, and keys each circuit's first meeting from tables of
+  meeting keys built with each router stage (``meeting_keys``).
 
 States are immutable.  Every operation is a pure function returning a new
 ``PureState``.  The gates and the change to the two-particle measurement
@@ -352,25 +353,44 @@ def router_maps(modes: tuple[str, ...], routes: tuple) -> tuple[np.ndarray, np.n
     return image, meet
 
 
+# A meeting-key table's entry where no two photons meet: above every key
+# that ``carry`` can make.
+_APART = 1 << 62
+
+
+def meeting_keys(meet: np.ndarray) -> np.ndarray:
+    """The meeting keys of a router's ``meet`` table, shape (..., DIM), as
+    the stages of ``carry`` take them: index i * len(MODES) + mode where two
+    of index i's photons meet, and a sentinel above every key where none do."""
+    keys = np.where(meet >= 0, _INDICES * len(MODES) + meet, _APART)
+    keys.setflags(write=False)
+    return keys
+
+
 def carry(terms: np.ndarray, stages: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Carry each row's basis-index terms, shape (rows, n, 1, ...), through
-    ``(image, meet, column)`` stages, one circuit per column: entry
+    ``(image, keys, column)`` stages, one circuit per column: entry
     ``column + i`` of a flat table is the column's landing index for basis
-    index i, and the MODES index where two of its photons meet (-1 for none;
-    ``meet`` is None for a CNOT).  Returns the carried terms and each
-    column's least (row, stage, entering index, mode) meeting key, -1 where
-    no two photons meet; ``meeting`` unpacks a key."""
-    rows = np.arange(len(terms)).reshape((-1,) + (1,) * (terms.ndim - 1))
-    none = len(terms) * len(stages) * DIM * len(MODES)
+    index i, and its ``meeting_keys`` entry (``keys`` is None for a CNOT).
+    Returns the carried terms and each column's least (row, stage, entering
+    index, mode) meeting key, -1 where no two photons meet; ``meeting``
+    unpacks a key."""
+    step = DIM * len(MODES)
+    none = len(terms) * len(stages) * step
+    rows = np.arange(0, none, len(stages) * step).reshape((-1,) + (1,) * (terms.ndim - 1))
     first = none
-    for stage, (image, meet, column) in enumerate(stages):
+    for stage, (image, keys, column) in enumerate(stages):
         at = column + terms
-        if meet is not None:
-            mode = meet.take(at)
-            key = ((rows * len(stages) + stage) * DIM + terms) * len(MODES) + mode
-            first = np.minimum(first, np.where(mode >= 0, key, none).min(axis=(0, 1)))
+        if keys is not None:
+            # A router stage is one take, one add and one min: the row and
+            # stage prefix the key that the table holds for the entering index.
+            first = np.minimum(first, (keys.take(at) + (rows + stage * step)).min(axis=(0, 1)))
         terms = image.take(at)
-    return terms, np.broadcast_to(np.where(first < none, first, -1), terms.shape[2:])
+    first = np.where(first < none, first, -1)
+    # Columns that a stage after the last router sets apart share its key.
+    if first.shape != terms.shape[2:]:
+        first = np.broadcast_to(first, terms.shape[2:])
+    return terms, first
 
 
 def meeting(key: int, stages: int) -> tuple[int, int, int, int]:

@@ -3,7 +3,10 @@
 ``CHECKS`` lists the battery's topics in report order, each a function that
 yields its checks' results.  ``run_all_checks`` computes the inputs that
 several checks read once per call (``_Inputs``) and keeps nothing, so every
-call recomputes every check.  The known printed-formula discrepancy is
+call recomputes every check.  Among those inputs, every message state the
+battery audits (the improved attack's, Wojcik's and the pinned rows, each
+with its S images) is one (3, 2, 2, 54) stack, tabulated in one
+``message_outcome_tables`` call.  The known printed-formula discrepancy is
 itself a check: it passes when the discrepancy is detected, because
 faithfully reporting that disagreement is the intended behavior.
 """
@@ -21,12 +24,11 @@ from .attacks import (
     AttackProfile,
     attack_ba,
     control_outcomes,
-    exact_outcome_tables,
     forward_images,
     improved_profile,
     inbound_amps,
     message_amps,
-    message_outcome_stack,
+    message_outcome_tables,
     outbound_amps,
     symmetrization_amps,
     wojcik_profile,
@@ -113,6 +115,8 @@ def _round_trip_states() -> np.ndarray:
     coeffs /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
     states = np.zeros((100, DIM), dtype=complex)
     states[:, [k.index for k in F_KETS]] = coeffs
+    # fixed and read-only, so checked here once, as a PureState checks its input
+    require_normalized(states)
     states.setflags(write=False)
     return states
 
@@ -137,12 +141,24 @@ def _prior(c0: float) -> _Prior:
     return _Prior(forms, (forms["plain_ae_ab"][2], plain_ab, forms["plain_be"][2]), mirrored_gains)
 
 
+def _audited_messages() -> np.ndarray:
+    """(3, 2, 2, 54) stack of every message state the battery audits, rows
+    [s, j] as in ``_PINNED_MESSAGES``: the improved attack's returned rows of
+    one ``message_amps`` call and their S images, Wojcik's, then the pinned
+    rows."""
+    returned = np.array([message_amps(False, attack) for attack in ("improved", "wojcik")])
+    messages = np.empty((3, 2, 2, DIM), dtype=complex)
+    messages[:2, 0] = returned
+    messages[:2, 1] = symmetrization_amps(returned)
+    messages[2] = _PINNED_MESSAGES
+    return messages
+
+
 class _Inputs(NamedTuple):
     """What several checks read, computed once per ``run_all_checks`` call."""
 
-    returned: np.ndarray  # message_amps(): row j for message bit j
-    tables: np.ndarray  # exact_outcome_tables() of the improved attack
-    pinned: np.ndarray  # the same tables of the pinned message rows
+    messages: np.ndarray  # _audited_messages(): improved, Wojcik's, pinned
+    tables: np.ndarray  # their message_outcome_tables, one stacked call
     improved: AttackProfile
     wojcik: AttackProfile
     priors: dict[float, _Prior]  # by prior in C0_GRID
@@ -166,8 +182,7 @@ def _states(inputs: _Inputs):
     yield _within("outbound-state", "four basis terms at amplitude 1/2, max diff", diff)
     # each message state row by row against its pinned row [s, j]: the
     # returned rows of one message round (s = 0) and their S images (s = 1)
-    messages = np.array([inputs.returned, symmetrization_amps(inputs.returned)])
-    diffs = np.abs(messages - _PINNED_MESSAGES).max(axis=-1)
+    diffs = np.abs(inputs.messages[0] - _PINNED_MESSAGES).max(axis=-1)
     for j in (0, 1):
         yield _within(f"returned-state-bit{j}", "max amplitude diff", diffs[0, j])
         yield _within(f"symmetrized-returned-bit{j}", "max amplitude diff", diffs[1, j])
@@ -187,14 +202,15 @@ def _tables(inputs: _Inputs):
     yield "control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}"
 
     # outcome tables: the attack states' against the pinned states' tables
-    for variant, table, pinned in zip(("plain", "symmetrized"), inputs.tables, inputs.pinned):
-        diff = np.max(np.abs(table - pinned))
-        yield f"{variant}-outcome-table", (table == pinned).all(), f"max cell diff {diff:.3e}"
+    improved, wojcik, pinned = inputs.tables
+    for variant, table, expected in zip(("plain", "symmetrized"), improved, pinned):
+        diff = np.max(np.abs(table - expected))
+        yield f"{variant}-outcome-table", (table == expected).all(), f"max cell diff {diff:.3e}"
 
     # the reference attack, tabulated exactly from its own circuit
     reference = control_outcomes("wojcik")
     p_vac, p_equal = reference[0] + reference[1], reference[2] + reference[5]
-    same_tables = bool((exact_outcome_tables("wojcik") == inputs.tables).all())
+    same_tables = bool((wojcik == improved).all())
     yield (
         "reference-attack",
         p_vac == 0.5 and inputs.wojcik.loss == p_vac and p_equal == 0.0 and same_tables,
@@ -305,7 +321,7 @@ def _census_and_round_trip(inputs: _Inputs):
     # random-state round trips (seeded, deterministic), as one stack of rows
     outbound = outbound_amps(_ROUND_TRIP_STATES)
     round_trip = inbound_amps(outbound)
-    for stack in (_ROUND_TRIP_STATES, outbound, round_trip):
+    for stack in (outbound, round_trip):
         require_normalized(stack)
     worst = np.abs(round_trip - _ROUND_TRIP_STATES).max()
     yield _within("attack-round-trip", "100 random in-domain states, worst diff", worst)
@@ -318,10 +334,10 @@ CHECKS = (_states, _tables, _information, _bounds_and_curve, _census_and_round_t
 
 def run_all_checks() -> list[CheckResult]:
     """Every check of ``CHECKS`` in order, on inputs computed once per call."""
+    messages = _audited_messages()
     inputs = _Inputs(
-        message_amps(),
-        exact_outcome_tables(),
-        message_outcome_stack(_PINNED_MESSAGES)[..., 1:, :2],
+        messages,
+        message_outcome_tables(messages),
         improved_profile(),
         wojcik_profile(),
         {c0: _prior(c0) for c0 in C0_GRID},

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pingpong_eve import attacks
+from pingpong_eve import attacks, verify
 from pingpong_eve.attacks import (
     ATTACKS,
     F_KETS,
@@ -27,6 +27,7 @@ from pingpong_eve.attacks import (
     inbound_amps,
     message_amps,
     message_outcome_stack,
+    message_outcome_tables,
     message_state,
     outbound_amps,
     symmetrization_amps,
@@ -501,6 +502,38 @@ def test_outcome_table_refuses_mass_outside_it(monkeypatch):
     monkeypatch.setattr(attacks, "message_amps", lambda apply_s, attack: np.stack([phi_plus.amps] * 2))
     with pytest.raises(ValueError, match="outside the table"):
         exact_outcome_table(apply_s=False)
+
+
+def test_stacked_tables_refuse_mass_outside_them(monkeypatch):
+    # The phi_plus pair put in one returned row of the reference attack, and
+    # then of the pinned states, with its S image as exact_outcome_tables
+    # takes it: verify's (3, 2, 2, 54) stack is refused with the error that
+    # exact_outcome_tables raises on the same returned rows.
+    phi_plus = PureState.from_terms(
+        {ket(0, "0", "vac", "0"): INV_SQRT2, ket(1, "1", "vac", "0"): INV_SQRT2}
+    )
+    for index, j in ((1, 1), (2, 0)):
+        messages = verify._audited_messages()
+        returned = messages[index, 0].copy()
+        returned[j] = phi_plus.amps
+        messages[index] = returned, symmetrization_amps(returned)
+        with monkeypatch.context() as patch:
+            patch.setattr(attacks, "message_amps", lambda apply_s, attack: returned)
+            with pytest.raises(ValueError, match="outside the table") as single:
+                exact_outcome_tables("wojcik")
+        with pytest.raises(ValueError) as stacked:
+            message_outcome_tables(messages)
+        assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_tables_slice_per_attack():
+    # verify's one tabulation holds each attack's exact_outcome_tables, bit
+    # for bit, and the pinned states' tables after them.
+    tables = message_outcome_tables(verify._audited_messages())
+    assert tables.shape == (3, 2, 2, 2, 2)
+    for a, attack in enumerate(("improved", "wojcik")):
+        assert tables[a].tobytes() == exact_outcome_tables(attack).tobytes()
+    assert tables[2].tobytes() == tables[0].tobytes()
 
 
 # --- profiles --------------------------------------------------------------------

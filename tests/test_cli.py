@@ -157,10 +157,11 @@ def test_verify_solves_twice_while_the_census_memo_is_warm(monkeypatch, capsys):
 
 
 def test_verify_tabulates_each_attack_once_per_call(monkeypatch, capsys):
-    """Every call tabulates both attacks afresh, each in one stacked call,
-    and builds its returned states with one message round."""
+    """Every call builds each attack's returned states with one message
+    round, and tabulates them afresh with their S images and the pinned
+    states, as one (3, 2, 2, 54) stack in one call."""
     calls = []
-    for name in ("exact_outcome_tables", "message_amps", "message_outcome_stack"):
+    for name in ("message_amps", "message_outcome_tables"):
         def counted(*args, original=getattr(verify, name), name=name):
             calls.append((name, args))
             return original(*args)
@@ -169,16 +170,28 @@ def test_verify_tabulates_each_attack_once_per_call(monkeypatch, capsys):
     for runs in (1, 2):
         assert run_main(["verify"]) == 0
         assert [name for name, _ in calls] == [
-            "message_amps", "exact_outcome_tables", "message_outcome_stack", "exact_outcome_tables"
+            "message_amps", "message_amps", "message_outcome_tables"
         ] * runs
-        assert [args for name, args in calls if name == "exact_outcome_tables"] == [
-            (), ("wojcik",)
+        assert [args for name, args in calls if name == "message_amps"] == [
+            (False, "improved"), (False, "wojcik")
         ] * runs
-    # the pinned states of both tables, tabulated as one stack
-    assert [args[0].shape for name, args in calls if name == "message_outcome_stack"] == [
-        (2, 2, 54)
+    assert [args[0].shape for name, args in calls if name == "message_outcome_tables"] == [
+        (3, 2, 2, 54)
     ] * 2
     capsys.readouterr()
+
+
+def ulp_below(slices):
+    """verify's tabulator with the tables of the given slices of its stack
+    (0 the improved attack, 1 Wojcik's, 2 the pinned states) one ulp below."""
+    tabulate = verify.message_outcome_tables
+
+    def faulty(messages):
+        tables = tabulate(messages)
+        tables[slices] = np.nextafter(tables[slices], 0)
+        return tables
+
+    return faulty
 
 
 def test_round_trip_stack_equals_the_per_state_loop(monkeypatch):
@@ -224,11 +237,10 @@ def test_verify_fails_a_perturbed_round_trip(monkeypatch, capsys):
 
 def test_verify_outcome_tables_and_loss_are_exact(monkeypatch, capsys):
     # One ulp below the exact values, an error the size of a float
-    # projection's: the checks compare with ==, so each one fails.
-    tables, profile = verify.exact_outcome_tables, verify.improved_profile()
-    monkeypatch.setattr(
-        verify, "exact_outcome_tables", lambda attack="improved": np.nextafter(tables(attack), 0)
-    )
+    # projection's: the checks compare with ==, so each one fails.  Both
+    # attacks' tables move, so they still equal each other.
+    profile = verify.improved_profile()
+    monkeypatch.setattr(verify, "message_outcome_tables", ulp_below(slice(0, 2)))
     below = dataclasses.replace(profile, loss=np.nextafter(profile.loss, 0))
     monkeypatch.setattr(verify, "improved_profile", lambda: below)
     assert run_main(["verify"]) == 1
@@ -260,7 +272,7 @@ def test_verify_fails_a_reference_attack_off_its_pins(monkeypatch, capsys):
     # One fault at a time in what the reference attack's circuit gives, the
     # improved attack's left as it is: each fails the reference-attack line
     # and no other.
-    control_outcomes, tables = verify.control_outcomes, verify.exact_outcome_tables
+    control_outcomes = verify.control_outcomes
 
     def reference_control(reference):
         return lambda attack: reference if attack == "wojcik" else control_outcomes(attack)
@@ -271,9 +283,7 @@ def test_verify_fails_a_reference_attack_off_its_pins(monkeypatch, capsys):
         # the improved attack's loss of 1/4 in place of 1/2
         ("control_outcomes", reference_control((0.25, 0.0, 0.0, 0.5, 0.25, 0.0))),
         # message tables one ulp below the improved attack's
-        ("exact_outcome_tables", lambda attack="improved": (
-            np.nextafter(tables(attack), 0) if attack == "wojcik" else tables(attack)
-        )),
+        ("message_outcome_tables", ulp_below(1)),
     ]
     for name, fault in faults:
         with monkeypatch.context() as patch:

@@ -198,12 +198,15 @@ def test_solve_walks_the_census_through_the_engine_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.5])
-def test_solve_fits_a_complex_phase(monkeypatch, theta):
+def test_solve_fits_a_complex_phase(fresh_memos, monkeypatch, theta):
     # The truth-table images only ever fit a phase of +-1; under a global
     # phase on them the fitted phase is complex, and every report, float
     # for float, must still be the oracle's against the same references.
+    # The census tables hold the references they were built from, so the
+    # memos are dropped once the phased ones are in place.
     phased = forward_images() * cmath.exp(1j * theta)
     monkeypatch.setattr(conventions, "forward_images", lambda: phased)
+    fresh_memos()
     reports = solve()
     fitted = 0
     for candidate_id, conv in enumerate(enumerate_conventions()):
@@ -211,6 +214,23 @@ def test_solve_fits_a_complex_phase(monkeypatch, theta):
         images = compose_candidate(conv).images
         fitted += images is not None and np.vdot(phased, images).imag != 0.0
     assert fitted == 216 - 85
+
+
+def test_solve_reads_no_stale_references(fresh_memos, monkeypatch):
+    """The census tables hold arrays derived from the references: with them
+    warm on the improved attack's images, patching those with the reference
+    attack's and clearing through fresh_memos scores every candidate against
+    the patched ones."""
+    before = [report.deviation for report in solve()]
+    monkeypatch.setitem(attacks._IMAGES, "improved", forward_images("wojcik"))
+    fresh_memos()
+    references = forward_images()
+    deviations = [report.deviation for report in solve()]
+    for conv, deviation in zip(enumerate_conventions(), deviations):
+        images = compose_candidate(conv).images
+        expected = None if images is None else deviation_from_reference(images, references)
+        assert deviation == expected
+    assert deviations != before
 
 
 _COMPLETE_IDS = [
@@ -221,13 +241,14 @@ _COMPLETE_IDS = [
 
 
 @pytest.mark.parametrize("reference_id", [0, 4, _COMPLETE_IDS[-1]])
-def test_solve_matches_a_candidate_against_its_own_images(monkeypatch, reference_id):
+def test_solve_matches_a_candidate_against_its_own_images(fresh_memos, monkeypatch, reference_id):
     # With one candidate's images as the references, that candidate is a
     # match and every report is still the oracle's.  The support is then
     # the candidate's own: candidate 4 puts two terms on one ket in every
     # row, and for f3 and f4 they cancel, leaving those rows empty.
     own = compose_candidate(enumerate_conventions()[reference_id]).images
     monkeypatch.setattr(conventions, "forward_images", lambda: own)
+    fresh_memos()
     reports = solve()
     assert reports[reference_id].status == STATUS_MATCH
     assert reports[reference_id].deviation == 0.0

@@ -31,6 +31,7 @@ from pingpong_eve.engine import (
     ket,
     make_initial,
     meeting,
+    meeting_keys,
     mode_marginal,
     project_bell,
     polarization_gate_amps,
@@ -397,12 +398,14 @@ def test_a_router_meet_keys_the_row_stage_entering_index_and_mode():
     pbs_xy = ((STAY, (0, 2, 1), False, False),)
     image, meet = (table.ravel() for table in router_maps(PHOTONS, pbs_xy))
     cnot = controlled_flip_permutation("x", "y", Occupation.POL1)
-    stages = [(image, meet, 0), (cnot, None, 0), (image, meet, 0)]
+    keys = meeting_keys(meet)
+    stages = [(image, keys, 0), (cnot, None, 0), (image, keys, 0)]
     crossing = [ket(h, "vac", "1", "1").index for h in (1, 0)]
     entering = [ket(h, "vac", "1", "0").index for h in (1, 0)]
     assert [image[i] for i in crossing] == crossing and (meet[crossing] < 0).all()
     assert [cnot[i] for i in crossing] == entering
     assert meet[entering].tolist() == [MODES.index("y")] * 2
+    assert keys[entering].tolist() == [i * len(MODES) + MODES.index("y") for i in entering]
     # Row 0's terms meet at the last stage, the h=0 term first by index
     # though it is on the later line; row 1's meet at the first stage.
     _, first = carry(np.array([crossing, entering]), stages)
