@@ -59,23 +59,23 @@ read at import from the engine's gate kernels by
 ``engine.signed_permutation``: the values are the gates', and a zero's sign
 may differ from the one the gates leave.
 
-The message layer works on stacks as well.  ``message_amps`` runs a
-message round for both bits at once: one outbound call on the prepared
-pair, the (2, 54) stack of its two encodings, one inbound call, and S on
-the stack when asked for; with no attack it is the plain channel's round,
-whose Z_t is the engine's gate.  ``message_outcome_stack`` tabulates every
-row of a stack in one ``engine.exact_probabilities`` call, and
+The message layer is one round, the same for the plain channel and both
+attacks.  ``message_amps`` runs it for both bits at once and returns a
+(2, 2, 54) stack indexed [s, j]: the prepared pair, the outbound leg when
+there is an attack, Z_t^j as one signed gather, the inbound leg when there
+is an attack, then S as one signed gather on the returned rows (s = 0),
+which gives their S images (s = 1).  ``message_outcome_stack`` tabulates
+every row of a stack in one ``engine.exact_probabilities`` call, and
 ``message_outcome_tables`` reads the conditional tables of a (..., 2, 2,
 54) stack of message states off it, refusing mass outside them.  So
-``exact_outcome_tables`` tabulates both of an attack's variants in one
-pass, its two returned states and their S images, and ``verify`` tabulates
-every state it audits, both attacks' and its pinned rows, in one call.
-``message_state`` and ``apply_symmetrization`` read these kernels for one
-``PureState``.
+``exact_outcome_tables`` is ``message_outcome_tables`` of one
+``message_amps`` stack, and ``verify`` tabulates every state it audits,
+both attacks' stacks and its pinned rows, in one call.
 
 The control and message outcome tables are tabulated exactly from the
 branch states, and each attack's profile from its own: its loss from its
-attacked control table, its information values from its message tables.
+attacked control table's lost-photon entries (``LOST_ENTRIES``), its
+information values from its message tables.
 """
 
 from __future__ import annotations
@@ -132,13 +132,10 @@ _CIRCUITS = {
 ATTACKS = tuple(_CIRCUITS)
 
 
-@lru_cache(maxsize=None)
-def split_rows() -> np.ndarray:
-    """(4, 54) read-only rows of f1..f4 after the split H_y, the circuits'
-    only gate that makes more than one term."""
-    rows = polarization_gate_amps(np.eye(DIM)[_F_INDICES], "y", HADAMARD)
-    rows.setflags(write=False)
-    return rows
+# (4, 54) read-only rows of f1..f4 after the split H_y, the circuits' only
+# gate that makes more than one term.
+SPLIT_ROWS = polarization_gate_amps(np.eye(DIM)[_F_INDICES], "y", HADAMARD)
+SPLIT_ROWS.setflags(write=False)
 
 
 # Each gate's basis-index map, with the meeting keys of a router.
@@ -154,13 +151,13 @@ def _trace(attack: str) -> np.ndarray:
     """(4, 54) read-only array whose rows are the named attack's outbound
     images of f1..f4: each split term carried through its circuit's index
     maps by ``engine.carry``."""
-    rows, at = np.nonzero(split_rows())
+    rows, at = np.nonzero(SPLIT_ROWS)
     stages = [(*_GATES[gate], 0) for gate in _CIRCUITS[attack]]
     landed, first = carry(at[None, :], stages)
     if first >= 0:
         raise AssertionError(f"the {attack} circuit puts two photons in one mode")
     images = np.zeros((len(F_KETS), DIM), dtype=complex)
-    np.add.at(images, (rows, landed[0]), split_rows()[rows, at])
+    np.add.at(images, (rows, landed[0]), SPLIT_ROWS[rows, at])
     images.setflags(write=False)
     return images
 
@@ -282,37 +279,23 @@ def symmetrization_amps(amps: np.ndarray) -> np.ndarray:
     return _signed(amps, _S)
 
 
-def apply_symmetrization(state: PureState) -> PureState:
-    """``symmetrization_amps`` on one state."""
-    return PureState(symmetrization_amps(state.amps))
-
-
-def message_amps(apply_s: bool = False, attack: str | None = "improved") -> np.ndarray:
-    """(2, 54) stack of the states reaching Eve's register and the receiver,
-    row j for message bit j.
+def message_amps(attack: str | None = "improved") -> np.ndarray:
+    """(2, 2, 54) stack of the states reaching Eve's register and the
+    receiver, row [s, j] for message bit j: the returned rows (s = 0) and
+    their S images (s = 1).
 
     Runs the message-mode round on the channel under the named attack (the
     plain channel when ``attack`` is None), both bits at once: the outbound
     leg on the prepared pair, the sender's phase encoding Z_t^j on the
-    stack, then the inbound leg (with optional symmetrization).
+    stack, the inbound leg, then S on the returned rows.
     """
-    pair = make_initial().amps
-    if attack is None:
-        # Built once, at import, and pinned to the Z_t kernel's bits, the
-        # sign of each zero included.
-        returned = np.array([pair, _phase_gate(pair)])
-    else:
-        outbound = outbound_amps(pair, attack)
-        returned = inbound_amps(np.array([outbound, _signed(outbound, _Z_T)]), attack)
-    return symmetrization_amps(returned) if apply_s else returned
-
-
-def message_state(j: int, apply_s: bool = False, attack: str = "improved") -> PureState:
-    """State reaching Eve's register and the receiver for message bit j:
-    row j of ``message_amps``."""
-    if j not in (0, 1):
-        raise ValueError(f"message bit must be 0 or 1, got {j!r}")
-    return PureState(message_amps(apply_s, attack)[j])
+    amps = make_initial().amps
+    if attack is not None:
+        amps = outbound_amps(amps, attack)
+    amps = np.array([amps, _signed(amps, _Z_T)])
+    if attack is not None:
+        amps = inbound_amps(amps, attack)
+    return np.array([amps, symmetrization_amps(amps)])
 
 
 # Label of each amplitude of a message state's bell_amps row (nine amplitudes
@@ -322,6 +305,11 @@ _MESSAGE_LABEL = np.repeat(np.arange(5), [9, 9, 9, 9, 18]) + 5 * (np.arange(DIM)
 # The (t outcome, h bit) of each entry of control_outcomes, and the entry of
 # each basis ket: 2 * (code of t) + (bit of h).
 CONTROL_T_H = tuple((t, h) for t in Occupation for h in (0, 1))
+# The entries of CONTROL_T_H where the travel photon is lost (t = vac), and
+# where a surviving photon's bit equals h's, which breaks the pair's
+# anticorrelation: a detection.
+LOST_ENTRIES = tuple(i for i, (t, h) in enumerate(CONTROL_T_H) if t is Occupation.VAC)
+EQUAL_ENTRIES = tuple(map(CONTROL_T_H.index, ((Occupation.POL0, 0), (Occupation.POL1, 1))))
 _CONTROL_LABEL = np.array([2 * k.t + k.h for k in map(BasisKet.from_index, range(DIM))])
 
 
@@ -365,14 +353,12 @@ def message_outcome_tables(messages: np.ndarray) -> np.ndarray:
 def exact_outcome_tables(attack: str = "improved") -> np.ndarray:
     """Exact conditional tables P(k, m | j) of both variants from the named
     attack's states, shape (2, 2, 2, 2) indexed by (s, j, k, m), s = 1 with
-    the symmetrization: ``message_outcome_tables`` of the returned rows of
-    one ``message_amps`` call and their S images, one (2, 2, 54) stack.
+    the symmetrization: ``message_outcome_tables`` of its ``message_amps``.
 
     All other outcomes carry zero probability for these states; this is
     verified, not assumed.
     """
-    returned = message_amps(False, attack)
-    return message_outcome_tables(np.array([returned, symmetrization_amps(returned)]))
+    return message_outcome_tables(message_amps(attack))
 
 
 def exact_outcome_table(apply_s: bool, attack: str = "improved") -> np.ndarray:
@@ -424,7 +410,9 @@ def attack_profile(attack: str) -> AttackProfile:
     """The named attack's profile, from its own states: the loss is
     P(t = vac) of its attacked control table, the information values those
     of its own message tables."""
-    return AttackProfile(attack, sum(control_outcomes(attack)[:2]), *_information_values(attack))
+    control = control_outcomes(attack)
+    loss = sum(control[i] for i in LOST_ENTRIES)
+    return AttackProfile(attack, loss, *_information_values(attack))
 
 
 def improved_profile() -> AttackProfile:

@@ -58,7 +58,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import engine
-from .attacks import F_KETS, forward_images, split_rows
+from .attacks import F_KETS, SPLIT_ROWS, forward_images
 from .engine import DIM, BasisKet, Occupation
 
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
@@ -159,7 +159,7 @@ def compose_candidate(conv: Convention) -> CompositionResult:
         for name, modes in _STAGES
     ]
     images = np.zeros((len(F_KETS), DIM), dtype=complex)
-    for row, split in enumerate(split_rows()):
+    for row, split in enumerate(SPLIT_ROWS):
         terms = [(i, split[i]) for i in np.flatnonzero(split)]
         for stage, image_of, meet_at in stages:
             routed: dict[int, complex] = {}
@@ -225,7 +225,7 @@ def _batch_tables() -> _Tables:
         else:
             maps = np.array([_cnot_map(modes, *conv) for conv in _CNOTS])
             stages.append((maps.ravel(), None, cnot))
-    rows = split_rows()
+    rows = SPLIT_ROWS
     # The solver routes each row's two terms apart and adds them only where
     # they end on one ket; a sum of two is the same in either order, so the
     # images equal compose_candidate's bit for bit.

@@ -443,18 +443,17 @@ def signed_permutation(
     return source, sign
 
 
-@lru_cache(maxsize=None)
+# The prepared pair is fixed data: a state is immutable, so every caller
+# shares the one built at import.
+_INITIAL = PureState.from_terms(
+    dict.fromkeys((ket(0, "1", "vac", "0"), ket(1, "0", "vac", "0")), 1.0 / np.sqrt(2.0))
+)
+
+
 def make_initial() -> PureState:
     """Entangled pair shared between h and t, with empty x and a pol0 marker
-    photon in y: (|h=0, t=1> + |h=1, t=0>)/sqrt(2) (x) |vac>_x |0>_y.
-    Built once: a state is immutable, so every caller can share it."""
-    amp = 1.0 / np.sqrt(2.0)
-    return PureState.from_terms(
-        {
-            ket(0, "1", "vac", "0"): amp,
-            ket(1, "0", "vac", "0"): amp,
-        }
-    )
+    photon in y: (|h=0, t=1> + |h=1, t=0>)/sqrt(2) (x) |vac>_x |0>_y."""
+    return _INITIAL
 
 
 # --- measurements ---------------------------------------------------------

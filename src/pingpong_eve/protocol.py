@@ -17,9 +17,9 @@ complete round records but for the index (``_BRANCH_CELLS``), and
 ``_branch_weights`` weighs them: each branch's exact table times its
 factors (``eta``, ``c0``, the symmetrization coin).  The tables come from
 the 54-dimensional branch states: ``attacks.control_outcomes``, the plain
-channel's outcome rows (``attacks.message_amps(attack=None)``, tabulated at
-import) and ``information.conditionals`` of the scheme's attack, built once
-per attack from the ``attacks.exact_outcome_tables`` that ``verify`` audits.
+channel's outcome rows (the returned rows of ``attacks.message_amps(None)``,
+tabulated at import) and ``information.conditionals`` of the scheme's
+attack, built once per attack from its ``attacks.exact_outcome_tables``.
 ``_RoundTable`` joins the branches into one categorical table: a cell's
 probability is its branch's (from ``control_prob`` and the attack fraction)
 times its normalized weight in the branch; cells of probability zero are
@@ -86,6 +86,8 @@ import numpy as np
 
 from .attacks import (
     CONTROL_T_H,
+    EQUAL_ENTRIES,
+    LOST_ENTRIES,
     attack_profile,
     control_outcomes,
     message_amps,
@@ -236,25 +238,25 @@ _Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:], defaults=(None,) * 6 +
 
 # P(receiver outcome | j) of a message round on the plain channel, row j
 # for j = 0, 1, in BellOutcome order.
-_PLAIN_ROWS = message_outcome_stack(message_amps(attack=None)).sum(axis=1)
+_PLAIN_ROWS = message_outcome_stack(message_amps(None)[0]).sum(axis=1)
 
 # The cells of the four branches, in sampling order, each in the ravel order
 # of its weights in _branch_weights.  Control cells, unattacked and attacked,
-# follow CONTROL_T_H; the receiver detects the eavesdropper when a surviving
-# photon breaks the anticorrelation.  The plain channel's message cells are
-# the lost photon, then (j, m) in BellOutcome order; the attacked message
-# cells run over (j, coin s, k, m), with m in _M_BIT order.
+# follow CONTROL_T_H, their lost photons and detections at the entries that
+# attacks names LOST_ENTRIES and EQUAL_ENTRIES.  The plain channel's message
+# cells are the lost photon, then (j, m) in BellOutcome order; the attacked
+# message cells run over (j, coin s, k, m), with m in _M_BIT order.
 _BRANCH_CELLS = (
-    *(tuple(_Cell("control", attacked, None, None, None, t, h, None, t is Occupation.VAC,
-                  t is not Occupation.VAC and h == (t is Occupation.POL1))
-            for t, h in CONTROL_T_H)
+    *(tuple(_Cell("control", attacked, None, None, None, t, h, None, i in LOST_ENTRIES,
+                  i in EQUAL_ENTRIES)
+            for i, (t, h) in enumerate(CONTROL_T_H))
       for attacked in (False, True)),
     (_Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True),
      *(_Cell("message", False, j, None, m) for j in (0, 1) for m in BellOutcome)),
     tuple(_Cell("message", True, j, k, m, None, None, s)
           for j, s, k, m in itertools.product((0, 1), (False, True), (0, 1), _M_BIT)),
 )
-_CONTROL_LOST = np.array([cell.photon_lost for cell in _BRANCH_CELLS[0]])
+_CONTROL_LOST = np.array([i in LOST_ENTRIES for i in range(len(CONTROL_T_H))])
 
 
 def _branch_weights(scheme: str, eta: float, c0: float) -> tuple[list[float], ...]:

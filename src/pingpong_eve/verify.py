@@ -20,7 +20,9 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
+    EQUAL_ENTRIES,
     F_KETS,
+    LOST_ENTRIES,
     AttackProfile,
     attack_ba,
     control_outcomes,
@@ -30,7 +32,6 @@ from .attacks import (
     message_amps,
     message_outcome_tables,
     outbound_amps,
-    symmetrization_amps,
     wojcik_profile,
 )
 from .conventions import solve, summarize
@@ -143,15 +144,16 @@ def _prior(c0: float) -> _Prior:
 
 def _audited_messages() -> np.ndarray:
     """(3, 2, 2, 54) stack of every message state the battery audits, rows
-    [s, j] as in ``_PINNED_MESSAGES``: the improved attack's returned rows of
-    one ``message_amps`` call and their S images, Wojcik's, then the pinned
-    rows."""
-    returned = np.array([message_amps(False, attack) for attack in ("improved", "wojcik")])
-    messages = np.empty((3, 2, 2, DIM), dtype=complex)
-    messages[:2, 0] = returned
-    messages[:2, 1] = symmetrization_amps(returned)
-    messages[2] = _PINNED_MESSAGES
-    return messages
+    [s, j]: the improved attack's ``message_amps``, Wojcik's, then the
+    pinned rows."""
+    return np.array([message_amps("improved"), message_amps("wojcik"), _PINNED_MESSAGES])
+
+
+def _control_sums(attack: str) -> tuple[float, float]:
+    """P(no photon) and P(equal bits) of the named attack's control table,
+    each its named entries summed left to right."""
+    control = control_outcomes(attack)
+    return sum(control[i] for i in LOST_ENTRIES), sum(control[i] for i in EQUAL_ENTRIES)
 
 
 class _Inputs(NamedTuple):
@@ -193,10 +195,8 @@ def _states(inputs: _Inputs):
 
 def _tables(inputs: _Inputs):
     # control statistics of the attacked control table, tabulated exactly from
-    # the outbound state, so they admit equality checks; entries (t, h bit):
-    # (vac, 0), (vac, 1), (pol0, 0), (pol0, 1), (pol1, 0), (pol1, 1)
-    control = control_outcomes("improved")
-    p_vac, p_equal = control[0] + control[1], control[2] + control[5]
+    # the outbound state, so they admit equality checks
+    p_vac, p_equal = _control_sums("improved")
     exact = p_vac == 0.25 and inputs.improved.loss == p_vac
     yield "control-no-photon", exact, f"P(no photon) = {p_vac!r}, pinned 1/4"
     yield "control-anticorrelation", p_equal == 0.0, f"P(equal bits) = {p_equal!r}"
@@ -208,8 +208,7 @@ def _tables(inputs: _Inputs):
         yield f"{variant}-outcome-table", (table == expected).all(), f"max cell diff {diff:.3e}"
 
     # the reference attack, tabulated exactly from its own circuit
-    reference = control_outcomes("wojcik")
-    p_vac, p_equal = reference[0] + reference[1], reference[2] + reference[5]
+    p_vac, p_equal = _control_sums("wojcik")
     same_tables = bool((wojcik == improved).all())
     yield (
         "reference-attack",

@@ -16,7 +16,6 @@ from pingpong_eve.attacks import (
     ATTACKS,
     F_KETS,
     SubspaceLeakageError,
-    apply_symmetrization,
     attack_ab,
     attack_ba,
     control_outcomes,
@@ -28,7 +27,6 @@ from pingpong_eve.attacks import (
     message_amps,
     message_outcome_stack,
     message_outcome_tables,
-    message_state,
     outbound_amps,
     symmetrization_amps,
     wojcik_profile,
@@ -303,7 +301,7 @@ def test_each_attack_has_its_own_inbound_span():
 
 def test_symmetrization_on_returned_states():
     for j in (0, 1):
-        out = apply_symmetrization(returned_state(j))
+        out = PureState(symmetrization_amps(returned_state(j).amps))
         assert out.allclose(symmetrized_state(j), atol=1e-12)
 
 
@@ -312,7 +310,7 @@ def test_symmetrization_is_an_involution():
     for _ in range(10):
         amps = rng.normal(size=54) + 1j * rng.normal(size=54)
         state = PureState(amps / np.linalg.norm(amps))
-        twice = apply_symmetrization(apply_symmetrization(state))
+        twice = PureState(symmetrization_amps(symmetrization_amps(state.amps)))
         assert twice.allclose(state, atol=1e-12)
 
 
@@ -353,21 +351,22 @@ def test_signed_gather_equals_its_gates(gather, gates):
         assert np.array_equal(out, gates(amps))
     for attack in ATTACKS:
         outbound = outbound_amps(make_initial().amps, attack)
-        for stack in (outbound, message_amps(False, attack), message_amps(True, attack)):
+        for stack in (outbound, message_amps(attack)):
             assert np.array_equal(gather(stack), gates(stack))
 
 
 def test_message_stacks_read_the_signed_gathers(monkeypatch):
-    """The attacked message round applies Z_t and S through their gathers."""
-    for attack in ATTACKS:
-        returned, symmetrized = message_amps(False, attack), message_amps(True, attack)
+    """Every message round, the plain channel's included, applies Z_t and S
+    through their gathers."""
+    for attack in (None, *ATTACKS):
+        stack = message_amps(attack)
         source, sign = attacks._S
         monkeypatch.setattr(attacks, "_S", (source, -sign))
-        assert np.array_equal(message_amps(True, attack), -symmetrized)
+        assert np.array_equal(message_amps(attack), [stack[0], -stack[1]])
         monkeypatch.undo()
         # With Z_t the identity, bit 1 is sent as bit 0.
         monkeypatch.setattr(attacks, "_Z_T", (np.arange(DIM), np.ones(DIM, dtype=complex)))
-        assert np.array_equal(message_amps(False, attack), returned[[0, 0]])
+        assert np.array_equal(message_amps(attack), stack[:, [0, 0]])
         monkeypatch.undo()
 
 
@@ -375,11 +374,20 @@ def test_message_stacks_read_the_signed_gathers(monkeypatch):
 
 
 def test_message_state_matches_pinned_states():
+    stack = message_amps()
     for j in (0, 1):
-        assert message_state(j).allclose(returned_state(j), atol=1e-12)
-        assert message_state(j, apply_s=True).allclose(symmetrized_state(j), atol=1e-12)
-    with pytest.raises(ValueError):
-        message_state(2)
+        assert PureState(stack[0, j]).allclose(returned_state(j), atol=1e-12)
+        assert PureState(stack[1, j]).allclose(symmetrized_state(j), atol=1e-12)
+
+
+@pytest.mark.parametrize("attack", [None, *ATTACKS])
+def test_message_amps_are_one_s_j_stack(attack):
+    """Every channel's message round is one (2, 2, 54) stack indexed [s, j]:
+    the returned rows, then their S images, which its tables read as is."""
+    stack = message_amps(attack)
+    assert stack.shape == (2, 2, DIM)
+    assert stack[1].tobytes() == symmetrization_amps(stack[0]).tobytes()
+    assert exact_outcome_tables(attack).tobytes() == message_outcome_tables(stack).tobytes()
 
 
 # The plain table P(k, m | j), indexed [j, k, m]; the symmetrized attack
@@ -404,13 +412,12 @@ def gate_by_gate_message_state(j: int, apply_s: bool, attack: str) -> PureState:
 
 def test_message_amps_equal_the_gate_by_gate_round():
     for attack in ATTACKS:
+        stack = message_amps(attack)
+        assert stack.shape == (2, 2, DIM)
         for apply_s in (False, True):
-            stack = message_amps(apply_s, attack)
-            assert stack.shape == (2, DIM)
             for j in (0, 1):
                 expected = gate_by_gate_message_state(j, apply_s, attack).amps
-                assert (stack[j] == expected).all()
-                assert (message_state(j, apply_s, attack).amps == expected).all()
+                assert (stack[int(apply_s), j] == expected).all()
             encoded = attack_ba(make_initial(), attack)
             encoded = apply_polarization_gate(encoded, "t", PAULI_Z)
             expected = gate_by_gate_message_state(1, apply_s, attack).amps
@@ -418,17 +425,23 @@ def test_message_amps_equal_the_gate_by_gate_round():
 
 
 def test_plain_channel_message_amps_are_the_encoded_pair():
-    # No attack: the prepared pair for bit 0, its Z_t image for bit 1.
-    stack = message_amps(attack=None)
-    assert stack.tobytes() == np.array([
+    # No attack: the prepared pair for bit 0, its Z_t image for bit 1, and
+    # their S images, equal to their gates' values and magnitudes; a zero's
+    # sign is the signed gathers', and no table reads it.
+    stack = message_amps(None)
+    returned = np.array([
         make_initial().amps, apply_polarization_gate(make_initial(), "t", PAULI_Z).amps,
-    ]).tobytes()
+    ])
+    expected = np.array([returned, gate_by_gate_s(returned)])
+    assert np.array_equal(stack, expected)
+    assert np.abs(stack).tobytes() == np.abs(expected).tobytes()
+    assert message_outcome_stack(stack).tobytes() == message_outcome_stack(expected).tobytes()
 
 
 def test_stacked_tabulation_equals_per_state_tabulation():
     # Every message state of both attacks as one (2, 2, 2, 54) stack, indexed
-    # [attack, apply_s, j]: each row's table must be its lone state's.
-    stack = np.array([[message_amps(s, attack) for s in (False, True)] for attack in ATTACKS])
+    # [attack, s, j]: each row's table must be its lone state's.
+    stack = np.array([message_amps(attack) for attack in ATTACKS])
     stacked = message_outcome_stack(stack)
     assert stacked.shape == (2, 2, 2, 3, 5)
     for index in np.ndindex(stack.shape[:-1]):
@@ -443,11 +456,9 @@ def test_stacked_tabulation_equals_per_state_tabulation():
 
 def test_outcome_tables_are_one_stacked_tabulation(monkeypatch):
     # The reference is the tabulation the stack replaces: each variant's two
-    # message states, from its own message_amps call, tabulated on their own.
+    # message states, rows [s] of message_amps, tabulated on their own.
     for attack in ATTACKS:
-        expected = [
-            message_outcome_stack(message_amps(s, attack))[:, 1:, :2] for s in (False, True)
-        ]
+        expected = [message_outcome_stack(message_amps(attack)[s])[:, 1:, :2] for s in (0, 1)]
         shapes = []
 
         def counted(amps, tabulate=attacks.message_outcome_stack):
@@ -476,9 +487,10 @@ def test_exact_outcome_table_symmetrized():
 def test_reference_message_tables_equal_the_improved_attack():
     # Both attacks return the same message states, so the reference
     # attack's own tables equal the improved attack's.
+    stack = message_amps("wojcik")
     for j in (0, 1):
-        assert message_state(j, attack="wojcik").allclose(returned_state(j), atol=1e-12)
-        assert message_state(j, True, "wojcik").allclose(symmetrized_state(j), atol=1e-12)
+        assert PureState(stack[0, j]).allclose(returned_state(j), atol=1e-12)
+        assert PureState(stack[1, j]).allclose(symmetrized_state(j), atol=1e-12)
     for variant in ("plain", "symmetrized"):
         table = exact_outcome_table(variant == "symmetrized", "wojcik")
         assert (table == conditionals()[variant]).all()
@@ -499,16 +511,16 @@ def test_outcome_table_refuses_mass_outside_it(monkeypatch):
     phi_plus = PureState.from_terms(
         {ket(0, "0", "vac", "0"): INV_SQRT2, ket(1, "1", "vac", "0"): INV_SQRT2}
     )
-    monkeypatch.setattr(attacks, "message_amps", lambda apply_s, attack: np.stack([phi_plus.amps] * 2))
+    monkeypatch.setattr(attacks, "message_amps", lambda attack: np.array([[phi_plus.amps] * 2] * 2))
     with pytest.raises(ValueError, match="outside the table"):
         exact_outcome_table(apply_s=False)
 
 
 def test_stacked_tables_refuse_mass_outside_them(monkeypatch):
     # The phi_plus pair put in one returned row of the reference attack, and
-    # then of the pinned states, with its S image as exact_outcome_tables
-    # takes it: verify's (3, 2, 2, 54) stack is refused with the error that
-    # exact_outcome_tables raises on the same returned rows.
+    # then of the pinned states, with its S image as message_amps gives it:
+    # verify's (3, 2, 2, 54) stack is refused with the error that
+    # exact_outcome_tables raises on the same [s, j] stack.
     phi_plus = PureState.from_terms(
         {ket(0, "0", "vac", "0"): INV_SQRT2, ket(1, "1", "vac", "0"): INV_SQRT2}
     )
@@ -518,7 +530,7 @@ def test_stacked_tables_refuse_mass_outside_them(monkeypatch):
         returned[j] = phi_plus.amps
         messages[index] = returned, symmetrization_amps(returned)
         with monkeypatch.context() as patch:
-            patch.setattr(attacks, "message_amps", lambda apply_s, attack: returned)
+            patch.setattr(attacks, "message_amps", lambda attack: messages[index])
             with pytest.raises(ValueError, match="outside the table") as single:
                 exact_outcome_tables("wojcik")
         with pytest.raises(ValueError) as stacked:

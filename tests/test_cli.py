@@ -157,9 +157,9 @@ def test_verify_solves_twice_while_the_census_memo_is_warm(monkeypatch, capsys):
 
 
 def test_verify_tabulates_each_attack_once_per_call(monkeypatch, capsys):
-    """Every call builds each attack's returned states with one message
-    round, and tabulates them afresh with their S images and the pinned
-    states, as one (3, 2, 2, 54) stack in one call."""
+    """Every call builds each attack's [s, j] stack with one message round,
+    and tabulates them afresh with the pinned states, as one (3, 2, 2, 54)
+    stack in one call."""
     calls = []
     for name in ("message_amps", "message_outcome_tables"):
         def counted(*args, original=getattr(verify, name), name=name):
@@ -173,7 +173,7 @@ def test_verify_tabulates_each_attack_once_per_call(monkeypatch, capsys):
             "message_amps", "message_amps", "message_outcome_tables"
         ] * runs
         assert [args for name, args in calls if name == "message_amps"] == [
-            (False, "improved"), (False, "wojcik")
+            ("improved",), ("wojcik",)
         ] * runs
     assert [args[0].shape for name, args in calls if name == "message_outcome_tables"] == [
         (3, 2, 2, 54)

@@ -14,7 +14,6 @@ from conftest import package_memos
 MEMOS = {
     "attacks.attack_profile": None,
     "attacks.control_outcomes": None,
-    "attacks.split_rows": None,
     "cli._analysis": None,
     "cli._census": None,
     "cli.build_parser": None,
@@ -22,7 +21,6 @@ MEMOS = {
     "conventions._collision": None,
     "conventions.enumerate_conventions": None,
     "engine.controlled_flip_permutation": None,
-    "engine.make_initial": None,
     "engine.router_maps": None,
     "information._conditionals": None,
     "information._exact_joint": 64,

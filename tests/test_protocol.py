@@ -24,6 +24,8 @@ import pytest
 from pingpong_eve import protocol
 from pingpong_eve.attacks import (
     CONTROL_T_H,
+    EQUAL_ENTRIES,
+    LOST_ENTRIES,
     control_outcomes,
     improved_profile,
     message_amps,
@@ -361,6 +363,20 @@ def test_branch_weights_line_up_with_the_branch_cells(scheme):
     assert {type(c.s_applied) for c in message_attacked} == {bool}
 
 
+def test_named_control_entries_are_the_control_cells_flags():
+    """The control table's lost-photon and equal-bits entries, named once in
+    attacks, are the control cells' flags: the photon is lost where t is
+    empty, and a surviving photon whose bit equals h's is a detection."""
+    bit = {Occupation.POL0: 0, Occupation.POL1: 1}
+    lost = [t is Occupation.VAC for t, h in CONTROL_T_H]
+    equal = [bit.get(t) == h for t, h in CONTROL_T_H]
+    assert [i in LOST_ENTRIES for i in range(len(CONTROL_T_H))] == lost
+    assert [i in EQUAL_ENTRIES for i in range(len(CONTROL_T_H))] == equal
+    for cells in _BRANCH_CELLS[:2]:
+        assert [(c.photon_lost, c.detection_event) for c in cells] == list(zip(lost, equal))
+    assert protocol._CONTROL_LOST.tolist() == lost
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("c0, eta", [(0.3, 0.85), (0.5, 0.8), (1.0, 0.0)])
 def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
@@ -372,7 +388,7 @@ def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
     attack, p_heads = SCHEME_ATTACKS[scheme]
     eta = eta if attack is None else 1.0
     priors = (c0, 1.0 - c0)
-    plain_rows = message_outcome_stack(message_amps(attack=None)).sum(axis=1).tolist()
+    plain_rows = message_outcome_stack(message_amps(None)[0]).sum(axis=1).tolist()
     control_plain, control_attacked, message, message_attacked = _branch_weights(config.scheme, config.eta, config.c0)
     assert control_plain == [
         ((1.0 - eta) / 2 if c.alice_t_outcome is Occupation.VAC else 0.0) + eta * p
