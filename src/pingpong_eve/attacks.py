@@ -86,6 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import (
+    BELL_LABEL,
     DIM,
     HADAMARD,
     PHOTON_MODES,
@@ -298,10 +299,9 @@ def message_amps(attack: str | None = "improved") -> np.ndarray:
     return np.array([amps, symmetrization_amps(amps)])
 
 
-# Label of each amplitude of a message state's bell_amps row (nine amplitudes
-# per BellOutcome, eighteen for no_photon; y is the last axis of every
-# block): 5 * (code of y) + (the two-particle outcome).
-_MESSAGE_LABEL = np.repeat(np.arange(5), [9, 9, 9, 9, 18]) + 5 * (np.arange(DIM) % 3)
+# Label of each amplitude of a message state's bell_amps row (y is the last
+# axis of every block): 5 * (code of y) + (the two-particle outcome).
+_MESSAGE_LABEL = BELL_LABEL + 5 * (np.arange(DIM) % 3)
 # The (t outcome, h bit) of each entry of control_outcomes, and the entry of
 # each basis ket: 2 * (code of t) + (bit of h).
 CONTROL_T_H = tuple((t, h) for t in Occupation for h in (0, 1))
@@ -346,7 +346,7 @@ def message_outcome_tables(messages: np.ndarray) -> np.ndarray:
     tables = outcomes[..., 1:, :2].copy()
     outcomes[..., 1:, :2] = 0.0
     if outcomes.any():
-        raise ValueError(f"unexpected outcome mass {outcomes.sum()!r} outside the table")
+        raise ValueError(f"unexpected outcome mass {float(outcomes.sum())!r} outside the table")
     return tables
 
 

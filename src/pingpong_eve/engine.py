@@ -30,13 +30,15 @@ Conventions baked into the gates:
   meeting keys built with each router stage (``meeting_keys``).
 
 States are immutable.  Every operation is a pure function returning a new
-``PureState``.  The gates and the change to the two-particle measurement
-basis are array kernels on amplitude stacks of shape (..., 54)
+``PureState``; a state and a stack of them pass one norm check,
+``require_normalized``.  The gates and the change to the two-particle
+measurement basis are array kernels on amplitude stacks of shape (..., 54)
 (``polarization_gate_amps``, ``cnot_amps``, ``bell_amps``), which give each
 row what a lone state gets; ``apply_polarization_gate``, ``apply_cnot`` and
 ``bell_amplitudes`` wrap them for one ``PureState``.  ``signed_permutation``
 reads a word of gates that only moves and signs basis kets as one gather and
-one multiply.
+one multiply.  ``BELL_LABEL`` names the ``BellOutcome`` of each entry of a
+``bell_amps`` row, and both measurements share one collapse.
 """
 
 from __future__ import annotations
@@ -170,10 +172,7 @@ class PureState:
         amps = np.array(amplitudes, dtype=complex)
         if amps.shape != (DIM,):
             raise ValueError(f"amplitudes must have shape ({DIM},), got {amps.shape}")
-        norm_sq = float(np.vdot(amps, amps).real)
-        # A nan or inf amplitude makes norm_sq nan or inf, and fails here.
-        if not abs(norm_sq - 1.0) <= _NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+        require_normalized(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "_amps", amps)
 
@@ -192,7 +191,7 @@ class PureState:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self._amps) ** 2))
+        return float(_norm_sq(self._amps))
 
     def amplitude(self, basis_ket: BasisKet) -> complex:
         return complex(self._amps[basis_ket.index])
@@ -233,18 +232,19 @@ class PureState:
         return f"PureState({parts})"
 
 
-def require_normalized(amps: np.ndarray) -> None:
-    """The PureState norm check on every row of a (..., 54) amplitude stack.
+def _norm_sq(amps: np.ndarray) -> np.ndarray:
+    """|psi|^2 of every row of a (..., 54) amplitude stack, as summed squares:
+    np.einsum would parse its subscripts on every call."""
+    return (amps.real * amps.real + amps.imag * amps.imag).sum(axis=-1)
 
-    PureState keeps its own single-vector check, which costs a fifth of this
-    one per state.
-    """
-    # Summed squares, not np.einsum, which parses its subscripts on every call.
-    real, imag = amps.real, amps.imag
-    norm_sq = (real * real + imag * imag).sum(axis=-1)
+
+def require_normalized(amps: np.ndarray) -> None:
+    """The norm check of every state, on each row of a (..., 54) amplitude
+    stack: |psi|^2 within 1e-8 of 1.  A nan or inf amplitude fails it."""
+    norm_sq = _norm_sq(amps)
     bad = ~(np.abs(norm_sq - 1.0) <= _NORM_TOL)
     if bad.any():
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq[bad].flat[0]!r}")
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(norm_sq[bad].flat[0])!r}")
 
 
 # --- gates ---------------------------------------------------------------
@@ -252,8 +252,7 @@ def require_normalized(amps: np.ndarray) -> None:
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-# The engine's own gates are unitary as written and read-only, so a gate call
-# skips the unitarity check for them.
+# Module data that every caller shares, so read-only.
 for _gate in (PAULI_X, PAULI_Z, HADAMARD):
     _gate.setflags(write=False)
 
@@ -261,8 +260,6 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 def _require_unitary(gate: np.ndarray) -> np.ndarray:
-    if gate is PAULI_X or gate is PAULI_Z or gate is HADAMARD:
-        return gate
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2, 2):
         raise ValueError(f"polarization gate must be 2x2, got shape {gate.shape}")
@@ -470,16 +467,31 @@ def mode_marginal(state: PureState, mode: str) -> np.ndarray:
     return np.array([float(weights[code == occ].sum()) for occ in range(3)])
 
 
+def _collapse(
+    amps: np.ndarray, mask: np.ndarray, back: np.ndarray | None = None
+) -> tuple[float, PureState | None]:
+    """The probability of the outcome whose amplitudes ``mask`` keeps and the
+    collapsed state, None at probability zero; ``back`` maps coordinates in
+    another basis back to the basis kets."""
+    prob = float((np.abs(amps[mask]) ** 2).sum())
+    if prob <= 0.0:
+        return prob, None
+    kept = np.where(mask, amps, 0.0) / np.sqrt(prob)
+    return prob, PureState(kept if back is None else kept @ back)
+
+
 def project_mode(
     state: PureState, mode: str, outcome: Occupation
 ) -> tuple[float, PureState | None]:
     """Probability of ``outcome`` when measuring ``mode`` and the collapsed
     state (None when the probability is zero)."""
-    mask = _OUTCOME_CODE[MODES[_mode_axis(mode)]] == int(outcome)
-    prob = float((np.abs(state.amps[mask]) ** 2).sum())
-    if prob <= 0.0:
-        return prob, None
-    return prob, PureState(np.where(mask, state.amps, 0.0) / np.sqrt(prob))
+    return _collapse(state.amps, _OUTCOME_CODE[MODES[_mode_axis(mode)]] == int(outcome))
+
+
+# The BellOutcome position of each entry of a bell_amps row: nine c(x, y)
+# for each two-particle state, then eighteen c(h, x, y) for no_photon.
+BELL_LABEL = np.repeat(np.arange(len(BellOutcome)), [9, 9, 9, 9, 18])
+BELL_LABEL.setflags(write=False)
 
 
 def bell_amps(amps: np.ndarray) -> np.ndarray:
@@ -487,7 +499,7 @@ def bell_amps(amps: np.ndarray) -> np.ndarray:
     two-particle measurement on (h, t): the c(x, y) of psi_plus, psi_minus,
     phi_plus and phi_minus, then the c(h, x, y) of the kets with an empty
     travel mode for no_photon, each block flattened with y last, in the
-    order of ``BellOutcome``: 9, 9, 9, 9 and 18 amplitudes."""
+    order of ``BellOutcome``, as ``BELL_LABEL`` labels them."""
     amps = np.asarray(amps)
     rows = amps.shape[:-1]
     arr = amps.reshape(*rows, 2, 3, 9)
@@ -507,7 +519,7 @@ def bell_amplitudes(state: PureState) -> dict[BellOutcome, np.ndarray]:
     the blocks of ``bell_amps``: c(x, y) of the four (h, t) two-particle
     states, and c(h, x, y) of the kets with an empty travel mode for
     no_photon."""
-    blocks = np.split(bell_amps(state.amps), [9, 18, 27, 36])
+    blocks = np.split(bell_amps(state.amps), np.flatnonzero(np.diff(BELL_LABEL)) + 1)
     shapes = [(3, 3)] * 4 + [(2, 3, 3)]
     return {
         outcome: block.reshape(shape) for outcome, block, shape in zip(BellOutcome, blocks, shapes)
@@ -549,27 +561,18 @@ def exact_probabilities(amps: np.ndarray, outcome: np.ndarray, size: int) -> np.
     return np.bincount(labels.ravel(), squares, minlength=count * size).reshape(*rows, size)
 
 
+# Row i of bell_amps' image of the identity holds basis ket i's coordinates;
+# the matrix is real orthogonal, so its transpose maps coordinates back.
+_FROM_BELL = bell_amps(np.eye(DIM)).real.T
+_FROM_BELL.setflags(write=False)
+
+
 def project_bell(
     state: PureState, outcome: BellOutcome
 ) -> tuple[float, PureState | None]:
     """Probability of one two-particle outcome and the collapsed state."""
-    new = np.zeros((2, 3, 3, 3), dtype=complex)
-    block = bell_amplitudes(state)[outcome]
-    prob = float(np.sum(np.abs(block) ** 2))
-    if outcome is BellOutcome.NO_PHOTON:
-        new[:, 0] = block
-    else:
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        sign = -1.0 if outcome in (BellOutcome.PSI_MINUS, BellOutcome.PHI_MINUS) else 1.0
-        if outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS):
-            new[0, 2] = block * inv_sqrt2
-            new[1, 1] = sign * block * inv_sqrt2
-        else:
-            new[0, 1] = block * inv_sqrt2
-            new[1, 2] = sign * block * inv_sqrt2
-    if prob <= 0.0:
-        return prob, None
-    return prob, PureState(new.reshape(DIM) / np.sqrt(prob))
+    mask = BELL_LABEL == list(BellOutcome).index(outcome)
+    return _collapse(bell_amps(state.amps), mask, _FROM_BELL)
 
 
 def sample_from(rng: np.random.Generator, outcomes: Sequence, probs: Iterable[float]):

@@ -16,10 +16,10 @@ Sampling is table driven.  Each (mode, attacked) branch has fixed cells,
 complete round records but for the index (``_BRANCH_CELLS``), and
 ``_branch_weights`` weighs them: each branch's exact table times its
 factors (``eta``, ``c0``, the symmetrization coin).  The tables come from
-the 54-dimensional branch states: ``attacks.control_outcomes``, the plain
-channel's outcome rows (the returned rows of ``attacks.message_amps(None)``,
-tabulated at import) and ``information.conditionals`` of the scheme's
-attack, built once per attack from its ``attacks.exact_outcome_tables``.
+the 54-dimensional branch states: ``attacks.control_outcomes`` and
+``information.conditionals``, built once per channel from its
+``attacks.exact_outcome_tables``: the plain channel's (``conditionals(None)``,
+read at import) and the scheme's attack's.
 ``_RoundTable`` joins the branches into one categorical table: a cell's
 probability is its branch's (from ``control_prob`` and the attack fraction)
 times its normalized weight in the branch; cells of probability zero are
@@ -60,8 +60,9 @@ then one-hot slots for its (j, k, m) cell in ``counts_s_off`` and
 ``counts_s_on``.  ``run_simulation`` and ``write_records_csv`` count the
 table's cells, whose rows the table holds; ``aggregate`` counts a record
 stream's distinct records and encodes their rows.
-The stats' conditional table and its standard errors are computed in plain
-Python from the integer counts, with numpy's IEEE operations.
+The stats' rates, conditional table and standard errors are computed in
+plain Python from the integer counts by one rate and one standard-error
+formula, ``_rate`` and ``_rate_se``, with numpy's IEEE operations.
 
 Every scheme runs through the same cells.  A scheme is one entry of
 ``_SCHEMES``: its attack (None for no eavesdropper) and the chance that the
@@ -90,8 +91,6 @@ from .attacks import (
     LOST_ENTRIES,
     attack_profile,
     control_outcomes,
-    message_amps,
-    message_outcome_stack,
 )
 from .engine import BellOutcome, Occupation
 from .information import conditionals, max_attack_fraction
@@ -236,23 +235,23 @@ _CSV_COLUMNS = RoundRecord._fields
 _Cell = collections.namedtuple("_Cell", _CSV_COLUMNS[1:], defaults=(None,) * 6 + (False, False))
 
 
-# P(receiver outcome | j) of a message round on the plain channel, row j
-# for j = 0, 1, in BellOutcome order.
-_PLAIN_ROWS = message_outcome_stack(message_amps(None)[0]).sum(axis=1)
+# P(m | j) of a message round on the plain channel, row j for j = 0, 1, in
+# _M_BIT order: its conditional table with the register bit k summed out.
+_PLAIN_ROWS = conditionals(None)["plain"].sum(axis=1)
 
 # The cells of the four branches, in sampling order, each in the ravel order
 # of its weights in _branch_weights.  Control cells, unattacked and attacked,
 # follow CONTROL_T_H, their lost photons and detections at the entries that
 # attacks names LOST_ENTRIES and EQUAL_ENTRIES.  The plain channel's message
-# cells are the lost photon, then (j, m) in BellOutcome order; the attacked
-# message cells run over (j, coin s, k, m), with m in _M_BIT order.
+# cells are the lost photon, then (j, m); the attacked message cells run over
+# (j, coin s, k, m); m runs in _M_BIT order in both.
 _BRANCH_CELLS = (
     *(tuple(_Cell("control", attacked, None, None, None, t, h, None, i in LOST_ENTRIES,
                   i in EQUAL_ENTRIES)
             for i, (t, h) in enumerate(CONTROL_T_H))
       for attacked in (False, True)),
     (_Cell("message", False, None, None, BellOutcome.NO_PHOTON, None, None, None, True),
-     *(_Cell("message", False, j, None, m) for j in (0, 1) for m in BellOutcome)),
+     *(_Cell("message", False, j, None, m) for j in (0, 1) for m in _M_BIT)),
     tuple(_Cell("message", True, j, k, m, None, None, s)
           for j, s, k, m in itertools.product((0, 1), (False, True), (0, 1), _M_BIT)),
 )
@@ -503,15 +502,14 @@ class RunStats:
     def _conditional(self, empty) -> tuple[list, list]:
         """The conditional table and its standard errors as nested lists,
         with ``empty`` in each cell of a row with no samples.  They are
-        computed in plain Python from the integer counts, with the IEEE
-        operations numpy applies to the count arrays (each count and n_j
-        made a float, then divided), so every bit is numpy's."""
+        ``_rate`` and ``_rate_se`` of the integer counts: a quotient of
+        integers below 2**53 is correctly rounded, as numpy's division of the
+        count arrays made floats is, so every bit is numpy's."""
         table, se = [], []
         for block in self.joint_counts.tolist():
-            n_j = float(sum(block[0]) + sum(block[1]))
-            table.append([[c / n_j if n_j else empty for c in row] for row in block])
-            se.append([[math.sqrt(p * (1.0 - p) / n_j) if n_j else empty for p in row]
-                       for row in table[-1]])
+            n_j = sum(block[0]) + sum(block[1])
+            table.append([[_rate(c, n_j) if n_j else empty for c in row] for row in block])
+            se.append([[_rate_se(c, n_j) if n_j else empty for c in row] for row in block])
         return table, se
 
     def to_json_dict(self) -> dict:

@@ -516,6 +516,16 @@ def test_outcome_table_refuses_mass_outside_it(monkeypatch):
         exact_outcome_table(apply_s=False)
 
 
+def test_outcome_mass_error_prints_a_bare_float():
+    # A lost travel photon in one row of the plain channel's stack puts mass
+    # 1.0 in its no_photon column; the message prints a Python float.
+    messages = message_amps(None)
+    messages[1, 0] = PureState.from_terms({ket(0, "vac", "vac", "0"): 1.0}).amps
+    with pytest.raises(ValueError) as error:
+        message_outcome_tables(messages)
+    assert str(error.value) == "unexpected outcome mass 1.0 outside the table"
+
+
 def test_stacked_tables_refuse_mass_outside_them(monkeypatch):
     # The phi_plus pair put in one returned row of the reference attack, and
     # then of the pinned states, with its S image as message_amps gives it:

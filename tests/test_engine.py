@@ -9,7 +9,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pingpong_eve import attacks
 from pingpong_eve.engine import (
+    BELL_LABEL,
     DIM,
     MODES,
     BasisKet,
@@ -179,6 +181,18 @@ def test_stack_norm_check_reads_each_rows_squares():
         require_normalized(rows)
 
 
+def test_norm_errors_print_a_bare_float():
+    # |psi|^2 = 1.25 exactly, in one row of a stack and in that row alone:
+    # the message prints a Python float, not a numpy scalar's repr.
+    rows = np.zeros((3, DIM), dtype=complex)
+    rows[:, 0] = 1.0
+    rows[1, 1] = 0.5
+    for check in (require_normalized, lambda stack: PureState(stack[1])):
+        with pytest.raises(ValueError) as error:
+            check(rows)
+        assert str(error.value) == "state is not normalized: |psi|^2 = 1.25"
+
+
 def test_signed_permutation_reads_a_kernel_that_moves_and_signs_kets():
     source, sign = signed_permutation(lambda amps: -cnot_amps(amps, "t", "y"))
     assert np.array_equal(source, controlled_flip_permutation("t", "y", Occupation.POL1))
@@ -267,9 +281,8 @@ def test_non_unitary_gate_rejected():
 
 
 def test_engine_gates_are_read_only():
-    # A gate call skips the unitarity check for the engine's own gates, which
-    # is sound only while no caller can change them; any other array is
-    # still checked.
+    # The engine's gates are module data that every caller shares; an array
+    # built from one is checked like any other.
     for gate in (HADAMARD, PAULI_X, PAULI_Z):
         assert not gate.flags.writeable
         with pytest.raises(ValueError):
@@ -526,6 +539,42 @@ def test_bell_no_photon_branch():
     assert abs(prob - 0.5) < 1e-12
     assert collapsed is not None
     assert collapsed.allclose(PureState.from_terms({ket(0, "vac", "1", "0"): 1.0}))
+
+
+# (t of the h=0 ket, t of the h=1 ket, relative sign) of each two-particle
+# state on (h, t): psi = (|0, 1> +- |1, 0>)/sqrt(2), phi = (|0, 0> +- |1, 1>)/sqrt(2).
+BELL_PAIRS = {
+    BellOutcome.PSI_PLUS: ("1", "0", 1.0),
+    BellOutcome.PSI_MINUS: ("1", "0", -1.0),
+    BellOutcome.PHI_PLUS: ("0", "1", 1.0),
+    BellOutcome.PHI_MINUS: ("0", "1", -1.0),
+}
+
+
+@pytest.mark.parametrize("outcome", list(BELL_PAIRS), ids=lambda outcome: outcome.value)
+@pytest.mark.parametrize("x, y", [("vac", "0"), ("1", "vac"), ("0", "1")])
+def test_bell_projection_keeps_its_own_pair(outcome, x, y):
+    t0, t1, sign = BELL_PAIRS[outcome]
+    state = PureState.from_terms({ket(0, t0, x, y): INV_SQRT2, ket(1, t1, x, y): sign * INV_SQRT2})
+    for other in BellOutcome:
+        prob, collapsed = project_bell(state, other)
+        if other is outcome:
+            assert abs(prob - 1.0) < 1e-12
+            assert collapsed is not None and collapsed.allclose(state, atol=1e-12)
+        else:
+            assert (prob, collapsed) == (0.0, None)
+
+
+def test_bell_label_is_the_layout_of_bell_amplitudes():
+    state = random_state(np.random.default_rng(11))
+    row = bell_amps(state.amps)
+    blocks = bell_amplitudes(state)
+    assert [int((BELL_LABEL == i).sum()) for i in range(len(BellOutcome))] == [9, 9, 9, 9, 18]
+    for i, outcome in enumerate(BellOutcome):
+        assert np.array_equal(row[BELL_LABEL == i], blocks[outcome].ravel())
+    expected = np.repeat(np.arange(5), [9, 9, 9, 9, 18]) + 5 * (np.arange(DIM) % 3)
+    assert attacks._MESSAGE_LABEL.dtype == expected.dtype
+    assert attacks._MESSAGE_LABEL.tobytes() == expected.tobytes()
 
 
 # --- exact tabulation ---------------------------------------------------------

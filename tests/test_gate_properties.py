@@ -34,6 +34,7 @@ from pingpong_eve.engine import (  # noqa: E402
     MODES,
     PHOTON_MODES,
     BasisKet,
+    BellOutcome,
     Occupation,
     PureState,
     apply_cnot,
@@ -41,6 +42,7 @@ from pingpong_eve.engine import (  # noqa: E402
     bell_probabilities,
     exact_probabilities,
     make_initial,
+    project_bell,
     project_mode,
 )
 from test_sampler_properties import DETERMINISTIC  # noqa: E402
@@ -245,6 +247,22 @@ def test_bell_probabilities_sum_to_one(sectors, seed):
     probs = bell_probabilities(random_sector_state(seed, sectors))
     assert min(probs.values()) >= 0.0
     assert abs(sum(probs.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("sectors", [{0, 1, 2, 3}, {1}, {0}, {0, 2}])
+@pytest.mark.parametrize("seed", [3, 19])
+def test_bell_projections_resolve_the_state(seed, sectors):
+    # sqrt(p) times the collapsed state, summed over the five outcomes,
+    # reassembles the state; an outcome of probability zero collapses to None.
+    state = random_sector_state(seed, frozenset(sectors))
+    resolved = np.zeros(DIM, dtype=complex)
+    for outcome in BellOutcome:
+        prob, collapsed = project_bell(state, outcome)
+        if collapsed is None:
+            assert prob == 0.0
+            continue
+        resolved += np.sqrt(prob) * collapsed.amps
+    assert np.max(np.abs(resolved - state.amps)) <= 1e-12
 
 
 @st.composite

@@ -340,8 +340,8 @@ SCHEME_ATTACKS = {"none": (None, 0.0), "improved": ("improved", 0.0),
 def test_branch_weights_line_up_with_the_branch_cells(scheme):
     """Each branch's weights are one per cell, in its cells' order: control
     cells in CONTROL_T_H order, the plain message cells with the lost photon
-    first and then (j, m) in BellOutcome order, and the attacked message
-    cells over (j, coin, k, m) in ravel order."""
+    first and then (j, m) with m over psi_plus and psi_minus, and the
+    attacked message cells over (j, coin, k, m) in ravel order."""
     config = ProtocolConfig(rounds=1, seed=0, scheme=scheme, c0=0.3, eta=0.85)
     weights = _branch_weights(config.scheme, config.eta, config.c0)
     attacked = SCHEME_ATTACKS[scheme][0] is not None
@@ -356,7 +356,7 @@ def test_branch_weights_line_up_with_the_branch_cells(scheme):
     assert [(c.mode, c.attacked) for c in message] == [("message", False)] * len(message)
     no_photon = (None, BellOutcome.NO_PHOTON, True)
     assert [(c.j, c.m, c.photon_lost) for c in message] == [no_photon] + [
-        (j, m, False) for j in (0, 1) for m in BellOutcome]
+        (j, m, False) for j in (0, 1) for m in _M_BIT]
     assert {(c.mode, c.attacked) for c in message_attacked} == {("message", True)}
     assert [(c.j, c.s_applied, c.k, _M_BIT[c.m]) for c in message_attacked] == list(
         np.ndindex(2, 2, 2, 2))
@@ -389,6 +389,10 @@ def test_branch_weights_are_each_cells_exact_product(scheme, c0, eta):
     eta = eta if attack is None else 1.0
     priors = (c0, 1.0 - c0)
     plain_rows = message_outcome_stack(message_amps(None)[0]).sum(axis=1).tolist()
+    # The plain channel never leaves phi_plus, phi_minus or no_photon, so the
+    # branch holds no cell for them.
+    for row in plain_rows:
+        assert row[2:] == [0.0, 0.0, 0.0]
     control_plain, control_attacked, message, message_attacked = _branch_weights(config.scheme, config.eta, config.c0)
     assert control_plain == [
         ((1.0 - eta) / 2 if c.alice_t_outcome is Occupation.VAC else 0.0) + eta * p
