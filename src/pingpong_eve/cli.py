@@ -378,10 +378,10 @@ def _census() -> tuple[bytes, str, str]:
     prints with it, composed and rendered once per process.  The census
     takes no input, and every value is immutable; ``verify`` never reads
     this memo and solves the census afresh."""
-    reports = solve()
-    counts = summarize(reports)
+    census = solve()
+    counts = summarize(census)
     metadata = metadata_lines({"version": __version__, "command": "solve-conventions"})
-    csv = "\n".join([CSV_HEADER, *report_rows(reports)])
+    csv = "\n".join([CSV_HEADER, *report_rows(census)])
     summary = (
         f"candidates={sum(counts.values())} matches={counts['match']}"
         f" mismatches={counts['mismatch']}"

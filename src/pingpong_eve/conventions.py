@@ -40,20 +40,20 @@ Every solve() call composes the census afresh, on tables built once per
 process (``_batch_tables``): each stage's flat tables, router meeting keys
 included, and what the deviations read of the split rows and the
 references (their support, its conjugate values, each line's row offsets,
-the split-amplitude table).  So a call is one carry, one vectorized
-deviation pass and one Python pass that builds the 576 reports.  The
-solve-conventions command keeps its rendered census once per process, and
-verify, which calls solve() twice on each run, never reads that memo.
+the split-amplitude table).  So a call is one carry and one vectorized
+deviation pass, and it returns the census as three read-only columns
+(``Census``: status codes, deviations and meeting keys), with no Python
+object per candidate.  The solve-conventions command keeps its rendered
+census once per process, and verify, which calls solve() twice on each
+run, never reads that memo.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
-import operator
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,9 +74,9 @@ _STAGES = (
     ("cnot_xy", ("x", "y")),
 )
 
-STATUS_MATCH = "match"
-STATUS_MISMATCH = "mismatch"
-STATUS_INVALID = "invalid-double-occupancy"
+# A census's status codes index STATUSES.
+STATUSES = ("match", "mismatch", "invalid-double-occupancy")
+STATUS_MATCH, STATUS_MISMATCH, STATUS_INVALID = STATUSES
 
 _SLOT_LETTERS = "abc"
 
@@ -111,11 +111,15 @@ _ROUTES = tuple(itertools.product(PERMUTATIONS, PERMUTATIONS, (False, True), (Fa
 _CNOTS = tuple(itertools.product(CONTROL_POSITIONS, ACTIVATIONS))
 
 
-@lru_cache(maxsize=None)
+def _convention(candidate_id: int) -> Convention:
+    route, cnot = divmod(candidate_id, len(_CNOTS))
+    return Convention(*_ROUTES[route], *_CNOTS[cnot])
+
+
 def enumerate_conventions() -> tuple[Convention, ...]:
     """All 576 candidates, defaults first, in a fixed documented order:
     candidate ``route * 4 + cnot`` pairs _ROUTES[route] with _CNOTS[cnot]."""
-    return tuple(Convention(*route, *cnot) for route in _ROUTES for cnot in _CNOTS)
+    return tuple(map(_convention, range(len(_ROUTES) * len(_CNOTS))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,7 +191,27 @@ class CandidateReport(NamedTuple):
     collision: Collision | None
 
 
-_status_of = operator.itemgetter(CandidateReport._fields.index("status"))
+class Census(NamedTuple):
+    """The classified census, entry i for candidate i of
+    ``enumerate_conventions()``; every column is read-only.  Two censuses
+    compare by their columns' ``tobytes``, as verify compares them: ``==``
+    on the tuple would ask numpy for the truth of an array."""
+
+    status: np.ndarray  # int8 codes into STATUSES
+    deviation: np.ndarray  # float64, NaN where the candidate is invalid
+    key: np.ndarray  # int64 engine.carry meeting keys, negative where it completes
+
+    def report(self, candidate_id: int) -> CandidateReport:
+        """Candidate ``candidate_id``'s row of the three columns as one report."""
+        deviation = self.deviation[candidate_id]
+        key = int(self.key[candidate_id])
+        return CandidateReport(
+            candidate_id,
+            _convention(candidate_id),
+            STATUSES[self.status[candidate_id]],
+            None if np.isnan(deviation) else float(deviation),
+            None if key < 0 else _collision(key),
+        )
 
 
 class _Tables(NamedTuple):
@@ -246,20 +270,19 @@ def _batch_tables() -> _Tables:
         np.array([2 * line, 2 * line + 1]),
         (table.shape[1] * line)[:, None],
         (references.shape[1] * line)[:, None],
-        np.broadcast_to(support_col[:, None], (len(support_col), len(enumerate_conventions()))),
+        np.broadcast_to(support_col[:, None], (len(support_col), len(_ROUTES) * len(_CNOTS))),
         references[support_row, support_col].conj()[:, None],
         table,
     )
 
 
-@lru_cache(maxsize=None)
 def _collision(key: int) -> Collision:
     """The Collision of a meeting key that ``engine.carry`` reports."""
     _, stage, index, mode = engine.meeting(key, len(_STAGES))
     return Collision(_STAGES[stage][0], BasisKet.from_index(index).label(), engine.MODES[mode])
 
 
-def _deviations(terms: np.ndarray, tables: _Tables) -> list[float]:
+def _deviations(terms: np.ndarray, tables: _Tables) -> np.ndarray:
     """Deviation of each image in a stack from the references: the largest
     amplitude difference after removing the best common phase, fit once
     across all four rows (a phase of 1 for an image orthogonal to them).  The
@@ -287,10 +310,10 @@ def _deviations(terms: np.ndarray, tables: _Tables) -> list[float]:
     # part by part, as Python divides a complex by a float
     np.divide(overlap.real, norm, out=phase.real, where=fitted)
     np.divide(overlap.imag, norm, out=phase.imag, where=fitted)
-    return np.abs(image - phase * reference).max(axis=0).tolist()
+    return np.abs(image - phase * reference).max(axis=0)
 
 
-def solve() -> list[CandidateReport]:
+def solve() -> Census:
     """Classify every candidate against the truth-table images.
 
     All 576 candidates are composed at once by gathering their split terms
@@ -302,32 +325,21 @@ def solve() -> list[CandidateReport]:
     # candidate, so it runs once per route.  Terms that compose_candidate
     # would have merged share their index, and so their meeting key.
     terms, first = engine.carry(tables.index, tables.stages)
-    keys = first.ravel()
-    found = iter(_deviations(terms.reshape(tables.index.size, -1)[:, keys < 0], tables))
-    # One pass over (id, convention, key); tuple.__new__ builds each report
-    # from its fields as CandidateReport._make does, without a Python call
-    # per report.
-    new = tuple.__new__
-    return [
-        new(CandidateReport, (candidate_id, convention, STATUS_INVALID, None, _collision(key)))
-        if key >= 0
-        else new(CandidateReport, (
-            candidate_id,
-            convention,
-            STATUS_MATCH if (deviation := next(found)) <= MATCH_TOL else STATUS_MISMATCH,
-            deviation,
-            None,
-        ))
-        for candidate_id, convention, key in zip(
-            itertools.count(), enumerate_conventions(), keys.tolist()
-        )
-    ]
+    key = first.ravel()
+    complete = key < 0
+    deviation = np.full(key.shape, np.nan)
+    deviation[complete] = _deviations(terms.reshape(tables.index.size, -1)[:, complete], tables)
+    status = np.full(key.shape, STATUSES.index(STATUS_INVALID), dtype=np.int8)
+    # False (match) or True (mismatch), cast into the codes of STATUSES
+    np.greater(deviation, MATCH_TOL, out=status, where=complete)
+    for column in (status, deviation, key):
+        column.setflags(write=False)
+    return Census(status, deviation, key)
 
 
-def summarize(reports: Iterable[CandidateReport]) -> dict[str, int]:
-    counts = dict.fromkeys((STATUS_MATCH, STATUS_MISMATCH, STATUS_INVALID), 0)
-    counts.update(collections.Counter(map(_status_of, reports)))
-    return counts
+def summarize(census: Census) -> dict[str, int]:
+    counts = np.bincount(census.status, minlength=len(STATUSES))
+    return dict(zip(STATUSES, counts.tolist()))
 
 
 CSV_HEADER = (
@@ -335,16 +347,22 @@ CSV_HEADER = (
 )
 
 
-def report_rows(reports: Iterable[CandidateReport]) -> list[str]:
-    """CSV rows (without header) in the reports' order, deterministic; an
+def report_rows(census: Census) -> list[str]:
+    """CSV rows (without header) in candidate order, deterministic; an
     invalid candidate's deviation field is empty."""
     labels = {perm: perm_label(perm) for perm in PERMUTATIONS}
     flags = {False: "false", True: "true"}
-    return [
-        f"{candidate_id},{labels[conv.sigma0]},{labels[conv.sigma1]},"
-        f"{flags[conv.flip0]},{flags[conv.flip1]},"
-        f"{conv.control_position},{conv.active_on},{status},"
-        + ("" if deviation is None else f"{deviation:.12e}")
-        for candidate_id, conv, status, deviation, _ in reports
+    routes = [
+        f"{labels[sigma0]},{labels[sigma1]},{flags[flip0]},{flags[flip1]}"
+        for sigma0, sigma1, flip0, flip1 in _ROUTES
     ]
-
+    cnots = [",".join(cnot) for cnot in _CNOTS]
+    invalid = STATUSES.index(STATUS_INVALID)
+    return [
+        f"{candidate_id},{routes[candidate_id // len(_CNOTS)]},"
+        f"{cnots[candidate_id % len(_CNOTS)]},{STATUSES[status]},"
+        + ("" if status == invalid else f"{deviation:.12e}")
+        for candidate_id, (status, deviation) in enumerate(
+            zip(census.status.tolist(), census.deviation.tolist())
+        )
+    ]

@@ -8,7 +8,6 @@ import hashlib
 import importlib
 import io
 import json
-import math
 import os
 import re
 import shutil
@@ -298,17 +297,42 @@ def test_verify_fails_a_reference_attack_off_its_pins(monkeypatch, capsys):
 def test_verify_fails_a_census_that_moves_one_deviation(monkeypatch, capsys):
     # The second solve moves one deviation by one ulp, which its 12-digit CSV
     # row does not show: the census must still compare unequal.
+    def move(census):
+        deviation = census.deviation.copy()
+        moved = np.flatnonzero(deviation > 0.0)[0]
+        deviation[moved] = np.nextafter(deviation[moved], np.inf)
+        return census._replace(deviation=deviation)
+
+    assert_only_the_census_fails(monkeypatch, capsys, move)
+
+
+def test_verify_fails_a_census_that_moves_one_collision(monkeypatch, capsys):
+    # The second solve gives one invalid candidate another collision's key,
+    # which no CSV row shows: the census must still compare unequal.
+    def move(census):
+        key = census.key.copy()
+        invalid = np.flatnonzero(key >= 0)
+        other = invalid[key[invalid] != key[invalid[0]]][0]
+        key[invalid[0]] = key[other]
+        moved = census._replace(key=key)
+        assert moved.report(invalid[0]).collision != census.report(invalid[0]).collision
+        return moved
+
+    assert_only_the_census_fails(monkeypatch, capsys, move)
+
+
+def assert_only_the_census_fails(monkeypatch, capsys, move):
+    """verify, its second solve() passed through ``move``, fails the
+    solver-census line alone, though the two censuses render one CSV."""
     solves = []
 
     def solve_again():
-        reports = solve()
+        census = solve()
         if solves:
-            moved = next(i for i, report in enumerate(reports) if report.deviation)
-            deviation = math.nextafter(reports[moved].deviation, math.inf)
-            reports[moved] = reports[moved]._replace(deviation=deviation)
-            assert report_rows(reports) == report_rows(solves[0])
-        solves.append(reports)
-        return reports
+            census = move(census)
+            assert report_rows(census) == report_rows(solves[0])
+        solves.append(census)
+        return census
 
     monkeypatch.setattr(verify, "solve", solve_again)
     assert run_main(["verify"]) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import gc
 import hashlib
 import math
 
@@ -22,6 +23,7 @@ from pingpong_eve.conventions import (
     STATUS_MATCH,
     STATUS_MISMATCH,
     CandidateReport,
+    Census,
     Convention,
     compose_candidate,
     enumerate_conventions,
@@ -41,6 +43,16 @@ from oracles import deviation_from_reference
 from test_engine import post_attack_state
 
 IDENTITY = (0, 1, 2)
+
+
+def reports_of(census: Census) -> list[CandidateReport]:
+    """Every candidate's report, one ``Census.report`` row at a time."""
+    return [census.report(i) for i in range(census.status.size)]
+
+
+def assert_same_census(a: Census, b: Census) -> None:
+    """Every column equal bit for bit, as verify compares two solves."""
+    assert [column.tobytes() for column in a] == [column.tobytes() for column in b]
 
 
 def default_convention(**overrides) -> Convention:
@@ -107,7 +119,7 @@ def test_terms_routed_onto_one_ket_add():
     assert result.collision is None
     norms = np.sum(np.abs(result.images) ** 2, axis=1)
     assert np.allclose(norms, [2.0, 2.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
-    assert solve()[4].status == "mismatch"
+    assert solve().report(4).status == "mismatch"
 
 
 def test_declared_double_occupancy_example():
@@ -146,7 +158,10 @@ def test_deviation_phase_invariance():
 
 
 def test_solve_covers_every_candidate():
-    reports = solve()
+    census = solve()
+    assert [column.size for column in census] == [576] * 3
+    assert [column.dtype for column in census] == [np.int8, np.float64, np.int64]
+    reports = reports_of(census)
     assert len(reports) == 576
     assert [r.candidate_id for r in reports] == list(range(576))
     for report in reports:
@@ -157,7 +172,7 @@ def test_solve_covers_every_candidate():
         else:
             assert report.deviation is not None
             assert report.deviation >= 0.0
-    counts = summarize(reports)
+    counts = summarize(census)
     assert sum(counts.values()) == 576
 
 
@@ -176,15 +191,15 @@ def oracle_report(candidate_id: int, conv: Convention, references=None) -> Candi
 
 def test_solve_equals_the_single_candidate_oracle():
     # status, collision and the exact float deviation, for every candidate
-    reports = solve()
-    assert len(reports) == 576
+    census = solve()
+    assert census.status.size == 576
     for candidate_id, conv in enumerate(enumerate_conventions()):
-        assert reports[candidate_id] == oracle_report(candidate_id, conv)
+        assert census.report(candidate_id) == oracle_report(candidate_id, conv)
 
 
 def test_solve_walks_the_census_through_the_engine_kernel(monkeypatch):
-    # One call carries all 576 candidates, and the reports are those of
-    # the unpatched solve.
+    # One call carries all 576 candidates, and the census is that of the
+    # unpatched solve.
     expected = solve()
     carry, calls = engine.carry, []
 
@@ -193,7 +208,7 @@ def test_solve_walks_the_census_through_the_engine_kernel(monkeypatch):
         return carry(*args)
 
     monkeypatch.setattr(engine, "carry", counted)
-    assert solve() == expected
+    assert_same_census(solve(), expected)
     assert len(calls) == 1
 
 
@@ -207,10 +222,10 @@ def test_solve_fits_a_complex_phase(fresh_memos, monkeypatch, theta):
     phased = forward_images() * cmath.exp(1j * theta)
     monkeypatch.setattr(conventions, "forward_images", lambda: phased)
     fresh_memos()
-    reports = solve()
+    census = solve()
     fitted = 0
     for candidate_id, conv in enumerate(enumerate_conventions()):
-        assert reports[candidate_id] == oracle_report(candidate_id, conv, phased)
+        assert census.report(candidate_id) == oracle_report(candidate_id, conv, phased)
         images = compose_candidate(conv).images
         fitted += images is not None and np.vdot(phased, images).imag != 0.0
     assert fitted == 216 - 85
@@ -221,11 +236,11 @@ def test_solve_reads_no_stale_references(fresh_memos, monkeypatch):
     warm on the improved attack's images, patching those with the reference
     attack's and clearing through fresh_memos scores every candidate against
     the patched ones."""
-    before = [report.deviation for report in solve()]
+    before = [report.deviation for report in reports_of(solve())]
     monkeypatch.setitem(attacks._IMAGES, "improved", forward_images("wojcik"))
     fresh_memos()
     references = forward_images()
-    deviations = [report.deviation for report in solve()]
+    deviations = [report.deviation for report in reports_of(solve())]
     for conv, deviation in zip(enumerate_conventions(), deviations):
         images = compose_candidate(conv).images
         expected = None if images is None else deviation_from_reference(images, references)
@@ -249,11 +264,11 @@ def test_solve_matches_a_candidate_against_its_own_images(fresh_memos, monkeypat
     own = compose_candidate(enumerate_conventions()[reference_id]).images
     monkeypatch.setattr(conventions, "forward_images", lambda: own)
     fresh_memos()
-    reports = solve()
-    assert reports[reference_id].status == STATUS_MATCH
-    assert reports[reference_id].deviation == 0.0
+    census = solve()
+    assert census.report(reference_id).status == STATUS_MATCH
+    assert census.report(reference_id).deviation == 0.0
     for candidate_id, conv in enumerate(enumerate_conventions()):
-        assert reports[candidate_id] == oracle_report(candidate_id, conv, own)
+        assert census.report(candidate_id) == oracle_report(candidate_id, conv, own)
 
 
 def test_orthogonal_images_fit_no_phase():
@@ -261,7 +276,7 @@ def test_orthogonal_images_fit_no_phase():
     # truth-table images, so no phase is fitted: the phase is 1 and the
     # deviation is max|image - reference|.
     references = forward_images()
-    reports = solve()
+    reports = reports_of(solve())
     orthogonal = []
     for report in reports:
         images = compose_candidate(report.convention).images
@@ -284,7 +299,7 @@ _INVALID_IDS = [
     "candidate_id", [0, 4, _INVALID_IDS[0], _INVALID_IDS[-1], 575]
 )
 def test_solve_and_oracle_agree_on_completion(candidate_id):
-    report = solve()[candidate_id]
+    report = solve().report(candidate_id)
     result = compose_candidate(enumerate_conventions()[candidate_id])
     assert (report.status != STATUS_INVALID) == (result.images is not None)
     assert (report.deviation is None) == (result.images is None)
@@ -308,9 +323,27 @@ def test_census_rows_are_pinned():
 
 def test_solve_returns_fresh_reports():
     first, second = solve(), solve()
-    assert first == second
+    assert_same_census(first, second)
     assert first is not second
-    assert all(a is not b for a, b in zip(first, second))
+    for a, b in zip(first, second):
+        assert not np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+
+
+def test_solve_leaves_no_object_per_candidate():
+    # The census is three arrays, which the collector does not track: a
+    # held solve() result leaves a few tracked objects, not one per
+    # candidate.  The collector is off, so none is counted away.
+    solve()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        census = solve()
+        assert len(gc.get_objects()) - before <= 16
+    finally:
+        gc.enable()
+    assert census.status.size == 576
 
 
 @pytest.mark.usefixtures("fresh_memos")
@@ -319,13 +352,13 @@ def test_census_memo_is_the_rendered_solve():
     its CSV, its file with the metadata lines and its summary."""
     memo = cli._census()
     document, csv, summary = memo
-    reports = solve()
-    counts = summarize(reports)
-    assert csv == "\n".join([CSV_HEADER, *report_rows(reports)])
+    census = solve()
+    counts = summarize(census)
+    assert csv == "\n".join([CSV_HEADER, *report_rows(census)])
     metadata = summary.splitlines()[:-1]
     assert document == "\n".join([*metadata, csv, ""]).encode()
     assert summary.splitlines()[-1] == (
-        f"candidates={len(reports)} matches={counts[STATUS_MATCH]}"
+        f"candidates={census.status.size} matches={counts[STATUS_MATCH]}"
         f" mismatches={counts[STATUS_MISMATCH]} invalid={counts[STATUS_INVALID]}"
     )
     assert cli._census() is memo
@@ -355,13 +388,13 @@ def test_solve_is_deterministic():
 
 
 def test_all_identity_candidate_is_mismatch():
-    reports = solve()
-    assert reports[0].convention == default_convention()
-    assert reports[0].status == "mismatch"
+    report = solve().report(0)
+    assert report.convention == default_convention()
+    assert report.status == "mismatch"
 
 
 def test_invalid_reports_replay_to_collisions():
-    reports = solve()
+    reports = reports_of(solve())
     invalid = [r for r in reports if r.status == "invalid-double-occupancy"]
     assert invalid, "the family is known to contain colliding candidates"
     for report in invalid[::37]:
@@ -386,7 +419,7 @@ def test_matches_reproduce_pinned_attack(monkeypatch):
     # same exact outcome table.  The family contains no match, which is the
     # recorded outcome for this search family, so the improved attack's own
     # images run first as the positive control.
-    reports = solve()
+    reports = reports_of(solve())
     matches = [r for r in reports if r.status == "match"]
     for images in [forward_images()] + [compose_candidate(r.convention).images for r in matches]:
         monkeypatch.setitem(attacks._IMAGES, "improved", images)

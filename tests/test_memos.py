@@ -18,8 +18,6 @@ MEMOS = {
     "cli._census": None,
     "cli.build_parser": None,
     "conventions._batch_tables": None,
-    "conventions._collision": None,
-    "conventions.enumerate_conventions": None,
     "engine.controlled_flip_permutation": None,
     "engine.router_maps": None,
     "information._conditionals": None,
